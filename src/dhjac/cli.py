@@ -17,12 +17,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import dhj, forward_map, screws, verify
+from . import dhj, verify
 from .errors import ConfigError, KinematicsError
-from .model import UNIT_SCALES, ManipulatorConfig, inverse_kinematics, load_config, resolve_pose
-from .pointmap import build_Vp
-from .selection import (ALTERNATE_PLAN, OPPOSITE_PLAN, PRIMARY_PLAN,
-                        SelectionPlan, build_selection_matrix, nominal_map)
+from .model import UNIT_SCALES, ManipulatorConfig, load_config
+from .model import resolve_pose  # noqa: F401  (bound here for perfbench/test_tracing.py)
+from .selection import ALTERNATE_PLAN, OPPOSITE_PLAN, PRIMARY_PLAN, SelectionPlan
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -61,7 +60,6 @@ class SweepSpec:
     steps: int
     y_mm: float
     z_mm: float
-    unit: str
     plan: SelectionPlan
     out: str
 
@@ -69,7 +67,7 @@ class SweepSpec:
         if self.steps < 2:
             raise ConfigError("grid steps must be >= 2")
         for lo, hi in (self.theta_range_deg, self.psi_range_deg):
-            if lo >= hi:
+            if not lo < hi:  # also refuses NaN
                 raise ConfigError("range lower bound must be below upper bound")
             if max(abs(lo), abs(hi)) > envelope_deg + 1e-9:
                 raise ConfigError(
@@ -102,30 +100,22 @@ def cmd_pose(args) -> int:
     z = _length_from_mm(args.z, cfg.unit)
     th, ps = math.radians(args.theta_deg), math.radians(args.psi_deg)
 
-    pose = resolve_pose(cfg, y, z, th, ps)
-    limbs = inverse_kinematics(cfg, pose)
-    G = screws.build_inverse_jacobian(limbs)
-    fwd = forward_map.invert_full(G)
-    pts = [limb.a for limb in limbs]
-    sel = build_selection_matrix(plan, pts)
-    V_ps, _ = nominal_map(sel, build_Vp(pts))
-    J_dh = dhj.assemble_dhj(V_ps, fwd.J_a)
-    sv = dhj.singular_values(J_dh)
-    k_dh = math.inf if sv[-1] < dhj.SIGMA_FLOOR else float(sv[0] / sv[-1])
+    rec = dhj.dexterity_at(cfg, y, z, th, ps, plan=plan)
+    pose, limbs = rec.pose, rec.pose.limbs
 
     record = {
         "unit": cfg.unit,
         "coords": {"y": y, "z": z, "theta_deg": args.theta_deg, "psi_deg": args.psi_deg},
         "dependent": {"x": pose.x, "phi_z_rad": pose.phi_z},
         "q": [limb.q for limb in limbs],
-        "G_T": G.stacked.tolist(),
-        "J_a": fwd.J_a.tolist(),
-        "S": sel.S.tolist(),
-        "V_ps": V_ps.tolist(),
-        "J_dh": J_dh.tolist(),
-        "singular_values": sv.tolist(),
-        "cond_Jdh": k_dh,
-        "cond_G": fwd.cond_GT,
+        "G_T": rec.G.stacked.tolist(),
+        "J_a": rec.fwd.J_a.tolist(),
+        "S": rec.S.tolist(),
+        "V_ps": rec.V_ps.tolist(),
+        "J_dh": rec.J_dh.tolist(),
+        "singular_values": rec.sigmas.tolist(),
+        "cond_Jdh": rec.k,
+        "cond_G": rec.k_conventional,
         "plan": plan.pair_strings(),
     }
     if args.json:
@@ -140,14 +130,14 @@ def cmd_pose(args) -> int:
     print(f"pose  y={y:g} z={z:g} {cfg.unit}, theta={args.theta_deg:g} deg, "
           f"psi={args.psi_deg:g} deg  (x={pose.x:.3e}, phi_z={pose.phi_z:.3e} rad)")
     print("q_a:", " ".join(f"{limb.q:.6f}" for limb in limbs))
-    block("G^T", G.stacked)
-    block("J_a", fwd.J_a)
-    block("S", sel.S)
-    block("V_ps", V_ps)
-    block("J_dh", J_dh)
-    print("singular values:", " ".join(f"{s:.9g}" for s in sv))
-    print(f"cond(J_dh) = {k_dh:.9g}")
-    print(f"cond(G^T)  = {fwd.cond_GT:.9g}")
+    block("G^T", rec.G.stacked)
+    block("J_a", rec.fwd.J_a)
+    block("S", rec.S)
+    block("V_ps", rec.V_ps)
+    block("J_dh", rec.J_dh)
+    print("singular values:", " ".join(f"{s:.9g}" for s in rec.sigmas))
+    print(f"cond(J_dh) = {rec.k:.9g}")
+    print(f"cond(G^T)  = {rec.k_conventional:.9g}")
     return EXIT_OK
 
 
@@ -170,13 +160,21 @@ def sweep_rows(cfg: ManipulatorConfig, spec: SweepSpec):
             yield th, ps, rec.k_conventional, rec.k, "ok"
 
 
-def write_sweep_csv(path: str, rows) -> None:
+def write_sweep_csv(path: str, rows) -> list:
+    """Stream rows into the sweep CSV (opened first, so a bad path fails fast).
+
+    Returns the rows written.
+    """
+    written = []
     with open(path, "w", newline="") as fh:
         fh.write(SWEEP_HEADER + "\n")
-        for th, ps, k_g, k_dh, status in rows:
+        for row in rows:
+            th, ps, k_g, k_dh, status = row
             kg = _fmt(k_g) if k_g is not None else ""
             kd = _fmt(k_dh) if k_dh is not None else ""
             fh.write(f"{_fmt(th)},{_fmt(ps)},{kg},{kd},{status}\n")
+            written.append(row)
+    return written
 
 
 def _spec_from_args(args, cfg) -> SweepSpec:
@@ -186,7 +184,6 @@ def _spec_from_args(args, cfg) -> SweepSpec:
         steps=args.grid,
         y_mm=args.y,
         z_mm=args.z,
-        unit=cfg.unit,
         plan=parse_plan(args.plan),
         out=args.out,
     )
@@ -198,10 +195,18 @@ def cmd_sweep(args) -> int:
     cfg = _load(args)
     spec = _spec_from_args(args, cfg)
     try:
-        write_sweep_csv(spec.out, sweep_rows(cfg, spec))
+        rows = write_sweep_csv(spec.out, sweep_rows(cfg, spec))
     except OSError as exc:
         print(f"cannot write {spec.out}: {exc}", file=sys.stderr)
         return EXIT_IO
+    ok = [(k_g, k_dh) for _, _, k_g, k_dh, status in rows if status == "ok"]
+    print(f"{spec.out}: {len(rows)} cells ({len(rows) - len(ok)} skipped), unit {cfg.unit}")
+    if ok:
+        k_g, k_dh = np.array(ok).T
+        print(f"cond(G^T):  median {np.median(k_g):10.2f}   max {k_g.max():10.2f}")
+        print(f"cond(J_dh): median {np.median(k_dh):10.3f}   max {k_dh.max():10.3f}   "
+              f"min {k_dh.min():.3f}")
+        print(f"band ratio (medians): {np.median(k_g) / np.median(k_dh):.1f}x")
     return EXIT_OK
 
 

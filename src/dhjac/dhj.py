@@ -1,9 +1,10 @@
 """Dimensionally homogeneous Jacobian, condition numbers, unit experiments.
 
-The condition number uses a one-sided Jacobi SVD (columns orthogonalized by
-right rotations until every pair is orthogonal to 1e-12 relative), which has
-high relative accuracy on the small dense matrices produced here; the test
-suite cross-checks it against an independent eigensolve of M^T M.
+``dexterity_at`` is the one place the pose -> J_dh chain is written; every
+caller that needs an intermediate (limbs, G^T, the forward map, S, V_ps)
+reads it from the returned record.  Singular values come from LAPACK
+(``np.linalg.svd``); the test suite cross-checks them against an independent
+symmetric eigensolve of M^T M.
 """
 
 from __future__ import annotations
@@ -13,59 +14,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import forward_map, screws
+from . import screws
 from .errors import KinematicsError, MixedActuation
-from .model import ManipulatorConfig, PlatformPose, inverse_kinematics, resolve_pose
+from .forward_map import ForwardJacobian, cond_from_sigmas, invert_full, singular_values
+from .model import UNIT_SCALES, ManipulatorConfig, PlatformPose, resolve_pose
 from .pointmap import build_Vp
+from .screws import InverseJacobian
 from .selection import PRIMARY_PLAN, SelectionPlan, build_selection_matrix, nominal_map
-
-JACOBI_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 60
-
-#: sigma_min below this reports an infinite condition number
-SIGMA_FLOOR = 1e-300
-
-
-def singular_values(M: np.ndarray, tol: float = JACOBI_TOL,
-                    max_sweeps: int = JACOBI_MAX_SWEEPS) -> np.ndarray:
-    """Descending singular values by one-sided Jacobi column orthogonalization."""
-    A = np.array(M, dtype=float)
-    if A.ndim != 2:
-        raise ValueError("expected a 2-d matrix")
-    if A.shape[0] < A.shape[1]:
-        A = A.T.copy()
-    n = A.shape[1]
-    for _ in range(max_sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = float(A[:, p] @ A[:, q])
-                app = float(A[:, p] @ A[:, p])
-                aqq = float(A[:, q] @ A[:, q])
-                denom = math.sqrt(app * aqq)
-                if denom == 0.0 or abs(apq) <= tol * denom:
-                    continue
-                off = max(off, abs(apq) / denom)
-                tau = (aqq - app) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = c * t
-                ap = c * A[:, p] - s * A[:, q]
-                A[:, q] = s * A[:, p] + c * A[:, q]
-                A[:, p] = ap
-        if off == 0.0:
-            break
-    sv = np.sqrt(np.sum(A * A, axis=0))
-    sv.sort()
-    return sv[::-1]
 
 
 def condition_number(M: np.ndarray) -> float:
     """2-norm condition (sigma_max / sigma_min); infinite below the floor."""
-    sv = singular_values(M)
-    if sv[-1] < SIGMA_FLOOR:
-        return math.inf
-    return float(sv[0] / sv[-1])
+    return cond_from_sigmas(singular_values(M))
 
 
 def assemble_dhj(V_ps: np.ndarray, J_a: np.ndarray) -> np.ndarray:
@@ -79,15 +39,23 @@ def assemble_dhj(V_ps: np.ndarray, J_a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DexterityRecord:
-    """Everything dexterity-related evaluated at one pose."""
+    """Everything dexterity-related evaluated at one pose, with its intermediates."""
 
-    pose: PlatformPose
+    pose: PlatformPose      # carries the limb kinematics as ``pose.limbs``
+    G: InverseJacobian      # stacked G^T and its blocks
+    fwd: ForwardJacobian    # (G^T)^-1, J_a and cond(G^T)
+    S: np.ndarray           # extended selection matrix
+    V_ps: np.ndarray        # nominal map S V_p
     J_dh: np.ndarray
-    sigmas: np.ndarray
+    sigmas: np.ndarray      # singular values of J_dh, descending
     k: float                # cond(J_dh)
-    k_conventional: float   # cond of the stacked G^T
     unit: str
     plan: SelectionPlan
+
+    @property
+    def k_conventional(self) -> float:
+        """cond of the stacked G^T."""
+        return self.fwd.cond_GT
 
 
 def dexterity_at(
@@ -99,20 +67,18 @@ def dexterity_at(
     plan: SelectionPlan = PRIMARY_PLAN,
     envelope_deg: float | None = None,
 ) -> DexterityRecord:
-    """Full pipeline at one pose: resolve, IK, G^T, J_a, S, V_ps, J_dh."""
+    """Full pipeline at one pose: resolve (with IK), G^T, J_a, S, V_ps, J_dh."""
     pose = resolve_pose(cfg, y, z, theta, psi, envelope_deg=envelope_deg)
-    limbs = inverse_kinematics(cfg, pose)
-    G = screws.build_inverse_jacobian(limbs)
-    fwd = forward_map.invert_full(G)
-    pts = [limb.a for limb in limbs]
+    G = screws.build_inverse_jacobian(pose.limbs)
+    fwd = invert_full(G)
+    pts = [limb.a for limb in pose.limbs]
     sel = build_selection_matrix(plan, pts)
     V_ps, _ = nominal_map(sel, build_Vp(pts))
     J_dh = assemble_dhj(V_ps, fwd.J_a)
     sv = singular_values(J_dh)
-    k = math.inf if sv[-1] < SIGMA_FLOOR else float(sv[0] / sv[-1])
     return DexterityRecord(
-        pose=pose, J_dh=J_dh, sigmas=sv, k=k,
-        k_conventional=fwd.cond_GT, unit=cfg.unit, plan=plan,
+        pose=pose, G=G, fwd=fwd, S=sel.S, V_ps=V_ps, J_dh=J_dh, sigmas=sv,
+        k=cond_from_sigmas(sv), unit=cfg.unit, plan=plan,
     )
 
 
@@ -136,11 +102,12 @@ def unit_scaling_experiment(
     The scaled run multiplies every config length and the translational pose
     coordinates by ``scale`` (0.001 = the millimeter-to-meter experiment).
     Cells where the pipeline fails are reported with their reason code and
-    excluded from the deviation statistics.
+    excluded from the deviation statistics.  A scale that is not finite and
+    positive raises ConfigError.
     """
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    scaled_unit = {0.001: "m", 1.0: cfg.unit}.get(scale, f"{cfg.unit}x{scale:g}")
+    # a supported unit names the scaled run only when the scale lands on it
+    target = UNIT_SCALES[cfg.unit] * scale
+    scaled_unit = next((u for u, f in UNIT_SCALES.items() if f == target), None)
     cfg_b = cfg.scaled(scale, unit=scaled_unit)
     cells = []
     devs_dh, devs_G = [], []
@@ -169,7 +136,7 @@ def unit_scaling_experiment(
     max_dev_G = max(devs_G, default=math.nan)
     return {
         "unit_base": cfg.unit,
-        "unit_scaled": scaled_unit,
+        "unit_scaled": scaled_unit or f"{cfg.unit}x{scale:g}",
         "scale": scale,
         "plan": plan.pair_strings(),
         "cells": cells,

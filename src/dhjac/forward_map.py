@@ -12,10 +12,15 @@ mechanism are rank one), so ``block_Ja`` implements two algebraic readings:
 
 Direct inversion (``invert_full``) is authoritative; the block route must
 agree with it to 1e-9 relative and falls back on BlockSingular otherwise.
+
+Singular values and the rule that turns them into a condition number live
+here, because the conditioning guard of ``invert_full`` needs them; ``dhj``
+re-exports both.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +29,21 @@ from .errors import BlockSingular, SingularConfiguration
 from .screws import InverseJacobian
 
 COND_LIMIT = 1e12
+
+#: sigma_min below this reports an infinite condition number
+SIGMA_FLOOR = 1e-300
+
+
+def singular_values(M: np.ndarray) -> np.ndarray:
+    """Descending singular values (LAPACK)."""
+    return np.linalg.svd(np.asarray(M, float), compute_uv=False)
+
+
+def cond_from_sigmas(sv: np.ndarray) -> float:
+    """2-norm condition sigma_max / sigma_min; infinite below SIGMA_FLOOR."""
+    if sv[-1] < SIGMA_FLOOR:
+        return math.inf
+    return float(sv[0] / sv[-1])
 
 
 @dataclass(frozen=True)
@@ -49,11 +69,8 @@ class ForwardJacobian:
 def invert_full(G: InverseJacobian, cond_limit: float = COND_LIMIT) -> ForwardJacobian:
     """Column solves of G^T J = I with a conditioning guard."""
     GT = G.stacked
-    from .dhj import singular_values  # local import; dhj depends on this module
-
-    sv = singular_values(GT)
-    cond = np.inf if sv[-1] == 0.0 else float(sv[0] / sv[-1])
-    if not np.isfinite(cond) or cond > cond_limit:
+    cond = cond_from_sigmas(singular_values(GT))
+    if not math.isfinite(cond) or cond > cond_limit:
         raise SingularConfiguration(f"cond(G^T) = {cond:.3e} exceeds {cond_limit:.1e}")
     f = G.G_a_T.shape[0]
     J = np.linalg.solve(GT, np.eye(6))

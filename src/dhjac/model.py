@@ -84,8 +84,12 @@ class ManipulatorConfig:
     )
 
     def __post_init__(self):
-        if self.moving_plate_radius <= 0 or self.base_radius <= 0 or self.link_length <= 0:
-            raise ConfigError("radii and link length must be positive")
+        lengths = (self.moving_plate_radius, self.base_radius, self.link_length)
+        if not all(math.isfinite(v) and v > 0 for v in lengths):
+            raise ConfigError("radii and link length must be finite and positive")
+        if not (math.isfinite(self.envelope_deg) and self.envelope_deg > 0):
+            raise ConfigError(f"envelope_deg must be finite and positive, "
+                              f"got {self.envelope_deg!r}")
         if self.unit not in UNIT_SCALES:
             raise ConfigError(f"unknown unit {self.unit!r} (expected mm or m)")
         if self.actuator_kind not in ("linear", "rotational", "mixed"):
@@ -93,6 +97,10 @@ class ManipulatorConfig:
         for limb in self.limbs:
             if limb.kind not in ("PUS", "PRS"):
                 raise ConfigError(f"unknown limb kind {limb.kind!r}")
+            if not (math.isfinite(limb.angle_deg) and math.isfinite(limb.base_deg)):
+                raise ConfigError("limb angles must be finite")
+        if len(self.prs_indices()) != 2:
+            raise ConfigError("reference pipeline expects exactly two PRS limbs")
         pts = self.platform_points()
         if _collinear(pts):
             raise ConfigError("platform anchor points are collinear")
@@ -206,6 +214,8 @@ class PlatformPose:
     phi_z: float
     rotation: np.ndarray
     origin: np.ndarray
+    #: closed-form IK of this pose, computed once by ``resolve_pose``
+    limbs: tuple[LimbKinematics, ...] = ()
 
     @property
     def coords(self) -> tuple[float, float, float, float]:
@@ -234,8 +244,6 @@ class LimbKinematics:
 def _prs_residual(cfg: ManipulatorConfig, y, z, th, ps, x, phi):
     """Plane residuals B_ix - A_ix of the two PRS limbs and their (x, phi) Jacobian."""
     prs = cfg.prs_indices()
-    if len(prs) != 2:
-        raise ConfigError("reference pipeline expects exactly two PRS limbs")
     P = cfg.platform_points()
     A = cfg.base_points()
     Rxy = rot_x(th) @ rot_y(ps)
@@ -265,10 +273,14 @@ def resolve_pose(
 
     Damped Newton on the two PRS plane residuals, started at (0, 0).  The
     default tolerance is 1e-12 relative to the base radius so the solve is
-    exactly equivariant under geometric scaling.  Raises Unreachable when
-    (theta, psi) is outside the rotational envelope or the downstream IK has
-    no real solution, NoConvergence when the 2x2 solve stalls.
+    exactly equivariant under geometric scaling.  Raises Unreachable when a
+    coordinate is not finite, (theta, psi) is outside the rotational envelope
+    or the downstream IK has no real solution, NoConvergence when the 2x2
+    solve stalls.  The returned pose carries the IK limbs, so callers never
+    run IK on it again.
     """
+    if not all(map(math.isfinite, (y, z, theta, psi))):
+        raise Unreachable(f"pose coordinates {(y, z, theta, psi)} are not all finite")
     env = cfg.envelope_deg if envelope_deg is None else envelope_deg
     lim = math.radians(env) + 1e-12
     if abs(theta) > lim or abs(psi) > lim:
@@ -311,8 +323,7 @@ def resolve_pose(
         rotation=R, origin=np.array([x, y, z]),
     )
     # reachability of the actuated joints is part of the pose contract
-    inverse_kinematics(cfg, pose)
-    return pose
+    return replace(pose, limbs=tuple(inverse_kinematics(cfg, pose)))
 
 
 def inverse_kinematics(cfg: ManipulatorConfig, pose: PlatformPose) -> list[LimbKinematics]:

@@ -17,7 +17,7 @@ import numpy as np
 from . import dhj, forward_map, screws
 from .errors import (BlockSingular, DegeneratePair, KinematicsError,
                      NoForwardSolution, StepTooLarge)
-from .model import ManipulatorConfig, inverse_kinematics, resolve_pose, tsai_mobility
+from .model import ManipulatorConfig, resolve_pose, tsai_mobility
 from .pointmap import build_Vp
 from .selection import (ALTERNATE_PLAN, CONSTRAINED_COLS, OPPOSITE_PLAN,
                         PRIMARY_PLAN, build_selection_matrix, nominal_map)
@@ -32,7 +32,7 @@ def step_sizes(cfg: ManipulatorConfig, h: float = 1e-6) -> tuple[float, float]:
 
 def _joint_values(cfg, coords, envelope_deg=None):
     pose = resolve_pose(cfg, *coords, envelope_deg=envelope_deg)
-    return np.array([limb.q for limb in inverse_kinematics(cfg, pose)])
+    return np.array([limb.q for limb in pose.limbs])
 
 
 def _perturbed(coords, k, delta):
@@ -124,8 +124,7 @@ def brute_force_dhj(cfg: ManipulatorConfig, coords, plan=PRIMARY_PLAN,
     is perturbed and the pose re-found by Newton forward refinement.
     """
     h_q = h * max(cfg.base_radius, 1e-30)
-    pose0 = resolve_pose(cfg, *coords)
-    limbs0 = inverse_kinematics(cfg, pose0)
+    limbs0 = resolve_pose(cfg, *coords).limbs
     q0 = np.array([limb.q for limb in limbs0])
     S = build_selection_matrix(plan, [limb.a for limb in limbs0]).S
     P = cfg.platform_points()
@@ -211,7 +210,7 @@ def run_validation(cfg: ManipulatorConfig, seed: int = DEFAULT_SEED,
     def actuation(coords, variant="link", moment_sign=1.0):
         T = fd_constraint_tangent(cfg, coords)
         FD = fd_actuation_jacobian(cfg, coords)
-        limbs = inverse_kinematics(cfg, resolve_pose(cfg, *coords))
+        limbs = resolve_pose(cfg, *coords).limbs
         G = screws.build_inverse_jacobian(limbs, variant=variant, moment_sign=moment_sign)
         diff = G.G_a_T @ T - FD
         return float(np.max(np.abs(diff))), _rel(diff, FD)
@@ -220,38 +219,33 @@ def run_validation(cfg: ManipulatorConfig, seed: int = DEFAULT_SEED,
 
     def constraint(coords):
         T = fd_constraint_tangent(cfg, coords)
-        limbs = inverse_kinematics(cfg, resolve_pose(cfg, *coords))
-        G = screws.build_inverse_jacobian(limbs)
+        G = screws.build_inverse_jacobian(resolve_pose(cfg, *coords).limbs)
         err = float(np.max(np.abs(G.G_c_T @ T)))
         return err, err
 
     pose_check("constraint_rows_annihilate_tangent", 1e-7, constraint, relative=False)
 
     def inversion(coords):
-        limbs = inverse_kinematics(cfg, resolve_pose(cfg, *coords))
-        G = screws.build_inverse_jacobian(limbs)
-        fwd = forward_map.invert_full(G)
-        err = float(np.max(np.abs(G.stacked @ fwd.J - np.eye(6))))
+        rec = dhj.dexterity_at(cfg, *coords)
+        err = float(np.max(np.abs(rec.G.stacked @ rec.fwd.J - np.eye(6))))
         return err, err
 
     pose_check("inversion_residual", 1e-10, inversion, relative=False)
 
     def block(coords):
-        limbs = inverse_kinematics(cfg, resolve_pose(cfg, *coords))
-        G = screws.build_inverse_jacobian(limbs)
-        fwd = forward_map.invert_full(G)
+        rec = dhj.dexterity_at(cfg, *coords)
+        J_a = rec.fwd.J_a
         try:
-            Jb = forward_map.block_Ja(G)
+            Jb = forward_map.block_Ja(rec.G)
         except BlockSingular:
-            Jb = fwd.J_a  # documented fallback
-        diff = Jb - fwd.J_a
-        return float(np.max(np.abs(diff))), _rel(diff, fwd.J_a)
+            Jb = J_a  # documented fallback
+        diff = Jb - J_a
+        return float(np.max(np.abs(diff))), _rel(diff, J_a)
 
     pose_check("block_formula_vs_direct_inversion", 1e-9, block)
 
     def selection_annihilation(coords):
-        limbs = inverse_kinematics(cfg, resolve_pose(cfg, *coords))
-        pts = [limb.a for limb in limbs]
+        pts = [limb.a for limb in resolve_pose(cfg, *coords).limbs]
         vp = build_Vp(pts)
         worst = 0.0
         for plan in (PRIMARY_PLAN, ALTERNATE_PLAN):
@@ -328,7 +322,7 @@ def run_validation(cfg: ManipulatorConfig, seed: int = DEFAULT_SEED,
     opposite_status = "valid"
     if poses:
         try:
-            limbs = inverse_kinematics(cfg, resolve_pose(cfg, *poses[0]))
+            limbs = resolve_pose(cfg, *poses[0]).limbs
             build_selection_matrix(OPPOSITE_PLAN, [limb.a for limb in limbs])
         except DegeneratePair as exc:
             opposite_status = f"degenerate at this geometry: {exc}"

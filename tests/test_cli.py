@@ -1,13 +1,33 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from dhjac.cli import SWEEP_HEADER, main
+from dhjac.dhj import dexterity_at
+from dhjac.model import load_config
 
 from conftest import REFERENCE_CONFIG
 
 CFG = str(REFERENCE_CONFIG)
+
+
+def _short_link_config(tmp_path):
+    """Reference layout with a 100 mm link: no pose is reachable."""
+    cfg = tmp_path / "short.json"
+    cfg.write_text(json.dumps({
+        "unit": "mm", "r_a": 200.0, "r_b": 450.0, "l": 100.0,
+        "actuator": "linear",
+        "limbs": [
+            {"angle_deg": 0.0, "kind": "PUS", "base_angle_deg": 45.0},
+            {"angle_deg": 90.0, "kind": "PRS"},
+            {"angle_deg": 180.0, "kind": "PUS", "base_angle_deg": 135.0},
+            {"angle_deg": 270.0, "kind": "PRS"},
+        ],
+        "mobility": {"lambda": 6, "n": 10, "j": 12, "f_sum": 22},
+    }))
+    return str(cfg)
 
 
 def test_pose_ok(capsys):
@@ -24,11 +44,18 @@ def test_pose_json_record(capsys):
     assert len(record["q"]) == 4
     assert np.asarray(record["J_dh"]).shape == (4, 4)
     assert record["plan"] == [["1y", "2z"], ["2y", "3z"], ["3y", "4z"], ["4y", "1z"]]
+    # the printed numbers are the pipeline's record at the same pose, exactly
+    rec = dexterity_at(load_config(CFG), 0.0, 150.0, math.radians(10.0), math.radians(5.0))
+    assert record["J_dh"] == rec.J_dh.tolist()
+    assert record["singular_values"] == rec.sigmas.tolist()
+    assert record["cond_Jdh"] == rec.k
+    assert record["cond_G"] == rec.k_conventional
 
 
 def test_pose_outside_envelope_exit_2(capsys):
-    assert main(["pose", "0", "150", "60", "0", "--config", CFG]) == 2
-    assert "Unreachable" in capsys.readouterr().err
+    for theta in ("60", "nan"):
+        assert main(["pose", "0", "150", theta, "0", "--config", CFG]) == 2
+        assert "Unreachable" in capsys.readouterr().err
 
 
 def test_malformed_config_exit_3(tmp_path, capsys):
@@ -50,10 +77,11 @@ def test_bad_plan_exit_3(capsys):
                  "--plan", "nonsense["]) == 3
 
 
-def test_sweep_csv_contract(tmp_path):
+def test_sweep_csv_contract(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", CFG, "--grid", "7", "--z", "150",
                  "--out", str(out)]) == 0
+    assert "49 cells (0 skipped), unit mm" in capsys.readouterr().out
     lines = out.read_text().splitlines()
     assert lines[0] == SWEEP_HEADER
     assert len(lines) == 1 + 49
@@ -98,6 +126,8 @@ def test_sweep_range_guard(tmp_path):
                  "--out", str(out)]) == 3
     assert main(["sweep", "--config", CFG, "--grid", "5", "--range-deg", "80",
                  "--envelope-deg", "85", "--out", str(out)]) == 0
+    assert main(["sweep", "--config", CFG, "--grid", "5", "--range-deg", "nan",
+                 "--out", str(out)]) == 3
 
 
 def test_sweep_unwritable_exit_4(tmp_path):
@@ -124,6 +154,9 @@ def test_units_noop_scale(tmp_path):
     report = json.loads(out.read_text())
     assert report["max_rel_dev_k_dh"] == 0.0
     assert report["max_rel_dev_k_G"] == 0.0
+    for bad in ("-1", "nan"):
+        assert main(["units", "--config", CFG, "--grid", "3", "--scale", bad,
+                     "--out", str(out)]) == 3
 
 
 def test_validate_reference(tmp_path, capsys):
@@ -143,21 +176,18 @@ def test_validate_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_sweep_every_cell_skipped(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--config", _short_link_config(tmp_path), "--grid", "3",
+                 "--out", str(out)]) == 0
+    assert "9 cells (9 skipped)" in capsys.readouterr().out
+    assert all(line.endswith(",,,unreachable")
+               for line in out.read_text().splitlines()[1:])
+
+
 def test_validate_unreachable_config(tmp_path):
-    cfg = tmp_path / "short.json"
-    cfg.write_text(json.dumps({
-        "unit": "mm", "r_a": 200.0, "r_b": 450.0, "l": 100.0,
-        "actuator": "linear",
-        "limbs": [
-            {"angle_deg": 0.0, "kind": "PUS", "base_angle_deg": 45.0},
-            {"angle_deg": 90.0, "kind": "PRS"},
-            {"angle_deg": 180.0, "kind": "PUS", "base_angle_deg": 135.0},
-            {"angle_deg": 270.0, "kind": "PRS"},
-        ],
-        "mobility": {"lambda": 6, "n": 10, "j": 12, "f_sum": 22},
-    }))
     out = tmp_path / "report.json"
-    assert main(["validate", "--config", str(cfg), "--poses", "5",
+    assert main(["validate", "--config", _short_link_config(tmp_path), "--poses", "5",
                  "--out", str(out)]) == 1
     report = json.loads(out.read_text())
     assert report["all_passed"] is False

@@ -83,29 +83,34 @@ def test_dhj_entries_unit_invariant(reference):
 
 def test_joint_rates_consistent_through_dhj(reference):
     # q' recovered from the nominal velocity equals G_a^T xdot
-    from dhjac.forward_map import invert_full
-    from dhjac.model import inverse_kinematics, resolve_pose
-    from dhjac.pointmap import build_Vp
-    from dhjac.screws import build_inverse_jacobian
-    from dhjac.selection import build_selection_matrix, nominal_map
-
     coords = (0.0, 150.0, math.radians(20.0), math.radians(10.0))
-    pose = resolve_pose(reference, *coords)
-    limbs = inverse_kinematics(reference, pose)
-    G = build_inverse_jacobian(limbs)
-    fwd = invert_full(G)
-    pts = [limb.a for limb in limbs]
-    V_ps, _ = nominal_map(build_selection_matrix(PRIMARY_PLAN, pts), build_Vp(pts))
-    J_dh = assemble_dhj(V_ps, fwd.J_a)
+    rec = dexterity_at(reference, *coords)
+    np.testing.assert_array_equal(rec.J_dh, assemble_dhj(rec.V_ps, rec.fwd.J_a))
 
     rng = np.random.default_rng(11)
     for _ in range(5):
         qdot = rng.standard_normal(4)
-        xdot = fwd.J_a @ qdot
-        v_ps = V_ps @ xdot
-        qdot_back = np.linalg.solve(J_dh, v_ps)
-        np.testing.assert_allclose(qdot_back, G.G_a_T @ xdot, atol=1e-8)
+        xdot = rec.fwd.J_a @ qdot
+        v_ps = rec.V_ps @ xdot
+        qdot_back = np.linalg.solve(rec.J_dh, v_ps)
+        np.testing.assert_allclose(qdot_back, rec.G.G_a_T @ xdot, atol=1e-8)
         np.testing.assert_allclose(qdot_back, qdot, atol=1e-8)
+
+
+def test_dexterity_at_runs_ik_once(reference, monkeypatch):
+    import dhjac.model
+
+    calls = []
+    ik = dhjac.model.inverse_kinematics
+
+    def counting_ik(cfg, pose):
+        calls.append(pose)
+        return ik(cfg, pose)
+
+    monkeypatch.setattr(dhjac.model, "inverse_kinematics", counting_ik)
+    rec = dexterity_at(reference, 0.0, 150.0, math.radians(20.0), math.radians(10.0))
+    assert len(calls) == 1
+    assert [limb.q for limb in rec.pose.limbs] == [limb.q for limb in ik(reference, rec.pose)]
 
 
 def test_unit_scaling_experiment_grid(reference):
@@ -118,6 +123,18 @@ def test_unit_scaling_experiment_grid(reference):
     assert report["max_rel_dev_k_dh"] < 1e-9
     assert report["k_G_unit_sensitive"] is True
     assert report["max_rel_dev_k_G"] > 0.10
+
+
+@pytest.mark.parametrize("unit,scale,label", [
+    ("mm", 0.001, "m"), ("m", 0.001, "mx0.001"), ("m", 1000.0, "mm"),
+    ("mm", 0.5, "mmx0.5"), ("m", 1.0, "m"),
+])
+def test_unit_scaling_labels(reference, unit, scale, label):
+    report = unit_scaling_experiment(reference.in_unit(unit), [0.0], [0.0],
+                                     z=reference.in_unit(unit).base_radius / 3.0,
+                                     scale=scale)
+    assert (report["unit_base"], report["unit_scaled"]) == (unit, label)
+    assert report["skipped"] == 0
 
 
 def test_unit_scaling_noop_is_bit_identical(reference):

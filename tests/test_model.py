@@ -38,8 +38,11 @@ def test_rotation_orthonormal(reference, theta, psi):
 
 
 def test_outside_envelope_rejected(reference):
-    with pytest.raises(Unreachable):
-        resolve_pose(reference, 0.0, 150.0, math.radians(60.0), math.radians(60.0))
+    for coords in ((0.0, 150.0, math.radians(60.0), math.radians(60.0)),
+                   (0.0, 150.0, math.nan, 0.0), (math.nan, 150.0, 0.2, 0.0),
+                   (0.0, math.inf, 0.2, 0.0)):
+        with pytest.raises(Unreachable):
+            resolve_pose(reference, *coords)
 
 
 def test_envelope_override_allows_wider_tilt(reference):
@@ -184,8 +187,15 @@ def test_load_reference_config(reference):
 
 
 def test_config_validation_errors(tmp_path):
-    with pytest.raises(ConfigError):
-        config_from_dict({"r_a": -1.0, "r_b": 450.0, "l": 687.0, "limbs": []})
+    from conftest import REFERENCE_CONFIG
+    good = json.loads(REFERENCE_CONFIG.read_text())
+    four_pus = [dict(limb, kind="PUS") for limb in good["limbs"]]
+    nan_angle = [dict(good["limbs"][0], angle_deg=math.nan)] + good["limbs"][1:]
+    for patch in ({"r_a": -1.0, "limbs": []}, {"envelope_deg": math.nan},
+                  {"l": math.inf}, {"envelope_deg": -10.0}, {"r_a": math.nan},
+                  {"limbs": four_pus}, {"limbs": []}, {"limbs": nan_angle}):
+        with pytest.raises(ConfigError):
+            config_from_dict({**good, **patch})
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ConfigError):
