@@ -10,8 +10,10 @@ in millimeters and converted to the active unit.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 
@@ -55,29 +57,27 @@ def parse_plan(text: str) -> SelectionPlan:
 class SweepSpec:
     """Grid specification for condition-number sweeps."""
 
-    theta_range_deg: tuple[float, float]
-    psi_range_deg: tuple[float, float]
+    range_deg: float  # half-range of both the theta and the psi axis
     steps: int
     y_mm: float
     z_mm: float
     plan: SelectionPlan
     out: str
 
-    def validate(self, cfg: ManipulatorConfig, envelope_deg: float):
+    def validate(self, envelope_deg: float):
         if self.steps < 2:
             raise ConfigError("grid steps must be >= 2")
-        for lo, hi in (self.theta_range_deg, self.psi_range_deg):
-            if not lo < hi:  # also refuses NaN
-                raise ConfigError("range lower bound must be below upper bound")
-            if max(abs(lo), abs(hi)) > envelope_deg + 1e-9:
-                raise ConfigError(
-                    f"range exceeds the +/-{envelope_deg:g} deg envelope "
-                    "(raise --envelope-deg to override)")
+        if not self.range_deg > 0:  # also refuses NaN
+            raise ConfigError("range half-width must be positive")
+        if self.range_deg > envelope_deg + 1e-9:
+            raise ConfigError(
+                f"range exceeds the +/-{envelope_deg:g} deg envelope "
+                "(raise --envelope-deg to override)")
 
     def grids(self):
-        th = np.linspace(self.theta_range_deg[0], self.theta_range_deg[1], self.steps)
-        ps = np.linspace(self.psi_range_deg[0], self.psi_range_deg[1], self.steps)
-        return th, ps
+        """(theta, psi) axes in degrees; both span the same range."""
+        axis = np.linspace(-self.range_deg, self.range_deg, self.steps)
+        return axis, axis
 
 
 def _load(args) -> ManipulatorConfig:
@@ -160,13 +160,31 @@ def sweep_rows(cfg: ManipulatorConfig, spec: SweepSpec):
             yield th, ps, rec.k_conventional, rec.k, "ok"
 
 
+@contextlib.contextmanager
+def _replacing(path: str, newline: str | None = None):
+    """Write beside ``path``; the file replaces ``path`` only if the block completes."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+
+
+def _dump_json(obj, fh) -> None:
+    json.dump(obj, fh, indent=2, sort_keys=True)
+    fh.write("\n")
+
+
 def write_sweep_csv(path: str, rows) -> list:
     """Stream rows into the sweep CSV (opened first, so a bad path fails fast).
 
     Returns the rows written.
     """
     written = []
-    with open(path, "w", newline="") as fh:
+    with _replacing(path, newline="") as fh:
         fh.write(SWEEP_HEADER + "\n")
         for row in rows:
             th, ps, k_g, k_dh, status = row
@@ -179,26 +197,21 @@ def write_sweep_csv(path: str, rows) -> list:
 
 def _spec_from_args(args, cfg) -> SweepSpec:
     spec = SweepSpec(
-        theta_range_deg=(-args.range_deg, args.range_deg),
-        psi_range_deg=(-args.range_deg, args.range_deg),
+        range_deg=args.range_deg,
         steps=args.grid,
         y_mm=args.y,
         z_mm=args.z,
         plan=parse_plan(args.plan),
         out=args.out,
     )
-    spec.validate(cfg, cfg.envelope_deg)
+    spec.validate(cfg.envelope_deg)
     return spec
 
 
 def cmd_sweep(args) -> int:
     cfg = _load(args)
     spec = _spec_from_args(args, cfg)
-    try:
-        rows = write_sweep_csv(spec.out, sweep_rows(cfg, spec))
-    except OSError as exc:
-        print(f"cannot write {spec.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    rows = write_sweep_csv(spec.out, sweep_rows(cfg, spec))
     ok = [(k_g, k_dh) for _, _, k_g, k_dh, status in rows if status == "ok"]
     print(f"{spec.out}: {len(rows)} cells ({len(rows) - len(ok)} skipped), unit {cfg.unit}")
     if ok:
@@ -225,29 +238,24 @@ def cmd_units(args) -> int:
     )
     out_json = spec.out
     out_csv = out_json[:-5] + ".csv" if out_json.endswith(".json") else out_json + ".csv"
-    try:
-        with open(out_json, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        with open(out_csv, "w", newline="") as fh:
-            fh.write("theta_deg,psi_deg,cond_G_base,cond_G_scaled,"
-                     "cond_Jdh_base,cond_Jdh_scaled,rel_dev_Jdh,status\n")
-            for cell in report["cells"]:
-                th = _fmt(math.degrees(cell["theta"]))
-                ps = _fmt(math.degrees(cell["psi"]))
-                if cell["status"] != "ok":
-                    fh.write(f"{th},{ps},,,,,,{cell['status']}\n")
-                    continue
-                dev = abs(cell["k_dh_base"] - cell["k_dh_scaled"]) / cell["k_dh_base"]
-                fh.write(",".join([
-                    th, ps,
-                    _fmt(cell["k_G_base"]), _fmt(cell["k_G_scaled"]),
-                    _fmt(cell["k_dh_base"]), _fmt(cell["k_dh_scaled"]),
-                    _fmt(dev), "ok",
-                ]) + "\n")
-    except OSError as exc:
-        print(f"cannot write report: {exc}", file=sys.stderr)
-        return EXIT_IO
+    # neither file is replaced unless both were written in full
+    with _replacing(out_json) as fh_json, _replacing(out_csv, newline="") as fh:
+        _dump_json(report, fh_json)
+        fh.write("theta_deg,psi_deg,cond_G_base,cond_G_scaled,"
+                 "cond_Jdh_base,cond_Jdh_scaled,rel_dev_Jdh,status\n")
+        for cell in report["cells"]:
+            th = _fmt(math.degrees(cell["theta"]))
+            ps = _fmt(math.degrees(cell["psi"]))
+            if cell["status"] != "ok":
+                fh.write(f"{th},{ps},,,,,,{cell['status']}\n")
+                continue
+            dev = abs(cell["k_dh_base"] - cell["k_dh_scaled"]) / cell["k_dh_base"]
+            fh.write(",".join([
+                th, ps,
+                _fmt(cell["k_G_base"]), _fmt(cell["k_G_scaled"]),
+                _fmt(cell["k_dh_base"]), _fmt(cell["k_dh_scaled"]),
+                _fmt(dev), "ok",
+            ]) + "\n")
     print(f"k_dh max rel deviation: {report['max_rel_dev_k_dh']:.3e} "
           f"(invariant: {report['k_dh_invariant']})")
     print(f"k_G  max rel deviation: {report['max_rel_dev_k_G']:.3e} "
@@ -258,13 +266,8 @@ def cmd_units(args) -> int:
 def cmd_validate(args) -> int:
     cfg = _load(args)
     report = verify.run_validation(cfg, seed=args.seed, n_poses=args.poses)
-    try:
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        print(f"cannot write report: {exc}", file=sys.stderr)
-        return EXIT_IO
+    with _replacing(args.out) as fh:
+        _dump_json(report, fh)
     for check in report["checks"]:
         status = "PASS" if check["passed"] else "FAIL"
         print(f"{status}  {check['name']}: max_rel_err={check['max_rel_err']:.3e} "
@@ -281,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_out=None):
+    def common(p, with_out=None, grid=False):
         p.add_argument("--config", required=True, help="manipulator JSON config")
         p.add_argument("--unit", choices=("mm", "m"), default=None,
                        help="convert the config to this unit before computing")
@@ -292,6 +295,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the rotational envelope guard")
         if with_out:
             p.add_argument("--out", default=with_out, help="output path")
+        if grid:
+            p.add_argument("--grid", type=int, default=51, help="grid points per axis")
+            p.add_argument("--range-deg", type=float, default=50.0,
+                           help="half-range of both axes")
+            p.add_argument("--y", type=float, default=0.0, help="fixed y [mm]")
+            p.add_argument("--z", type=float, default=150.0, help="fixed z [mm]")
 
     p = sub.add_parser("pose", help="evaluate one pose and print the full pipeline")
     common(p)
@@ -303,19 +312,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_pose)
 
     p = sub.add_parser("sweep", help="condition-number grid over (theta, psi) to CSV")
-    common(p, with_out="sweep.csv")
-    p.add_argument("--grid", type=int, default=51, help="grid points per axis")
-    p.add_argument("--range-deg", type=float, default=50.0, help="half-range of both axes")
-    p.add_argument("--y", type=float, default=0.0, help="fixed y [mm]")
-    p.add_argument("--z", type=float, default=150.0, help="fixed z [mm]")
+    common(p, with_out="sweep.csv", grid=True)
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("units", help="millimeter-vs-meter condition-number experiment")
-    common(p, with_out="units_report.json")
-    p.add_argument("--grid", type=int, default=51, help="grid points per axis")
-    p.add_argument("--range-deg", type=float, default=50.0, help="half-range of both axes")
-    p.add_argument("--y", type=float, default=0.0, help="fixed y [mm]")
-    p.add_argument("--z", type=float, default=150.0, help="fixed z [mm]")
+    common(p, with_out="units_report.json", grid=True)
     p.add_argument("--scale", type=float, default=0.001, help="length scale of the second run")
     p.set_defaults(fn=cmd_units)
 
@@ -337,8 +338,8 @@ def main(argv=None) -> int:
     except KinematicsError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
+    except OSError as exc:  # only output files are written; configs fail as ConfigError
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
 
 

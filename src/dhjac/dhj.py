@@ -65,10 +65,9 @@ def dexterity_at(
     theta: float,
     psi: float,
     plan: SelectionPlan = PRIMARY_PLAN,
-    envelope_deg: float | None = None,
 ) -> DexterityRecord:
     """Full pipeline at one pose: resolve (with IK), G^T, J_a, S, V_ps, J_dh."""
-    pose = resolve_pose(cfg, y, z, theta, psi, envelope_deg=envelope_deg)
+    pose = resolve_pose(cfg, y, z, theta, psi)
     G = screws.build_inverse_jacobian(pose.limbs)
     fwd = invert_full(G)
     pts = [limb.a for limb in pose.limbs]

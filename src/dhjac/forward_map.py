@@ -66,12 +66,12 @@ class ForwardJacobian:
         return self.J_a[3:]
 
 
-def invert_full(G: InverseJacobian, cond_limit: float = COND_LIMIT) -> ForwardJacobian:
-    """Column solves of G^T J = I with a conditioning guard."""
+def invert_full(G: InverseJacobian) -> ForwardJacobian:
+    """Column solves of G^T J = I with a conditioning guard (COND_LIMIT)."""
     GT = G.stacked
     cond = cond_from_sigmas(singular_values(GT))
-    if not math.isfinite(cond) or cond > cond_limit:
-        raise SingularConfiguration(f"cond(G^T) = {cond:.3e} exceeds {cond_limit:.1e}")
+    if not math.isfinite(cond) or cond > COND_LIMIT:
+        raise SingularConfiguration(f"cond(G^T) = {cond:.3e} exceeds {COND_LIMIT:.1e}")
     f = G.G_a_T.shape[0]
     J = np.linalg.solve(GT, np.eye(6))
     return ForwardJacobian(J=J, J_a=J[:, :f], J_c=J[:, f:], cond_GT=cond)

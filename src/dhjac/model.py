@@ -31,6 +31,9 @@ Z_HAT = np.array([0.0, 0.0, 1.0])
 DEFAULT_ENVELOPE_DEG = 50.0
 UNIT_SCALES = {"mm": 1.0, "m": 0.001}
 
+RESOLVE_TOL = 1e-12  # dependent-coordinate Newton tolerance, relative to r_b
+RESOLVE_MAX_ITER = 50
+
 
 def rot_x(t: float) -> np.ndarray:
     c, s = math.cos(t), math.sin(t)
@@ -101,10 +104,9 @@ class ManipulatorConfig:
                 raise ConfigError("limb angles must be finite")
         if len(self.prs_indices()) != 2:
             raise ConfigError("reference pipeline expects exactly two PRS limbs")
-        pts = self.platform_points()
-        if _collinear(pts):
+        if collinear(self.platform_points()):
             raise ConfigError("platform anchor points are collinear")
-        if _collinear(self.base_points()):
+        if collinear(self.base_points()):
             raise ConfigError("base points are collinear")
 
     @property
@@ -154,11 +156,12 @@ class ManipulatorConfig:
         return self.scaled(s, unit=unit)
 
 
-def _collinear(points, rtol=1e-9) -> bool:
-    p = np.asarray(points)
+def collinear(points) -> bool:
+    """True when the points span less than a plane (rank tolerance 1e-9 relative)."""
+    p = np.asarray(points, float)
     d = p - p[0]
     scale = max(np.linalg.norm(d, axis=1).max(), 1e-30)
-    return np.linalg.matrix_rank(d, tol=rtol * scale) < 2
+    return np.linalg.matrix_rank(d, tol=1e-9 * scale) < 2
 
 
 def load_config(path: str | Path) -> ManipulatorConfig:
@@ -266,13 +269,11 @@ def resolve_pose(
     theta: float,
     psi: float,
     envelope_deg: float | None = None,
-    tol: float | None = None,
-    max_iter: int = 50,
 ) -> PlatformPose:
     """Solve the dependent coordinates (x, phi_z) for given independent coords.
 
     Damped Newton on the two PRS plane residuals, started at (0, 0).  The
-    default tolerance is 1e-12 relative to the base radius so the solve is
+    tolerance is RESOLVE_TOL relative to the base radius so the solve is
     exactly equivariant under geometric scaling.  Raises Unreachable when a
     coordinate is not finite, (theta, psi) is outside the rotational envelope
     or the downstream IK has no real solution, NoConvergence when the 2x2
@@ -288,13 +289,12 @@ def resolve_pose(
             f"(theta, psi) = ({math.degrees(theta):.2f}, {math.degrees(psi):.2f}) deg "
             f"outside the +/-{env:g} deg envelope"
         )
-    if tol is None:
-        tol = 1e-12 * cfg.base_radius
+    tol = RESOLVE_TOL * cfg.base_radius
 
     x, phi = 0.0, 0.0
     res, jac, R = _prs_residual(cfg, y, z, theta, psi, x, phi)
     norm = np.max(np.abs(res))
-    for _ in range(max_iter):
+    for _ in range(RESOLVE_MAX_ITER):
         if norm < tol:
             break
         det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
@@ -316,7 +316,7 @@ def resolve_pose(
         res, jac, norm = res_new, jac_new, norm_new
     else:
         raise NoConvergence(
-            f"residual {norm:.3e} after {max_iter} iterations (tol {tol:.1e})")
+            f"residual {norm:.3e} after {RESOLVE_MAX_ITER} iterations (tol {tol:.1e})")
 
     pose = PlatformPose(
         y=y, z=z, theta=theta, psi=psi, x=x, phi_z=phi,

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneratePoints
+from .model import collinear
 
 
 def skew(a: np.ndarray) -> np.ndarray:
@@ -39,11 +40,8 @@ class PointVelocityMap:
 def build_Vp(points) -> PointVelocityMap:
     """Stack [I, -skew(a_i)] blocks; raises DegeneratePoints on collinear input."""
     pts = [np.asarray(p, float) for p in points]
-    if len(pts) >= 3:
-        d = np.array(pts) - pts[0]
-        scale = max(float(np.linalg.norm(d, axis=1).max()), 1e-300)
-        if np.linalg.matrix_rank(d, tol=1e-9 * scale) < 2:
-            raise DegeneratePoints("point set is collinear")
+    if len(pts) >= 3 and collinear(pts):
+        raise DegeneratePoints("point set is collinear")
     Vp = np.zeros((3 * len(pts), 6))
     for i, a in enumerate(pts):
         Vp[3 * i:3 * i + 3, :3] = np.eye(3)

@@ -5,10 +5,14 @@ oracle differentiates the closed-form IK, the tangent oracle differentiates
 the constrained pose resolution, and the brute-force DHJ differentiates
 Newton-refined forward kinematics.  These are the arbiters for the formula
 variants documented in the validation report.
+
+``run_validation`` evaluates each oracle, and each ``dexterity_at`` record it
+judges, once per pose; every check reads those shared results.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -18,11 +22,14 @@ from . import dhj, forward_map, screws
 from .errors import (BlockSingular, DegeneratePair, KinematicsError,
                      NoForwardSolution, StepTooLarge)
 from .model import ManipulatorConfig, resolve_pose, tsai_mobility
-from .pointmap import build_Vp
 from .selection import (ALTERNATE_PLAN, CONSTRAINED_COLS, OPPOSITE_PLAN,
-                        PRIMARY_PLAN, build_selection_matrix, nominal_map)
+                        PRIMARY_PLAN, build_selection_matrix)
 
 DEFAULT_SEED = 42
+
+REFINE_TOL = 1e-12  # forward_refine stops when IK reproduces q to this * r_b
+REFINE_MAX_ITER = 30
+BRUTE_FORCE_STEP = 1e-5  # actuated-joint step of brute_force_dhj, as a fraction of r_b
 
 
 def step_sizes(cfg: ManipulatorConfig, h: float = 1e-6) -> tuple[float, float]:
@@ -79,23 +86,18 @@ def fd_constraint_tangent(cfg: ManipulatorConfig, coords, h: float = 1e-6) -> np
     return T
 
 
-def forward_refine(
-    cfg: ManipulatorConfig,
-    q_target: np.ndarray,
-    guess_coords,
-    tol_factor: float = 1e-12,
-    max_iter: int = 30,
-) -> tuple[float, float, float, float]:
+def forward_refine(cfg: ManipulatorConfig, q_target: np.ndarray,
+                   guess_coords) -> tuple[float, float, float, float]:
     """Newton-refine (y, z, theta, psi) until IK reproduces q_target.
 
     Uses the finite-difference coordinate Jacobian, so the refinement stays
     independent of the analytic screw rows.
     """
-    tol = tol_factor * max(cfg.base_radius, 1e-30)
+    tol = REFINE_TOL * max(cfg.base_radius, 1e-30)
     env = cfg.envelope_deg + 5.0  # refinement may step slightly past the envelope
     coords = np.array(guess_coords, float)
     q_target = np.asarray(q_target, float)
-    for _ in range(max_iter):
+    for _ in range(REFINE_MAX_ITER):
         try:
             r = _joint_values(cfg, coords, env) - q_target
         except KinematicsError as exc:
@@ -113,17 +115,16 @@ def forward_refine(
             coords = coords - np.linalg.solve(Jq, r)
         except np.linalg.LinAlgError as exc:
             raise NoForwardSolution(f"singular forward Jacobian: {exc}") from exc
-    raise NoForwardSolution(f"no convergence in {max_iter} iterations")
+    raise NoForwardSolution(f"no convergence in {REFINE_MAX_ITER} iterations")
 
 
-def brute_force_dhj(cfg: ManipulatorConfig, coords, plan=PRIMARY_PLAN,
-                    h: float = 1e-5) -> np.ndarray:
+def brute_force_dhj(cfg: ManipulatorConfig, coords, plan=PRIMARY_PLAN) -> np.ndarray:
     """Differentiate the selected point-velocity combinations w.r.t. q_a.
 
     The selection weights are frozen at the center pose; each actuated joint
     is perturbed and the pose re-found by Newton forward refinement.
     """
-    h_q = h * max(cfg.base_radius, 1e-30)
+    h_q = BRUTE_FORCE_STEP * max(cfg.base_radius, 1e-30)
     limbs0 = resolve_pose(cfg, *coords).limbs
     q0 = np.array([limb.q for limb in limbs0])
     S = build_selection_matrix(plan, [limb.a for limb in limbs0]).S
@@ -183,6 +184,12 @@ def run_validation(cfg: ManipulatorConfig, seed: int = DEFAULT_SEED,
     """Run every oracle; returns the JSON-serializable validation report."""
     poses, failures = sample_poses(cfg, n_poses, seed)
     checks: list[OracleReport] = []
+    # each per-pose oracle and record is computed once and read by every check
+    tangent = functools.cache(lambda c: fd_constraint_tangent(cfg, c))
+    fd_ik = functools.cache(lambda c: fd_actuation_jacobian(cfg, c))
+    record = functools.cache(lambda c, plan: dhj.dexterity_at(cfg, *c, plan=plan))
+    scale = 0.001
+    cfg_m = cfg.scaled(scale, unit="m" if cfg.unit == "mm" else cfg.unit)
 
     def pose_check(name, threshold, fn, subset=None, relative=True):
         worst_abs = worst_rel = 0.0
@@ -207,33 +214,31 @@ def run_validation(cfg: ManipulatorConfig, seed: int = DEFAULT_SEED,
             poses_tested=tested, note=note,
         ))
 
-    def actuation(coords, variant="link", moment_sign=1.0):
-        T = fd_constraint_tangent(cfg, coords)
-        FD = fd_actuation_jacobian(cfg, coords)
-        limbs = resolve_pose(cfg, *coords).limbs
-        G = screws.build_inverse_jacobian(limbs, variant=variant, moment_sign=moment_sign)
+    def actuation(coords, **variant):
+        T, FD = tangent(coords), fd_ik(coords)
+        rec = record(coords, PRIMARY_PLAN)
+        G = screws.build_inverse_jacobian(rec.pose.limbs, **variant) if variant else rec.G
         diff = G.G_a_T @ T - FD
         return float(np.max(np.abs(diff))), _rel(diff, FD)
 
     pose_check("actuation_rows_vs_fd_ik", 1e-5, actuation)
 
     def constraint(coords):
-        T = fd_constraint_tangent(cfg, coords)
-        G = screws.build_inverse_jacobian(resolve_pose(cfg, *coords).limbs)
-        err = float(np.max(np.abs(G.G_c_T @ T)))
+        T = tangent(coords)
+        err = float(np.max(np.abs(record(coords, PRIMARY_PLAN).G.G_c_T @ T)))
         return err, err
 
     pose_check("constraint_rows_annihilate_tangent", 1e-7, constraint, relative=False)
 
     def inversion(coords):
-        rec = dhj.dexterity_at(cfg, *coords)
+        rec = record(coords, PRIMARY_PLAN)
         err = float(np.max(np.abs(rec.G.stacked @ rec.fwd.J - np.eye(6))))
         return err, err
 
     pose_check("inversion_residual", 1e-10, inversion, relative=False)
 
     def block(coords):
-        rec = dhj.dexterity_at(cfg, *coords)
+        rec = record(coords, PRIMARY_PLAN)
         J_a = rec.fwd.J_a
         try:
             Jb = forward_map.block_Ja(rec.G)
@@ -245,11 +250,9 @@ def run_validation(cfg: ManipulatorConfig, seed: int = DEFAULT_SEED,
     pose_check("block_formula_vs_direct_inversion", 1e-9, block)
 
     def selection_annihilation(coords):
-        pts = [limb.a for limb in resolve_pose(cfg, *coords).limbs]
-        vp = build_Vp(pts)
         worst = 0.0
         for plan in (PRIMARY_PLAN, ALTERNATE_PLAN):
-            V_ps, _ = nominal_map(build_selection_matrix(plan, pts), vp)
+            V_ps = record(coords, plan).V_ps
             worst = max(worst, float(np.max(np.abs(V_ps[:, list(CONSTRAINED_COLS)]))))
         return worst, worst
 
@@ -257,20 +260,17 @@ def run_validation(cfg: ManipulatorConfig, seed: int = DEFAULT_SEED,
                selection_annihilation, relative=False)
 
     def dhj_fd(coords):
-        rec = dhj.dexterity_at(cfg, *coords)
-        BF = brute_force_dhj(cfg, coords)
-        diff = BF - rec.J_dh
-        return float(np.max(np.abs(diff))), _rel(diff, rec.J_dh)
+        J_dh = record(coords, PRIMARY_PLAN).J_dh
+        diff = brute_force_dhj(cfg, coords) - J_dh
+        return float(np.max(np.abs(diff))), _rel(diff, J_dh)
 
     pose_check("dhj_vs_brute_force", 1e-5, dhj_fd, subset=n_dhj)
 
     def unit_invariance(coords):
-        scale = 0.001
-        rec_a = dhj.dexterity_at(cfg, *coords)
-        cfg_m = cfg.scaled(scale, unit="m" if cfg.unit == "mm" else cfg.unit)
-        rec_b = dhj.dexterity_at(cfg_m, coords[0] * scale, coords[1] * scale,
-                                 coords[2], coords[3])
-        err = abs(rec_a.k - rec_b.k) / rec_a.k
+        k = record(coords, PRIMARY_PLAN).k
+        k_m = dhj.dexterity_at(cfg_m, coords[0] * scale, coords[1] * scale,
+                               coords[2], coords[3]).k
+        err = abs(k - k_m) / k
         return err, err
 
     pose_check("cond_dhj_unit_invariance", 1e-9, unit_invariance,
@@ -282,8 +282,8 @@ def run_validation(cfg: ManipulatorConfig, seed: int = DEFAULT_SEED,
     plan_note = ""
     for coords in poses[:min(25, len(poses))]:
         try:
-            k_primary = dhj.dexterity_at(cfg, *coords).k
-            k_alt = dhj.dexterity_at(cfg, *coords, plan=ALTERNATE_PLAN).k
+            k_primary = record(coords, PRIMARY_PLAN).k
+            k_alt = record(coords, ALTERNATE_PLAN).k
         except KinematicsError as exc:
             plan_note = exc.code
             break
@@ -322,7 +322,7 @@ def run_validation(cfg: ManipulatorConfig, seed: int = DEFAULT_SEED,
     opposite_status = "valid"
     if poses:
         try:
-            limbs = resolve_pose(cfg, *poses[0]).limbs
+            limbs = record(poses[0], PRIMARY_PLAN).pose.limbs
             build_selection_matrix(OPPOSITE_PLAN, [limb.a for limb in limbs])
         except DegeneratePair as exc:
             opposite_status = f"degenerate at this geometry: {exc}"

@@ -14,7 +14,7 @@ import pytest
 from dhjac.cli import main
 from dhjac.dhj import dexterity_at, unit_scaling_experiment
 from dhjac.forward_map import block_Ja, invert_full
-from dhjac.model import MobilityInputs, inverse_kinematics, resolve_pose, tsai_mobility
+from dhjac.model import MobilityInputs, resolve_pose, tsai_mobility
 from dhjac.pointmap import build_Vp
 from dhjac.screws import build_inverse_jacobian
 from dhjac.selection import (ALTERNATE_PLAN, CONSTRAINED_COLS, PRIMARY_PLAN,
@@ -52,7 +52,7 @@ def oracle_rows(reference, poses):
     for coords in poses:
         T = fd_constraint_tangent(reference, coords)
         FD = fd_actuation_jacobian(reference, coords)
-        limbs = inverse_kinematics(reference, resolve_pose(reference, *coords))
+        limbs = resolve_pose(reference, *coords).limbs
         rows.append((coords, T, FD, build_inverse_jacobian(limbs)))
     return rows, time.perf_counter() - t0
 
@@ -114,8 +114,7 @@ def test_criterion_4_dhj_oracle(reference, poses):
 def test_criterion_5_annihilation(reference, poses):
     worst = 0.0
     for coords in poses:
-        limbs = inverse_kinematics(reference, resolve_pose(reference, *coords))
-        pts = [limb.a for limb in limbs]
+        pts = [limb.a for limb in resolve_pose(reference, *coords).limbs]
         vp = build_Vp(pts)
         for plan in (PRIMARY_PLAN, ALTERNATE_PLAN):
             V_ps, _ = nominal_map(build_selection_matrix(plan, pts), vp)

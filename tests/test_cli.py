@@ -135,6 +135,47 @@ def test_sweep_unwritable_exit_4(tmp_path):
                  "--out", str(tmp_path / "missing" / "x.csv")]) == 4
 
 
+def test_interrupted_sweep_keeps_previous_csv(tmp_path, monkeypatch):
+    import dhjac.dhj
+
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", CFG, "--grid", "5", "--out", str(out)]) == 0
+    before = out.read_bytes()
+    calls = []
+    dexterity_at_ = dhjac.dhj.dexterity_at
+
+    def interrupted(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 8:
+            raise KeyboardInterrupt
+        return dexterity_at_(*args, **kwargs)
+
+    monkeypatch.setattr(dhjac.dhj, "dexterity_at", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["sweep", "--config", CFG, "--grid", "5", "--range-deg", "40",
+              "--out", str(out)])
+    assert len(calls) == 8
+    assert out.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
+
+
+def test_interrupted_units_keeps_previous_pair(tmp_path, monkeypatch):
+    import dhjac.cli
+
+    out = tmp_path / "units.json"
+    assert main(["units", "--config", CFG, "--grid", "3", "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def interrupted(value):
+        raise KeyboardInterrupt
+
+    # fails on the first CSV field, after the JSON report is written
+    monkeypatch.setattr(dhjac.cli, "_fmt", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["units", "--config", CFG, "--grid", "3", "--scale", "0.5", "--out", str(out)])
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_units_command(tmp_path, capsys):
     out = tmp_path / "units.json"
     assert main(["units", "--config", CFG, "--grid", "5", "--out", str(out)]) == 0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dhjac.errors import MixedActuation, SingularLimb
-from dhjac.model import inverse_kinematics, resolve_pose
+from dhjac.model import resolve_pose
 from dhjac.screws import actuation_row_units, build_inverse_jacobian
 from dhjac.verify import fd_actuation_jacobian, fd_constraint_tangent
 
@@ -13,8 +13,7 @@ from conftest import random_coords, square_config
 
 
 def limbs_at(cfg, y, z, th_deg, ps_deg):
-    pose = resolve_pose(cfg, y, z, math.radians(th_deg), math.radians(ps_deg))
-    return inverse_kinematics(cfg, pose)
+    return resolve_pose(cfg, y, z, math.radians(th_deg), math.radians(ps_deg)).limbs
 
 
 def test_shapes_and_blocks(reference):
@@ -65,8 +64,7 @@ def test_global_scaling_moves_only_moment_blocks(reference):
     s = 0.001
     limbs = limbs_at(reference, 0, 150, 12, -33)
     scaled = reference.scaled(s, unit="m")
-    pose_s = resolve_pose(scaled, 0.0, 0.150, math.radians(12), math.radians(-33))
-    limbs_s = inverse_kinematics(scaled, pose_s)
+    limbs_s = limbs_at(scaled, 0.0, 0.150, 12, -33)
     G = build_inverse_jacobian(limbs)
     Gs = build_inverse_jacobian(limbs_s)
     np.testing.assert_allclose(Gs.G_av_T, G.G_av_T, rtol=1e-9, atol=1e-15)
@@ -78,8 +76,7 @@ def test_global_scaling_moves_only_moment_blocks(reference):
 def test_singular_limb_raised_at_horizontal_link():
     # link length equal to the lateral offset leaves the rail reciprocal
     cfg = square_config(link_length=250.0)
-    pose = resolve_pose(cfg, 0.0, 150.0, 0.0, 0.0)
-    limbs = inverse_kinematics(cfg, pose)
+    limbs = resolve_pose(cfg, 0.0, 150.0, 0.0, 0.0).limbs
     with pytest.raises(SingularLimb):
         build_inverse_jacobian(limbs)
 
@@ -91,7 +88,7 @@ def test_rejected_variants_fail_the_oracle(reference):
     coords = (0.0, 150.0, math.radians(25.0), math.radians(35.0))
     T = fd_constraint_tangent(reference, coords)
     FD = fd_actuation_jacobian(reference, coords)
-    limbs = inverse_kinematics(reference, resolve_pose(reference, *coords))
+    limbs = resolve_pose(reference, *coords).limbs
     scale = np.max(np.abs(FD))
 
     adopted = build_inverse_jacobian(limbs)

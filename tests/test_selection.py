@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dhjac.errors import ConfigError, DegeneratePair
-from dhjac.model import inverse_kinematics, resolve_pose
+from dhjac.model import resolve_pose
 from dhjac.pointmap import build_Vp
 from dhjac.selection import (ALTERNATE_PLAN, CONSTRAINED_COLS, INDEPENDENT_COLS,
                              OPPOSITE_PLAN, PRIMARY_PLAN, SelectionPlan,
@@ -16,8 +16,7 @@ from conftest import random_coords
 
 
 def anchors_at(cfg, coords):
-    pose = resolve_pose(cfg, *coords)
-    return [limb.a for limb in inverse_kinematics(cfg, pose)]
+    return [limb.a for limb in resolve_pose(cfg, *coords).limbs]
 
 
 def test_enumerate_pairings_lists_all_twelve():

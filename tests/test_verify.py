@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 
@@ -6,7 +7,7 @@ import pytest
 
 from dhjac.dhj import dexterity_at, singular_values
 from dhjac.errors import NoForwardSolution
-from dhjac.model import inverse_kinematics, resolve_pose
+from dhjac.model import resolve_pose
 from dhjac.screws import build_inverse_jacobian
 from dhjac.verify import (brute_force_dhj, fd_actuation_jacobian, fd_constraint_tangent,
                           forward_refine, run_validation, sample_poses)
@@ -27,8 +28,7 @@ def test_tangent_home_columns(reference):
 def test_constraint_rows_annihilate_tangent(reference):
     for coords in random_coords(reference, 8, seed=41):
         T = fd_constraint_tangent(reference, coords)
-        G = build_inverse_jacobian(
-            inverse_kinematics(reference, resolve_pose(reference, *coords)))
+        G = build_inverse_jacobian(resolve_pose(reference, *coords).limbs)
         assert np.max(np.abs(G.G_c_T @ T)) < 1e-7
 
 
@@ -42,8 +42,7 @@ def test_actuation_fd_matches_rows(reference):
     for coords in random_coords(reference, 15, seed=43):
         FD = fd_actuation_jacobian(reference, coords)
         T = fd_constraint_tangent(reference, coords)
-        G = build_inverse_jacobian(
-            inverse_kinematics(reference, resolve_pose(reference, *coords)))
+        G = build_inverse_jacobian(resolve_pose(reference, *coords).limbs)
         err = np.max(np.abs(G.G_a_T @ T - FD)) / np.max(np.abs(FD))
         assert err < 1e-5
 
@@ -51,8 +50,7 @@ def test_actuation_fd_matches_rows(reference):
 def test_fd_error_second_order_in_step(reference):
     # central differences: halving h divides the error by about four
     coords = (0.0, 150.0, math.radians(30.0), math.radians(35.0))
-    G = build_inverse_jacobian(
-        inverse_kinematics(reference, resolve_pose(reference, *coords)))
+    G = build_inverse_jacobian(resolve_pose(reference, *coords).limbs)
     T_ref = fd_constraint_tangent(reference, coords, h=1e-7)
     analytic = G.G_a_T @ T_ref
     hs = [2e-3, 1e-3, 5e-4]
@@ -64,12 +62,10 @@ def test_fd_error_second_order_in_step(reference):
 
 def test_forward_refine_round_trip(reference):
     for coords in random_coords(reference, 6, seed=47):
-        pose = resolve_pose(reference, *coords)
-        q = np.array([limb.q for limb in inverse_kinematics(reference, pose)])
+        q = np.array([limb.q for limb in resolve_pose(reference, *coords).limbs])
         guess = (coords[0], coords[1] + 1.0, coords[2] + 0.01, coords[3] - 0.01)
         refined = forward_refine(reference, q, guess)
-        pose_r = resolve_pose(reference, *refined)
-        q_back = np.array([limb.q for limb in inverse_kinematics(reference, pose_r)])
+        q_back = np.array([limb.q for limb in resolve_pose(reference, *refined).limbs])
         np.testing.assert_allclose(q_back, q, atol=1e-8)
         np.testing.assert_allclose(refined, coords, atol=1e-8 * reference.base_radius)
 
@@ -132,6 +128,33 @@ def test_run_validation_reference(reference):
     assert variants["moment_block"]["rejected_u_x_a_max_rel_err"] > 1e-3
     assert "degenerate" in variants["opposite_pair_plan"]["status"]
     json.dumps(report)  # must be serializable as-is
+
+
+def test_run_validation_evaluates_each_oracle_once_per_pose(reference, monkeypatch):
+    import dhjac.dhj
+    import dhjac.verify
+
+    calls = collections.Counter()
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    count(dhjac.verify, "fd_constraint_tangent")
+    count(dhjac.verify, "fd_actuation_jacobian")
+    count(dhjac.dhj, "dexterity_at")
+    report = run_validation(reference, seed=7, n_poses=12, n_dhj=2)
+    n = report["poses_feasible"]
+    assert n == 12 and report["all_passed"] is True
+    assert calls["fd_constraint_tangent"] == n
+    assert calls["fd_actuation_jacobian"] == n
+    # the primary-plan, alternate-plan and metric-unit records, once each
+    assert calls["dexterity_at"] <= 3 * n
 
 
 def test_run_validation_deterministic(reference):
