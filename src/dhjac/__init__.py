@@ -1,7 +1,7 @@
 """Dimensionally homogeneous Jacobians for constrained parallel manipulators."""
 
-from .dhj import (DexterityRecord, assemble_dhj, condition_number, dexterity_at,
-                  dimensional_audit, singular_values, unit_scaling_experiment)
+from .dhj import (DexterityRecord, assemble_dhj, condition_number, condition_numbers_at,
+                  dexterity_at, dimensional_audit, singular_values, unit_scaling_experiment)
 from .forward_map import ForwardJacobian, block_Ja, invert_full
 from .model import (LimbKinematics, LimbSpec, ManipulatorConfig, MobilityInputs,
                     PlatformPose, inverse_kinematics, load_config, resolve_pose,
@@ -20,7 +20,7 @@ __all__ = [
     "OPPOSITE_PLAN", "PRIMARY_PLAN", "PlatformPose", "PointVelocityMap",
     "SelectionMatrix", "SelectionPlan", "actuation_row_units", "assemble_dhj",
     "block_Ja", "brute_force_dhj", "build_Vp", "build_inverse_jacobian",
-    "build_selection_matrix", "condition_number", "dexterity_at",
+    "build_selection_matrix", "condition_number", "condition_numbers_at", "dexterity_at",
     "dimensional_audit", "enumerate_pairings", "fd_actuation_jacobian",
     "fd_constraint_tangent", "forward_refine", "inverse_kinematics",
     "invert_full", "load_config", "nominal_map", "point_velocity",

@@ -69,6 +69,8 @@ class SweepSpec:
             raise ConfigError("grid steps must be >= 2")
         if not self.range_deg > 0:  # also refuses NaN
             raise ConfigError("range half-width must be positive")
+        if not (math.isfinite(self.y_mm) and math.isfinite(self.z_mm)):
+            raise ConfigError(f"--y and --z must be finite, got {self.y_mm!r}, {self.z_mm!r}")
         if self.range_deg > envelope_deg + 1e-9:
             raise ConfigError(
                 f"range exceeds the +/-{envelope_deg:g} deg envelope "
@@ -142,30 +144,40 @@ def cmd_pose(args) -> int:
 
 
 def sweep_rows(cfg: ManipulatorConfig, spec: SweepSpec):
-    """Row-major (theta outer) condition-number rows for one grid."""
+    """Row-major (theta outer) condition-number rows for one grid.
+
+    Each theta row is evaluated in one ``dhj.condition_numbers_at`` call.
+    """
     y = _length_from_mm(spec.y_mm, cfg.unit)
     z = _length_from_mm(spec.z_mm, cfg.unit)
     th_deg, ps_deg = spec.grids()
+    psis = np.radians(ps_deg)
     for th in th_deg:
-        for ps in ps_deg:
-            try:
-                rec = dhj.dexterity_at(cfg, y, z, math.radians(th), math.radians(ps),
-                                       plan=spec.plan)
-            except KinematicsError as exc:
-                yield th, ps, None, None, exc.code
-                continue
-            if not (math.isfinite(rec.k) and math.isfinite(rec.k_conventional)):
+        status, k_g, k_dh = dhj.condition_numbers_at(cfg, y, z, math.radians(th), psis,
+                                                     plan=spec.plan)
+        for ps, code, kg, kd in zip(ps_deg, status, k_g.tolist(), k_dh.tolist()):
+            if code != "ok":
+                yield th, ps, None, None, code
+            elif not (math.isfinite(kd) and math.isfinite(kg)):
                 yield th, ps, None, None, "singular_configuration"
-                continue
-            yield th, ps, rec.k_conventional, rec.k, "ok"
+            else:
+                yield th, ps, kg, kd, "ok"
 
 
 @contextlib.contextmanager
 def _replacing(path: str, newline: str | None = None):
-    """Write beside ``path``; the file replaces ``path`` only if the block completes."""
+    """Write beside ``path``; the file replaces ``path`` only if the block completes.
+
+    A temporary file that cannot be created is reported under ``path``, the
+    name the caller asked for.
+    """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", newline=newline) as fh:
+        try:
+            fh = open(tmp, "w", newline=newline)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from exc
+        with fh:
             yield fh
         os.replace(tmp, path)
     finally:

@@ -1,10 +1,20 @@
 """Dimensionally homogeneous Jacobian, condition numbers, unit experiments.
 
-``dexterity_at`` is the one place the pose -> J_dh chain is written; every
-caller that needs an intermediate (limbs, G^T, the forward map, S, V_ps)
-reads it from the returned record.  Singular values come from LAPACK
-(``np.linalg.svd``); the test suite cross-checks them against an independent
-symmetric eigensolve of M^T M.
+The pose -> J_dh chain is written in two forms:
+
+* ``dexterity_at`` is the per-pose form and the reference.  It builds the
+  full record (limbs, G^T, the forward map, S, V_ps, J_dh) that ``dhjac
+  pose`` and the validation checks read, and it is the only place that
+  raises the typed refusals.
+* ``condition_numbers_at`` is the batched form that serves grids
+  (``dhjac sweep``, ``unit_scaling_experiment``, one theta row per call).
+  It carries only the two condition numbers through array code with the
+  same constants and guards, and hands every pose a guard flags back to
+  ``dexterity_at``.  Its numbers agree with the per-pose form to about
+  1e-13 relative (rounding order only); the tests hold it to 1e-12.
+
+Singular values come from LAPACK (``np.linalg.svd``); the test suite
+cross-checks them against an independent symmetric eigensolve of M^T M.
 """
 
 from __future__ import annotations
@@ -16,11 +26,15 @@ import numpy as np
 
 from . import screws
 from .errors import KinematicsError, MixedActuation
-from .forward_map import ForwardJacobian, cond_from_sigmas, invert_full, singular_values
-from .model import UNIT_SCALES, ManipulatorConfig, PlatformPose, resolve_pose
+from .forward_map import (COND_LIMIT, SIGMA_FLOOR, ForwardJacobian, cond_from_sigmas,
+                          invert_full, singular_values)
+from .model import (ENVELOPE_SLACK, IK_CLAMP, RESOLVE_DET_RTOL, RESOLVE_HALVINGS,
+                    RESOLVE_MAX_ITER, RESOLVE_TOL, UNIT_SCALES, ManipulatorConfig,
+                    PlatformPose, collinear, resolve_pose)
 from .pointmap import build_Vp
-from .screws import InverseJacobian
-from .selection import PRIMARY_PLAN, SelectionPlan, build_selection_matrix, nominal_map
+from .screws import DENOMINATOR_THRESHOLD, InverseJacobian
+from .selection import (PAIR_THRESHOLD, PRIMARY_PLAN, SelectionPlan,
+                        build_selection_matrix, nominal_map)
 
 
 def condition_number(M: np.ndarray) -> float:
@@ -81,6 +95,186 @@ def dexterity_at(
     )
 
 
+def _conds(sv: np.ndarray) -> np.ndarray:
+    """``cond_from_sigmas`` over a stack of descending singular values."""
+    return np.divide(sv[:, 0], sv[:, -1], out=np.full(len(sv), math.inf),
+                     where=sv[:, -1] >= SIGMA_FLOOR)
+
+
+def _rot(c: np.ndarray, s: np.ndarray, axis: int) -> np.ndarray:
+    """Stacked rotations about one frame axis, entries as ``model.rot_x/y/z``."""
+    i, j = (axis + 1) % 3, (axis + 2) % 3  # cyclic successors carry -sin at (i, j)
+    R = np.zeros((len(c), 3, 3))
+    R[:, axis, axis] = 1.0
+    R[:, i, i] = R[:, j, j] = c
+    R[:, i, j], R[:, j, i] = -s, s
+    return R
+
+
+def _resolve_many(cfg: ManipulatorConfig, psi: np.ndarray):
+    """(x, phi_z) at N poses by ``resolve_pose``'s damped Newton, one mask per pose.
+
+    The PRS plane residuals depend on psi and phi_z only (theta rotates about
+    the x axis they measure along).  Returns ``x, phi, converged``.
+    """
+    prs = cfg.prs_indices()
+    P = np.array(cfg.platform_points())[prs]
+    Ax = np.array(cfg.base_points())[prs, 0]
+    cp = np.cos(psi)[:, None]
+    tol = RESOLVE_TOL * cfg.base_radius
+
+    def residual(x, phi, rows):
+        c, s = np.cos(phi)[:, None], np.sin(phi)[:, None]
+        res = x[:, None] + (cp[rows] * c * P[:, 0] - cp[rows] * s * P[:, 1]) - Ax
+        dres = -cp[rows] * s * P[:, 0] - cp[rows] * c * P[:, 1]
+        return res, dres, np.abs(res).max(axis=1)
+
+    n = len(psi)
+    x, phi = np.zeros(n), np.zeros(n)
+    res, dres, norm = residual(x, phi, slice(None))
+    failed = np.zeros(n, bool)
+    for _ in range(RESOLVE_MAX_ITER):
+        active = ~(norm < tol) & ~failed
+        if not active.any():
+            break
+        # jac = [[1, dres_0], [1, dres_1]]
+        det = dres[:, 1] - dres[:, 0]
+        big = np.maximum(1.0, np.abs(dres).max(axis=1))
+        singular = active & ~(np.abs(det) >= RESOLVE_DET_RTOL * big ** 2)
+        failed |= singular
+        active &= ~singular
+        rows = np.flatnonzero(active)
+        # LU with the first row as pivot, as np.linalg.solve takes it
+        step_phi = (res[rows, 0] - res[rows, 1]) / det[rows]
+        step_x = -res[rows, 0] - dres[rows, 0] * step_phi
+        lam = np.ones(len(rows))
+        pending = np.ones(len(rows), bool)
+        for _ in range(RESOLVE_HALVINGS):
+            k = np.flatnonzero(pending)
+            if not len(k):
+                break
+            i = rows[k]
+            x_t = x[i] + lam[k] * step_x[k]
+            phi_t = phi[i] + lam[k] * step_phi[k]
+            res_t, dres_t, norm_t = residual(x_t, phi_t, i)
+            take = (norm_t < norm[i]) | (norm_t < tol)
+            t = i[take]
+            x[t], phi[t] = x_t[take], phi_t[take]
+            res[t], dres[t], norm[t] = res_t[take], dres_t[take], norm_t[take]
+            pending[k[take]] = False
+            lam[k[~take]] *= 0.5
+        failed[rows[pending]] = True
+    else:
+        # these took the last allowed step; resolve_pose gives up on them
+        failed |= active
+    return x, phi, ~failed
+
+
+def condition_numbers_at(
+    cfg: ManipulatorConfig,
+    y,
+    z,
+    theta,
+    psi,
+    plan: SelectionPlan = PRIMARY_PLAN,
+) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """cond(G^T) and cond(J_dh) at N poses, the chain of ``dexterity_at`` as array code.
+
+    The coordinates broadcast to one 1-D shape (N,).  Returns ``(status,
+    cond_G, cond_Jdh)``: N codes, "ok" or the ``KinematicsError.code`` that
+    ``dexterity_at`` raises at that pose, and two float arrays, NaN where the
+    status is not "ok".  A pose that any guard of the chain flags
+    (non-finite or out-of-envelope coordinates, a failed Newton solve, no
+    IK solution, a vanishing row denominator, cond(G^T) over COND_LIMIT, a
+    degenerate pair, collinear anchors) is evaluated again by
+    ``dexterity_at``, so refusals and their codes come from the per-pose path.
+    """
+    y, z, th, ps = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(v, float)) for v in (y, z, theta, psi)))
+    n = len(th)
+    cond_G, cond_Jdh = np.full(n, math.nan), np.full(n, math.nan)
+    lim = math.radians(cfg.envelope_deg) + ENVELOPE_SLACK
+    live = np.isfinite(y) & np.isfinite(z) & (np.abs(th) <= lim) & (np.abs(ps) <= lim)
+    live = np.flatnonzero(live if plan.f == cfg.limb_count else np.zeros(n, bool))
+
+    x, phi, ok = _resolve_many(cfg, ps[live])
+    live, x, phi = live[ok], x[ok], phi[ok]
+
+    # closed-form IK, elbow-down, as model.inverse_kinematics
+    t, p = th[live], ps[live]
+    R = _rot(np.cos(t), np.sin(t), 0) @ _rot(np.cos(p), np.sin(p), 1) \
+        @ _rot(np.cos(phi), np.sin(phi), 2)
+    origin = np.stack([x, y[live], z[live]], axis=1)[:, None, :]
+    P = np.array(cfg.platform_points())
+    A = np.array(cfg.base_points())
+    B = origin + (R @ P.T).transpose(0, 2, 1)            # (N, f, 3)
+    L = cfg.link_length
+    dx, dy = B[..., 0] - A[:, 0], B[..., 1] - A[:, 1]
+    disc = L * L - dx * dx - dy * dy
+    disc[(disc >= -IK_CLAMP * L * L) & (disc < 0.0)] = 0.0
+    ok = (disc >= 0.0).all(axis=1)
+    live, origin, B, dx, dy, disc = (v[ok] for v in (live, origin, B, dx, dy, disc))
+    q = B[..., 2] - np.sqrt(disc)
+    link = np.stack([dx, dy, B[..., 2] - q], axis=-1)
+    a = B - origin                                       # platform origin -> B
+
+    # G^T: actuation rows along the links, constraint rows along the PRS x axes
+    u = link / np.linalg.norm(link, axis=-1, keepdims=True)
+    den = u[..., 2:]                                     # u . s1, s1 = z
+    ok = (np.abs(den) >= DENOMINATOR_THRESHOLD).all(axis=(1, 2))
+    live, a, u, den = live[ok], a[ok], u[ok], den[ok]
+    f, prs = cfg.limb_count, cfg.prs_indices()
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
+    GT = np.zeros((len(live), f + len(prs), 6))
+    GT[:, :f, :3] = u / den
+    # a x u, term by term as np.cross
+    GT[:, :f, 3:] = np.stack([a1 * u2 - a2 * u1, a2 * u0 - a0 * u2, a0 * u1 - a1 * u0],
+                             axis=-1) / den
+    GT[:, f:, 0] = 1.0                                   # s2 = x
+    GT[:, f:, 4], GT[:, f:, 5] = a2[:, prs], -a1[:, prs]  # a x s2
+    k_G = _conds(singular_values(GT))
+    ok = k_G <= COND_LIMIT
+    live, a, a0, a1, a2, GT, k_G = (v[ok] for v in (live, a, a0, a1, a2, GT, k_G))
+    J_a = np.linalg.solve(GT, np.eye(6))[:, :, :f]
+
+    # S from the anchors' x-coordinates, V_p = [I, -skew(a_i)] per anchor
+    ax = a[..., 0]
+    scale = np.maximum(np.abs(ax).max(axis=1), 1e-300)
+    ok = ~collinear(a)
+    for i, j in plan.pairs:
+        ok &= np.abs(ax[:, i - 1] - ax[:, j - 1]) > PAIR_THRESHOLD * scale
+    live, ax, J_a, k_G = live[ok], ax[ok], J_a[ok], k_G[ok]
+    a0, a1, a2 = a0[ok], a1[ok], a2[ok]
+    m = len(live)
+    S = np.zeros((m, f, 3 * f))
+    for r, (i, j) in enumerate(plan.pairs):
+        delta = np.abs(ax[:, i - 1] - ax[:, j - 1])
+        S[:, r, 3 * (i - 1) + 1] = -ax[:, j - 1] / delta
+        S[:, r, 3 * (j - 1) + 1] = ax[:, i - 1] / delta
+        S[:, r, 3 * (min(i, j) - 1) + 2] = 1.0
+    V_p = np.zeros((m, f, 3, 6))
+    V_p[:, :, [0, 1, 2], [0, 1, 2]] = 1.0
+    V_p[..., 0, 4], V_p[..., 0, 5] = a2, -a1
+    V_p[..., 1, 3], V_p[..., 1, 5] = -a2, a0
+    V_p[..., 2, 3], V_p[..., 2, 4] = a1, -a0
+    J_dh = S @ V_p.reshape(m, 3 * f, 6) @ J_a
+    cond_G[live], cond_Jdh[live] = k_G, _conds(singular_values(J_dh))
+
+    status = ["ok"] * n
+    flagged = np.ones(n, bool)
+    flagged[live] = False
+    for i in np.flatnonzero(flagged):
+        try:
+            rec = dexterity_at(cfg, float(y[i]), float(z[i]), float(th[i]), float(ps[i]),
+                               plan=plan)
+        except KinematicsError as exc:
+            status[i] = exc.code
+            continue
+        cond_G[i], cond_Jdh[i] = rec.k_conventional, rec.k
+    return status, cond_G, cond_Jdh
+
+
 #: invariance gate on cond(J_dh) between unit systems
 UNIT_INVARIANCE_TOL = 1e-9
 #: cond(G^T) is expected to move at least this much somewhere in the grid
@@ -108,28 +302,28 @@ def unit_scaling_experiment(
     target = UNIT_SCALES[cfg.unit] * scale
     scaled_unit = next((u for u, f in UNIT_SCALES.items() if f == target), None)
     cfg_b = cfg.scaled(scale, unit=scaled_unit)
+    psis = np.asarray(psis, float)
     cells = []
     devs_dh, devs_G = [], []
-    for ti, th in enumerate(thetas):
-        for pi, ps in enumerate(psis):
-            cell = {"theta": float(th), "psi": float(ps)}
-            try:
-                rec_a = dexterity_at(cfg, y, z, th, ps, plan=plan)
-                rec_b = dexterity_at(cfg_b, y * scale, z * scale, th, ps, plan=plan)
-            except KinematicsError as exc:
-                cell["status"] = exc.code
+    for th in thetas:
+        # one call per theta row and unit system
+        st_a, kG_a, kdh_a = condition_numbers_at(cfg, y, z, th, psis, plan=plan)
+        st_b, kG_b, kdh_b = condition_numbers_at(cfg_b, y * scale, z * scale, th, psis,
+                                                 plan=plan)
+        for j, ps in enumerate(psis.tolist()):
+            cell = {"theta": float(th), "psi": ps}
+            if st_a[j] != "ok" or st_b[j] != "ok":
+                cell["status"] = st_a[j] if st_a[j] != "ok" else st_b[j]
                 cells.append(cell)
                 continue
-            cell.update(
-                status="ok",
-                k_G_base=rec_a.k_conventional, k_G_scaled=rec_b.k_conventional,
-                k_dh_base=rec_a.k, k_dh_scaled=rec_b.k,
-            )
-            if math.isfinite(rec_a.k) and math.isfinite(rec_b.k):
-                devs_dh.append(abs(rec_a.k - rec_b.k) / rec_a.k)
-            if math.isfinite(rec_a.k_conventional) and math.isfinite(rec_b.k_conventional):
-                devs_G.append(abs(rec_a.k_conventional - rec_b.k_conventional)
-                              / rec_a.k_conventional)
+            k_G_a, k_G_b = float(kG_a[j]), float(kG_b[j])
+            k_dh_a, k_dh_b = float(kdh_a[j]), float(kdh_b[j])
+            cell.update(status="ok", k_G_base=k_G_a, k_G_scaled=k_G_b,
+                        k_dh_base=k_dh_a, k_dh_scaled=k_dh_b)
+            if math.isfinite(k_dh_a) and math.isfinite(k_dh_b):
+                devs_dh.append(abs(k_dh_a - k_dh_b) / k_dh_a)
+            if math.isfinite(k_G_a) and math.isfinite(k_G_b):
+                devs_G.append(abs(k_G_a - k_G_b) / k_G_a)
             cells.append(cell)
     max_dev_dh = max(devs_dh, default=math.nan)
     max_dev_G = max(devs_G, default=math.nan)

@@ -33,6 +33,14 @@ UNIT_SCALES = {"mm": 1.0, "m": 0.001}
 
 RESOLVE_TOL = 1e-12  # dependent-coordinate Newton tolerance, relative to r_b
 RESOLVE_MAX_ITER = 50
+#: the 2x2 Newton system is singular when |det| < RESOLVE_DET_RTOL * max|jac|^2
+RESOLVE_DET_RTOL = 1e-14
+#: step halvings of the line search before the damped Newton gives up
+RESOLVE_HALVINGS = 25
+#: slack (rad) on the rotational envelope, so grid edges at +/-envelope stay inside
+ENVELOPE_SLACK = 1e-12
+#: IK discriminants down to -IK_CLAMP * l^2 count as 0 (boundary poses land eps-negative)
+IK_CLAMP = 16.0 * np.finfo(float).eps
 
 
 def rot_x(t: float) -> np.ndarray:
@@ -156,11 +164,14 @@ class ManipulatorConfig:
         return self.scaled(s, unit=unit)
 
 
-def collinear(points) -> bool:
-    """True when the points span less than a plane (rank tolerance 1e-9 relative)."""
+def collinear(points):
+    """True when the points span less than a plane (rank tolerance 1e-9 relative).
+
+    ``points`` is (n, 3), or a stack (..., n, 3) for one answer per set.
+    """
     p = np.asarray(points, float)
-    d = p - p[0]
-    scale = max(np.linalg.norm(d, axis=1).max(), 1e-30)
+    d = p - p[..., :1, :]
+    scale = np.maximum(np.linalg.norm(d, axis=-1).max(axis=-1), 1e-30)
     return np.linalg.matrix_rank(d, tol=1e-9 * scale) < 2
 
 
@@ -283,7 +294,7 @@ def resolve_pose(
     if not all(map(math.isfinite, (y, z, theta, psi))):
         raise Unreachable(f"pose coordinates {(y, z, theta, psi)} are not all finite")
     env = cfg.envelope_deg if envelope_deg is None else envelope_deg
-    lim = math.radians(env) + 1e-12
+    lim = math.radians(env) + ENVELOPE_SLACK
     if abs(theta) > lim or abs(psi) > lim:
         raise Unreachable(
             f"(theta, psi) = ({math.degrees(theta):.2f}, {math.degrees(psi):.2f}) deg "
@@ -298,11 +309,11 @@ def resolve_pose(
         if norm < tol:
             break
         det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-        if abs(det) < 1e-14 * max(1.0, abs(jac).max() ** 2):
+        if abs(det) < RESOLVE_DET_RTOL * max(1.0, abs(jac).max() ** 2):
             raise NoConvergence("dependent-coordinate system singular")
         step = np.linalg.solve(jac, -res)
         lam = 1.0
-        for _ in range(25):
+        for _ in range(RESOLVE_HALVINGS):
             res_new, jac_new, R = _prs_residual(
                 cfg, y, z, theta, psi, x + lam * step[0], phi + lam * step[1])
             norm_new = np.max(np.abs(res_new))
@@ -332,7 +343,7 @@ def inverse_kinematics(cfg: ManipulatorConfig, pose: PlatformPose) -> list[LimbK
     P = cfg.platform_points()
     A = cfg.base_points()
     L = cfg.link_length
-    clamp = 16.0 * np.finfo(float).eps * L * L  # boundary poses land eps-negative
+    clamp = IK_CLAMP * L * L
     for i, spec in enumerate(cfg.limbs):
         B = pose.origin + pose.rotation @ P[i]
         dx, dy = B[0] - A[i][0], B[1] - A[i][1]

@@ -126,35 +126,50 @@ def test_sweep_range_guard(tmp_path):
                  "--out", str(out)]) == 3
     assert main(["sweep", "--config", CFG, "--grid", "5", "--range-deg", "80",
                  "--envelope-deg", "85", "--out", str(out)]) == 0
-    assert main(["sweep", "--config", CFG, "--grid", "5", "--range-deg", "nan",
-                 "--out", str(out)]) == 3
+    for flag in (["--range-deg", "nan"], ["--y", "nan"], ["--z", "inf"]):
+        assert main(["sweep", "--config", CFG, "--grid", "5", *flag,
+                     "--out", str(out)]) == 3
 
 
-def test_sweep_unwritable_exit_4(tmp_path):
-    assert main(["sweep", "--config", CFG, "--grid", "5",
-                 "--out", str(tmp_path / "missing" / "x.csv")]) == 4
+def test_sweep_unwritable_exit_4(tmp_path, capsys, monkeypatch):
+    import dhjac.dhj
+
+    def no_compute(*args, **kwargs):
+        raise AssertionError("computed before the output was opened")
+
+    missing = tmp_path / "missing"
+    for cmd in (["units", "--grid", "3"], ["validate", "--poses", "2"],
+                ["sweep", "--grid", "5"]):
+        out = str(missing / f"{cmd[0]}.out")
+        if cmd[0] == "sweep":  # the CSV is opened before any cell is computed
+            monkeypatch.setattr(dhjac.dhj, "condition_numbers_at", no_compute)
+        assert main([*cmd, "--config", CFG, "--out", out]) == 4
+        err = capsys.readouterr().err
+        # the message names the requested path, not the temporary file beside it
+        assert f"cannot write output: [Errno 2] No such file or directory: '{out}'" in err
+        assert ".tmp" not in err
 
 
 def test_interrupted_sweep_keeps_previous_csv(tmp_path, monkeypatch):
-    import dhjac.dhj
+    import dhjac.cli
 
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", CFG, "--grid", "5", "--out", str(out)]) == 0
     before = out.read_bytes()
     calls = []
-    dexterity_at_ = dhjac.dhj.dexterity_at
+    fmt = dhjac.cli._fmt
 
-    def interrupted(*args, **kwargs):
-        calls.append(args)
-        if len(calls) == 8:
+    def interrupted(value):
+        calls.append(value)
+        if len(calls) == 30:  # row 8 of 25, four fields per row
             raise KeyboardInterrupt
-        return dexterity_at_(*args, **kwargs)
+        return fmt(value)
 
-    monkeypatch.setattr(dhjac.dhj, "dexterity_at", interrupted)
+    monkeypatch.setattr(dhjac.cli, "_fmt", interrupted)
     with pytest.raises(KeyboardInterrupt):
         main(["sweep", "--config", CFG, "--grid", "5", "--range-deg", "40",
               "--out", str(out)])
-    assert len(calls) == 8
+    assert len(calls) == 30
     assert out.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
 

@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dhjac.dhj import (assemble_dhj, condition_number, dexterity_at, dimensional_audit,
-                       singular_values, unit_scaling_experiment)
-from dhjac.errors import MixedActuation
-from dhjac.selection import ALTERNATE_PLAN, PRIMARY_PLAN
+from dhjac.dhj import (assemble_dhj, condition_number, condition_numbers_at, dexterity_at,
+                       dimensional_audit, singular_values, unit_scaling_experiment)
+from dhjac.errors import KinematicsError, MixedActuation
+from dhjac.selection import ALTERNATE_PLAN, OPPOSITE_PLAN, PRIMARY_PLAN
 
-from conftest import random_coords
+from conftest import offset_prs_config, random_coords, square_config
 
 
 def test_assemble_identity_composition():
@@ -111,6 +111,58 @@ def test_dexterity_at_runs_ik_once(reference, monkeypatch):
     rec = dexterity_at(reference, 0.0, 150.0, math.radians(20.0), math.radians(10.0))
     assert len(calls) == 1
     assert [limb.q for limb in rec.pose.limbs] == [limb.q for limb in ik(reference, rec.pose)]
+
+
+GRID_SLICES = {
+    # id: (config, y, z, half-range deg, steps, plan, rtol, status counts)
+    "primary": (lambda c: c, 0.0, 150.0, 50.0, 11, PRIMARY_PLAN, 1e-12, {"ok": 121}),
+    "alternate": (lambda c: c, 0.0, 150.0, 50.0, 11, ALTERNATE_PLAN, 1e-12, {"ok": 121}),
+    "edge_of_reach": (lambda c: c, 380.0, 150.0, 50.0, 21, PRIMARY_PLAN, 1e-12,
+                      {"ok": 357, "unreachable": 84}),
+    "opposite_plan": (lambda c: c, 0.0, 150.0, 50.0, 5, OPPOSITE_PLAN, 1e-12,
+                      {"degenerate_pair": 25}),
+    # the short-link layout of test_cli: no pose is reachable
+    "short_link": (lambda c: dataclasses.replace(c, link_length=100.0), 0.0, 150.0, 50.0,
+                   5, PRIMARY_PLAN, 1e-12, {"unreachable": 25}),
+    "metre": (lambda c: c.in_unit("m"), 0.0, 0.150, 50.0, 11, PRIMARY_PLAN, 1e-12, {"ok": 121}),
+    "nan_y": (lambda c: c, math.nan, 150.0, 50.0, 5, PRIMARY_PLAN, 1e-12, {"unreachable": 25}),
+    "wide": (lambda c: dataclasses.replace(c, envelope_deg=89.0), 0.0, 150.0, 85.0, 21,
+             PRIMARY_PLAN, 1e-10, {"ok": 441}),
+    # rails under the anchors: G^T is singular on the whole theta = 0 row
+    "square": (lambda c: square_config(), 0.0, 150.0, 50.0, 5, PRIMARY_PLAN, 1e-12,
+               {"ok": 20, "singular_configuration": 5}),
+    # off-plane PRS rails: phi_z != 0, so the damped Newton iterates
+    "offset_prs": (lambda c: offset_prs_config(), 0.0, 150.0, 50.0, 11, PRIMARY_PLAN,
+                   1e-12, {"ok": 121}),
+    # an even step count leaves out theta = 0, where this layout's J_dh is singular
+    # at |psi| ~ 60 deg and cond(J_dh) (~1e16) is rounding noise in either form
+    "offset_prs_wide": (lambda c: dataclasses.replace(offset_prs_config(), envelope_deg=89.0),
+                        0.0, 150.0, 85.0, 10, PRIMARY_PLAN, 1e-10,
+                        {"ok": 80, "no_convergence": 20}),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("slice_id", GRID_SLICES)
+def test_condition_numbers_at_matches_dexterity_at(reference, slice_id):
+    config, y, z, deg, steps, plan, rtol, counts = GRID_SLICES[slice_id]
+    cfg = config(reference)
+    axis = np.radians(np.linspace(-deg, deg, steps))
+    seen = {}
+    for th in axis:
+        status, k_G, k_dh = condition_numbers_at(cfg, y, z, th, axis, plan=plan)
+        for j, ps in enumerate(axis):
+            try:
+                rec = dexterity_at(cfg, y, z, float(th), float(ps), plan=plan)
+            except KinematicsError as exc:
+                assert status[j] == exc.code
+                assert math.isnan(k_G[j]) and math.isnan(k_dh[j])
+            else:
+                assert status[j] == "ok"
+                assert k_G[j] == pytest.approx(rec.k_conventional, rel=rtol, abs=0.0)
+                assert k_dh[j] == pytest.approx(rec.k, rel=rtol, abs=0.0)
+            seen[status[j]] = seen.get(status[j], 0) + 1
+    assert seen == counts
 
 
 def test_unit_scaling_experiment_grid(reference):
