@@ -158,8 +158,6 @@ def sweep_rows(cfg: ManipulatorConfig, spec: SweepSpec):
         for ps, code, kg, kd in zip(ps_deg, status, k_g.tolist(), k_dh.tolist()):
             if code != "ok":
                 yield th, ps, None, None, code
-            elif not (math.isfinite(kd) and math.isfinite(kg)):
-                yield th, ps, None, None, "singular_configuration"
             else:
                 yield th, ps, kg, kd, "ok"
 

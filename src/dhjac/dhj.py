@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import screws
-from .errors import KinematicsError, MixedActuation
+from .errors import KinematicsError, MixedActuation, SingularSelection
 from .forward_map import (COND_LIMIT, SIGMA_FLOOR, ForwardJacobian, cond_from_sigmas,
                           invert_full, singular_values)
 from .model import (ENVELOPE_SLACK, IK_CLAMP, RESOLVE_DET_RTOL, RESOLVE_HALVINGS,
@@ -80,7 +80,12 @@ def dexterity_at(
     psi: float,
     plan: SelectionPlan = PRIMARY_PLAN,
 ) -> DexterityRecord:
-    """Full pipeline at one pose: resolve (with IK), G^T, J_a, S, V_ps, J_dh."""
+    """Full pipeline at one pose: resolve (with IK), G^T, J_a, S, V_ps, J_dh.
+
+    Raises the typed refusal of the failing stage; a J_dh whose condition
+    number exceeds COND_LIMIT (the rule ``invert_full`` applies to G^T)
+    raises SingularSelection.
+    """
     pose = resolve_pose(cfg, y, z, theta, psi)
     G = screws.build_inverse_jacobian(pose.limbs)
     fwd = invert_full(G)
@@ -89,9 +94,12 @@ def dexterity_at(
     V_ps, _ = nominal_map(sel, build_Vp(pts))
     J_dh = assemble_dhj(V_ps, fwd.J_a)
     sv = singular_values(J_dh)
+    k = cond_from_sigmas(sv)
+    if not k <= COND_LIMIT:
+        raise SingularSelection(f"cond(J_dh) = {k:.3e} exceeds {COND_LIMIT:.1e}")
     return DexterityRecord(
         pose=pose, G=G, fwd=fwd, S=sel.S, V_ps=V_ps, J_dh=J_dh, sigmas=sv,
-        k=cond_from_sigmas(sv), unit=cfg.unit, plan=plan,
+        k=k, unit=cfg.unit, plan=plan,
     )
 
 
@@ -186,8 +194,9 @@ def condition_numbers_at(
     status is not "ok".  A pose that any guard of the chain flags
     (non-finite or out-of-envelope coordinates, a failed Newton solve, no
     IK solution, a vanishing row denominator, cond(G^T) over COND_LIMIT, a
-    degenerate pair, collinear anchors) is evaluated again by
-    ``dexterity_at``, so refusals and their codes come from the per-pose path.
+    degenerate pair, collinear anchors, cond(J_dh) over COND_LIMIT) is
+    evaluated again by ``dexterity_at``, so refusals and their codes come
+    from the per-pose path.
     """
     y, z, th, ps = np.broadcast_arrays(
         *(np.atleast_1d(np.asarray(v, float)) for v in (y, z, theta, psi)))
@@ -259,7 +268,10 @@ def condition_numbers_at(
     V_p[..., 1, 3], V_p[..., 1, 5] = -a2, a0
     V_p[..., 2, 3], V_p[..., 2, 4] = a1, -a0
     J_dh = S @ V_p.reshape(m, 3 * f, 6) @ J_a
-    cond_G[live], cond_Jdh[live] = k_G, _conds(singular_values(J_dh))
+    k_dh = _conds(singular_values(J_dh))
+    ok = k_dh <= COND_LIMIT
+    live = live[ok]
+    cond_G[live], cond_Jdh[live] = k_G[ok], k_dh[ok]
 
     status = ["ok"] * n
     flagged = np.ones(n, bool)
@@ -320,10 +332,9 @@ def unit_scaling_experiment(
             k_dh_a, k_dh_b = float(kdh_a[j]), float(kdh_b[j])
             cell.update(status="ok", k_G_base=k_G_a, k_G_scaled=k_G_b,
                         k_dh_base=k_dh_a, k_dh_scaled=k_dh_b)
-            if math.isfinite(k_dh_a) and math.isfinite(k_dh_b):
-                devs_dh.append(abs(k_dh_a - k_dh_b) / k_dh_a)
-            if math.isfinite(k_G_a) and math.isfinite(k_G_b):
-                devs_G.append(abs(k_G_a - k_G_b) / k_G_a)
+            # "ok" cells carry finite condition numbers (both are capped at COND_LIMIT)
+            devs_dh.append(abs(k_dh_a - k_dh_b) / k_dh_a)
+            devs_G.append(abs(k_G_a - k_G_b) / k_G_a)
             cells.append(cell)
     max_dev_dh = max(devs_dh, default=math.nan)
     max_dev_G = max(devs_G, default=math.nan)

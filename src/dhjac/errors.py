@@ -40,6 +40,12 @@ class SingularConfiguration(KinematicsError):
     code = "singular_configuration"
 
 
+class SingularSelection(KinematicsError):
+    """J_dh numerically singular (cond > 1e12) although G^T is not: the selection loses rank."""
+
+    code = "singular_selection"
+
+
 class BlockSingular(KinematicsError):
     """Inner inverse of the block inversion formula does not exist."""
 

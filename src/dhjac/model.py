@@ -16,6 +16,7 @@ All lengths are in the unit named by ``ManipulatorConfig.unit``.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -124,23 +125,25 @@ class ManipulatorConfig:
     def prs_indices(self) -> list[int]:
         return [i for i, limb in enumerate(self.limbs) if limb.kind == "PRS"]
 
-    def platform_points(self) -> list[np.ndarray]:
-        """Anchor positions in the platform frame (spherical joint centers)."""
-        r = self.moving_plate_radius
-        return [
-            np.array([r * math.cos(math.radians(s.angle_deg)),
-                      r * math.sin(math.radians(s.angle_deg)), 0.0])
-            for s in self.limbs
-        ]
+    def platform_points(self) -> np.ndarray:
+        """Anchor positions in the platform frame (spherical joint centers), (f, 3).
 
-    def base_points(self) -> list[np.ndarray]:
-        """Rail foot positions A_i in the fixed frame."""
-        r = self.base_radius
-        return [
-            np.array([r * math.cos(math.radians(s.base_deg)),
-                      r * math.sin(math.radians(s.base_deg)), 0.0])
-            for s in self.limbs
-        ]
+        Built once per config instance and read-only; ``scaled``, ``in_unit``
+        and ``replace`` make new instances, which build their own.
+        """
+        return self._platform_points
+
+    def base_points(self) -> np.ndarray:
+        """Rail foot positions A_i in the fixed frame, (f, 3); cached as ``platform_points``."""
+        return self._base_points
+
+    @functools.cached_property
+    def _platform_points(self) -> np.ndarray:
+        return _ring(self.moving_plate_radius, [s.angle_deg for s in self.limbs])
+
+    @functools.cached_property
+    def _base_points(self) -> np.ndarray:
+        return _ring(self.base_radius, [s.base_deg for s in self.limbs])
 
     def scaled(self, s: float, unit: str | None = None) -> "ManipulatorConfig":
         """Copy with every length multiplied by s (pure geometric scaling)."""
@@ -162,6 +165,14 @@ class ManipulatorConfig:
             return self
         s = UNIT_SCALES[unit] / UNIT_SCALES[self.unit]
         return self.scaled(s, unit=unit)
+
+
+def _ring(r: float, angles_deg) -> np.ndarray:
+    """Read-only (n, 3) points at radius r and the given angles in the z = 0 plane."""
+    pts = np.array([[r * math.cos(math.radians(d)), r * math.sin(math.radians(d)), 0.0]
+                    for d in angles_deg])
+    pts.flags.writeable = False
+    return pts
 
 
 def collinear(points):
@@ -250,27 +261,29 @@ class LimbKinematics:
     b: np.ndarray          # fixed origin -> A
     link: np.ndarray       # C -> B, norm == link length
     s1: np.ndarray         # actuated rail axis
-    s2: np.ndarray         # R axis (PRS) / slider-fixed U axis (PUS)
-    s3: np.ndarray         # link-fixed U axis, unit(s2 x link)
-    n: np.ndarray          # s3 x s2
+    s2: np.ndarray         # R axis (PRS) / slider-fixed U axis (PUS), always x_hat
+    s3: np.ndarray         # link-fixed U axis, unit(s2 x link) = (0, -l_z, l_y) / |.|
+    n: np.ndarray          # s3 x s2 = (0, s3_z, -s3_y)
 
 
-def _prs_residual(cfg: ManipulatorConfig, y, z, th, ps, x, phi):
-    """Plane residuals B_ix - A_ix of the two PRS limbs and their (x, phi) Jacobian."""
-    prs = cfg.prs_indices()
+def _prs_residual(cfg: ManipulatorConfig, cos_psi: float, x: float, phi: float):
+    """Plane residuals B_ix - A_ix of the two PRS limbs and their phi-derivatives.
+
+    Row 0 of Rx(theta) Ry(psi) Rz(phi) is (cos psi cos phi, -cos psi sin phi,
+    sin psi) and the anchors lie in z = 0, so theta drops out:
+    r_k = x + cos psi (cos phi P_x - sin phi P_y) - A_x, with dr_k/dx = 1 and
+    dr_k/dphi = -cos psi (sin phi P_x + cos phi P_y), as ``dhj._resolve_many``.
+    Returns ``(res, dres)``, two 2-tuples of floats.
+    """
     P = cfg.platform_points()
     A = cfg.base_points()
-    Rxy = rot_x(th) @ rot_y(ps)
-    R = Rxy @ rot_z(phi)
     c, s = math.cos(phi), math.sin(phi)
-    dRz = np.array([[-s, -c, 0.0], [c, -s, 0.0], [0.0, 0.0, 0.0]])
-    res = np.empty(2)
-    jac = np.empty((2, 2))
-    for k, i in enumerate(prs):
-        res[k] = x + (R @ P[i])[0] - A[i][0]
-        jac[k, 0] = 1.0
-        jac[k, 1] = (Rxy @ dRz @ P[i])[0]
-    return res, jac, R
+    res, dres = [], []
+    for i in cfg.prs_indices():
+        px, py = float(P[i, 0]), float(P[i, 1])
+        res.append(x + (cos_psi * c * px - cos_psi * s * py) - float(A[i, 0]))
+        dres.append(-cos_psi * s * px - cos_psi * c * py)
+    return tuple(res), tuple(dres)
 
 
 def resolve_pose(
@@ -301,22 +314,24 @@ def resolve_pose(
             f"outside the +/-{env:g} deg envelope"
         )
     tol = RESOLVE_TOL * cfg.base_radius
+    cos_psi = math.cos(psi)
 
     x, phi = 0.0, 0.0
-    res, jac, R = _prs_residual(cfg, y, z, theta, psi, x, phi)
-    norm = np.max(np.abs(res))
+    res, dres = _prs_residual(cfg, cos_psi, x, phi)
+    norm = max(abs(res[0]), abs(res[1]))
     for _ in range(RESOLVE_MAX_ITER):
         if norm < tol:
             break
-        det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-        if abs(det) < RESOLVE_DET_RTOL * max(1.0, abs(jac).max() ** 2):
+        # jac = [[1, dres_0], [1, dres_1]]
+        det = dres[1] - dres[0]
+        if abs(det) < RESOLVE_DET_RTOL * max(1.0, abs(dres[0]), abs(dres[1])) ** 2:
             raise NoConvergence("dependent-coordinate system singular")
-        step = np.linalg.solve(jac, -res)
+        step = np.linalg.solve([[1.0, dres[0]], [1.0, dres[1]]], [-res[0], -res[1]])
         lam = 1.0
         for _ in range(RESOLVE_HALVINGS):
-            res_new, jac_new, R = _prs_residual(
-                cfg, y, z, theta, psi, x + lam * step[0], phi + lam * step[1])
-            norm_new = np.max(np.abs(res_new))
+            res_new, dres_new = _prs_residual(
+                cfg, cos_psi, x + lam * step[0], phi + lam * step[1])
+            norm_new = max(abs(res_new[0]), abs(res_new[1]))
             if norm_new < norm or norm_new < tol:
                 break
             lam *= 0.5
@@ -324,11 +339,12 @@ def resolve_pose(
             raise NoConvergence("damped Newton made no progress")
         x += lam * step[0]
         phi += lam * step[1]
-        res, jac, norm = res_new, jac_new, norm_new
+        res, dres, norm = res_new, dres_new, norm_new
     else:
         raise NoConvergence(
             f"residual {norm:.3e} after {RESOLVE_MAX_ITER} iterations (tol {tol:.1e})")
 
+    R = rot_x(theta) @ rot_y(psi) @ rot_z(phi)
     pose = PlatformPose(
         y=y, z=z, theta=theta, psi=psi, x=x, phi_z=phi,
         rotation=R, origin=np.array([x, y, z]),
@@ -346,7 +362,7 @@ def inverse_kinematics(cfg: ManipulatorConfig, pose: PlatformPose) -> list[LimbK
     clamp = IK_CLAMP * L * L
     for i, spec in enumerate(cfg.limbs):
         B = pose.origin + pose.rotation @ P[i]
-        dx, dy = B[0] - A[i][0], B[1] - A[i][1]
+        dx, dy = B[0] - A[i, 0], B[1] - A[i, 1]
         disc = L * L - dx * dx - dy * dy
         if -clamp <= disc < 0.0:
             disc = 0.0
@@ -356,9 +372,9 @@ def inverse_kinematics(cfg: ManipulatorConfig, pose: PlatformPose) -> list[LimbK
         q = B[2] - math.sqrt(disc)
         C = A[i] + q * Z_HAT
         link = B - C
-        s2 = X_HAT
-        cross = np.cross(s2, link)
-        cn = np.linalg.norm(cross)
+        # s2 = x_hat, so s2 x link = (0, -l_z, l_y) and s3 x s2 = (0, s3_z, -s3_y)
+        cross = np.array([0.0, -link[2], link[1]])
+        cn = math.sqrt(cross @ cross)  # np.linalg.norm(cross), bit for bit
         if cn < 1e-12 * L:
             # link parallel to the x axis; universal axis direction undefined
             s3 = np.array([0.0, 1.0, 0.0])
@@ -368,7 +384,7 @@ def inverse_kinematics(cfg: ManipulatorConfig, pose: PlatformPose) -> list[LimbK
             index=i, kind=spec.kind,
             A=A[i], C=C, B=B, q=q,
             a=B - pose.origin, b=A[i], link=link,
-            s1=Z_HAT, s2=s2, s3=s3, n=np.cross(s3, s2),
+            s1=Z_HAT, s2=X_HAT, s3=s3, n=np.array([0.0, s3[2], -s3[1]]),
         ))
     return out
 

@@ -9,7 +9,10 @@ from hypothesis.extra.numpy import arrays
 
 from dhjac.dhj import (assemble_dhj, condition_number, condition_numbers_at, dexterity_at,
                        dimensional_audit, singular_values, unit_scaling_experiment)
-from dhjac.errors import KinematicsError, MixedActuation
+from dhjac.errors import KinematicsError, MixedActuation, SingularSelection
+from dhjac.forward_map import invert_full
+from dhjac.model import RESOLVE_TOL, resolve_pose
+from dhjac.screws import build_inverse_jacobian
 from dhjac.selection import ALTERNATE_PLAN, OPPOSITE_PLAN, PRIMARY_PLAN
 
 from conftest import offset_prs_config, random_coords, square_config
@@ -134,11 +137,15 @@ GRID_SLICES = {
     # off-plane PRS rails: phi_z != 0, so the damped Newton iterates
     "offset_prs": (lambda c: offset_prs_config(), 0.0, 150.0, 50.0, 11, PRIMARY_PLAN,
                    1e-12, {"ok": 121}),
-    # an even step count leaves out theta = 0, where this layout's J_dh is singular
-    # at |psi| ~ 60 deg and cond(J_dh) (~1e16) is rounding noise in either form
+    # an even step count leaves out theta = 0
     "offset_prs_wide": (lambda c: dataclasses.replace(offset_prs_config(), envelope_deg=89.0),
                         0.0, 150.0, 85.0, 10, PRIMARY_PLAN, 1e-10,
                         {"ok": 80, "no_convergence": 20}),
+    # an odd one keeps it: at theta = 0, psi = +/-59.5 deg J_dh is singular (cond
+    # ~1e16, rounding noise) while cond(G^T) is ~1e3, so both forms refuse the pose
+    "offset_prs_theta0": (lambda c: dataclasses.replace(offset_prs_config(), envelope_deg=89.0),
+                          0.0, 150.0, 85.0, 21, PRIMARY_PLAN, 1e-10,
+                          {"ok": 313, "no_convergence": 126, "singular_selection": 2}),
 }
 
 
@@ -163,6 +170,55 @@ def test_condition_numbers_at_matches_dexterity_at(reference, slice_id):
                 assert k_dh[j] == pytest.approx(rec.k, rel=rtol, abs=0.0)
             seen[status[j]] = seen.get(status[j], 0) + 1
     assert seen == counts
+
+
+def test_singular_selection_refused():
+    # J_dh loses rank where G^T does not: the selection, not the mechanism, is singular
+    cfg = dataclasses.replace(offset_prs_config(), envelope_deg=89.0)
+    psi = math.radians(59.5)
+    for ps in (psi, -psi):
+        with pytest.raises(SingularSelection) as info:
+            dexterity_at(cfg, 0.0, 150.0, 0.0, ps)
+        assert info.value.code == "singular_selection"
+        assert "exceeds" in str(info.value)
+        limbs = resolve_pose(cfg, 0.0, 150.0, 0.0, ps).limbs
+        assert invert_full(build_inverse_jacobian(limbs)).cond_GT < 1e4
+
+
+ANGLE = st.floats(min_value=-math.radians(50.0), max_value=math.radians(50.0))
+
+
+@given(s=st.floats(min_value=1e-3, max_value=1e3), layout=st.sampled_from(["ref", "offset"]),
+       y=st.floats(min_value=-50.0, max_value=50.0),
+       z=st.floats(min_value=100.0, max_value=200.0), theta=ANGLE, psi=ANGLE)
+@settings(max_examples=40, deadline=None)
+def test_scaling_equivariance(reference, s, layout, y, z, theta, psi):
+    # cfg.scaled(s) with (y, z) * s: cond(J_dh) is invariant, q and x scale by s
+    cfg = reference if layout == "ref" else offset_prs_config()
+    scaled = cfg.scaled(s)
+    try:
+        rec = dexterity_at(cfg, y, z, theta, psi)
+    except KinematicsError as exc:
+        with pytest.raises(type(exc)):
+            dexterity_at(scaled, y * s, z * s, theta, psi)
+        return
+    rec_s = dexterity_at(scaled, y * s, z * s, theta, psi)
+    assert rec_s.k == pytest.approx(rec.k, rel=1e-9, abs=0.0)
+    q, q_s = (np.array([limb.q for limb in r.pose.limbs]) for r in (rec, rec_s))
+    np.testing.assert_allclose(q_s, q * s, rtol=1e-9, atol=0.0)
+    # x is fixed only to the Newton tolerance, RESOLVE_TOL * r_b
+    assert abs(rec_s.pose.x - rec.pose.x * s) <= RESOLVE_TOL * scaled.base_radius
+
+
+@given(y=st.floats(min_value=-100.0, max_value=100.0),
+       z=st.floats(min_value=100.0, max_value=200.0), theta=ANGLE, psi=ANGLE)
+@settings(max_examples=40, deadline=None)
+def test_cond_G_psi_mirror_symmetric(reference, y, z, theta, psi):
+    # the reference layout is mirror-symmetric about x = 0, which flips psi;
+    # cond(J_dh) is not (the primary plan breaks the symmetry; ~0.4 relative)
+    k = dexterity_at(reference, y, z, theta, psi).k_conventional
+    k_mirror = dexterity_at(reference, y, z, theta, -psi).k_conventional
+    assert k_mirror == pytest.approx(k, rel=1e-10, abs=0.0)
 
 
 def test_unit_scaling_experiment_grid(reference):

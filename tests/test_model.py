@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -7,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dhjac.errors import ConfigError, NoConvergence, Unreachable
-from dhjac.model import (LimbSpec, ManipulatorConfig, MobilityInputs, config_from_dict,
-                         inverse_kinematics, load_config, resolve_pose, tsai_mobility)
+from dhjac.model import (RESOLVE_TOL, X_HAT, LimbSpec, ManipulatorConfig, MobilityInputs,
+                         PlatformPose, config_from_dict, inverse_kinematics, load_config,
+                         resolve_pose, tsai_mobility)
 
 from conftest import offset_prs_config, random_coords, square_config
 
@@ -113,6 +115,63 @@ def test_limb_axes_unit_and_orthogonal(reference):
             assert np.linalg.norm(axis) == pytest.approx(1.0, abs=1e-12)
         assert abs(limb.s2 @ limb.s3) < 1e-12
         assert np.allclose(limb.n, np.cross(limb.s3, limb.s2))
+
+
+@pytest.mark.parametrize("layout", ["reference", "square", "offset"])
+def test_closed_form_axes_match_cross_products(reference, layout):
+    # s3 = (0, -l_z, l_y) / |.| and n = (0, s3_z, -s3_y) are x_hat x link and s3 x s2
+    cfg = {"reference": reference, "square": square_config(),
+           "offset": offset_prs_config()}[layout]
+    for coords in random_coords(cfg, 20, seed=17):
+        for limb in resolve_pose(cfg, *coords).limbs:
+            cross = np.cross(X_HAT, limb.link)
+            np.testing.assert_array_equal(limb.s2, X_HAT)
+            np.testing.assert_array_equal(limb.s3, cross / np.linalg.norm(cross))
+            np.testing.assert_array_equal(limb.n, np.cross(limb.s3, limb.s2))
+
+
+def test_link_parallel_to_x_takes_the_fallback_axis():
+    # limb 1 of the square layout stretched flat along -x: l_y = l_z = 0 exactly
+    cfg = square_config()
+    pose = PlatformPose(y=0.0, z=150.0, theta=0.0, psi=0.0, x=-437.0, phi_z=0.0,
+                        rotation=np.eye(3), origin=np.array([-437.0, 0.0, 150.0]))
+    limb = inverse_kinematics(cfg, pose)[0]
+    np.testing.assert_array_equal(limb.link, [-687.0, 0.0, 0.0])
+    assert np.linalg.norm(np.cross(X_HAT, limb.link)) == 0.0
+    np.testing.assert_array_equal(limb.s3, [0.0, 1.0, 0.0])
+    np.testing.assert_array_equal(limb.n, np.cross(limb.s3, limb.s2))
+
+
+def test_anchors_cached_read_only_and_fresh_per_instance(reference):
+    P, A = reference.platform_points(), reference.base_points()
+    assert P.shape == A.shape == (4, 3)
+    assert reference.platform_points() is P and reference.base_points() is A
+    for pts in (P, A):
+        with pytest.raises(ValueError):
+            pts[0, 0] = 1.0
+    for derived, s in ((reference.scaled(2.0), 2.0), (reference.in_unit("m"), 0.001),
+                       (dataclasses.replace(reference, link_length=700.0), 1.0)):
+        assert derived.platform_points() is not P and derived.base_points() is not A
+        np.testing.assert_allclose(derived.platform_points(), P * s, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(derived.base_points(), A * s, rtol=1e-15, atol=0)
+    np.testing.assert_array_equal(reference.scaled(2.0).platform_points(), 2.0 * P)
+    moved = dataclasses.replace(reference, moving_plate_radius=100.0)
+    np.testing.assert_allclose(moved.platform_points(), P / 2.0, rtol=1e-15, atol=0)
+    np.testing.assert_array_equal(moved.base_points(), A)
+
+
+@pytest.mark.parametrize("theta_deg", [-50.0, 0.0, 50.0])
+@pytest.mark.parametrize("psi_deg", [-50.0, 50.0])
+def test_newton_solution_satisfies_plane_constraints_offset(theta_deg, psi_deg):
+    # off-plane PRS rails: the Newton iterates (phi_z != 0); the residuals
+    # recomputed from the assembled rotation stay below the solve tolerance
+    cfg = offset_prs_config()
+    pose = resolve_pose(cfg, 0.0, 150.0, math.radians(theta_deg), math.radians(psi_deg))
+    assert pose.phi_z != 0.0
+    P, A = cfg.platform_points(), cfg.base_points()
+    for i in cfg.prs_indices():
+        B = pose.origin + pose.rotation @ P[i]
+        assert abs(B[0] - A[i, 0]) < RESOLVE_TOL * cfg.base_radius
 
 
 def test_short_link_unreachable():
