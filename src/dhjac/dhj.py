@@ -8,10 +8,12 @@ The pose -> J_dh chain is written in two forms:
   raises the typed refusals.
 * ``condition_numbers_at`` is the batched form that serves grids
   (``dhjac sweep``, ``unit_scaling_experiment``, one theta row per call).
-  It carries only the two condition numbers through array code with the
-  same constants and guards, and hands every pose a guard flags back to
-  ``dexterity_at``.  Its numbers agree with the per-pose form to about
-  1e-13 relative (rounding order only); the tests hold it to 1e-12.
+  Its kinematics (pose resolution and IK) are ``model.resolve_many``, the
+  batched form of ``resolve_pose``; from there it carries only the two
+  condition numbers through array code with the same constants and guards,
+  and hands every pose a guard flags back to ``dexterity_at``.  Its numbers
+  agree with the per-pose form to about 1e-13 relative (rounding order
+  only); the tests hold it to 1e-12.
 
 Singular values come from LAPACK (``np.linalg.svd``); the test suite
 cross-checks them against an independent symmetric eigensolve of M^T M.
@@ -28,9 +30,8 @@ from . import screws
 from .errors import KinematicsError, MixedActuation, SingularSelection
 from .forward_map import (COND_LIMIT, SIGMA_FLOOR, ForwardJacobian, cond_from_sigmas,
                           invert_full, singular_values)
-from .model import (ENVELOPE_SLACK, IK_CLAMP, RESOLVE_DET_RTOL, RESOLVE_HALVINGS,
-                    RESOLVE_MAX_ITER, RESOLVE_TOL, UNIT_SCALES, ManipulatorConfig,
-                    PlatformPose, collinear, resolve_pose)
+from .model import (UNIT_SCALES, ManipulatorConfig, PlatformPose, collinear, resolve_many,
+                    resolve_pose)
 from .pointmap import build_Vp
 from .screws import DENOMINATOR_THRESHOLD, InverseJacobian
 from .selection import (PAIR_THRESHOLD, PRIMARY_PLAN, SelectionPlan,
@@ -109,75 +110,6 @@ def _conds(sv: np.ndarray) -> np.ndarray:
                      where=sv[:, -1] >= SIGMA_FLOOR)
 
 
-def _rot(c: np.ndarray, s: np.ndarray, axis: int) -> np.ndarray:
-    """Stacked rotations about one frame axis, entries as ``model.rot_x/y/z``."""
-    i, j = (axis + 1) % 3, (axis + 2) % 3  # cyclic successors carry -sin at (i, j)
-    R = np.zeros((len(c), 3, 3))
-    R[:, axis, axis] = 1.0
-    R[:, i, i] = R[:, j, j] = c
-    R[:, i, j], R[:, j, i] = -s, s
-    return R
-
-
-def _resolve_many(cfg: ManipulatorConfig, psi: np.ndarray):
-    """(x, phi_z) at N poses by ``resolve_pose``'s damped Newton, one mask per pose.
-
-    The PRS plane residuals depend on psi and phi_z only (theta rotates about
-    the x axis they measure along).  Returns ``x, phi, converged``.
-    """
-    prs = cfg.prs_indices()
-    P = np.array(cfg.platform_points())[prs]
-    Ax = np.array(cfg.base_points())[prs, 0]
-    cp = np.cos(psi)[:, None]
-    tol = RESOLVE_TOL * cfg.base_radius
-
-    def residual(x, phi, rows):
-        c, s = np.cos(phi)[:, None], np.sin(phi)[:, None]
-        res = x[:, None] + (cp[rows] * c * P[:, 0] - cp[rows] * s * P[:, 1]) - Ax
-        dres = -cp[rows] * s * P[:, 0] - cp[rows] * c * P[:, 1]
-        return res, dres, np.abs(res).max(axis=1)
-
-    n = len(psi)
-    x, phi = np.zeros(n), np.zeros(n)
-    res, dres, norm = residual(x, phi, slice(None))
-    failed = np.zeros(n, bool)
-    for _ in range(RESOLVE_MAX_ITER):
-        active = ~(norm < tol) & ~failed
-        if not active.any():
-            break
-        # jac = [[1, dres_0], [1, dres_1]]
-        det = dres[:, 1] - dres[:, 0]
-        big = np.maximum(1.0, np.abs(dres).max(axis=1))
-        singular = active & ~(np.abs(det) >= RESOLVE_DET_RTOL * big ** 2)
-        failed |= singular
-        active &= ~singular
-        rows = np.flatnonzero(active)
-        # LU with the first row as pivot, as np.linalg.solve takes it
-        step_phi = (res[rows, 0] - res[rows, 1]) / det[rows]
-        step_x = -res[rows, 0] - dres[rows, 0] * step_phi
-        lam = np.ones(len(rows))
-        pending = np.ones(len(rows), bool)
-        for _ in range(RESOLVE_HALVINGS):
-            k = np.flatnonzero(pending)
-            if not len(k):
-                break
-            i = rows[k]
-            x_t = x[i] + lam[k] * step_x[k]
-            phi_t = phi[i] + lam[k] * step_phi[k]
-            res_t, dres_t, norm_t = residual(x_t, phi_t, i)
-            take = (norm_t < norm[i]) | (norm_t < tol)
-            t = i[take]
-            x[t], phi[t] = x_t[take], phi_t[take]
-            res[t], dres[t], norm[t] = res_t[take], dres_t[take], norm_t[take]
-            pending[k[take]] = False
-            lam[k[~take]] *= 0.5
-        failed[rows[pending]] = True
-    else:
-        # these took the last allowed step; resolve_pose gives up on them
-        failed |= active
-    return x, phi, ~failed
-
-
 def condition_numbers_at(
     cfg: ManipulatorConfig,
     y,
@@ -202,30 +134,12 @@ def condition_numbers_at(
         *(np.atleast_1d(np.asarray(v, float)) for v in (y, z, theta, psi)))
     n = len(th)
     cond_G, cond_Jdh = np.full(n, math.nan), np.full(n, math.nan)
-    lim = math.radians(cfg.envelope_deg) + ENVELOPE_SLACK
-    live = np.isfinite(y) & np.isfinite(z) & (np.abs(th) <= lim) & (np.abs(ps) <= lim)
-    live = np.flatnonzero(live if plan.f == cfg.limb_count else np.zeros(n, bool))
-
-    x, phi, ok = _resolve_many(cfg, ps[live])
-    live, x, phi = live[ok], x[ok], phi[ok]
-
-    # closed-form IK, elbow-down, as model.inverse_kinematics
-    t, p = th[live], ps[live]
-    R = _rot(np.cos(t), np.sin(t), 0) @ _rot(np.cos(p), np.sin(p), 1) \
-        @ _rot(np.cos(phi), np.sin(phi), 2)
-    origin = np.stack([x, y[live], z[live]], axis=1)[:, None, :]
-    P = np.array(cfg.platform_points())
-    A = np.array(cfg.base_points())
-    B = origin + (R @ P.T).transpose(0, 2, 1)            # (N, f, 3)
-    L = cfg.link_length
-    dx, dy = B[..., 0] - A[:, 0], B[..., 1] - A[:, 1]
-    disc = L * L - dx * dx - dy * dy
-    disc[(disc >= -IK_CLAMP * L * L) & (disc < 0.0)] = 0.0
-    ok = (disc >= 0.0).all(axis=1)
-    live, origin, B, dx, dy, disc = (v[ok] for v in (live, origin, B, dx, dy, disc))
-    q = B[..., 2] - np.sqrt(disc)
-    link = np.stack([dx, dy, B[..., 2] - q], axis=-1)
-    a = B - origin                                       # platform origin -> B
+    _, origin, B, q, ok = resolve_many(cfg, np.stack([y, z, th, ps], axis=1))
+    live = np.flatnonzero(ok if plan.f == cfg.limb_count else np.zeros(n, bool))
+    origin, B, q = origin[live], B[live], q[live]
+    A = cfg.base_points()
+    link = np.stack([B[..., 0] - A[:, 0], B[..., 1] - A[:, 1], B[..., 2] - q], axis=-1)
+    a = B - origin[:, None, :]                           # platform origin -> B
 
     # G^T: actuation rows along the links, constraint rows along the PRS x axes
     u = link / np.linalg.norm(link, axis=-1, keepdims=True)

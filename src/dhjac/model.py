@@ -272,7 +272,7 @@ def _prs_residual(cfg: ManipulatorConfig, cos_psi: float, x: float, phi: float):
     Row 0 of Rx(theta) Ry(psi) Rz(phi) is (cos psi cos phi, -cos psi sin phi,
     sin psi) and the anchors lie in z = 0, so theta drops out:
     r_k = x + cos psi (cos phi P_x - sin phi P_y) - A_x, with dr_k/dx = 1 and
-    dr_k/dphi = -cos psi (sin phi P_x + cos phi P_y), as ``dhj._resolve_many``.
+    dr_k/dphi = -cos psi (sin phi P_x + cos phi P_y), as ``_resolve_dependent``.
     Returns ``(res, dres)``, two 2-tuples of floats.
     """
     P = cfg.platform_points()
@@ -387,6 +387,106 @@ def inverse_kinematics(cfg: ManipulatorConfig, pose: PlatformPose) -> list[LimbK
             s1=Z_HAT, s2=X_HAT, s3=s3, n=np.array([0.0, s3[2], -s3[1]]),
         ))
     return out
+
+
+def _rot(c: np.ndarray, s: np.ndarray, axis: int) -> np.ndarray:
+    """Stacked rotations about one frame axis, entries as ``rot_x/y/z``."""
+    i, j = (axis + 1) % 3, (axis + 2) % 3  # cyclic successors carry -sin at (i, j)
+    R = np.zeros((len(c), 3, 3))
+    R[:, axis, axis] = 1.0
+    R[:, i, i] = R[:, j, j] = c
+    R[:, i, j], R[:, j, i] = -s, s
+    return R
+
+
+def _resolve_dependent(cfg: ManipulatorConfig, psi: np.ndarray):
+    """(x, phi_z) at N poses by ``resolve_pose``'s damped Newton, one mask per pose.
+
+    The PRS plane residuals depend on psi and phi_z only (theta rotates about
+    the x axis they measure along).  Returns ``x, phi, converged``.
+    """
+    prs = cfg.prs_indices()
+    P = cfg.platform_points()[prs]
+    Ax = cfg.base_points()[prs, 0]
+    cp = np.cos(psi)[:, None]
+    tol = RESOLVE_TOL * cfg.base_radius
+
+    def residual(x, phi, rows):
+        c, s = np.cos(phi)[:, None], np.sin(phi)[:, None]
+        res = x[:, None] + (cp[rows] * c * P[:, 0] - cp[rows] * s * P[:, 1]) - Ax
+        dres = -cp[rows] * s * P[:, 0] - cp[rows] * c * P[:, 1]
+        return res, dres, np.abs(res).max(axis=1)
+
+    n = len(psi)
+    x, phi = np.zeros(n), np.zeros(n)
+    res, dres, norm = residual(x, phi, slice(None))
+    failed = np.zeros(n, bool)
+    for _ in range(RESOLVE_MAX_ITER):
+        active = ~(norm < tol) & ~failed
+        if not active.any():
+            break
+        # jac = [[1, dres_0], [1, dres_1]]
+        det = dres[:, 1] - dres[:, 0]
+        big = np.maximum(1.0, np.abs(dres).max(axis=1))
+        failed |= active & ~(np.abs(det) >= RESOLVE_DET_RTOL * big ** 2)
+        active &= ~failed
+        rows = np.flatnonzero(active)
+        jac = np.ones((len(rows), 2, 2))
+        jac[:, :, 1] = dres[rows]
+        # one LAPACK solve per pose, bit for bit the 2x2 solve of resolve_pose
+        step = np.linalg.solve(jac, -res[rows, :, None])[..., 0]
+        lam = 1.0  # the poses still searching have all been halved equally often
+        for _ in range(RESOLVE_HALVINGS):
+            x_t, phi_t = x[rows] + lam * step[:, 0], phi[rows] + lam * step[:, 1]
+            res_t, dres_t, norm_t = residual(x_t, phi_t, rows)
+            take = (norm_t < norm[rows]) | (norm_t < tol)
+            t = rows[take]
+            x[t], phi[t] = x_t[take], phi_t[take]
+            res[t], dres[t], norm[t] = res_t[take], dres_t[take], norm_t[take]
+            rows, step = rows[~take], step[~take]
+            if not len(rows):
+                break
+            lam *= 0.5
+        failed[rows] = True
+    else:
+        # these took the last allowed step; resolve_pose gives up on them
+        failed |= active
+    return x, phi, ~failed
+
+
+def resolve_many(cfg: ManipulatorConfig, coords, envelope_deg: float | None = None):
+    """``resolve_pose`` with its IK at the M poses (y, z, theta, psi) of ``coords`` (M, 4).
+
+    Returns ``(R, origin, B, q, ok)``: rotations (M, 3, 3), origins (M, 3),
+    spherical joint centers (M, f, 3), joint values (M, f) and ``ok`` (M,),
+    True where ``resolve_pose`` with this ``envelope_deg`` returns a pose;
+    refused rows hold NaN.  Each row takes the operations of the per-pose
+    path, so it equals ``resolve_pose``'s values bit for bit.
+    """
+    coords = np.asarray(coords, float).reshape(-1, 4)
+    env = cfg.envelope_deg if envelope_deg is None else envelope_deg
+    lim = math.radians(env) + ENVELOPE_SLACK
+    ok = np.isfinite(coords).all(axis=1) & (np.abs(coords[:, 2:]) <= lim).all(axis=1)
+    # refused rows ride along at (0, 0, 0, 0) and are blanked at the end
+    y, z, th, ps = np.where(ok[:, None], coords, 0.0).T
+    x, phi, converged = _resolve_dependent(cfg, ps)
+    ok &= converged
+
+    # closed-form IK, elbow-down, as inverse_kinematics
+    R = _rot(np.cos(th), np.sin(th), 0) @ _rot(np.cos(ps), np.sin(ps), 1) \
+        @ _rot(np.cos(phi), np.sin(phi), 2)
+    origin = np.stack([x, y, z], axis=1)
+    # one matrix-vector product per anchor, as ``rotation @ P[i]`` rounds it
+    B = origin[:, None, :] + (R[:, None] @ cfg.platform_points()[:, :, None])[..., 0]
+    A, L = cfg.base_points(), cfg.link_length
+    dx, dy = B[..., 0] - A[:, 0], B[..., 1] - A[:, 1]
+    disc = L * L - dx * dx - dy * dy
+    disc[(disc >= -IK_CLAMP * L * L) & (disc < 0.0)] = 0.0
+    ok &= (disc >= 0.0).all(axis=1)
+    q = B[..., 2] - np.sqrt(np.where(ok[:, None], disc, math.nan))
+    for v in (R, origin, B):
+        v[~ok] = math.nan
+    return R, origin, B, q, ok
 
 
 def tsai_mobility(mobility: MobilityInputs) -> int:

@@ -4,7 +4,9 @@ Nothing here consults the screw rows or the block inversion: the actuation
 oracle differentiates the closed-form IK, the tangent oracle differentiates
 the constrained pose resolution, and the brute-force DHJ differentiates
 Newton-refined forward kinematics.  These are the arbiters for the formula
-variants documented in the validation report.
+variants documented in the validation report.  Each differencing step
+resolves all its perturbed poses in one ``model.resolve_many`` call, whose
+rows equal ``resolve_pose`` bit for bit.
 
 ``run_validation`` evaluates each oracle, and each ``dexterity_at`` record it
 judges, once per pose; every check reads those shared results.
@@ -21,7 +23,7 @@ import numpy as np
 from . import dhj, forward_map, screws
 from .errors import (BlockSingular, DegeneratePair, KinematicsError,
                      NoForwardSolution, StepTooLarge)
-from .model import ManipulatorConfig, resolve_pose, tsai_mobility
+from .model import ManipulatorConfig, resolve_many, resolve_pose, tsai_mobility
 from .selection import (ALTERNATE_PLAN, CONSTRAINED_COLS, OPPOSITE_PLAN,
                         PRIMARY_PLAN, build_selection_matrix)
 
@@ -32,116 +34,130 @@ REFINE_MAX_ITER = 30
 BRUTE_FORCE_STEP = 1e-5  # actuated-joint step of brute_force_dhj, as a fraction of r_b
 
 
-def step_sizes(cfg: ManipulatorConfig, h: float = 1e-6) -> tuple[float, float]:
-    """(translation step, rotation step): h * r_b and h * 1 rad."""
-    return h * max(cfg.base_radius, 1e-30), h
+def step_sizes(cfg: ManipulatorConfig, h: float = 1e-6) -> np.ndarray:
+    """Steps along (y, z, theta, psi): h * r_b for the lengths, h rad for the angles."""
+    h_len = h * max(cfg.base_radius, 1e-30)
+    return np.array([h_len, h_len, h, h])
 
 
-def _joint_values(cfg, coords, envelope_deg=None):
-    pose = resolve_pose(cfg, *coords, envelope_deg=envelope_deg)
-    return np.array([limb.q for limb in pose.limbs])
+def _central_rows(center, steps) -> np.ndarray:
+    """(..., 2n, n): row 2k adds steps[k] to entry k of ``center``, row 2k + 1 subtracts it.
+
+    So the first refused row is the first one a loop over the steps meets.
+    """
+    n = np.shape(center)[-1]
+    rows = np.repeat(np.asarray(center, float)[..., None, :], 2 * n, axis=-2)
+    k = np.arange(n)
+    rows[..., 2 * k, k] += steps
+    rows[..., 2 * k + 1, k] -= steps
+    return rows
 
 
-def _perturbed(coords, k, delta):
-    c = list(coords)
-    c[k] += delta
-    return tuple(c)
+def _refused(cfg, coords, envelope_deg=None) -> KinematicsError:
+    """The error ``resolve_pose`` raises at a pose that ``resolve_many`` refused."""
+    try:
+        resolve_pose(cfg, *coords, envelope_deg=envelope_deg)
+    except KinematicsError as exc:
+        return exc
+    raise RuntimeError(f"resolve_many refused {tuple(coords)}, which resolve_pose accepts")
+
+
+def _perturbed_poses(cfg, coords, h):
+    """``resolve_many`` at the 8 central-difference rows of ``coords``, and 2 h_k."""
+    steps = step_sizes(cfg, h)
+    rows = _central_rows(coords, steps)
+    env = cfg.envelope_deg + 1.0  # perturbations of a feasible pose may graze the guard
+    R, origin, _, q, ok = resolve_many(cfg, rows, env)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        exc = _refused(cfg, rows[i], env)
+        raise StepTooLarge(f"perturbed pose infeasible along coord {i // 2}: {exc}") from exc
+    return R, origin, q, 2.0 * steps
 
 
 def fd_actuation_jacobian(cfg: ManipulatorConfig, coords, h: float = 1e-6) -> np.ndarray:
     """Central differences of the IK joint values over (y, z, theta, psi)."""
-    h_len, h_ang = step_sizes(cfg, h)
-    J = np.zeros((cfg.limb_count, 4))
-    env = cfg.envelope_deg + 1.0  # perturbations of a feasible pose may graze the guard
-    for k in range(4):
-        hk = h_len if k < 2 else h_ang
-        try:
-            qp = _joint_values(cfg, _perturbed(coords, k, +hk), env)
-            qm = _joint_values(cfg, _perturbed(coords, k, -hk), env)
-        except KinematicsError as exc:
-            raise StepTooLarge(f"perturbed pose infeasible along coord {k}: {exc}") from exc
-        J[:, k] = (qp - qm) / (2.0 * hk)
-    return J
+    _, _, q, two_h = _perturbed_poses(cfg, coords, h)
+    return ((q[0::2] - q[1::2]) / two_h[:, None]).T
 
 
 def fd_constraint_tangent(cfg: ManipulatorConfig, coords, h: float = 1e-6) -> np.ndarray:
     """6 x 4 basis of the feasible twist cone by differencing resolve_pose."""
-    h_len, h_ang = step_sizes(cfg, h)
-    pose0 = resolve_pose(cfg, *coords)
-    R0 = pose0.rotation
+    R0 = resolve_pose(cfg, *coords).rotation
+    R, origin, _, two_h = _perturbed_poses(cfg, coords, h)
     T = np.zeros((6, 4))
-    env = cfg.envelope_deg + 1.0
-    for k in range(4):
-        hk = h_len if k < 2 else h_ang
-        try:
-            pp = resolve_pose(cfg, *_perturbed(coords, k, +hk), envelope_deg=env)
-            pm = resolve_pose(cfg, *_perturbed(coords, k, -hk), envelope_deg=env)
-        except KinematicsError as exc:
-            raise StepTooLarge(f"perturbed pose infeasible along coord {k}: {exc}") from exc
-        T[:3, k] = (pp.origin - pm.origin) / (2.0 * hk)
-        W = ((pp.rotation - pm.rotation) / (2.0 * hk)) @ R0.T
-        T[3, k] = 0.5 * (W[2, 1] - W[1, 2])
-        T[4, k] = 0.5 * (W[0, 2] - W[2, 0])
-        T[5, k] = 0.5 * (W[1, 0] - W[0, 1])
+    T[:3] = ((origin[0::2] - origin[1::2]) / two_h[:, None]).T
+    W = ((R[0::2] - R[1::2]) / two_h[:, None, None]) @ R0.T
+    T[3:] = 0.5 * (W[:, [2, 0, 1], [1, 2, 0]] - W[:, [1, 2, 0], [2, 0, 1]]).T  # vee(skew W)
     return T
 
 
-def forward_refine(cfg: ManipulatorConfig, q_target: np.ndarray,
-                   guess_coords) -> tuple[float, float, float, float]:
+def forward_refine(cfg: ManipulatorConfig, q_target: np.ndarray, guess_coords) -> np.ndarray:
     """Newton-refine (y, z, theta, psi) until IK reproduces q_target.
 
-    Uses the finite-difference coordinate Jacobian, so the refinement stays
+    ``q_target`` is (f,) or (T, f), ``guess_coords`` broadcasts to (T, 4) and
+    the result is (4,) or (T, 4).  Each target iterates on its own; one
+    ``resolve_many`` call per iteration takes the center and 8 perturbed
+    poses of every unconverged target.  The first failed target raises the
+    error it raises alone (a singular Jacobian fails its whole iteration).
+    The finite-difference coordinate Jacobian keeps the refinement
     independent of the analytic screw rows.
     """
     tol = REFINE_TOL * max(cfg.base_radius, 1e-30)
     env = cfg.envelope_deg + 5.0  # refinement may step slightly past the envelope
-    coords = np.array(guess_coords, float)
+    steps = step_sizes(cfg)
     q_target = np.asarray(q_target, float)
+    targets = np.atleast_2d(q_target)
+    coords = np.array(np.broadcast_to(guess_coords, (len(targets), 4)), float)
+    errors: dict[int, KinematicsError] = {}
+    active = np.arange(len(targets))
     for _ in range(REFINE_MAX_ITER):
+        rows = np.concatenate([coords[active, None], _central_rows(coords[active], steps)], 1)
+        _, _, _, q, ok = resolve_many(cfg, rows, env)
+        q, ok = q.reshape(len(active), 9, -1), ok.reshape(len(active), 9)
+        r = q[:, 0] - targets[active]
+        stepping = ~(ok[:, 0] & (np.abs(r).max(axis=1) < tol))
+        for t in np.flatnonzero(stepping & ~ok.all(axis=1)):
+            i = int(np.argmin(ok[t]))
+            exc = _refused(cfg, rows[t, i], env)
+            if i == 0:  # the iterate itself
+                cause, exc = exc, NoForwardSolution(f"iterate left the workspace: {exc}")
+                exc.__cause__ = cause
+            errors[active[t]] = exc
+        s = np.flatnonzero(stepping & ok.all(axis=1))
+        Jq = ((q[s, 1::2] - q[s, 2::2]) / (2.0 * steps)[:, None]).transpose(0, 2, 1)
         try:
-            r = _joint_values(cfg, coords, env) - q_target
-        except KinematicsError as exc:
-            raise NoForwardSolution(f"iterate left the workspace: {exc}") from exc
-        if np.max(np.abs(r)) < tol:
-            return tuple(coords)
-        h_len, h_ang = step_sizes(cfg)
-        Jq = np.zeros((4, 4))
-        for k in range(4):
-            hk = h_len if k < 2 else h_ang
-            qp = _joint_values(cfg, _perturbed(coords, k, +hk), env)
-            qm = _joint_values(cfg, _perturbed(coords, k, -hk), env)
-            Jq[:, k] = (qp - qm) / (2.0 * hk)
-        try:
-            coords = coords - np.linalg.solve(Jq, r)
+            coords[active[s]] -= np.linalg.solve(Jq, r[s, :, None])[..., 0]
         except np.linalg.LinAlgError as exc:
-            raise NoForwardSolution(f"singular forward Jacobian: {exc}") from exc
-    raise NoForwardSolution(f"no convergence in {REFINE_MAX_ITER} iterations")
+            errors.update((t, NoForwardSolution(f"singular forward Jacobian: {exc}"))
+                          for t in active[s])
+        active = np.array([t for t in active[s] if t not in errors], int)
+        if not len(active):
+            break
+    else:
+        errors.update((t, NoForwardSolution(f"no convergence in {REFINE_MAX_ITER} iterations"))
+                      for t in active)
+    if errors:
+        raise errors[min(errors)]
+    return coords[0] if q_target.ndim == 1 else coords
 
 
 def brute_force_dhj(cfg: ManipulatorConfig, coords, plan=PRIMARY_PLAN) -> np.ndarray:
     """Differentiate the selected point-velocity combinations w.r.t. q_a.
 
     The selection weights are frozen at the center pose; each actuated joint
-    is perturbed and the pose re-found by Newton forward refinement.
+    is perturbed both ways, and the 2f poses are re-found together by Newton
+    forward refinement.
     """
     h_q = BRUTE_FORCE_STEP * max(cfg.base_radius, 1e-30)
     limbs0 = resolve_pose(cfg, *coords).limbs
-    q0 = np.array([limb.q for limb in limbs0])
     S = build_selection_matrix(plan, [limb.a for limb in limbs0]).S
-    P = cfg.platform_points()
-    out = np.zeros((cfg.limb_count, cfg.limb_count))
-    for m in range(cfg.limb_count):
-        qp, qm = q0.copy(), q0.copy()
-        qp[m] += h_q
-        qm[m] -= h_q
-        cp = forward_refine(cfg, qp, coords)
-        cm = forward_refine(cfg, qm, coords)
-        pp = resolve_pose(cfg, *cp, envelope_deg=cfg.envelope_deg + 5.0)
-        pm = resolve_pose(cfg, *cm, envelope_deg=cfg.envelope_deg + 5.0)
-        bp = np.concatenate([pp.origin + pp.rotation @ p for p in P])
-        bm = np.concatenate([pm.origin + pm.rotation @ p for p in P])
-        out[:, m] = S @ (bp - bm) / (2.0 * h_q)
-    return out
+    refined = forward_refine(cfg, _central_rows([limb.q for limb in limbs0], h_q), coords)
+    # forward_refine accepted each refined pose at this envelope in its last iteration
+    B = resolve_many(cfg, refined, cfg.envelope_deg + 5.0)[2]
+    d = (B[0::2] - B[1::2]).reshape(cfg.limb_count, -1)  # the f anchor points, concatenated
+    # a matrix-vector product per column, as S @ (bp - bm) rounds it
+    return ((S @ d[:, :, None])[..., 0] / (2.0 * h_q)).T
 
 
 @dataclass
@@ -165,17 +181,15 @@ def sample_poses(cfg: ManipulatorConfig, n: int, seed: int = DEFAULT_SEED):
     rng = np.random.default_rng(seed)
     lim = math.radians(cfg.envelope_deg)
     z_scale = cfg.base_radius / 450.0
-    feasible, failures = [], []
-    for _ in range(n):
-        coords = (0.0,
-                  float(rng.uniform(100.0, 200.0) * z_scale),
-                  float(rng.uniform(-lim, lim)),
-                  float(rng.uniform(-lim, lim)))
-        try:
-            resolve_pose(cfg, *coords)
-            feasible.append(coords)
-        except KinematicsError as exc:
-            failures.append((coords, exc.code))
+    coords = [(0.0,
+               float(rng.uniform(100.0, 200.0) * z_scale),
+               float(rng.uniform(-lim, lim)),
+               float(rng.uniform(-lim, lim)))
+              for _ in range(n)]
+    ok = resolve_many(cfg, coords)[-1]
+    feasible = [c for c, good in zip(coords, ok) if good]
+    # only a refused pose goes through resolve_pose, for its code
+    failures = [(c, _refused(cfg, c).code) for c, good in zip(coords, ok) if not good]
     return feasible, failures
 
 

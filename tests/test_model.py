@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dhjac.errors import ConfigError, NoConvergence, Unreachable
+from dhjac.errors import ConfigError, KinematicsError, NoConvergence, Unreachable
 from dhjac.model import (RESOLVE_TOL, X_HAT, LimbSpec, ManipulatorConfig, MobilityInputs,
                          PlatformPose, config_from_dict, inverse_kinematics, load_config,
-                         resolve_pose, tsai_mobility)
+                         resolve_many, resolve_pose, tsai_mobility)
 
-from conftest import offset_prs_config, random_coords, square_config
+from conftest import REFERENCE_CONFIG, offset_prs_config, random_coords, square_config
 
 
 def test_home_pose_dependents_vanish(reference):
@@ -172,6 +172,60 @@ def test_newton_solution_satisfies_plane_constraints_offset(theta_deg, psi_deg):
     for i in cfg.prs_indices():
         B = pose.origin + pose.rotation @ P[i]
         assert abs(B[0] - A[i, 0]) < RESOLVE_TOL * cfg.base_radius
+
+
+LAYOUTS = {
+    "reference": lambda: load_config(REFERENCE_CONFIG),
+    "square": square_config,
+    "offset": offset_prs_config,  # the Newton iterates here (phi_z != 0)
+    "square_short_link": lambda: square_config(link_length=300.0),  # partly unreachable
+}
+
+
+def _resolve_rows(cfg):
+    """Poses inside, on and past the envelope, off the z band, and non-finite."""
+    rows = np.array(random_coords(cfg, 300, seed=61, envelope_frac=1.1))
+    rows[::5, 0] = np.linspace(-300.0, 300.0, len(rows[::5]))
+    edge = math.radians(cfg.envelope_deg)
+    rows[:4, 2:] = [[edge, -edge], [-edge, edge], [edge + 1e-9, 0.0], [0.0, -edge - 1e-9]]
+    for k in range(4):
+        rows[4 + k, k] = math.nan
+        rows[8 + k, k] = -math.inf if k % 2 else math.inf
+    return rows
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("envelope_deg", [None, 45.0, 70.0])
+def test_resolve_many_equals_resolve_pose(layout, envelope_deg):
+    # ok is resolve_pose's success, and accepted rows are its values bit for bit,
+    # also on the offset layout where the damped Newton iterates
+    cfg = LAYOUTS[layout]()
+    rows = _resolve_rows(cfg)
+    R, origin, B, q, ok = resolve_many(cfg, rows, envelope_deg=envelope_deg)
+    assert R.shape == (len(rows), 3, 3) and B.shape == (len(rows), 4, 3)
+    for row, R_i, o_i, B_i, q_i, ok_i in zip(rows, R, origin, B, q, ok):
+        try:
+            pose = resolve_pose(cfg, *row, envelope_deg=envelope_deg)
+        except KinematicsError:
+            assert not ok_i
+            assert np.isnan(R_i).all() and np.isnan(o_i).all()
+            assert np.isnan(B_i).all() and np.isnan(q_i).all()
+            continue
+        assert ok_i
+        np.testing.assert_array_equal(R_i, pose.rotation)
+        np.testing.assert_array_equal(o_i, pose.origin)
+        np.testing.assert_array_equal(B_i, [limb.B for limb in pose.limbs])
+        np.testing.assert_array_equal(q_i, [limb.q for limb in pose.limbs])
+    assert ok.any() and not ok.all()
+
+
+def test_resolve_many_empty_and_no_convergence():
+    cfg = offset_prs_config()
+    R, origin, B, q, ok = resolve_many(cfg, np.zeros((0, 4)))
+    assert R.shape == (0, 3, 3) and q.shape == (0, 4) and ok.shape == (0,)
+    # the unsatisfiable dependent solve of test_unsatisfiable_dependent_solve_raises
+    rows = [(0.0, 150.0, 0.0, math.radians(70.0)), (0.0, 150.0, 0.0, 0.1)]
+    assert resolve_many(cfg, rows, envelope_deg=75.0)[-1].tolist() == [False, True]
 
 
 def test_short_link_unreachable():
