@@ -4,8 +4,7 @@ from .dhj import (DexterityRecord, assemble_dhj, condition_number, condition_num
                   dexterity_at, dimensional_audit, singular_values, unit_scaling_experiment)
 from .forward_map import ForwardJacobian, block_Ja, invert_full
 from .model import (LimbKinematics, LimbSpec, ManipulatorConfig, MobilityInputs,
-                    PlatformPose, inverse_kinematics, load_config, resolve_pose,
-                    tsai_mobility)
+                    PlatformPose, load_config, resolve_pose, tsai_mobility)
 from .pointmap import PointVelocityMap, build_Vp, point_velocity
 from .screws import InverseJacobian, actuation_row_units, build_inverse_jacobian
 from .selection import (ALTERNATE_PLAN, OPPOSITE_PLAN, PRIMARY_PLAN,
@@ -22,10 +21,9 @@ __all__ = [
     "block_Ja", "brute_force_dhj", "build_Vp", "build_inverse_jacobian",
     "build_selection_matrix", "condition_number", "condition_numbers_at", "dexterity_at",
     "dimensional_audit", "enumerate_pairings", "fd_actuation_jacobian",
-    "fd_constraint_tangent", "forward_refine", "inverse_kinematics",
-    "invert_full", "load_config", "nominal_map", "point_velocity",
-    "resolve_pose", "run_validation", "singular_values", "tsai_mobility",
-    "unit_scaling_experiment",
+    "fd_constraint_tangent", "forward_refine", "invert_full", "load_config",
+    "nominal_map", "point_velocity", "resolve_pose", "run_validation", "singular_values",
+    "tsai_mobility", "unit_scaling_experiment",
 ]
 
 __version__ = "0.1.0"

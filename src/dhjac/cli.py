@@ -64,17 +64,18 @@ class SweepSpec:
     plan: SelectionPlan
     out: str
 
-    def validate(self, envelope_deg: float):
+    def validate(self, cfg: ManipulatorConfig):
         if self.steps < 2:
             raise ConfigError("grid steps must be >= 2")
         if not self.range_deg > 0:  # also refuses NaN
             raise ConfigError("range half-width must be positive")
         if not (math.isfinite(self.y_mm) and math.isfinite(self.z_mm)):
             raise ConfigError(f"--y and --z must be finite, got {self.y_mm!r}, {self.z_mm!r}")
-        if self.range_deg > envelope_deg + 1e-9:
+        if self.range_deg > cfg.envelope_deg + 1e-9:
             raise ConfigError(
-                f"range exceeds the +/-{envelope_deg:g} deg envelope "
+                f"range exceeds the +/-{cfg.envelope_deg:g} deg envelope "
                 "(raise --envelope-deg to override)")
+        self.plan.require_points(cfg.limb_count)
 
     def grids(self):
         """(theta, psi) axes in degrees; both span the same range."""
@@ -214,7 +215,7 @@ def _spec_from_args(args, cfg) -> SweepSpec:
         plan=parse_plan(args.plan),
         out=args.out,
     )
-    spec.validate(cfg.envelope_deg)
+    spec.validate(cfg)
     return spec
 
 

@@ -1,19 +1,14 @@
 """Dimensionally homogeneous Jacobian, condition numbers, unit experiments.
 
-The pose -> J_dh chain is written in two forms:
-
-* ``dexterity_at`` is the per-pose form and the reference.  It builds the
-  full record (limbs, G^T, the forward map, S, V_ps, J_dh) that ``dhjac
-  pose`` and the validation checks read, and it is the only place that
-  raises the typed refusals.
-* ``condition_numbers_at`` is the batched form that serves grids
-  (``dhjac sweep``, ``unit_scaling_experiment``, one theta row per call).
-  Its kinematics (pose resolution and IK) are ``model.resolve_many``, the
-  batched form of ``resolve_pose``; from there it carries only the two
-  condition numbers through array code with the same constants and guards,
-  and hands every pose a guard flags back to ``dexterity_at``.  Its numbers
-  agree with the per-pose form to about 1e-13 relative (rounding order
-  only); the tests hold it to 1e-12.
+The pose -> J_dh chain is written once, over a stack of poses: resolve the
+poses and their IK (``model.resolve_many``), stack G^T (``screws``), invert
+it (``forward_map``), build S and V_p (``selection``, ``pointmap``) and read
+the singular values of J_dh = S V_p J_a.  Each stage records in a ``Status``
+the refusal a pose would raise alone, and a pose keeps the first, so every
+pose of a stack gets the outcome it gets alone.  ``condition_numbers_at``
+runs the chain on the N poses of a grid row; ``dexterity_at`` runs it on one
+pose (``resolve_pose`` is a stack of one), raises its refusal, and returns
+every intermediate that ``dhjac pose`` and the validation checks read.
 
 Singular values come from LAPACK (``np.linalg.svd``); the test suite
 cross-checks them against an independent symmetric eigensolve of M^T M.
@@ -27,15 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import screws
-from .errors import KinematicsError, MixedActuation, SingularSelection
-from .forward_map import (COND_LIMIT, SIGMA_FLOOR, ForwardJacobian, cond_from_sigmas,
-                          invert_full, singular_values)
-from .model import (UNIT_SCALES, ManipulatorConfig, PlatformPose, collinear, resolve_many,
-                    resolve_pose)
+from .errors import MixedActuation, SingularSelection
+from .forward_map import (COND_LIMIT, ForwardJacobian, cond_from_sigmas, invert_full,
+                          singular_values)
+from .model import UNIT_SCALES, ManipulatorConfig, PlatformPose, resolve_many, resolve_pose
 from .pointmap import build_Vp
-from .screws import DENOMINATOR_THRESHOLD, InverseJacobian
-from .selection import (PAIR_THRESHOLD, PRIMARY_PLAN, SelectionPlan,
-                        build_selection_matrix, nominal_map)
+from .screws import InverseJacobian
+from .selection import PRIMARY_PLAN, SelectionPlan, build_selection_matrix, nominal_map
 
 
 def condition_number(M: np.ndarray) -> float:
@@ -47,7 +40,7 @@ def assemble_dhj(V_ps: np.ndarray, J_a: np.ndarray) -> np.ndarray:
     """J_dh = V_ps J_a mapping actuated joint rates to nominal velocities."""
     V_ps = np.asarray(V_ps, float)
     J_a = np.asarray(J_a, float)
-    if V_ps.shape[1] != J_a.shape[0]:
+    if V_ps.shape[-1] != J_a.shape[-2]:
         raise ValueError(f"shape mismatch: V_ps {V_ps.shape} vs J_a {J_a.shape}")
     return V_ps @ J_a
 
@@ -73,6 +66,26 @@ class DexterityRecord:
         return self.fwd.cond_GT
 
 
+def _chain(pose: PlatformPose, plan: SelectionPlan):
+    """G^T -> J_dh at one resolved pose or a stack: ``(G, fwd, S, V_ps, J_dh, sigmas, k, status)``.
+
+    ``status`` holds each pose's first refusal from ``pose.status`` on; a
+    cond(J_dh) over COND_LIMIT (the rule of ``invert_full``) is SingularSelection.
+    """
+    sel = build_selection_matrix(plan, pose.a)  # a plan of the wrong length raises here
+    G = screws.build_inverse_jacobian(pose)
+    fwd = invert_full(G)
+    vp = build_Vp(pose.a)
+    V_ps, _ = nominal_map(sel, vp)
+    J_dh = assemble_dhj(V_ps, fwd.J_a)
+    sv = singular_values(J_dh)
+    k = cond_from_sigmas(sv)
+    status = pose.status.then(G.status).then(fwd.status).then(sel.status).then(vp.status)
+    status.refuse(~(k <= COND_LIMIT), SingularSelection,
+                  lambda i: f"cond(J_dh) = {k[i]:.3e} exceeds {COND_LIMIT:.1e}", value=k)
+    return G, fwd, sel.S, V_ps, J_dh, sv, k, status
+
+
 def dexterity_at(
     cfg: ManipulatorConfig,
     y: float,
@@ -83,31 +96,15 @@ def dexterity_at(
 ) -> DexterityRecord:
     """Full pipeline at one pose: resolve (with IK), G^T, J_a, S, V_ps, J_dh.
 
-    Raises the typed refusal of the failing stage; a J_dh whose condition
-    number exceeds COND_LIMIT (the rule ``invert_full`` applies to G^T)
-    raises SingularSelection.
+    Raises the typed refusal of the first failing stage.
     """
     pose = resolve_pose(cfg, y, z, theta, psi)
-    G = screws.build_inverse_jacobian(pose.limbs)
-    fwd = invert_full(G)
-    pts = [limb.a for limb in pose.limbs]
-    sel = build_selection_matrix(plan, pts)
-    V_ps, _ = nominal_map(sel, build_Vp(pts))
-    J_dh = assemble_dhj(V_ps, fwd.J_a)
-    sv = singular_values(J_dh)
-    k = cond_from_sigmas(sv)
-    if not k <= COND_LIMIT:
-        raise SingularSelection(f"cond(J_dh) = {k:.3e} exceeds {COND_LIMIT:.1e}")
+    G, fwd, S, V_ps, J_dh, sv, k, status = _chain(pose, plan)
+    status.check()
     return DexterityRecord(
-        pose=pose, G=G, fwd=fwd, S=sel.S, V_ps=V_ps, J_dh=J_dh, sigmas=sv,
+        pose=pose, G=G, fwd=fwd, S=S, V_ps=V_ps, J_dh=J_dh, sigmas=sv,
         k=k, unit=cfg.unit, plan=plan,
     )
-
-
-def _conds(sv: np.ndarray) -> np.ndarray:
-    """``cond_from_sigmas`` over a stack of descending singular values."""
-    return np.divide(sv[:, 0], sv[:, -1], out=np.full(len(sv), math.inf),
-                     where=sv[:, -1] >= SIGMA_FLOOR)
 
 
 def condition_numbers_at(
@@ -118,87 +115,19 @@ def condition_numbers_at(
     psi,
     plan: SelectionPlan = PRIMARY_PLAN,
 ) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """cond(G^T) and cond(J_dh) at N poses, the chain of ``dexterity_at`` as array code.
+    """cond(G^T) and cond(J_dh) at N poses, the chain of ``dexterity_at`` on a stack.
 
     The coordinates broadcast to one 1-D shape (N,).  Returns ``(status,
     cond_G, cond_Jdh)``: N codes, "ok" or the ``KinematicsError.code`` that
     ``dexterity_at`` raises at that pose, and two float arrays, NaN where the
-    status is not "ok".  A pose that any guard of the chain flags
-    (non-finite or out-of-envelope coordinates, a failed Newton solve, no
-    IK solution, a vanishing row denominator, cond(G^T) over COND_LIMIT, a
-    degenerate pair, collinear anchors, cond(J_dh) over COND_LIMIT) is
-    evaluated again by ``dexterity_at``, so refusals and their codes come
-    from the per-pose path.
+    status is not "ok".  A plan whose row count is not the limb count raises
+    ConfigError before G^T is built.
     """
-    y, z, th, ps = np.broadcast_arrays(
-        *(np.atleast_1d(np.asarray(v, float)) for v in (y, z, theta, psi)))
-    n = len(th)
-    cond_G, cond_Jdh = np.full(n, math.nan), np.full(n, math.nan)
-    _, origin, B, q, ok = resolve_many(cfg, np.stack([y, z, th, ps], axis=1))
-    live = np.flatnonzero(ok if plan.f == cfg.limb_count else np.zeros(n, bool))
-    origin, B, q = origin[live], B[live], q[live]
-    A = cfg.base_points()
-    link = np.stack([B[..., 0] - A[:, 0], B[..., 1] - A[:, 1], B[..., 2] - q], axis=-1)
-    a = B - origin[:, None, :]                           # platform origin -> B
-
-    # G^T: actuation rows along the links, constraint rows along the PRS x axes
-    u = link / np.linalg.norm(link, axis=-1, keepdims=True)
-    den = u[..., 2:]                                     # u . s1, s1 = z
-    ok = (np.abs(den) >= DENOMINATOR_THRESHOLD).all(axis=(1, 2))
-    live, a, u, den = live[ok], a[ok], u[ok], den[ok]
-    f, prs = cfg.limb_count, cfg.prs_indices()
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
-    GT = np.zeros((len(live), f + len(prs), 6))
-    GT[:, :f, :3] = u / den
-    # a x u, term by term as np.cross
-    GT[:, :f, 3:] = np.stack([a1 * u2 - a2 * u1, a2 * u0 - a0 * u2, a0 * u1 - a1 * u0],
-                             axis=-1) / den
-    GT[:, f:, 0] = 1.0                                   # s2 = x
-    GT[:, f:, 4], GT[:, f:, 5] = a2[:, prs], -a1[:, prs]  # a x s2
-    k_G = _conds(singular_values(GT))
-    ok = k_G <= COND_LIMIT
-    live, a, a0, a1, a2, GT, k_G = (v[ok] for v in (live, a, a0, a1, a2, GT, k_G))
-    J_a = np.linalg.solve(GT, np.eye(6))[:, :, :f]
-
-    # S from the anchors' x-coordinates, V_p = [I, -skew(a_i)] per anchor
-    ax = a[..., 0]
-    scale = np.maximum(np.abs(ax).max(axis=1), 1e-300)
-    ok = ~collinear(a)
-    for i, j in plan.pairs:
-        ok &= np.abs(ax[:, i - 1] - ax[:, j - 1]) > PAIR_THRESHOLD * scale
-    live, ax, J_a, k_G = live[ok], ax[ok], J_a[ok], k_G[ok]
-    a0, a1, a2 = a0[ok], a1[ok], a2[ok]
-    m = len(live)
-    S = np.zeros((m, f, 3 * f))
-    for r, (i, j) in enumerate(plan.pairs):
-        delta = np.abs(ax[:, i - 1] - ax[:, j - 1])
-        S[:, r, 3 * (i - 1) + 1] = -ax[:, j - 1] / delta
-        S[:, r, 3 * (j - 1) + 1] = ax[:, i - 1] / delta
-        S[:, r, 3 * (min(i, j) - 1) + 2] = 1.0
-    V_p = np.zeros((m, f, 3, 6))
-    V_p[:, :, [0, 1, 2], [0, 1, 2]] = 1.0
-    V_p[..., 0, 4], V_p[..., 0, 5] = a2, -a1
-    V_p[..., 1, 3], V_p[..., 1, 5] = -a2, a0
-    V_p[..., 2, 3], V_p[..., 2, 4] = a1, -a0
-    J_dh = S @ V_p.reshape(m, 3 * f, 6) @ J_a
-    k_dh = _conds(singular_values(J_dh))
-    ok = k_dh <= COND_LIMIT
-    live = live[ok]
-    cond_G[live], cond_Jdh[live] = k_G[ok], k_dh[ok]
-
-    status = ["ok"] * n
-    flagged = np.ones(n, bool)
-    flagged[live] = False
-    for i in np.flatnonzero(flagged):
-        try:
-            rec = dexterity_at(cfg, float(y[i]), float(z[i]), float(th[i]), float(ps[i]),
-                               plan=plan)
-        except KinematicsError as exc:
-            status[i] = exc.code
-            continue
-        cond_G[i], cond_Jdh[i] = rec.k_conventional, rec.k
-    return status, cond_G, cond_Jdh
+    coords = np.stack(np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(v, float)) for v in (y, z, theta, psi))), axis=1)
+    _, fwd, _, _, _, _, k, status = _chain(resolve_many(cfg, coords), plan)
+    ok = status.ok
+    return status.codes(), np.where(ok, fwd.cond_GT, math.nan), np.where(ok, k, math.nan)
 
 
 #: invariance gate on cond(J_dh) between unit systems

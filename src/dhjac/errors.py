@@ -1,8 +1,17 @@
-"""Typed failures raised by the kinematics pipeline.
+"""Typed failures of the kinematics pipeline, and the ``Status`` that records them per pose.
 
-Sweep drivers map these onto per-cell status codes so that grids stay
-rectangular; the CLI maps them onto exit codes.
+The stages record the failure of each pose of a stack, so that grids stay
+rectangular; the per-pose entry points raise it, the CLI maps it onto an exit code.
 """
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable
+
+import numpy as np
 
 
 class KinematicsError(Exception):
@@ -80,3 +89,79 @@ class NoForwardSolution(KinematicsError):
     """Newton refinement of the forward kinematics failed to converge."""
 
     code = "no_forward_solution"
+
+
+@dataclass(frozen=True)
+class Refusal:
+    """Why one pose was refused: the error it raises alone, and what its message prints."""
+
+    error: type[KinematicsError]
+    message: Callable[[], str]  # builds the message when it is read
+    limb: int = 0               # failing limb or plan row, 1-based; 0 when none
+    value: float = math.nan     # the number the message prints, NaN when none
+
+
+class Status:
+    """Per-pose outcome of a stage over a stack of poses (shape ``(N,)``) or one pose (``()``).
+
+    Every pose is "ok" until refused; a pose keeps the first refusal
+    recorded for it, so stages that refuse in pipeline order leave each pose
+    the refusal that the pipeline would raise at it alone.  A message is
+    built when read, from arrays that must not change after it is recorded.
+    """
+
+    def __init__(self, shape: tuple = ()):
+        self.shape = tuple(shape)
+        self.refusals: dict[tuple, Refusal] = {}
+
+    def _new(self, bad):
+        """Indices where ``bad`` holds and the pose is not refused yet."""
+        if not bad.any():
+            return []
+        return [i for i in (zip(*np.nonzero(bad)) if self.shape else [()])
+                if i not in self.refusals]
+
+    def refuse(self, bad, error, describe, value=math.nan) -> None:
+        """Refuse each pose where ``bad`` holds; ``describe(i)`` is its message."""
+        for i in self._new(bad):
+            v = value[i] if np.ndim(value) else value
+            self.refusals[i] = Refusal(error, partial(describe, i), value=float(v))
+
+    def refuse_first(self, bad, error, describe, value) -> None:
+        """Refuse each pose where ``bad`` (..., m) holds for a limb or plan row, at the first.
+
+        Entry ``k`` (0-based) of pose ``i`` has message ``describe(i, k)``, value ``value[i][k]``.
+        """
+        for i in self._new(bad.any(axis=-1)):
+            k = int(bad[i].argmax())
+            self.refusals[i] = Refusal(error, partial(describe, i, k), k + 1, float(value[i][k]))
+
+    def then(self, later: Status) -> Status:
+        """These refusals, and those of a later stage at the poses still ok."""
+        out = Status(self.shape)
+        out.refusals = {**later.refusals, **self.refusals}
+        return out
+
+    @property
+    def ok(self) -> np.ndarray:
+        ok = np.ones(self.shape, bool)
+        for i in self.refusals:
+            ok[i] = False
+        return ok
+
+    def codes(self) -> list[str]:
+        """"ok" or the ``KinematicsError.code`` of each pose of a stack."""
+        codes = ["ok"] * self.shape[0]
+        for (i,), r in self.refusals.items():
+            codes[i] = r.error.code
+        return codes
+
+    def error(self, i=()) -> KinematicsError | None:
+        """The error pose ``i`` raises alone (an index tuple or a row), or None if it is ok."""
+        r = self.refusals.get(i if isinstance(i, tuple) else (i,))
+        return None if r is None else r.error(r.message())
+
+    def check(self) -> None:
+        """Raise the error of the first refused pose, if any."""
+        if self.refusals:
+            raise self.error(min(self.refusals))

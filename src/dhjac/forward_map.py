@@ -21,11 +21,11 @@ re-exports both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BlockSingular, SingularConfiguration
+from .errors import BlockSingular, SingularConfiguration, Status
 from .screws import InverseJacobian
 
 COND_LIMIT = 1e12
@@ -35,46 +35,54 @@ SIGMA_FLOOR = 1e-300
 
 
 def singular_values(M: np.ndarray) -> np.ndarray:
-    """Descending singular values (LAPACK)."""
-    return np.linalg.svd(np.asarray(M, float), compute_uv=False)
+    """Descending singular values (LAPACK) of a matrix or a stack; NaN for a non-finite matrix."""
+    M = np.asarray(M, float)
+    finite = np.isfinite(M).all(axis=(-2, -1))
+    sv = np.linalg.svd(np.where(finite[..., None, None], M, 0.0), compute_uv=False)
+    sv[~finite] = math.nan
+    return sv
 
 
-def cond_from_sigmas(sv: np.ndarray) -> float:
-    """2-norm condition sigma_max / sigma_min; infinite below SIGMA_FLOOR."""
-    if sv[-1] < SIGMA_FLOOR:
-        return math.inf
-    return float(sv[0] / sv[-1])
+def cond_from_sigmas(sv: np.ndarray):
+    """2-norm condition sigma_max / sigma_min of one set or a stack; infinite below SIGMA_FLOOR."""
+    lo = sv[..., -1]
+    return np.divide(sv[..., 0], lo, out=np.full(lo.shape, math.inf),
+                     where=~(lo < SIGMA_FLOOR))[()]
 
 
 @dataclass(frozen=True)
 class ForwardJacobian:
-    """J = (G^T)^-1 partitioned into actuated and constraint columns."""
+    """J = (G^T)^-1 partitioned into actuated and constraint columns, for one pose or a stack."""
 
-    J: np.ndarray        # 6 x 6
-    J_a: np.ndarray      # 6 x f
-    J_c: np.ndarray      # 6 x (6 - f)
+    J: np.ndarray        # (..., 6, 6)
+    J_a: np.ndarray      # (..., 6, f)
+    J_c: np.ndarray      # (..., 6, 6 - f)
     cond_GT: float       # 2-norm condition of the stacked G^T
+    status: Status = field(default_factory=Status)  # singular configurations
 
     @property
     def J_a1(self) -> np.ndarray:
         """Linear-velocity block (first three rows of J_a)."""
-        return self.J_a[:3]
+        return self.J_a[..., :3, :]
 
     @property
     def J_a2(self) -> np.ndarray:
         """Angular-velocity block (last three rows of J_a)."""
-        return self.J_a[3:]
+        return self.J_a[..., 3:, :]
 
 
 def invert_full(G: InverseJacobian) -> ForwardJacobian:
-    """Column solves of G^T J = I with a conditioning guard (COND_LIMIT)."""
+    """Column solves of G^T J = I; cond(G^T) over COND_LIMIT is SingularConfiguration (J NaN)."""
     GT = G.stacked
     cond = cond_from_sigmas(singular_values(GT))
-    if not math.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularConfiguration(f"cond(G^T) = {cond:.3e} exceeds {COND_LIMIT:.1e}")
-    f = G.G_a_T.shape[0]
-    J = np.linalg.solve(GT, np.eye(6))
-    return ForwardJacobian(J=J, J_a=J[:, :f], J_c=J[:, f:], cond_GT=cond)
+    singular = ~(cond <= COND_LIMIT)
+    status = Status(np.shape(cond))
+    status.refuse(singular, SingularConfiguration,
+                  lambda i: f"cond(G^T) = {cond[i]:.3e} exceeds {COND_LIMIT:.1e}", value=cond)
+    J = np.linalg.solve(np.where(singular[..., None, None], np.eye(6), GT), np.eye(6))
+    J[singular] = math.nan
+    f = G.G_a_T.shape[-2]
+    return ForwardJacobian(J=J, J_a=J[..., :f], J_c=J[..., f:], cond_GT=cond, status=status)
 
 
 def block_Ja(G: InverseJacobian) -> np.ndarray:

@@ -24,9 +24,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, NoConvergence, Unreachable
+from .errors import ConfigError, NoConvergence, Status, Unreachable
 
 X_HAT = np.array([1.0, 0.0, 0.0])
+Y_HAT = np.array([0.0, 1.0, 0.0])
 Z_HAT = np.array([0.0, 0.0, 1.0])
 
 DEFAULT_ENVELOPE_DEG = 50.0
@@ -42,21 +43,6 @@ RESOLVE_HALVINGS = 25
 ENVELOPE_SLACK = 1e-12
 #: IK discriminants down to -IK_CLAMP * l^2 count as 0 (boundary poses land eps-negative)
 IK_CLAMP = 16.0 * np.finfo(float).eps
-
-
-def rot_x(t: float) -> np.ndarray:
-    c, s = math.cos(t), math.sin(t)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
-def rot_y(t: float) -> np.ndarray:
-    c, s = math.cos(t), math.sin(t)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
-def rot_z(t: float) -> np.ndarray:
-    c, s = math.cos(t), math.sin(t)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
 @dataclass(frozen=True)
@@ -178,12 +164,17 @@ def _ring(r: float, angles_deg) -> np.ndarray:
 def collinear(points):
     """True when the points span less than a plane (rank tolerance 1e-9 relative).
 
-    ``points`` is (n, 3), or a stack (..., n, 3) for one answer per set.
+    ``points`` is (n, 3), or a stack (..., n, 3) for one answer per set; a
+    set with a non-finite point, as a refused pose of a stack leaves, is not
+    collinear.
     """
     p = np.asarray(points, float)
     d = p - p[..., :1, :]
+    finite = np.isfinite(d).all(axis=(-2, -1))
+    d = np.where(finite[..., None, None], d, 0.0)
     scale = np.maximum(np.linalg.norm(d, axis=-1).max(axis=-1), 1e-30)
-    return np.linalg.matrix_rank(d, tol=1e-9 * scale) < 2
+    rank = (np.linalg.svd(d, compute_uv=False) > 1e-9 * scale[..., None]).sum(axis=-1)
+    return (finite & (rank < 2))[()]
 
 
 def load_config(path: str | Path) -> ManipulatorConfig:
@@ -228,26 +219,6 @@ def config_from_dict(raw: dict) -> ManipulatorConfig:
 
 
 @dataclass(frozen=True)
-class PlatformPose:
-    """Resolved platform placement: independent coords plus slaved (x, phi_z)."""
-
-    y: float
-    z: float
-    theta: float
-    psi: float
-    x: float
-    phi_z: float
-    rotation: np.ndarray
-    origin: np.ndarray
-    #: closed-form IK of this pose, computed once by ``resolve_pose``
-    limbs: tuple[LimbKinematics, ...] = ()
-
-    @property
-    def coords(self) -> tuple[float, float, float, float]:
-        return (self.y, self.z, self.theta, self.psi)
-
-
-@dataclass(frozen=True)
 class LimbKinematics:
     """Pose-dependent vectors of one limb, fixed-frame components."""
 
@@ -266,131 +237,70 @@ class LimbKinematics:
     n: np.ndarray          # s3 x s2 = (0, s3_z, -s3_y)
 
 
-def _prs_residual(cfg: ManipulatorConfig, cos_psi: float, x: float, phi: float):
-    """Plane residuals B_ix - A_ix of the two PRS limbs and their phi-derivatives.
+@dataclass(frozen=True)
+class PlatformPose:
+    """Resolved platform placement with its IK: one pose, or a stack of N poses.
 
-    Row 0 of Rx(theta) Ry(psi) Rz(phi) is (cos psi cos phi, -cos psi sin phi,
-    sin psi) and the anchors lie in z = 0, so theta drops out:
-    r_k = x + cos psi (cos phi P_x - sin phi P_y) - A_x, with dr_k/dx = 1 and
-    dr_k/dphi = -cos psi (sin phi P_x + cos phi P_y), as ``_resolve_dependent``.
-    Returns ``(res, dres)``, two 2-tuples of floats.
+    ``resolve_many`` returns a stack: every array field leads with an axis of
+    N, refused rows hold NaN and ``status`` records why.  ``resolve_pose``
+    returns one pose, row 0 of a stack of one.
     """
-    P = cfg.platform_points()
-    A = cfg.base_points()
-    c, s = math.cos(phi), math.sin(phi)
-    res, dres = [], []
-    for i in cfg.prs_indices():
-        px, py = float(P[i, 0]), float(P[i, 1])
-        res.append(x + (cos_psi * c * px - cos_psi * s * py) - float(A[i, 0]))
-        dres.append(-cos_psi * s * px - cos_psi * c * py)
-    return tuple(res), tuple(dres)
+
+    cfg: ManipulatorConfig = field(repr=False)
+    y: float
+    z: float
+    theta: float
+    psi: float
+    x: float
+    phi_z: float
+    rotation: np.ndarray   # (..., 3, 3)
+    origin: np.ndarray     # (..., 3)
+    B: np.ndarray          # (..., f, 3) spherical joint centers
+    q: np.ndarray          # (..., f) actuated prismatic coordinates
+    a: np.ndarray          # (..., f, 3) platform origin -> B
+    link: np.ndarray       # (..., f, 3) C -> B, norm == link length
+    status: Status
+
+    @property
+    def coords(self) -> tuple[float, float, float, float]:
+        return (self.y, self.z, self.theta, self.psi)
+
+    @functools.cached_property
+    def limbs(self) -> tuple[LimbKinematics, ...]:
+        """The per-limb records of one pose."""
+        A = self.cfg.base_points()
+        C = A + self.q[:, None] * Z_HAT
+        s3, n = limb_axes(self.link, self.cfg.link_length)
+        return tuple(
+            LimbKinematics(index=k, kind=spec.kind, A=A[k], C=C[k], B=self.B[k], q=self.q[k],
+                           a=self.a[k], b=A[k], link=self.link[k], s1=Z_HAT, s2=X_HAT,
+                           s3=s3[k], n=n[k])
+            for k, spec in enumerate(self.cfg.limbs))
 
 
-def resolve_pose(
-    cfg: ManipulatorConfig,
-    y: float,
-    z: float,
-    theta: float,
-    psi: float,
-    envelope_deg: float | None = None,
-) -> PlatformPose:
-    """Solve the dependent coordinates (x, phi_z) for given independent coords.
+def norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the vectors (..., 3) of ``v``, each rounded as ``np.linalg.norm``.
 
-    Damped Newton on the two PRS plane residuals, started at (0, 0).  The
-    tolerance is RESOLVE_TOL relative to the base radius so the solve is
-    exactly equivariant under geometric scaling.  Raises Unreachable when a
-    coordinate is not finite, (theta, psi) is outside the rotational envelope
-    or the downstream IK has no real solution, NoConvergence when the 2x2
-    solve stalls.  The returned pose carries the IK limbs, so callers never
-    run IK on it again.
+    ``np.linalg.norm(v, axis=-1)`` sums the squares in another order than the
+    BLAS dot product behind the norm of one vector: it differs in the last
+    digit for about 1 in 9 vectors (numpy 2.4.6, bundled OpenBLAS, x86-64).
     """
-    if not all(map(math.isfinite, (y, z, theta, psi))):
-        raise Unreachable(f"pose coordinates {(y, z, theta, psi)} are not all finite")
-    env = cfg.envelope_deg if envelope_deg is None else envelope_deg
-    lim = math.radians(env) + ENVELOPE_SLACK
-    if abs(theta) > lim or abs(psi) > lim:
-        raise Unreachable(
-            f"(theta, psi) = ({math.degrees(theta):.2f}, {math.degrees(psi):.2f}) deg "
-            f"outside the +/-{env:g} deg envelope"
-        )
-    tol = RESOLVE_TOL * cfg.base_radius
-    cos_psi = math.cos(psi)
-
-    x, phi = 0.0, 0.0
-    res, dres = _prs_residual(cfg, cos_psi, x, phi)
-    norm = max(abs(res[0]), abs(res[1]))
-    for _ in range(RESOLVE_MAX_ITER):
-        if norm < tol:
-            break
-        # jac = [[1, dres_0], [1, dres_1]]
-        det = dres[1] - dres[0]
-        if abs(det) < RESOLVE_DET_RTOL * max(1.0, abs(dres[0]), abs(dres[1])) ** 2:
-            raise NoConvergence("dependent-coordinate system singular")
-        step = np.linalg.solve([[1.0, dres[0]], [1.0, dres[1]]], [-res[0], -res[1]])
-        lam = 1.0
-        for _ in range(RESOLVE_HALVINGS):
-            res_new, dres_new = _prs_residual(
-                cfg, cos_psi, x + lam * step[0], phi + lam * step[1])
-            norm_new = max(abs(res_new[0]), abs(res_new[1]))
-            if norm_new < norm or norm_new < tol:
-                break
-            lam *= 0.5
-        else:
-            raise NoConvergence("damped Newton made no progress")
-        x += lam * step[0]
-        phi += lam * step[1]
-        res, dres, norm = res_new, dres_new, norm_new
-    else:
-        raise NoConvergence(
-            f"residual {norm:.3e} after {RESOLVE_MAX_ITER} iterations (tol {tol:.1e})")
-
-    R = rot_x(theta) @ rot_y(psi) @ rot_z(phi)
-    pose = PlatformPose(
-        y=y, z=z, theta=theta, psi=psi, x=x, phi_z=phi,
-        rotation=R, origin=np.array([x, y, z]),
-    )
-    # reachability of the actuated joints is part of the pose contract
-    return replace(pose, limbs=tuple(inverse_kinematics(cfg, pose)))
+    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
 
 
-def inverse_kinematics(cfg: ManipulatorConfig, pose: PlatformPose) -> list[LimbKinematics]:
-    """Closed-form prismatic IK, elbow-down branch (C below B)."""
-    out = []
-    P = cfg.platform_points()
-    A = cfg.base_points()
-    L = cfg.link_length
-    clamp = IK_CLAMP * L * L
-    for i, spec in enumerate(cfg.limbs):
-        B = pose.origin + pose.rotation @ P[i]
-        dx, dy = B[0] - A[i, 0], B[1] - A[i, 1]
-        disc = L * L - dx * dx - dy * dy
-        if -clamp <= disc < 0.0:
-            disc = 0.0
-        if disc < 0.0:
-            raise Unreachable(
-                f"limb {i + 1}: lateral offset {math.hypot(dx, dy):.6g} exceeds link {L:g}")
-        q = B[2] - math.sqrt(disc)
-        C = A[i] + q * Z_HAT
-        link = B - C
-        # s2 = x_hat, so s2 x link = (0, -l_z, l_y) and s3 x s2 = (0, s3_z, -s3_y)
-        cross = np.array([0.0, -link[2], link[1]])
-        cn = math.sqrt(cross @ cross)  # np.linalg.norm(cross), bit for bit
-        if cn < 1e-12 * L:
-            # link parallel to the x axis; universal axis direction undefined
-            s3 = np.array([0.0, 1.0, 0.0])
-        else:
-            s3 = cross / cn
-        out.append(LimbKinematics(
-            index=i, kind=spec.kind,
-            A=A[i], C=C, B=B, q=q,
-            a=B - pose.origin, b=A[i], link=link,
-            s1=Z_HAT, s2=X_HAT, s3=s3, n=np.array([0.0, s3[2], -s3[1]]),
-        ))
-    return out
+def limb_axes(link: np.ndarray, L: float) -> tuple[np.ndarray, np.ndarray]:
+    """Universal-joint axes ``(s3, n)`` of links (..., 3) of length ``L``: with s2 = x_hat,
+    s3 = unit(s2 x link) = (0, -l_z, l_y) / |.| (y_hat for a link along x), n = s3 x s2."""
+    zero = np.zeros(link.shape[:-1])
+    cross = np.stack([zero, -link[..., 2], link[..., 1]], axis=-1)
+    cn = norms(cross)[..., None]
+    s3 = np.divide(cross, cn, out=np.broadcast_to(Y_HAT, cross.shape).copy(),
+                   where=~(cn < 1e-12 * L))
+    return s3, np.stack([zero, s3[..., 2], -s3[..., 1]], axis=-1)
 
 
 def _rot(c: np.ndarray, s: np.ndarray, axis: int) -> np.ndarray:
-    """Stacked rotations about one frame axis, entries as ``rot_x/y/z``."""
+    """Stacked rotations about frame axis 0, 1 or 2 by angles of cosines ``c``, sines ``s``."""
     i, j = (axis + 1) % 3, (axis + 2) % 3  # cyclic successors carry -sin at (i, j)
     R = np.zeros((len(c), 3, 3))
     R[:, axis, axis] = 1.0
@@ -399,41 +309,44 @@ def _rot(c: np.ndarray, s: np.ndarray, axis: int) -> np.ndarray:
     return R
 
 
-def _resolve_dependent(cfg: ManipulatorConfig, psi: np.ndarray):
-    """(x, phi_z) at N poses by ``resolve_pose``'s damped Newton, one mask per pose.
+def _resolve_dependent(cfg: ManipulatorConfig, psi: np.ndarray, status: Status):
+    """(x, phi_z) at N poses by damped Newton on the PRS plane residuals, one mask per pose.
 
-    The PRS plane residuals depend on psi and phi_z only (theta rotates about
-    the x axis they measure along).  Returns ``x, phi, converged``.
+    Row 0 of Rx(theta) Ry(psi) Rz(phi) is (cos psi cos phi, -cos psi sin phi,
+    sin psi) and the anchors lie in z = 0, so theta drops out:
+    r_k = x + cos psi (cos phi P_x - sin phi P_y) - A_x, with dr_k/dx = 1 and
+    dr_k/dphi = -cos psi (sin phi P_x + cos phi P_y).  Started at (0, 0); a
+    stalled solve is refused in ``status`` as NoConvergence.
     """
     prs = cfg.prs_indices()
-    P = cfg.platform_points()[prs]
+    Px, Py = cfg.platform_points()[prs, :2].T
     Ax = cfg.base_points()[prs, 0]
     cp = np.cos(psi)[:, None]
     tol = RESOLVE_TOL * cfg.base_radius
 
     def residual(x, phi, rows):
         c, s = np.cos(phi)[:, None], np.sin(phi)[:, None]
-        res = x[:, None] + (cp[rows] * c * P[:, 0] - cp[rows] * s * P[:, 1]) - Ax
-        dres = -cp[rows] * s * P[:, 0] - cp[rows] * c * P[:, 1]
+        cpr = cp[rows]
+        res = x[:, None] + (cpr * c * Px - cpr * s * Py) - Ax
+        dres = -cpr * s * Px - cpr * c * Py
         return res, dres, np.abs(res).max(axis=1)
 
     n = len(psi)
     x, phi = np.zeros(n), np.zeros(n)
     res, dres, norm = residual(x, phi, slice(None))
-    failed = np.zeros(n, bool)
     for _ in range(RESOLVE_MAX_ITER):
-        active = ~(norm < tol) & ~failed
+        active = ~(norm < tol) & status.ok  # refused poses leave the solve
         if not active.any():
             break
         # jac = [[1, dres_0], [1, dres_1]]
         det = dres[:, 1] - dres[:, 0]
         big = np.maximum(1.0, np.abs(dres).max(axis=1))
-        failed |= active & ~(np.abs(det) >= RESOLVE_DET_RTOL * big ** 2)
-        active &= ~failed
-        rows = np.flatnonzero(active)
+        singular = active & ~(np.abs(det) >= RESOLVE_DET_RTOL * big ** 2)
+        status.refuse(singular, NoConvergence, lambda i: "dependent-coordinate system singular")
+        rows = np.flatnonzero(active & ~singular)
         jac = np.ones((len(rows), 2, 2))
         jac[:, :, 1] = dres[rows]
-        # one LAPACK solve per pose, bit for bit the 2x2 solve of resolve_pose
+        # one LAPACK 2x2 solve per pose, whatever the stack
         step = np.linalg.solve(jac, -res[rows, :, None])[..., 0]
         lam = 1.0  # the poses still searching have all been halved equally often
         for _ in range(RESOLVE_HALVINGS):
@@ -447,46 +360,85 @@ def _resolve_dependent(cfg: ManipulatorConfig, psi: np.ndarray):
             if not len(rows):
                 break
             lam *= 0.5
-        failed[rows] = True
+        stalled = np.zeros(n, bool)
+        stalled[rows] = True
+        status.refuse(stalled, NoConvergence, lambda i: "damped Newton made no progress")
     else:
-        # these took the last allowed step; resolve_pose gives up on them
-        failed |= active
-    return x, phi, ~failed
+        # these took the last allowed step without reaching the tolerance
+        status.refuse(active, NoConvergence,
+                      lambda i: f"residual {norm[i]:.3e} after {RESOLVE_MAX_ITER} "
+                                f"iterations (tol {tol:.1e})", value=norm)
+    return x, phi
 
 
-def resolve_many(cfg: ManipulatorConfig, coords, envelope_deg: float | None = None):
-    """``resolve_pose`` with its IK at the M poses (y, z, theta, psi) of ``coords`` (M, 4).
+def resolve_many(cfg: ManipulatorConfig, coords, envelope_deg: float | None = None
+                 ) -> PlatformPose:
+    """Resolve the M poses (y, z, theta, psi) of ``coords`` (M, 4) and their IK, as a stack.
 
-    Returns ``(R, origin, B, q, ok)``: rotations (M, 3, 3), origins (M, 3),
-    spherical joint centers (M, f, 3), joint values (M, f) and ``ok`` (M,),
-    True where ``resolve_pose`` with this ``envelope_deg`` returns a pose;
-    refused rows hold NaN.  Each row takes the operations of the per-pose
-    path, so it equals ``resolve_pose``'s values bit for bit.
+    (x, phi_z) come from a damped Newton solve whose tolerance is RESOLVE_TOL
+    relative to r_b (so it is exactly equivariant under geometric scaling),
+    the joints from the closed-form prismatic IK, elbow-down (C below B).
+    ``status`` refuses a non-finite pose, one outside the ``envelope_deg``
+    envelope (by default the config's) or out of a limb's reach as
+    Unreachable, and a stalled solve as NoConvergence.  A row takes the same
+    operations in any stack, so it equals ``resolve_pose`` bit for bit.
     """
-    coords = np.asarray(coords, float).reshape(-1, 4)
+    coords = np.array(coords, float).reshape(-1, 4)  # a copy: the messages read it later
     env = cfg.envelope_deg if envelope_deg is None else envelope_deg
     lim = math.radians(env) + ENVELOPE_SLACK
-    ok = np.isfinite(coords).all(axis=1) & (np.abs(coords[:, 2:]) <= lim).all(axis=1)
+    status = Status((len(coords),))
+    status.refuse(~np.isfinite(coords).all(axis=1), Unreachable,
+                  lambda i: f"pose coordinates {tuple(coords[i].tolist())} are not all finite")
+    status.refuse(~(np.abs(coords[:, 2:]) <= lim).all(axis=1), Unreachable,
+                  lambda i: f"(theta, psi) = ({math.degrees(coords[i][2]):.2f}, "
+                            f"{math.degrees(coords[i][3]):.2f}) deg outside the "
+                            f"+/-{env:g} deg envelope")
     # refused rows ride along at (0, 0, 0, 0) and are blanked at the end
-    y, z, th, ps = np.where(ok[:, None], coords, 0.0).T
-    x, phi, converged = _resolve_dependent(cfg, ps)
-    ok &= converged
+    y, z, th, ps = np.where(status.ok[:, None], coords, 0.0).T
+    x, phi = _resolve_dependent(cfg, ps, status)
 
-    # closed-form IK, elbow-down, as inverse_kinematics
     R = _rot(np.cos(th), np.sin(th), 0) @ _rot(np.cos(ps), np.sin(ps), 1) \
         @ _rot(np.cos(phi), np.sin(phi), 2)
-    origin = np.stack([x, y, z], axis=1)
-    # one matrix-vector product per anchor, as ``rotation @ P[i]`` rounds it
+    origin = np.empty((len(coords), 3))
+    origin[:, 0], origin[:, 1], origin[:, 2] = x, y, z
+    # one matrix-vector product per anchor, which rounds as ``rotation @ P[i]``
     B = origin[:, None, :] + (R[:, None] @ cfg.platform_points()[:, :, None])[..., 0]
     A, L = cfg.base_points(), cfg.link_length
     dx, dy = B[..., 0] - A[:, 0], B[..., 1] - A[:, 1]
     disc = L * L - dx * dx - dy * dy
     disc[(disc >= -IK_CLAMP * L * L) & (disc < 0.0)] = 0.0
-    ok &= (disc >= 0.0).all(axis=1)
-    q = B[..., 2] - np.sqrt(np.where(ok[:, None], disc, math.nan))
-    for v in (R, origin, B):
-        v[~ok] = math.nan
-    return R, origin, B, q, ok
+    offset = np.hypot(dx, dy)
+    status.refuse_first(disc < 0.0, Unreachable,
+                        lambda i, k: f"limb {k + 1}: lateral offset {offset[i][k]:.6g} "
+                                     f"exceeds link {L:g}", value=offset)
+    refused = ~status.ok
+    q = B[..., 2] - np.sqrt(np.where(refused[:, None], math.nan, disc))
+    if refused.any():
+        for v in (x, phi, R, origin, B):
+            v[refused] = math.nan
+    link = B - (A + q[..., None] * Z_HAT)
+    return PlatformPose(cfg, *coords.T, x, phi, R, origin, B, q, B - origin[:, None, :], link,
+                        status)
+
+
+def resolve_pose(
+    cfg: ManipulatorConfig,
+    y: float,
+    z: float,
+    theta: float,
+    psi: float,
+    envelope_deg: float | None = None,
+) -> PlatformPose:
+    """``resolve_many`` at one pose: a stack of one, whose refusal is raised.
+
+    Raises Unreachable or NoConvergence as ``resolve_many`` records them.
+    The returned pose carries its IK, so callers never run IK on it again.
+    """
+    poses = resolve_many(cfg, (y, z, theta, psi), envelope_deg)
+    poses.status.check()
+    return PlatformPose(cfg, *(float(v[0]) for v in (*poses.coords, poses.x, poses.phi_z)),
+                        *(v[0] for v in (poses.rotation, poses.origin, poses.B, poses.q, poses.a,
+                                         poses.link)), Status())
 
 
 def tsai_mobility(mobility: MobilityInputs) -> int:

@@ -6,20 +6,22 @@ gives the 3f x 6 matrix with row blocks [I, -skew(a_i)].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegeneratePoints
+from .errors import DegeneratePoints, Status
 from .model import collinear
 
 
 def skew(a: np.ndarray) -> np.ndarray:
-    return np.array([
-        [0.0, -a[2], a[1]],
-        [a[2], 0.0, -a[0]],
-        [-a[1], a[0], 0.0],
-    ])
+    """Cross-product matrices (..., 3, 3) of the vectors (..., 3)."""
+    a = np.asarray(a, float)
+    S = np.zeros(a.shape + (3,))
+    S[..., 0, 1], S[..., 0, 2] = -a[..., 2], a[..., 1]
+    S[..., 1, 0], S[..., 1, 2] = a[..., 2], -a[..., 0]
+    S[..., 2, 0], S[..., 2, 1] = -a[..., 1], a[..., 0]
+    return S
 
 
 def point_velocity(v: np.ndarray, w: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -29,21 +31,22 @@ def point_velocity(v: np.ndarray, w: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PointVelocityMap:
-    points: tuple[np.ndarray, ...]
-    V_p: np.ndarray  # 3f x 6
+    points: np.ndarray  # (..., n, 3)
+    V_p: np.ndarray     # (..., 3n, 6)
+    status: Status = field(default_factory=Status)  # collinear point sets
 
     @property
     def count(self) -> int:
-        return len(self.points)
+        return self.points.shape[-2]
 
 
 def build_Vp(points) -> PointVelocityMap:
-    """Stack [I, -skew(a_i)] blocks; raises DegeneratePoints on collinear input."""
-    pts = [np.asarray(p, float) for p in points]
-    if len(pts) >= 3 and collinear(pts):
-        raise DegeneratePoints("point set is collinear")
-    Vp = np.zeros((3 * len(pts), 6))
-    for i, a in enumerate(pts):
-        Vp[3 * i:3 * i + 3, :3] = np.eye(3)
-        Vp[3 * i:3 * i + 3, 3:] = -skew(a)
-    return PointVelocityMap(points=tuple(pts), V_p=Vp)
+    """Stack [I, -skew(a_i)] blocks of points (..., n, 3); a collinear set is DegeneratePoints."""
+    pts = np.asarray(points, float)
+    status = Status(pts.shape[:-2])
+    if pts.shape[-2] >= 3:
+        status.refuse(collinear(pts), DegeneratePoints, lambda i: "point set is collinear")
+    V_p = np.empty(pts.shape + (6,))
+    V_p[..., :3] = np.eye(3)
+    V_p[..., 3:] = -skew(pts)
+    return PointVelocityMap(pts, V_p.reshape(pts.shape[:-2] + (-1, 6)), status)

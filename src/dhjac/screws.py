@@ -18,12 +18,13 @@ the documented comparison in the validation report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MixedActuation, SingularLimb
-from .model import LimbKinematics, ManipulatorConfig
+from .errors import MixedActuation, SingularLimb, Status
+from .model import X_HAT, ManipulatorConfig, PlatformPose, limb_axes, norms
 
 #: |l_hat . s1| below this is treated as a limb singularity (dimensionless)
 DENOMINATOR_THRESHOLD = 1e-12
@@ -34,68 +35,76 @@ PUS_ROW_VARIANT = "link"
 
 @dataclass(frozen=True)
 class InverseJacobian:
-    """Stacked [G_a^T; G_c^T] with its four named blocks."""
+    """Stacked [G_a^T; G_c^T] with its four named blocks, for one pose or a stack."""
 
-    G_a_T: np.ndarray  # f x 6, actuation rows
-    G_c_T: np.ndarray  # (6 - f) x 6, constraint rows
+    G_a_T: np.ndarray  # (..., f, 6), actuation rows
+    G_c_T: np.ndarray  # (..., 6 - f, 6), constraint rows
+    status: Status = field(default_factory=Status)  # limb singularities
 
     @property
     def stacked(self) -> np.ndarray:
-        return np.vstack([self.G_a_T, self.G_c_T])
+        return np.concatenate([self.G_a_T, self.G_c_T], axis=-2)
 
     @property
     def G_av_T(self) -> np.ndarray:
-        return self.G_a_T[:, :3]
+        return self.G_a_T[..., :3]
 
     @property
     def G_aw_T(self) -> np.ndarray:
-        return self.G_a_T[:, 3:]
+        return self.G_a_T[..., 3:]
 
     @property
     def G_cv_T(self) -> np.ndarray:
-        return self.G_c_T[:, :3]
+        return self.G_c_T[..., :3]
 
     @property
     def G_cw_T(self) -> np.ndarray:
-        return self.G_c_T[:, 3:]
+        return self.G_c_T[..., 3:]
 
 
-def _actuation_direction(limb: LimbKinematics, variant: str) -> np.ndarray:
-    if variant == "link":
-        return limb.link / np.linalg.norm(limb.link)
-    if variant == "normal":
-        # n_i rows for the PUS limbs: kept for oracle comparison only
-        return limb.n if limb.kind == "PUS" else limb.link / np.linalg.norm(limb.link)
-    raise ValueError(f"unknown row variant {variant!r}")
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b over (..., 3), ``b`` broadcast to ``a``, term by term as ``np.cross`` rounds it."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    out = np.empty(a.shape)
+    out[..., 0] = a1 * b2 - a2 * b1
+    out[..., 1] = a2 * b0 - a0 * b2
+    out[..., 2] = a0 * b1 - a1 * b0
+    return out
 
 
 def build_inverse_jacobian(
-    limbs: list[LimbKinematics],
+    pose: PlatformPose,
     variant: str = PUS_ROW_VARIANT,
     moment_sign: float = 1.0,
 ) -> InverseJacobian:
-    """Assemble G^T; raises SingularLimb when a row denominator vanishes.
+    """Assemble G^T at one pose or a stack; a vanishing row denominator is SingularLimb.
 
     ``variant`` and ``moment_sign`` select the documented formula variants for
     oracle comparison; defaults are the adopted (oracle-passing) recipe.
     """
-    f = len(limbs)
-    Ga = np.zeros((f, 6))
-    for i, limb in enumerate(limbs):
-        u = _actuation_direction(limb, variant)
-        den = float(u @ limb.s1)
-        if abs(den) < DENOMINATOR_THRESHOLD:
-            raise SingularLimb(
-                f"limb {limb.index + 1}: actuation screw reciprocal to rail "
-                f"(|u.s1| = {abs(den):.3e})")
-        Ga[i, :3] = u / den
-        Ga[i, 3:] = moment_sign * np.cross(limb.a, u) / den
-    prs = [limb for limb in limbs if limb.kind == "PRS"]
-    Gc = np.zeros((len(prs), 6))
-    for k, limb in enumerate(prs):
-        Gc[k, :3] = limb.s2
-        Gc[k, 3:] = moment_sign * np.cross(limb.a, limb.s2)
-    return InverseJacobian(G_a_T=Ga, G_c_T=Gc)
+    u = pose.link / norms(pose.link)[..., None]
+    if variant == "normal":
+        # n_i rows for the PUS limbs: kept for oracle comparison only
+        pus = [spec.kind == "PUS" for spec in pose.cfg.limbs]
+        u[..., pus, :] = limb_axes(pose.link[..., pus, :], pose.cfg.link_length)[1]
+    elif variant != "link":
+        raise ValueError(f"unknown row variant {variant!r}")
+    den = u[..., 2:]  # u . s1 with s1 = z_hat
+    size = np.abs(den[..., 0])
+    singular = size < DENOMINATOR_THRESHOLD
+    status = Status(singular.shape[:-1])
+    status.refuse_first(singular, SingularLimb,
+                        lambda i, k: f"limb {k + 1}: actuation screw reciprocal to rail "
+                                     f"(|u.s1| = {size[i][k]:.3e})",
+                        value=size)
+    den = np.where(singular[..., None], math.nan, den)
+    Ga = np.concatenate([u / den, moment_sign * _cross(pose.a, u) / den], axis=-1)
+    a = pose.a[..., pose.cfg.prs_indices(), :]
+    Gc = np.empty(a.shape[:-1] + (6,))
+    Gc[..., :3] = X_HAT  # s2
+    Gc[..., 3:] = moment_sign * _cross(a, X_HAT)
+    return InverseJacobian(G_a_T=Ga, G_c_T=Gc, status=status)
 
 
 @dataclass(frozen=True)

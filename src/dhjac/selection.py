@@ -19,11 +19,12 @@ map invertible.  The choice is recorded in the validation report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DegeneratePair
+from .errors import ConfigError, DegeneratePair, Status
 from .pointmap import PointVelocityMap
 
 #: relative threshold on |a_ix - a_jx| below which a pair is degenerate
@@ -75,6 +76,11 @@ class SelectionPlan:
     def pair_strings(self) -> list[list[str]]:
         return [[f"{i}y", f"{j}z"] for i, j in self.pairs]
 
+    def require_points(self, count: int) -> None:
+        """Refuse as ConfigError a plan whose row count is not the point (limb) count."""
+        if count != self.f:
+            raise ConfigError(f"plan has {self.f} rows but {count} points given")
+
 
 PRIMARY_PLAN = SelectionPlan(PRIMARY_PLAN_PAIRS)
 OPPOSITE_PLAN = SelectionPlan(OPPOSITE_PLAN_PAIRS)
@@ -88,34 +94,37 @@ def enumerate_pairings(f: int) -> list[list[tuple[int, int]]]:
 
 @dataclass(frozen=True)
 class SelectionMatrix:
-    S: np.ndarray  # f x 3f, dimensionless
+    S: np.ndarray  # (..., f, 3f), dimensionless
     plan: SelectionPlan
+    status: Status = field(default_factory=Status)  # degenerate pairs
 
 
 def build_selection_matrix(plan: SelectionPlan, points) -> SelectionMatrix:
-    """Solve the per-pair cancellation weights at the given platform points.
+    """Solve the per-pair cancellation weights at the platform points (..., f, 3).
 
-    Raises DegeneratePair when a pair's x-coordinates coincide (relative to
-    the largest |a_x| in the point set).
+    A pair whose x-coordinates coincide (relative to the largest |a_x| in the
+    point set) is DegeneratePair.
     """
-    pts = [np.asarray(p, float) for p in points]
-    f = plan.f
-    if len(pts) != f:
-        raise ConfigError(f"plan has {f} rows but {len(pts)} points given")
-    ax = [p[0] for p in pts]
-    scale = max(max(abs(v) for v in ax), 1e-300)
-    S = np.zeros((f, 3 * f))
-    for r, (i, j) in enumerate(plan.pairs):
-        delta = ax[i - 1] - ax[j - 1]
-        if abs(delta) <= PAIR_THRESHOLD * scale:
-            raise DegeneratePair(
-                f"pair (v_{i}y, v_{j}z): a_{i}x - a_{j}x = {delta:.3e} "
-                f"(threshold {PAIR_THRESHOLD * scale:.3e})")
-        k = min(i, j)
-        S[r, 3 * (i - 1) + 1] = -ax[j - 1] / abs(delta)
-        S[r, 3 * (j - 1) + 1] = ax[i - 1] / abs(delta)
-        S[r, 3 * (k - 1) + 2] = 1.0
-    return SelectionMatrix(S=S, plan=plan)
+    pts = np.asarray(points, float)
+    plan.require_points(pts.shape[-2])
+    i, j = np.array(plan.pairs).T - 1  # y-point and z-partner of each row, 0-based
+    ax = pts[..., 0]
+    scale = np.maximum(np.abs(ax).max(axis=-1), 1e-300)
+    delta = ax[..., i] - ax[..., j]
+    degenerate = np.abs(delta) <= PAIR_THRESHOLD * scale[..., None]
+    status = Status(scale.shape)
+    status.refuse_first(degenerate, DegeneratePair,
+                        lambda n, r: f"pair (v_{i[r] + 1}y, v_{j[r] + 1}z): a_{i[r] + 1}x - "
+                                     f"a_{j[r] + 1}x = {delta[n][r]:.3e} "
+                                     f"(threshold {PAIR_THRESHOLD * scale[n]:.3e})",
+                        value=delta)
+    width = np.where(degenerate, math.nan, np.abs(delta))
+    rows = np.arange(plan.f)
+    S = np.zeros(scale.shape + (plan.f, 3 * plan.f))
+    S[..., rows, 3 * i + 1] = -ax[..., j] / width
+    S[..., rows, 3 * j + 1] = ax[..., i] / width
+    S[..., rows, 3 * np.minimum(i, j) + 2] = 1.0
+    return SelectionMatrix(S=S, plan=plan, status=status)
 
 
 #: column indices of the independent freedoms (v_y, v_z, w_x, w_y) in a twist
@@ -126,9 +135,9 @@ CONSTRAINED_COLS = (0, 5)
 
 def nominal_map(sel: SelectionMatrix, vp: PointVelocityMap) -> tuple[np.ndarray, np.ndarray]:
     """V_ps = S V_p and its square restriction to the independent freedoms."""
-    if sel.S.shape[1] != vp.V_p.shape[0]:
+    if sel.S.shape[-1] != vp.V_p.shape[-2]:
         raise ConfigError(
-            f"selection matrix expects {sel.S.shape[1] // 3} points, "
+            f"selection matrix expects {sel.S.shape[-1] // 3} points, "
             f"map has {vp.count}")
     V_ps = sel.S @ vp.V_p
-    return V_ps, V_ps[:, INDEPENDENT_COLS]
+    return V_ps, V_ps[..., INDEPENDENT_COLS]

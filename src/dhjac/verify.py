@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import dhj, forward_map, screws
-from .errors import (BlockSingular, DegeneratePair, KinematicsError,
+from .errors import (BlockSingular, ConfigError, DegeneratePair, KinematicsError,
                      NoForwardSolution, StepTooLarge)
 from .model import ManipulatorConfig, resolve_many, resolve_pose, tsai_mobility
 from .selection import (ALTERNATE_PLAN, CONSTRAINED_COLS, OPPOSITE_PLAN,
@@ -53,26 +53,18 @@ def _central_rows(center, steps) -> np.ndarray:
     return rows
 
 
-def _refused(cfg, coords, envelope_deg=None) -> KinematicsError:
-    """The error ``resolve_pose`` raises at a pose that ``resolve_many`` refused."""
-    try:
-        resolve_pose(cfg, *coords, envelope_deg=envelope_deg)
-    except KinematicsError as exc:
-        return exc
-    raise RuntimeError(f"resolve_many refused {tuple(coords)}, which resolve_pose accepts")
-
-
 def _perturbed_poses(cfg, coords, h):
     """``resolve_many`` at the 8 central-difference rows of ``coords``, and 2 h_k."""
     steps = step_sizes(cfg, h)
     rows = _central_rows(coords, steps)
     env = cfg.envelope_deg + 1.0  # perturbations of a feasible pose may graze the guard
-    R, origin, _, q, ok = resolve_many(cfg, rows, env)
+    poses = resolve_many(cfg, rows, env)
+    ok = poses.status.ok
     if not ok.all():
         i = int(np.argmin(ok))
-        exc = _refused(cfg, rows[i], env)
+        exc = poses.status.error(i)
         raise StepTooLarge(f"perturbed pose infeasible along coord {i // 2}: {exc}") from exc
-    return R, origin, q, 2.0 * steps
+    return poses.rotation, poses.origin, poses.q, 2.0 * steps
 
 
 def fd_actuation_jacobian(cfg: ManipulatorConfig, coords, h: float = 1e-6) -> np.ndarray:
@@ -113,13 +105,13 @@ def forward_refine(cfg: ManipulatorConfig, q_target: np.ndarray, guess_coords) -
     active = np.arange(len(targets))
     for _ in range(REFINE_MAX_ITER):
         rows = np.concatenate([coords[active, None], _central_rows(coords[active], steps)], 1)
-        _, _, _, q, ok = resolve_many(cfg, rows, env)
-        q, ok = q.reshape(len(active), 9, -1), ok.reshape(len(active), 9)
+        poses = resolve_many(cfg, rows, env)
+        q, ok = poses.q.reshape(len(active), 9, -1), poses.status.ok.reshape(len(active), 9)
         r = q[:, 0] - targets[active]
         stepping = ~(ok[:, 0] & (np.abs(r).max(axis=1) < tol))
         for t in np.flatnonzero(stepping & ~ok.all(axis=1)):
             i = int(np.argmin(ok[t]))
-            exc = _refused(cfg, rows[t, i], env)
+            exc = poses.status.error(9 * t + i)
             if i == 0:  # the iterate itself
                 cause, exc = exc, NoForwardSolution(f"iterate left the workspace: {exc}")
                 exc.__cause__ = cause
@@ -150,14 +142,15 @@ def brute_force_dhj(cfg: ManipulatorConfig, coords, plan=PRIMARY_PLAN) -> np.nda
     forward refinement.
     """
     h_q = BRUTE_FORCE_STEP * max(cfg.base_radius, 1e-30)
-    limbs0 = resolve_pose(cfg, *coords).limbs
-    S = build_selection_matrix(plan, [limb.a for limb in limbs0]).S
-    refined = forward_refine(cfg, _central_rows([limb.q for limb in limbs0], h_q), coords)
+    pose0 = resolve_pose(cfg, *coords)
+    sel = build_selection_matrix(plan, pose0.a)
+    sel.status.check()
+    refined = forward_refine(cfg, _central_rows(pose0.q, h_q), coords)
     # forward_refine accepted each refined pose at this envelope in its last iteration
-    B = resolve_many(cfg, refined, cfg.envelope_deg + 5.0)[2]
+    B = resolve_many(cfg, refined, cfg.envelope_deg + 5.0).B
     d = (B[0::2] - B[1::2]).reshape(cfg.limb_count, -1)  # the f anchor points, concatenated
     # a matrix-vector product per column, as S @ (bp - bm) rounds it
-    return ((S @ d[:, :, None])[..., 0] / (2.0 * h_q)).T
+    return ((sel.S @ d[:, :, None])[..., 0] / (2.0 * h_q)).T
 
 
 @dataclass
@@ -176,26 +169,37 @@ def _rel(err_matrix, ref_matrix):
     return float(np.max(np.abs(err_matrix)) / ref) if ref > 0 else math.inf
 
 
-def sample_poses(cfg: ManipulatorConfig, n: int, seed: int = DEFAULT_SEED):
-    """Deterministic random poses across the rotational envelope and z band."""
+def random_coords(cfg: ManipulatorConfig, n: int,
+                  seed: int = DEFAULT_SEED) -> list[tuple[float, float, float, float]]:
+    """Deterministic random poses (0, z, theta, psi): z in the 100-200 band of a 450 mm base
+    radius, scaled to the config's, and both angles across the rotational envelope."""
     rng = np.random.default_rng(seed)
     lim = math.radians(cfg.envelope_deg)
     z_scale = cfg.base_radius / 450.0
-    coords = [(0.0,
-               float(rng.uniform(100.0, 200.0) * z_scale),
-               float(rng.uniform(-lim, lim)),
-               float(rng.uniform(-lim, lim)))
-              for _ in range(n)]
-    ok = resolve_many(cfg, coords)[-1]
-    feasible = [c for c, good in zip(coords, ok) if good]
-    # only a refused pose goes through resolve_pose, for its code
-    failures = [(c, _refused(cfg, c).code) for c, good in zip(coords, ok) if not good]
+    return [(0.0,
+             float(rng.uniform(100.0, 200.0) * z_scale),
+             float(rng.uniform(-lim, lim)),
+             float(rng.uniform(-lim, lim)))
+            for _ in range(n)]
+
+
+def sample_poses(cfg: ManipulatorConfig, n: int, seed: int = DEFAULT_SEED):
+    """``random_coords`` split into the feasible poses and the refused ones with their codes."""
+    coords = random_coords(cfg, n, seed)
+    codes = resolve_many(cfg, coords).status.codes()
+    feasible = [c for c, code in zip(coords, codes) if code == "ok"]
+    failures = [(c, code) for c, code in zip(coords, codes) if code != "ok"]
     return feasible, failures
 
 
 def run_validation(cfg: ManipulatorConfig, seed: int = DEFAULT_SEED,
                    n_poses: int = 100, n_dhj: int = 50) -> dict:
-    """Run every oracle; returns the JSON-serializable validation report."""
+    """Run every oracle; returns the JSON-serializable validation report (ConfigError for a
+    negative seed or no pose)."""
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+    if n_poses < 1:
+        raise ConfigError(f"at least one pose is needed, got {n_poses}")
     poses, failures = sample_poses(cfg, n_poses, seed)
     checks: list[OracleReport] = []
     # each per-pose oracle and record is computed once and read by every check
@@ -231,7 +235,8 @@ def run_validation(cfg: ManipulatorConfig, seed: int = DEFAULT_SEED,
     def actuation(coords, **variant):
         T, FD = tangent(coords), fd_ik(coords)
         rec = record(coords, PRIMARY_PLAN)
-        G = screws.build_inverse_jacobian(rec.pose.limbs, **variant) if variant else rec.G
+        G = screws.build_inverse_jacobian(rec.pose, **variant) if variant else rec.G
+        G.status.check()
         diff = G.G_a_T @ T - FD
         return float(np.max(np.abs(diff))), _rel(diff, FD)
 
@@ -336,8 +341,8 @@ def run_validation(cfg: ManipulatorConfig, seed: int = DEFAULT_SEED,
     opposite_status = "valid"
     if poses:
         try:
-            limbs = record(poses[0], PRIMARY_PLAN).pose.limbs
-            build_selection_matrix(OPPOSITE_PLAN, [limb.a for limb in limbs])
+            anchors = record(poses[0], PRIMARY_PLAN).pose.a
+            build_selection_matrix(OPPOSITE_PLAN, anchors).status.check()
         except DegeneratePair as exc:
             opposite_status = f"degenerate at this geometry: {exc}"
         except KinematicsError as exc:

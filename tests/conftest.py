@@ -1,9 +1,9 @@
-import math
+import dataclasses
 from pathlib import Path
 
-import numpy as np
 import pytest
 
+from dhjac import verify
 from dhjac.model import LimbSpec, ManipulatorConfig, load_config
 
 REPO = Path(__file__).resolve().parents[1]
@@ -60,16 +60,20 @@ def offset_prs_config() -> ManipulatorConfig:
     )
 
 
-def random_coords(cfg: ManipulatorConfig, n: int, seed: int = 0,
+def checked(result):
+    """A stage result that must be ok at every pose; raises the first refusal otherwise.
+
+    The stages record refusals in ``result.status`` and fill the refused rows
+    with NaN.  A test that expects a clean result checks it here, so that a
+    refusal fails the test instead of slipping through ``max`` or
+    ``assert_allclose`` as NaN.
+    """
+    result.status.check()
+    return result
+
+
+def random_coords(cfg: ManipulatorConfig, n: int, seed: int,
                   envelope_frac: float = 1.0) -> list[tuple[float, float, float, float]]:
-    """Deterministic pose samples across the rotational envelope and z band."""
-    rng = np.random.default_rng(seed)
-    lim = math.radians(cfg.envelope_deg) * envelope_frac
-    z_scale = cfg.base_radius / 450.0
-    return [
-        (0.0,
-         float(rng.uniform(100.0, 200.0) * z_scale),
-         float(rng.uniform(-lim, lim)),
-         float(rng.uniform(-lim, lim)))
-        for _ in range(n)
-    ]
+    """``verify.random_coords``, the poses ``dhjac validate`` samples, over a widened envelope."""
+    widened = dataclasses.replace(cfg, envelope_deg=cfg.envelope_deg * envelope_frac)
+    return verify.random_coords(widened, n, seed)

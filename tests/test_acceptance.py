@@ -22,7 +22,7 @@ from dhjac.selection import (ALTERNATE_PLAN, CONSTRAINED_COLS, PRIMARY_PLAN,
 from dhjac.verify import (brute_force_dhj, fd_actuation_jacobian, fd_constraint_tangent,
                           run_validation, sample_poses)
 
-from conftest import REFERENCE_CONFIG
+from conftest import REFERENCE_CONFIG, checked
 
 SEED = 42
 SWEEP_N = 51
@@ -52,8 +52,8 @@ def oracle_rows(reference, poses):
     for coords in poses:
         T = fd_constraint_tangent(reference, coords)
         FD = fd_actuation_jacobian(reference, coords)
-        limbs = resolve_pose(reference, *coords).limbs
-        rows.append((coords, T, FD, build_inverse_jacobian(limbs)))
+        G = checked(build_inverse_jacobian(resolve_pose(reference, *coords)))
+        rows.append((coords, T, FD, G))
     return rows, time.perf_counter() - t0
 
 
@@ -92,7 +92,7 @@ def test_criterion_3_inversion_consistency(oracle_rows):
     rows, _ = oracle_rows
     worst_res = worst_block = 0.0
     for _, _, _, G in rows:
-        fwd = invert_full(G)
+        fwd = checked(invert_full(G))
         worst_res = max(worst_res, np.max(np.abs(G.stacked @ fwd.J - np.eye(6))))
         worst_block = max(worst_block,
                           np.max(np.abs(block_Ja(G) - fwd.J_a)) / np.max(np.abs(fwd.J_a)))
@@ -114,10 +114,10 @@ def test_criterion_4_dhj_oracle(reference, poses):
 def test_criterion_5_annihilation(reference, poses):
     worst = 0.0
     for coords in poses:
-        pts = [limb.a for limb in resolve_pose(reference, *coords).limbs]
-        vp = build_Vp(pts)
+        pts = resolve_pose(reference, *coords).a
+        vp = checked(build_Vp(pts))
         for plan in (PRIMARY_PLAN, ALTERNATE_PLAN):
-            V_ps, _ = nominal_map(build_selection_matrix(plan, pts), vp)
+            V_ps, _ = nominal_map(checked(build_selection_matrix(plan, pts)), vp)
             worst = max(worst, np.max(np.abs(V_ps[:, list(CONSTRAINED_COLS)])))
     _report(5, "selection kills the constrained freedoms for both plans",
             worst < 1e-12, f"max column magnitude {worst:.3e}")

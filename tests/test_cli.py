@@ -8,7 +8,7 @@ from dhjac.cli import SWEEP_HEADER, main
 from dhjac.dhj import dexterity_at
 from dhjac.model import load_config
 
-from conftest import REFERENCE_CONFIG
+from conftest import REFERENCE_CONFIG, offset_prs_config, square_config
 
 CFG = str(REFERENCE_CONFIG)
 
@@ -28,6 +28,51 @@ def _short_link_config(tmp_path):
         "mobility": {"lambda": 6, "n": 10, "j": 12, "f_sum": 22},
     }))
     return str(cfg)
+
+
+def _config_file(tmp_path, cfg):
+    """``cfg`` written in the JSON schema that ``load_config`` reads."""
+    path = tmp_path / "layout.json"
+    path.write_text(json.dumps({
+        "unit": cfg.unit, "r_a": cfg.moving_plate_radius, "r_b": cfg.base_radius,
+        "l": cfg.link_length,
+        "limbs": [{"angle_deg": s.angle_deg, "kind": s.kind, "base_angle_deg": s.base_deg}
+                  for s in cfg.limbs],
+    }))
+    return str(path)
+
+
+# One pose per refusal: the stderr line `pose` prints, exit code 2.  The printed
+# cond values of the singular poses and the pair difference are rounding noise,
+# as numpy 2.4.6 with its bundled OpenBLAS on x86-64 computes them.
+POSE_REFUSALS = {
+    "non_finite": (None, ["0", "150", "nan", "0"],
+                   "Unreachable: pose coordinates (0.0, 150.0, nan, 0.0) are not all finite"),
+    "envelope": (None, ["0", "150", "60", "0"],
+                 "Unreachable: (theta, psi) = (60.00, 0.00) deg outside the +/-50 deg envelope"),
+    "ik": (None, ["450", "150", "0", "0"],
+           "Unreachable: limb 4: lateral offset 700 exceeds link 687"),
+    "no_convergence": (offset_prs_config, ["0", "150", "0", "70", "--envelope-deg", "75"],
+                       "NoConvergence: damped Newton made no progress"),
+    "singular_limb": (lambda: square_config(link_length=250.0), ["0", "150", "0", "0"],
+                      "SingularLimb: limb 1: actuation screw reciprocal to rail "
+                      "(|u.s1| = 0.000e+00)"),
+    "singular_configuration": (square_config, ["0", "150", "0", "10"],
+                               "SingularConfiguration: cond(G^T) = 6.990e+18 exceeds 1.0e+12"),
+    "degenerate_pair": (None, ["0", "150", "10", "5", "--plan", "opposite"],
+                        "DegeneratePair: pair (v_2y, v_4z): a_2x - a_4x = 4.880e-14 "
+                        "(threshold 1.992e-07)"),
+    "singular_selection": (offset_prs_config, ["0", "150", "0", "59.5", "--envelope-deg", "89"],
+                           "SingularSelection: cond(J_dh) = 1.358e+16 exceeds 1.0e+12"),
+}
+
+
+@pytest.mark.parametrize("case", POSE_REFUSALS)
+def test_pose_refusal_lines(tmp_path, capsys, case):
+    layout, argv, line = POSE_REFUSALS[case]
+    cfg = CFG if layout is None else _config_file(tmp_path, layout())
+    assert main(["pose", *argv, "--config", cfg]) == 2
+    assert capsys.readouterr().err == line + "\n"
 
 
 def test_pose_ok(capsys):
@@ -118,6 +163,17 @@ def test_sweep_units_match(tmp_path):
     g_dev = max(abs(float(a[2]) - float(b[2])) / float(a[2])
                 for a, b in zip(rows_mm, rows_m))
     assert g_dev > 0.10                            # cond(G^T) is not
+
+
+@pytest.mark.parametrize("cmd", ["sweep", "units"])
+@pytest.mark.parametrize("rows", [3, 5])
+def test_plan_row_count_must_match_limbs(tmp_path, capsys, cmd, rows):
+    # refused once, before any pose is evaluated or any file written
+    plan = json.dumps([[f"{r}y", f"{r % rows + 1}z"] for r in range(1, rows + 1)])
+    out = tmp_path / "out.json"
+    assert main([cmd, "--config", CFG, "--grid", "3", "--plan", plan, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"config error: plan has {rows} rows but 4 points given\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_range_guard(tmp_path):
@@ -222,6 +278,17 @@ def test_validate_reference(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["all_passed"] is True
     assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag, message", [
+    (["--seed", "-1"], "seed must be non-negative, got -1"),
+    (["--poses", "0"], "at least one pose is needed, got 0"),
+])
+def test_validate_bad_sampling_exit_3(tmp_path, capsys, flag, message):
+    out = tmp_path / "report.json"
+    assert main(["validate", "--config", CFG, *flag, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
 
 
 def test_validate_deterministic(tmp_path):

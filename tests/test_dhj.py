@@ -15,7 +15,8 @@ from dhjac.model import RESOLVE_TOL, resolve_pose
 from dhjac.screws import build_inverse_jacobian
 from dhjac.selection import ALTERNATE_PLAN, OPPOSITE_PLAN, PRIMARY_PLAN
 
-from conftest import offset_prs_config, random_coords, square_config
+from conftest import checked, offset_prs_config, random_coords, square_config
+from scalar_reference import scalar_condition_numbers
 
 
 def test_assemble_identity_composition():
@@ -100,20 +101,22 @@ def test_joint_rates_consistent_through_dhj(reference):
         np.testing.assert_allclose(qdot_back, qdot, atol=1e-8)
 
 
-def test_dexterity_at_runs_ik_once(reference, monkeypatch):
+def test_dexterity_at_resolves_once(reference, monkeypatch):
+    # one pose is a stack of one: a single resolve_many call resolves it and runs its IK
     import dhjac.model
 
     calls = []
-    ik = dhjac.model.inverse_kinematics
+    resolve = dhjac.model.resolve_many
 
-    def counting_ik(cfg, pose):
-        calls.append(pose)
-        return ik(cfg, pose)
+    def counting_resolve(cfg, coords, envelope_deg=None):
+        calls.append(coords)
+        return resolve(cfg, coords, envelope_deg)
 
-    monkeypatch.setattr(dhjac.model, "inverse_kinematics", counting_ik)
-    rec = dexterity_at(reference, 0.0, 150.0, math.radians(20.0), math.radians(10.0))
-    assert len(calls) == 1
-    assert [limb.q for limb in rec.pose.limbs] == [limb.q for limb in ik(reference, rec.pose)]
+    monkeypatch.setattr(dhjac.model, "resolve_many", counting_resolve)
+    coords = (0.0, 150.0, math.radians(20.0), math.radians(10.0))
+    rec = dexterity_at(reference, *coords)
+    assert calls == [coords]
+    np.testing.assert_array_equal(rec.pose.q, resolve(reference, coords).q[0])
 
 
 GRID_SLICES = {
@@ -152,6 +155,7 @@ GRID_SLICES = {
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("slice_id", GRID_SLICES)
 def test_condition_numbers_at_matches_dexterity_at(reference, slice_id):
+    # against the chain written one pose and one limb at a time (scalar_reference)
     config, y, z, deg, steps, plan, rtol, counts = GRID_SLICES[slice_id]
     cfg = config(reference)
     axis = np.radians(np.linspace(-deg, deg, steps))
@@ -160,16 +164,43 @@ def test_condition_numbers_at_matches_dexterity_at(reference, slice_id):
         status, k_G, k_dh = condition_numbers_at(cfg, y, z, th, axis, plan=plan)
         for j, ps in enumerate(axis):
             try:
-                rec = dexterity_at(cfg, y, z, float(th), float(ps), plan=plan)
+                ref_G, ref_dh = scalar_condition_numbers(cfg, y, z, float(th), float(ps), plan)
             except KinematicsError as exc:
                 assert status[j] == exc.code
                 assert math.isnan(k_G[j]) and math.isnan(k_dh[j])
             else:
                 assert status[j] == "ok"
-                assert k_G[j] == pytest.approx(rec.k_conventional, rel=rtol, abs=0.0)
-                assert k_dh[j] == pytest.approx(rec.k, rel=rtol, abs=0.0)
+                assert k_G[j] == pytest.approx(ref_G, rel=rtol, abs=0.0)
+                assert k_dh[j] == pytest.approx(ref_dh, rel=rtol, abs=0.0)
             seen[status[j]] = seen.get(status[j], 0) + 1
     assert seen == counts
+
+
+# y past the reach of the links, angles past the envelope, and non-finite values
+COORD = st.one_of(st.floats(min_value=-450.0, max_value=450.0),
+                  st.sampled_from([math.nan, math.inf]))
+WIDE_ANGLE = st.floats(min_value=-math.radians(90.0), max_value=math.radians(90.0))
+POSE = st.tuples(COORD, st.floats(min_value=100.0, max_value=200.0), WIDE_ANGLE, WIDE_ANGLE)
+
+
+@pytest.mark.filterwarnings("error")
+@given(layout=st.sampled_from(["ref", "offset"]), poses=st.lists(POSE, min_size=1, max_size=40))
+@settings(max_examples=60, deadline=None)
+def test_stack_rows_equal_dexterity_at(reference, layout, poses):
+    # row i of a stack of N is dexterity_at at pose i bit for bit, refusals included;
+    # the widened envelope of the offset layout lets its Newton solve fail
+    cfg = reference if layout == "ref" else dataclasses.replace(offset_prs_config(),
+                                                                envelope_deg=89.0)
+    status, k_G, k_dh = condition_numbers_at(cfg, *np.array(poses).T)
+    for i, coords in enumerate(poses):
+        try:
+            rec = dexterity_at(cfg, *coords)
+        except KinematicsError as exc:
+            assert status[i] == exc.code
+            assert math.isnan(k_G[i]) and math.isnan(k_dh[i])
+        else:
+            assert status[i] == "ok"
+            assert (k_G[i], k_dh[i]) == (rec.k_conventional, rec.k)
 
 
 def test_singular_selection_refused():
@@ -181,8 +212,8 @@ def test_singular_selection_refused():
             dexterity_at(cfg, 0.0, 150.0, 0.0, ps)
         assert info.value.code == "singular_selection"
         assert "exceeds" in str(info.value)
-        limbs = resolve_pose(cfg, 0.0, 150.0, 0.0, ps).limbs
-        assert invert_full(build_inverse_jacobian(limbs)).cond_GT < 1e4
+        pose = resolve_pose(cfg, 0.0, 150.0, 0.0, ps)
+        assert checked(invert_full(checked(build_inverse_jacobian(pose)))).cond_GT < 1e4
 
 
 ANGLE = st.floats(min_value=-math.radians(50.0), max_value=math.radians(50.0))

@@ -11,17 +11,17 @@ from dhjac.forward_map import block_Ja, invert_full
 from dhjac.model import resolve_pose
 from dhjac.screws import InverseJacobian, build_inverse_jacobian
 
-from conftest import offset_prs_config, random_coords, square_config
+from conftest import checked, offset_prs_config, random_coords, square_config
 
 
 def G_at(cfg, coords):
-    return build_inverse_jacobian(resolve_pose(cfg, *coords).limbs)
+    return checked(build_inverse_jacobian(resolve_pose(cfg, *coords)))
 
 
 def test_identity_inverse():
     eye = np.eye(6)
     G = InverseJacobian(G_a_T=eye[:4], G_c_T=eye[4:])
-    fwd = invert_full(G)
+    fwd = checked(invert_full(G))
     np.testing.assert_array_equal(fwd.J, eye)
     np.testing.assert_array_equal(fwd.J_a, eye[:, :4])
     assert fwd.cond_GT == pytest.approx(1.0)
@@ -29,7 +29,7 @@ def test_identity_inverse():
 
 def test_inversion_residual_reference(reference):
     G = G_at(reference, (0.0, 150.0, 0.0, 0.0))
-    fwd = invert_full(G)
+    fwd = checked(invert_full(G))
     assert np.max(np.abs(G.stacked @ fwd.J - np.eye(6))) < 1e-10
 
 
@@ -37,7 +37,7 @@ def test_constraint_compatibility(reference):
     rng = np.random.default_rng(5)
     for coords in random_coords(reference, 8, seed=21):
         G = G_at(reference, coords)
-        fwd = invert_full(G)
+        fwd = checked(invert_full(G))
         for _ in range(4):
             qdot = rng.standard_normal(4)
             xdot = fwd.J_a @ qdot
@@ -50,16 +50,16 @@ def test_singular_configuration_raises(square):
     # the same-angle layout is forward-singular on the theta = 0 plane
     G = G_at(square, (0.0, 150.0, 0.0, 0.2))
     with pytest.raises(SingularConfiguration):
-        invert_full(G)
+        invert_full(G).status.check()
     # slightly off the plane it is merely ill-conditioned
     G = G_at(square, (0.0, 150.0, 0.05, 0.2))
-    fwd = invert_full(G)
+    fwd = checked(invert_full(G))
     assert fwd.cond_GT > 1e3
 
 
 def _cond_GT_or_code(cfg, coords):
     try:
-        return invert_full(G_at(cfg, coords)).cond_GT
+        return checked(invert_full(G_at(cfg, coords))).cond_GT
     except KinematicsError as exc:
         return exc.code
 
@@ -89,7 +89,7 @@ def test_cond_G_invariant_under_limb_relabelling(reference, perm, layout, y, z, 
 def test_block_formula_matches_direct_inversion(reference):
     for coords in random_coords(reference, 12, seed=31):
         G = G_at(reference, coords)
-        fwd = invert_full(G)
+        fwd = checked(invert_full(G))
         dev = np.max(np.abs(block_Ja(G) - fwd.J_a)) / np.max(np.abs(fwd.J_a))
         assert dev < 1e-9
 
@@ -129,8 +129,8 @@ def test_forward_blocks_scale_as_case1(reference):
     # linear actuators: J_a1 dimensionless, J_a2 carries 1/length
     s = 0.001
     coords = (0.0, 150.0, math.radians(18.0), math.radians(-9.0))
-    fwd = invert_full(G_at(reference, coords))
+    fwd = checked(invert_full(G_at(reference, coords)))
     scaled = reference.scaled(s, unit="m")
-    fwd_s = invert_full(G_at(scaled, (0.0, 0.150, coords[2], coords[3])))
+    fwd_s = checked(invert_full(G_at(scaled, (0.0, 0.150, coords[2], coords[3]))))
     np.testing.assert_allclose(fwd_s.J_a1, fwd.J_a1, rtol=1e-9, atol=1e-14)
     np.testing.assert_allclose(fwd_s.J_a2, fwd.J_a2 / s, rtol=1e-9, atol=1e-14)

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from dhjac.errors import ConfigError, KinematicsError, NoConvergence, Unreachable
 from dhjac.model import (RESOLVE_TOL, X_HAT, LimbSpec, ManipulatorConfig, MobilityInputs,
-                         PlatformPose, config_from_dict, inverse_kinematics, load_config,
-                         resolve_many, resolve_pose, tsai_mobility)
+                         config_from_dict, load_config, resolve_many, resolve_pose,
+                         tsai_mobility)
 
 from conftest import REFERENCE_CONFIG, offset_prs_config, random_coords, square_config
 
@@ -81,14 +81,14 @@ def test_square_home_joint_values_equal_closed_form():
     # same-angle layout: every limb sees the same lateral offset r_b - r_a
     cfg = square_config()
     pose = resolve_pose(cfg, 0.0, 150.0, 0.0, 0.0)
-    q = [limb.q for limb in inverse_kinematics(cfg, pose)]
+    q = [limb.q for limb in pose.limbs]
     expected = 150.0 - math.sqrt(687.0**2 - 250.0**2)
     assert q == pytest.approx([expected] * 4, rel=1e-12)
 
 
 def test_reference_home_joint_values_closed_form(reference):
     pose = resolve_pose(reference, 0.0, 150.0, 0.0, 0.0)
-    limbs = inverse_kinematics(reference, pose)
+    limbs = pose.limbs
     P = reference.platform_points()
     A = reference.base_points()
     for i, limb in enumerate(limbs):
@@ -102,7 +102,7 @@ def test_reference_home_joint_values_closed_form(reference):
 def test_link_length_preserved_everywhere(reference):
     for coords in random_coords(reference, 25, seed=3):
         pose = resolve_pose(reference, *coords)
-        for limb in inverse_kinematics(reference, pose):
+        for limb in pose.limbs:
             assert np.linalg.norm(limb.link) == pytest.approx(687.0, rel=1e-9)
             assert np.allclose(limb.B - limb.C, limb.link)
             assert limb.C[2] <= limb.B[2]  # elbow-down branch
@@ -110,7 +110,7 @@ def test_link_length_preserved_everywhere(reference):
 
 def test_limb_axes_unit_and_orthogonal(reference):
     pose = resolve_pose(reference, 0.0, 150.0, math.radians(20.0), math.radians(-30.0))
-    for limb in inverse_kinematics(reference, pose):
+    for limb in pose.limbs:
         for axis in (limb.s1, limb.s2, limb.s3):
             assert np.linalg.norm(axis) == pytest.approx(1.0, abs=1e-12)
         assert abs(limb.s2 @ limb.s3) < 1e-12
@@ -131,11 +131,11 @@ def test_closed_form_axes_match_cross_products(reference, layout):
 
 
 def test_link_parallel_to_x_takes_the_fallback_axis():
-    # limb 1 of the square layout stretched flat along -x: l_y = l_z = 0 exactly
-    cfg = square_config()
-    pose = PlatformPose(y=0.0, z=150.0, theta=0.0, psi=0.0, x=-437.0, phi_z=0.0,
-                        rotation=np.eye(3), origin=np.array([-437.0, 0.0, 150.0]))
-    limb = inverse_kinematics(cfg, pose)[0]
+    # limb 1's link laid flat along -x: l_y = l_z = 0 exactly
+    pose = resolve_pose(square_config(), 0.0, 150.0, 0.0, 0.0)
+    link = pose.link.copy()
+    link[0] = [-687.0, 0.0, 0.0]
+    limb = dataclasses.replace(pose, link=link).limbs[0]
     np.testing.assert_array_equal(limb.link, [-687.0, 0.0, 0.0])
     assert np.linalg.norm(np.cross(X_HAT, limb.link)) == 0.0
     np.testing.assert_array_equal(limb.s3, [0.0, 1.0, 0.0])
@@ -197,35 +197,39 @@ def _resolve_rows(cfg):
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
 @pytest.mark.parametrize("envelope_deg", [None, 45.0, 70.0])
 def test_resolve_many_equals_resolve_pose(layout, envelope_deg):
-    # ok is resolve_pose's success, and accepted rows are its values bit for bit,
-    # also on the offset layout where the damped Newton iterates
+    # a row of a stack is the pose resolved alone (a stack of one) bit for bit,
+    # with the same refusal, also on the offset layout where the damped Newton iterates
     cfg = LAYOUTS[layout]()
     rows = _resolve_rows(cfg)
-    R, origin, B, q, ok = resolve_many(cfg, rows, envelope_deg=envelope_deg)
-    assert R.shape == (len(rows), 3, 3) and B.shape == (len(rows), 4, 3)
-    for row, R_i, o_i, B_i, q_i, ok_i in zip(rows, R, origin, B, q, ok):
+    poses = resolve_many(cfg, rows, envelope_deg=envelope_deg)
+    assert poses.rotation.shape == (len(rows), 3, 3) and poses.B.shape == (len(rows), 4, 3)
+    ok = poses.status.ok
+    for i, row in enumerate(rows):
         try:
             pose = resolve_pose(cfg, *row, envelope_deg=envelope_deg)
-        except KinematicsError:
-            assert not ok_i
-            assert np.isnan(R_i).all() and np.isnan(o_i).all()
-            assert np.isnan(B_i).all() and np.isnan(q_i).all()
+        except KinematicsError as exc:
+            assert not ok[i]
+            refused = poses.status.error(i)
+            assert (type(refused), str(refused)) == (type(exc), str(exc))
+            for v in (poses.rotation, poses.origin, poses.B, poses.q, poses.a, poses.link):
+                assert np.isnan(v[i]).all()
             continue
-        assert ok_i
-        np.testing.assert_array_equal(R_i, pose.rotation)
-        np.testing.assert_array_equal(o_i, pose.origin)
-        np.testing.assert_array_equal(B_i, [limb.B for limb in pose.limbs])
-        np.testing.assert_array_equal(q_i, [limb.q for limb in pose.limbs])
+        assert ok[i]
+        for name in ("rotation", "origin", "B", "q", "a", "link"):
+            np.testing.assert_array_equal(getattr(poses, name)[i], getattr(pose, name))
+        assert (poses.x[i], poses.phi_z[i]) == (pose.x, pose.phi_z)
     assert ok.any() and not ok.all()
 
 
 def test_resolve_many_empty_and_no_convergence():
     cfg = offset_prs_config()
-    R, origin, B, q, ok = resolve_many(cfg, np.zeros((0, 4)))
-    assert R.shape == (0, 3, 3) and q.shape == (0, 4) and ok.shape == (0,)
+    poses = resolve_many(cfg, np.zeros((0, 4)))
+    assert poses.rotation.shape == (0, 3, 3) and poses.q.shape == (0, 4)
+    assert poses.status.codes() == []
     # the unsatisfiable dependent solve of test_unsatisfiable_dependent_solve_raises
     rows = [(0.0, 150.0, 0.0, math.radians(70.0)), (0.0, 150.0, 0.0, 0.1)]
-    assert resolve_many(cfg, rows, envelope_deg=75.0)[-1].tolist() == [False, True]
+    status = resolve_many(cfg, rows, envelope_deg=75.0).status
+    assert status.codes() == ["no_convergence", "ok"]
 
 
 def test_short_link_unreachable():
@@ -270,8 +274,7 @@ def test_scaling_homogeneity_power_of_two_exact(k):
     scaled = cfg.scaled(s)
     pose = resolve_pose(cfg, 0.0, 150.0, 0.25, -0.35)
     pose_s = resolve_pose(scaled, 0.0, 150.0 * s, 0.25, -0.35)
-    for limb, limb_s in zip(inverse_kinematics(cfg, pose),
-                            inverse_kinematics(scaled, pose_s)):
+    for limb, limb_s in zip(pose.limbs, pose_s.limbs):
         assert limb_s.q == limb.q * s
         assert np.array_equal(limb_s.B, limb.B * s)
         assert np.array_equal(limb_s.C, limb.C * s)
@@ -286,8 +289,7 @@ def test_scaling_homogeneity_general(s, reference):
     scaled = reference.scaled(s)
     pose = resolve_pose(reference, 0.0, 150.0, 0.2, 0.3)
     pose_s = resolve_pose(scaled, 0.0, 150.0 * s, 0.2, 0.3)
-    for limb, limb_s in zip(inverse_kinematics(reference, pose),
-                            inverse_kinematics(scaled, pose_s)):
+    for limb, limb_s in zip(pose.limbs, pose_s.limbs):
         assert limb_s.q == pytest.approx(limb.q * s, rel=1e-12)
         np.testing.assert_allclose(limb_s.link, limb.link * s, rtol=1e-12)
 

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from dhjac.errors import DegeneratePoints
 from dhjac.pointmap import build_Vp, point_velocity, skew
 
+from conftest import checked
+
 finite = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 vec3 = st.tuples(finite, finite, finite).map(np.array)
 
@@ -31,7 +33,7 @@ def test_single_point_block_signs():
     # rows [I, -skew(a)]: first row ends with (+a_z, -a_y), second row
     # carries (-a_z, 0, +a_x), third (+a_y, -a_x, 0)
     a = np.array([1.0, 2.0, 3.0])
-    vp = build_Vp([a])
+    vp = checked(build_Vp([a]))
     expected = np.array([
         [1.0, 0.0, 0.0, 0.0, 3.0, -2.0],
         [0.0, 1.0, 0.0, -3.0, 0.0, 1.0],
@@ -42,7 +44,7 @@ def test_single_point_block_signs():
 
 def test_four_symmetric_points_heave(reference):
     pts = reference.platform_points()
-    vp = build_Vp(pts)
+    vp = checked(build_Vp(pts))
     v = vp.V_p @ np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
     np.testing.assert_array_equal(v.reshape(4, 3)[:, 2], np.ones(4))
     np.testing.assert_array_equal(v.reshape(4, 3)[:, :2], np.zeros((4, 2)))
@@ -51,9 +53,8 @@ def test_four_symmetric_points_heave(reference):
 @given(v=vec3, w=vec3, pts=st.lists(vec3, min_size=3, max_size=5))
 @settings(max_examples=50, deadline=None)
 def test_stacked_map_equals_pointwise(v, w, pts):
-    try:
-        vp = build_Vp(pts)
-    except DegeneratePoints:
+    vp = build_Vp(pts)
+    if not vp.status.ok:
         return
     stacked = vp.V_p @ np.concatenate([v, w])
     direct = np.concatenate([point_velocity(v, w, a) for a in pts])
@@ -71,13 +72,13 @@ def test_rigid_body_distance_preservation(v, w, a, b):
 def test_collinear_points_rejected():
     pts = [np.array([float(i), 2.0 * i, 0.0]) for i in range(4)]
     with pytest.raises(DegeneratePoints):
-        build_Vp(pts)
+        build_Vp(pts).status.check()
 
 
 def test_scaling_moves_only_skew_block(reference):
     pts = reference.platform_points()
-    vp = build_Vp(pts)
-    vp_s = build_Vp([p * 0.001 for p in pts])
+    vp = checked(build_Vp(pts))
+    vp_s = checked(build_Vp([p * 0.001 for p in pts]))
     np.testing.assert_allclose(vp_s.V_p[:, :3], vp.V_p[:, :3], atol=0)
     np.testing.assert_allclose(vp_s.V_p[:, 3:], 0.001 * vp.V_p[:, 3:], rtol=1e-15)
 

@@ -9,15 +9,15 @@ from dhjac.model import resolve_pose
 from dhjac.screws import actuation_row_units, build_inverse_jacobian
 from dhjac.verify import fd_actuation_jacobian, fd_constraint_tangent
 
-from conftest import random_coords, square_config
+from conftest import checked, random_coords, square_config
 
 
-def limbs_at(cfg, y, z, th_deg, ps_deg):
-    return resolve_pose(cfg, y, z, math.radians(th_deg), math.radians(ps_deg)).limbs
+def pose_at(cfg, y, z, th_deg, ps_deg):
+    return resolve_pose(cfg, y, z, math.radians(th_deg), math.radians(ps_deg))
 
 
 def test_shapes_and_blocks(reference):
-    G = build_inverse_jacobian(limbs_at(reference, 0, 150, 10, -20))
+    G = checked(build_inverse_jacobian(pose_at(reference, 0, 150, 10, -20)))
     assert G.G_a_T.shape == (4, 6)
     assert G.G_c_T.shape == (2, 6)
     assert G.stacked.shape == (6, 6)
@@ -28,14 +28,14 @@ def test_shapes_and_blocks(reference):
 
 def test_pure_heave_rows_equal(reference):
     # all rails are vertical, so heave maps to unit rate on every limb
-    G = build_inverse_jacobian(limbs_at(reference, 0, 150, 0, 0))
+    G = checked(build_inverse_jacobian(pose_at(reference, 0, 150, 0, 0)))
     qdot = G.G_a_T @ np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
     np.testing.assert_allclose(qdot, np.ones(4), rtol=1e-12)
 
 
 def test_actuation_rows_match_fd_ik_at_home(reference):
     coords = (0.0, 150.0, 0.0, 0.0)
-    G = build_inverse_jacobian(limbs_at(reference, *coords))
+    G = checked(build_inverse_jacobian(pose_at(reference, *coords)))
     T = fd_constraint_tangent(reference, coords)
     FD = fd_actuation_jacobian(reference, coords)
     err = np.max(np.abs(G.G_a_T @ T - FD)) / np.max(np.abs(FD))
@@ -44,29 +44,28 @@ def test_actuation_rows_match_fd_ik_at_home(reference):
 
 def test_constraint_rows_annihilate_feasible_velocity(reference):
     for coords in random_coords(reference, 10, seed=11):
-        G = build_inverse_jacobian(limbs_at(reference, 0.0, coords[1],
-                                            math.degrees(coords[2]),
-                                            math.degrees(coords[3])))
+        G = checked(build_inverse_jacobian(pose_at(reference, 0.0, coords[1],
+                                                   math.degrees(coords[2]),
+                                                   math.degrees(coords[3]))))
         T = fd_constraint_tangent(reference, coords)
         assert np.max(np.abs(G.G_c_T @ T)) < 1e-8
 
 
 def test_row_scale_invariance(reference):
     # the row normalization cancels any rescaling of the screw direction
-    limbs = limbs_at(reference, 0, 150, 15, 25)
-    G = build_inverse_jacobian(limbs)
-    doctored = [dataclasses.replace(limb, link=3.7 * limb.link) for limb in limbs]
-    G2 = build_inverse_jacobian(doctored)
+    pose = pose_at(reference, 0, 150, 15, 25)
+    G = checked(build_inverse_jacobian(pose))
+    G2 = checked(build_inverse_jacobian(dataclasses.replace(pose, link=3.7 * pose.link)))
     np.testing.assert_allclose(G2.stacked, G.stacked, rtol=1e-12, atol=1e-12)
 
 
 def test_global_scaling_moves_only_moment_blocks(reference):
     s = 0.001
-    limbs = limbs_at(reference, 0, 150, 12, -33)
+    pose = pose_at(reference, 0, 150, 12, -33)
     scaled = reference.scaled(s, unit="m")
-    limbs_s = limbs_at(scaled, 0.0, 0.150, 12, -33)
-    G = build_inverse_jacobian(limbs)
-    Gs = build_inverse_jacobian(limbs_s)
+    pose_s = pose_at(scaled, 0.0, 0.150, 12, -33)
+    G = checked(build_inverse_jacobian(pose))
+    Gs = checked(build_inverse_jacobian(pose_s))
     np.testing.assert_allclose(Gs.G_av_T, G.G_av_T, rtol=1e-9, atol=1e-15)
     np.testing.assert_allclose(Gs.G_cv_T, G.G_cv_T, rtol=1e-9, atol=1e-15)
     np.testing.assert_allclose(Gs.G_aw_T, s * G.G_aw_T, rtol=1e-9, atol=1e-15)
@@ -76,9 +75,11 @@ def test_global_scaling_moves_only_moment_blocks(reference):
 def test_singular_limb_raised_at_horizontal_link():
     # link length equal to the lateral offset leaves the rail reciprocal
     cfg = square_config(link_length=250.0)
-    limbs = resolve_pose(cfg, 0.0, 150.0, 0.0, 0.0).limbs
-    with pytest.raises(SingularLimb):
-        build_inverse_jacobian(limbs)
+    G = build_inverse_jacobian(resolve_pose(cfg, 0.0, 150.0, 0.0, 0.0))
+    with pytest.raises(SingularLimb) as info:
+        G.status.check()
+    assert str(info.value) == "limb 1: actuation screw reciprocal to rail (|u.s1| = 0.000e+00)"
+    assert (G.status.refusals[()].limb, G.status.refusals[()].value) == (1, 0.0)
 
 
 def test_rejected_variants_fail_the_oracle(reference):
@@ -88,16 +89,16 @@ def test_rejected_variants_fail_the_oracle(reference):
     coords = (0.0, 150.0, math.radians(25.0), math.radians(35.0))
     T = fd_constraint_tangent(reference, coords)
     FD = fd_actuation_jacobian(reference, coords)
-    limbs = resolve_pose(reference, *coords).limbs
+    pose = resolve_pose(reference, *coords)
     scale = np.max(np.abs(FD))
 
-    adopted = build_inverse_jacobian(limbs)
+    adopted = checked(build_inverse_jacobian(pose))
     assert np.max(np.abs(adopted.G_a_T @ T - FD)) / scale < 1e-6
 
-    n_rows = build_inverse_jacobian(limbs, variant="normal")
+    n_rows = checked(build_inverse_jacobian(pose, variant="normal"))
     assert np.max(np.abs(n_rows.G_a_T @ T - FD)) / scale > 1e-3
 
-    flipped = build_inverse_jacobian(limbs, moment_sign=-1.0)
+    flipped = checked(build_inverse_jacobian(pose, moment_sign=-1.0))
     assert np.max(np.abs(flipped.G_a_T @ T - FD)) / scale > 1e-3
 
 

@@ -12,11 +12,11 @@ from dhjac.selection import (ALTERNATE_PLAN, CONSTRAINED_COLS, INDEPENDENT_COLS,
                              OPPOSITE_PLAN, PRIMARY_PLAN, SelectionPlan,
                              build_selection_matrix, enumerate_pairings, nominal_map)
 
-from conftest import random_coords
+from conftest import checked, random_coords
 
 
 def anchors_at(cfg, coords):
-    return [limb.a for limb in resolve_pose(cfg, *coords).limbs]
+    return resolve_pose(cfg, *coords).a
 
 
 def test_enumerate_pairings_lists_all_twelve():
@@ -52,7 +52,7 @@ def test_row_weights_worked_example():
     # a_1x = 1, a_2x = -1: weights 0.5 on v_1y, 1 on v_1z, 0.5 on v_2y
     pts = [np.array([1.0, 1.0, 0.0]), np.array([-1.0, 1.0, 0.0]),
            np.array([-0.3, -1.0, 0.0]), np.array([0.5, -1.0, 0.0])]
-    S = build_selection_matrix(PRIMARY_PLAN, pts).S
+    S = checked(build_selection_matrix(PRIMARY_PLAN, pts)).S
     assert S[0, 1] == pytest.approx(0.5)   # v_1y
     assert S[0, 2] == pytest.approx(1.0)   # v_1z
     assert S[0, 4] == pytest.approx(0.5)   # v_2y
@@ -64,7 +64,7 @@ def test_rows_match_signed_difference_weights_up_to_sign(reference):
     # wherever a_ix - a_jx > 0 and flips the y-part otherwise
     pts = anchors_at(reference, (0.0, 150.0, 0.25, -0.4))
     ax = [p[0] for p in pts]
-    S = build_selection_matrix(PRIMARY_PLAN, pts).S
+    S = checked(build_selection_matrix(PRIMARY_PLAN, pts)).S
     for r, (i, j) in enumerate(PRIMARY_PLAN.pairs):
         delta = ax[i - 1] - ax[j - 1]
         sign = math.copysign(1.0, delta)
@@ -79,7 +79,7 @@ def test_degenerate_pair_rejected():
     pts = [np.array([1.0, 0.0, 0.0]), np.array([1.0, 1.0, 0.0]),
            np.array([-1.0, 0.5, 0.0]), np.array([0.2, -1.0, 0.0])]
     with pytest.raises(DegeneratePair):
-        build_selection_matrix(SelectionPlan(((1, 2), (2, 3), (3, 4), (4, 1))), pts)
+        build_selection_matrix(SelectionPlan(((1, 2), (2, 3), (3, 4), (4, 1))), pts).status.check()
 
 
 def test_opposite_plan_degenerate_at_reference(reference):
@@ -89,14 +89,15 @@ def test_opposite_plan_degenerate_at_reference(reference):
     assert abs(pts[1][0]) < 1e-9
     assert abs(pts[3][0]) < 1e-9
     with pytest.raises(DegeneratePair):
-        build_selection_matrix(OPPOSITE_PLAN, pts)
+        build_selection_matrix(OPPOSITE_PLAN, pts).status.check()
 
 
 @pytest.mark.parametrize("plan", [PRIMARY_PLAN, ALTERNATE_PLAN])
 def test_constrained_columns_annihilated(reference, plan):
     for coords in random_coords(reference, 10, seed=17):
         pts = anchors_at(reference, coords)
-        V_ps, _ = nominal_map(build_selection_matrix(plan, pts), build_Vp(pts))
+        V_ps, _ = nominal_map(checked(build_selection_matrix(plan, pts)),
+                              checked(build_Vp(pts)))
         assert np.max(np.abs(V_ps[:, list(CONSTRAINED_COLS)])) < 1e-12
 
 
@@ -117,7 +118,8 @@ def test_annihilation_for_random_points(xs, other):
     d = np.array(pts) - pts[0]
     assume(np.linalg.matrix_rank(d, tol=1e-6 * np.abs(d).max()) >= 2)
     for plan in (PRIMARY_PLAN, OPPOSITE_PLAN):
-        V_ps, _ = nominal_map(build_selection_matrix(plan, pts), build_Vp(pts))
+        V_ps, _ = nominal_map(checked(build_selection_matrix(plan, pts)),
+                              checked(build_Vp(pts)))
         assert np.max(np.abs(V_ps[:, list(CONSTRAINED_COLS)])) < 1e-10 * max(spread, 1.0)
 
 
@@ -127,8 +129,8 @@ def test_nominal_map_reference_columns(reference):
     # all-ones v_y column would be the documented rank-collapse)
     pts = anchors_at(reference, (0.0, 150.0, 0.3, -0.2))
     ax = [p[0] for p in pts]
-    V_ps, restricted = nominal_map(build_selection_matrix(PRIMARY_PLAN, pts),
-                                   build_Vp(pts))
+    V_ps, restricted = nominal_map(checked(build_selection_matrix(PRIMARY_PLAN, pts)),
+                                   checked(build_Vp(pts)))
     np.testing.assert_allclose(restricted[:, 1], np.ones(4), atol=1e-14)
     np.testing.assert_allclose(
         restricted[:, 3], [-ax[0], -ax[1], -ax[2], -ax[0]], atol=1e-9)
@@ -142,13 +144,13 @@ def test_nominal_map_reference_columns(reference):
 def test_restricted_map_nonsingular_across_envelope(reference):
     for coords in random_coords(reference, 20, seed=23):
         pts = anchors_at(reference, coords)
-        _, restricted = nominal_map(build_selection_matrix(PRIMARY_PLAN, pts),
-                                    build_Vp(pts))
+        _, restricted = nominal_map(checked(build_selection_matrix(PRIMARY_PLAN, pts)),
+                                    checked(build_Vp(pts)))
         assert abs(np.linalg.det(restricted)) > 1e-3
 
 
 def test_selection_matrix_scale_invariant(reference):
     pts = anchors_at(reference, (0.0, 150.0, 0.2, 0.4))
-    S = build_selection_matrix(PRIMARY_PLAN, pts).S
-    S_scaled = build_selection_matrix(PRIMARY_PLAN, [p * 0.001 for p in pts]).S
+    S = checked(build_selection_matrix(PRIMARY_PLAN, pts)).S
+    S_scaled = checked(build_selection_matrix(PRIMARY_PLAN, [p * 0.001 for p in pts])).S
     np.testing.assert_allclose(S_scaled, S, rtol=1e-12, atol=1e-15)

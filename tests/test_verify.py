@@ -15,7 +15,7 @@ from dhjac.verify import (BRUTE_FORCE_STEP, REFINE_MAX_ITER, REFINE_TOL, brute_f
                           fd_actuation_jacobian, fd_constraint_tangent, forward_refine,
                           run_validation, sample_poses)
 
-from conftest import offset_prs_config, random_coords, square_config
+from conftest import checked, offset_prs_config, random_coords, square_config
 
 
 # Scalar references: the oracles written pose by pose, one resolve_pose per
@@ -97,7 +97,7 @@ def scalar_brute_force_dhj(cfg, coords, plan=PRIMARY_PLAN):
     h_q = BRUTE_FORCE_STEP * max(cfg.base_radius, 1e-30)
     limbs0 = resolve_pose(cfg, *coords).limbs
     q0 = np.array([limb.q for limb in limbs0])
-    S = build_selection_matrix(plan, [limb.a for limb in limbs0]).S
+    S = checked(build_selection_matrix(plan, [limb.a for limb in limbs0])).S
     out = np.zeros((cfg.limb_count, cfg.limb_count))
     for m in range(cfg.limb_count):
         qp, qm = q0.copy(), q0.copy()
@@ -198,7 +198,7 @@ def test_tangent_home_columns(reference):
 def test_constraint_rows_annihilate_tangent(reference):
     for coords in random_coords(reference, 8, seed=41):
         T = fd_constraint_tangent(reference, coords)
-        G = build_inverse_jacobian(resolve_pose(reference, *coords).limbs)
+        G = checked(build_inverse_jacobian(resolve_pose(reference, *coords)))
         assert np.max(np.abs(G.G_c_T @ T)) < 1e-7
 
 
@@ -212,7 +212,7 @@ def test_actuation_fd_matches_rows(reference):
     for coords in random_coords(reference, 15, seed=43):
         FD = fd_actuation_jacobian(reference, coords)
         T = fd_constraint_tangent(reference, coords)
-        G = build_inverse_jacobian(resolve_pose(reference, *coords).limbs)
+        G = checked(build_inverse_jacobian(resolve_pose(reference, *coords)))
         err = np.max(np.abs(G.G_a_T @ T - FD)) / np.max(np.abs(FD))
         assert err < 1e-5
 
@@ -220,7 +220,7 @@ def test_actuation_fd_matches_rows(reference):
 def test_fd_error_second_order_in_step(reference):
     # central differences: halving h divides the error by about four
     coords = (0.0, 150.0, math.radians(30.0), math.radians(35.0))
-    G = build_inverse_jacobian(resolve_pose(reference, *coords).limbs)
+    G = checked(build_inverse_jacobian(resolve_pose(reference, *coords)))
     T_ref = fd_constraint_tangent(reference, coords, h=1e-7)
     analytic = G.G_a_T @ T_ref
     hs = [2e-3, 1e-3, 5e-4]
