@@ -3,9 +3,9 @@
 from .dhj import (DexterityRecord, assemble_dhj, condition_number, condition_numbers_at,
                   dexterity_at, dimensional_audit, singular_values, unit_scaling_experiment)
 from .forward_map import ForwardJacobian, block_Ja, invert_full
-from .model import (LimbKinematics, LimbSpec, ManipulatorConfig, MobilityInputs,
-                    PlatformPose, load_config, resolve_pose, tsai_mobility)
-from .pointmap import PointVelocityMap, build_Vp, point_velocity
+from .model import (LimbSpec, ManipulatorConfig, MobilityInputs, PlatformPose, load_config,
+                    resolve_pose, tsai_mobility)
+from .pointmap import build_Vp, point_velocity
 from .screws import InverseJacobian, actuation_row_units, build_inverse_jacobian
 from .selection import (ALTERNATE_PLAN, OPPOSITE_PLAN, PRIMARY_PLAN,
                         SelectionMatrix, SelectionPlan, build_selection_matrix,
@@ -15,8 +15,8 @@ from .verify import (brute_force_dhj, fd_actuation_jacobian, fd_constraint_tange
 
 __all__ = [
     "ALTERNATE_PLAN", "DexterityRecord", "ForwardJacobian", "InverseJacobian",
-    "LimbKinematics", "LimbSpec", "ManipulatorConfig", "MobilityInputs",
-    "OPPOSITE_PLAN", "PRIMARY_PLAN", "PlatformPose", "PointVelocityMap",
+    "LimbSpec", "ManipulatorConfig", "MobilityInputs",
+    "OPPOSITE_PLAN", "PRIMARY_PLAN", "PlatformPose",
     "SelectionMatrix", "SelectionPlan", "actuation_row_units", "assemble_dhj",
     "block_Ja", "brute_force_dhj", "build_Vp", "build_inverse_jacobian",
     "build_selection_matrix", "condition_number", "condition_numbers_at", "dexterity_at",

@@ -104,13 +104,13 @@ def cmd_pose(args) -> int:
     th, ps = math.radians(args.theta_deg), math.radians(args.psi_deg)
 
     rec = dhj.dexterity_at(cfg, y, z, th, ps, plan=plan)
-    pose, limbs = rec.pose, rec.pose.limbs
+    pose = rec.pose
 
     record = {
         "unit": cfg.unit,
         "coords": {"y": y, "z": z, "theta_deg": args.theta_deg, "psi_deg": args.psi_deg},
         "dependent": {"x": pose.x, "phi_z_rad": pose.phi_z},
-        "q": [limb.q for limb in limbs],
+        "q": pose.q.tolist(),
         "G_T": rec.G.stacked.tolist(),
         "J_a": rec.fwd.J_a.tolist(),
         "S": rec.S.tolist(),
@@ -132,7 +132,7 @@ def cmd_pose(args) -> int:
 
     print(f"pose  y={y:g} z={z:g} {cfg.unit}, theta={args.theta_deg:g} deg, "
           f"psi={args.psi_deg:g} deg  (x={pose.x:.3e}, phi_z={pose.phi_z:.3e} rad)")
-    print("q_a:", " ".join(f"{limb.q:.6f}" for limb in limbs))
+    print("q_a:", " ".join(f"{q:.6f}" for q in pose.q))
     block("G^T", rec.G.stacked)
     block("J_a", rec.fwd.J_a)
     block("S", rec.S)

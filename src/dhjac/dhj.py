@@ -3,12 +3,13 @@
 The pose -> J_dh chain is written once, over a stack of poses: resolve the
 poses and their IK (``model.resolve_many``), stack G^T (``screws``), invert
 it (``forward_map``), build S and V_p (``selection``, ``pointmap``) and read
-the singular values of J_dh = S V_p J_a.  Each stage records in a ``Status``
-the refusal a pose would raise alone, and a pose keeps the first, so every
-pose of a stack gets the outcome it gets alone.  ``condition_numbers_at``
-runs the chain on the N poses of a grid row; ``dexterity_at`` runs it on one
-pose (``resolve_pose`` is a stack of one), raises its refusal, and returns
-every intermediate that ``dhjac pose`` and the validation checks read.
+the singular values of J_dh = S V_p J_a.  Each stage that can refuse records
+in a ``Status`` the refusal a pose would raise alone, and a pose keeps the
+first, so every pose of a stack gets the outcome it gets alone.
+``condition_numbers_at`` runs the chain on the N poses of a grid row;
+``dexterity_at`` runs it on one pose (``resolve_pose`` is a stack of one),
+raises its refusal, and returns every intermediate that ``dhjac pose`` and
+the validation checks read.
 
 Singular values come from LAPACK (``np.linalg.svd``); the test suite
 cross-checks them against an independent symmetric eigensolve of M^T M.
@@ -49,8 +50,8 @@ def assemble_dhj(V_ps: np.ndarray, J_a: np.ndarray) -> np.ndarray:
 class DexterityRecord:
     """Everything dexterity-related evaluated at one pose, with its intermediates."""
 
-    pose: PlatformPose      # carries the limb kinematics as ``pose.limbs``
-    G: InverseJacobian      # stacked G^T and its blocks
+    pose: PlatformPose      # carries the IK: joints ``pose.q``, links ``pose.link``
+    G: InverseJacobian      # G_a^T, G_c^T and the stacked G^T
     fwd: ForwardJacobian    # (G^T)^-1, J_a and cond(G^T)
     S: np.ndarray           # extended selection matrix
     V_ps: np.ndarray        # nominal map S V_p
@@ -75,12 +76,11 @@ def _chain(pose: PlatformPose, plan: SelectionPlan):
     sel = build_selection_matrix(plan, pose.a)  # a plan of the wrong length raises here
     G = screws.build_inverse_jacobian(pose)
     fwd = invert_full(G)
-    vp = build_Vp(pose.a)
-    V_ps, _ = nominal_map(sel, vp)
+    V_ps, _ = nominal_map(sel, build_Vp(pose.a))
     J_dh = assemble_dhj(V_ps, fwd.J_a)
     sv = singular_values(J_dh)
     k = cond_from_sigmas(sv)
-    status = pose.status.then(G.status).then(fwd.status).then(sel.status).then(vp.status)
+    status = pose.status.then(G.status).then(fwd.status).then(sel.status)
     status.refuse(~(k <= COND_LIMIT), SingularSelection,
                   lambda i: f"cond(J_dh) = {k[i]:.3e} exceeds {COND_LIMIT:.1e}", value=k)
     return G, fwd, sel.S, V_ps, J_dh, sv, k, status
@@ -221,8 +221,8 @@ def dimensional_audit(cfg: ManipulatorConfig) -> dict:
         "V_p_translation_block": _unit_name(vp_v, u),
         "V_p_moment_block": _unit_name(vp_w, u),
         "S": _unit_name(s_pow, u),
-        "G_av_T": _unit_name(row_units.g_linear, u),
-        "G_aw_T": _unit_name(row_units.g_angular, u),
+        "G_a_T_translation_block": _unit_name(row_units.g_linear, u),
+        "G_a_T_moment_block": _unit_name(row_units.g_angular, u),
         "J_a1": _unit_name(row_units.j_linear, u),
         "J_a2": _unit_name(row_units.j_angular, u),
         "J_dh": _unit_name(jdh_from_v, u) if homogeneous else "inhomogeneous",

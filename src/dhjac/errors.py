@@ -61,12 +61,6 @@ class BlockSingular(KinematicsError):
     code = "block_singular"
 
 
-class DegeneratePoints(KinematicsError):
-    """Chosen platform points collinear; cannot span the rigid motion."""
-
-    code = "degenerate_points"
-
-
 class DegeneratePair(KinematicsError):
     """Selection pair with coincident x-coordinates; weights undefined."""
 

@@ -1,17 +1,17 @@
 """Forward velocity maps: direct inversion of G^T and the block formula.
 
-The printed block-inversion expression is ambiguous for the four-limb
-partition (G_av^T is 4x3, and both constraint sub-blocks of the reference
-mechanism are rank one), so ``block_Ja`` implements two algebraic readings:
+The config admits only four limbs, two of them PRS, so G^T stacks four
+actuation rows G_a^T over two constraint rows G_c^T and is square.  The
+printed block-inversion expression is ambiguous for this partition (the
+translation block of G_a^T is 4x3, and both constraint sub-blocks of the
+reference mechanism are rank one), so ``block_Ja`` implements the
+generalized-inverse reading J_a = N (G_a^T N)^-1 with N an orthonormal
+kernel basis of G_c^T, i.e. the actuation map inverted on the
+constraint-compatible subspace.
 
-* square partition (f = 3): the classic Schur-complement form
-  X = A^-1 + A^-1 B S^-1 C A^-1,  Z = -S^-1 C A^-1,  S = D - C A^-1 B.
-* rectangular partition (f != 3): the generalized-inverse reading
-  J_a = N (G_a^T N)^-1 with N an orthonormal kernel basis of G_c^T, i.e.
-  the actuation map inverted on the constraint-compatible subspace.
-
-Direct inversion (``invert_full``) is authoritative; the block route must
-agree with it to 1e-9 relative and falls back on BlockSingular otherwise.
+Direct inversion (``invert_full``) is authoritative; the validation report
+checks that the block route agrees with it to 1e-9 relative, and falls back
+on it where the block route is BlockSingular.
 
 Singular values and the rule that turns them into a condition number live
 here, because the conditioning guard of ``invert_full`` needs them; ``dhj``
@@ -86,32 +86,17 @@ def invert_full(G: InverseJacobian) -> ForwardJacobian:
 
 
 def block_Ja(G: InverseJacobian) -> np.ndarray:
-    """Actuated forward block via the partitioned formula; see module docs."""
-    A, B = G.G_av_T, G.G_aw_T
-    C, D = G.G_cv_T, G.G_cw_T
-    f = A.shape[0]
-    if f == 3:
-        try:
-            Ainv = np.linalg.inv(A)
-            S = D - C @ Ainv @ B
-            Sinv = np.linalg.inv(S)
-        except np.linalg.LinAlgError as exc:
-            raise BlockSingular(f"inner inverse failed: {exc}") from exc
-        X = Ainv + Ainv @ B @ Sinv @ C @ Ainv
-        Z = -Sinv @ C @ Ainv
-        return np.vstack([X, Z])
+    """Actuated forward block J_a = N (G_a^T N)^-1; see module docs.
 
+    An actuation map singular on the constraint kernel is BlockSingular.
+    """
     Gc = G.G_c_T
     m = Gc.shape[0]
     # orthonormal kernel basis of the constraint rows
     Q, _ = np.linalg.qr(Gc.T, mode="complete")
     N = Q[:, m:]
     M = G.G_a_T @ N
-    if M.shape[0] != M.shape[1]:
-        raise BlockSingular(
-            f"actuation rows ({M.shape[0]}) do not match the constraint kernel "
-            f"dimension ({M.shape[1]})")
     sv = np.linalg.svd(M, compute_uv=False)
     if sv[-1] <= 1e-12 * sv[0]:
         raise BlockSingular("actuation map singular on the constraint kernel")
-    return N @ np.linalg.solve(M, np.eye(f))
+    return N @ np.linalg.solve(M, np.eye(M.shape[0]))

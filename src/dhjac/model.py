@@ -60,12 +60,16 @@ class LimbSpec:
 
 @dataclass(frozen=True)
 class MobilityInputs:
-    """Counts for Tsai's degree-of-freedom formula."""
+    """Counts for Tsai's degree-of-freedom formula; a negative count is a ConfigError."""
 
     lam: int
     n: int
     j: int
     f_sum: int
+
+    def __post_init__(self):
+        if min(self.lam, self.n, self.j, self.f_sum) < 0:
+            raise ConfigError("mobility counts must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -97,8 +101,11 @@ class ManipulatorConfig:
                 raise ConfigError(f"unknown limb kind {limb.kind!r}")
             if not (math.isfinite(limb.angle_deg) and math.isfinite(limb.base_deg)):
                 raise ConfigError("limb angles must be finite")
-        if len(self.prs_indices()) != 2:
-            raise ConfigError("reference pipeline expects exactly two PRS limbs")
+        # two PRS planes fix (x, phi_z); with their two constraint rows, G^T is square
+        # only for four actuation rows
+        if self.limb_count != 4 or len(self.prs_indices()) != 2:
+            raise ConfigError(f"the pipeline supports four limbs, two of them PRS; got "
+                              f"{self.limb_count} limbs, {len(self.prs_indices())} PRS")
         if collinear(self.platform_points()):
             raise ConfigError("platform anchor points are collinear")
         if collinear(self.base_points()):
@@ -161,20 +168,11 @@ def _ring(r: float, angles_deg) -> np.ndarray:
     return pts
 
 
-def collinear(points):
-    """True when the points span less than a plane (rank tolerance 1e-9 relative).
-
-    ``points`` is (n, 3), or a stack (..., n, 3) for one answer per set; a
-    set with a non-finite point, as a refused pose of a stack leaves, is not
-    collinear.
-    """
-    p = np.asarray(points, float)
-    d = p - p[..., :1, :]
-    finite = np.isfinite(d).all(axis=(-2, -1))
-    d = np.where(finite[..., None, None], d, 0.0)
-    scale = np.maximum(np.linalg.norm(d, axis=-1).max(axis=-1), 1e-30)
-    rank = (np.linalg.svd(d, compute_uv=False) > 1e-9 * scale[..., None]).sum(axis=-1)
-    return (finite & (rank < 2))[()]
+def collinear(points: np.ndarray) -> bool:
+    """True when the points (n, 3) span less than a plane (rank tolerance 1e-9 relative)."""
+    d = points - points[0]
+    scale = max(np.linalg.norm(d, axis=1).max(), 1e-30)
+    return bool((np.linalg.svd(d, compute_uv=False) > 1e-9 * scale).sum() < 2)
 
 
 def load_config(path: str | Path) -> ManipulatorConfig:
@@ -198,6 +196,8 @@ def config_from_dict(raw: dict) -> ManipulatorConfig:
             for entry in raw["limbs"]
         )
         mob = raw.get("mobility", {})
+        if not isinstance(mob, dict):
+            raise ConfigError(f"mobility must be an object of counts, got {mob!r}")
         mobility = MobilityInputs(
             lam=int(mob.get("lambda", 6)),
             n=int(mob.get("n", 10)),
@@ -216,25 +216,6 @@ def config_from_dict(raw: dict) -> ManipulatorConfig:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
-
-
-@dataclass(frozen=True)
-class LimbKinematics:
-    """Pose-dependent vectors of one limb, fixed-frame components."""
-
-    index: int
-    kind: str
-    A: np.ndarray          # rail foot
-    C: np.ndarray          # U/R joint center = A + q * z_hat
-    B: np.ndarray          # spherical joint center
-    q: float               # actuated prismatic coordinate
-    a: np.ndarray          # platform origin -> B
-    b: np.ndarray          # fixed origin -> A
-    link: np.ndarray       # C -> B, norm == link length
-    s1: np.ndarray         # actuated rail axis
-    s2: np.ndarray         # R axis (PRS) / slider-fixed U axis (PUS), always x_hat
-    s3: np.ndarray         # link-fixed U axis, unit(s2 x link) = (0, -l_z, l_y) / |.|
-    n: np.ndarray          # s3 x s2 = (0, s3_z, -s3_y)
 
 
 @dataclass(frozen=True)
@@ -258,24 +239,12 @@ class PlatformPose:
     B: np.ndarray          # (..., f, 3) spherical joint centers
     q: np.ndarray          # (..., f) actuated prismatic coordinates
     a: np.ndarray          # (..., f, 3) platform origin -> B
-    link: np.ndarray       # (..., f, 3) C -> B, norm == link length
+    link: np.ndarray       # (..., f, 3) C -> B with C = A + q z_hat, norm == link length
     status: Status
 
     @property
     def coords(self) -> tuple[float, float, float, float]:
         return (self.y, self.z, self.theta, self.psi)
-
-    @functools.cached_property
-    def limbs(self) -> tuple[LimbKinematics, ...]:
-        """The per-limb records of one pose."""
-        A = self.cfg.base_points()
-        C = A + self.q[:, None] * Z_HAT
-        s3, n = limb_axes(self.link, self.cfg.link_length)
-        return tuple(
-            LimbKinematics(index=k, kind=spec.kind, A=A[k], C=C[k], B=self.B[k], q=self.q[k],
-                           a=self.a[k], b=A[k], link=self.link[k], s1=Z_HAT, s2=X_HAT,
-                           s3=s3[k], n=n[k])
-            for k, spec in enumerate(self.cfg.limbs))
 
 
 def norms(v: np.ndarray) -> np.ndarray:
@@ -443,6 +412,4 @@ def resolve_pose(
 
 def tsai_mobility(mobility: MobilityInputs) -> int:
     """Degrees of freedom by the mobility count lambda*(n - j - 1) + sum(f_i)."""
-    if min(mobility.lam, mobility.n, mobility.j, mobility.f_sum) < 0:
-        raise ConfigError("mobility counts must be nonnegative")
     return mobility.lam * (mobility.n - mobility.j - 1) + mobility.f_sum

@@ -1,17 +1,15 @@
 """Point-velocity map: platform twist -> linear velocities of chosen points.
 
 The shifting property v_i = v + w x a_i, stacked over the chosen points,
-gives the 3f x 6 matrix with row blocks [I, -skew(a_i)].
+gives the 3f x 6 matrix with row blocks [I, -skew(a_i)].  The points are
+the anchors a_i = R P_i of a resolved pose, and the config refuses
+collinear platform points P at load, so the map always spans the rigid
+motion and ``build_Vp`` has nothing to refuse.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
-
-from .errors import DegeneratePoints, Status
-from .model import collinear
 
 
 def skew(a: np.ndarray) -> np.ndarray:
@@ -29,24 +27,10 @@ def point_velocity(v: np.ndarray, w: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.asarray(v, float) + np.cross(w, a)
 
 
-@dataclass(frozen=True)
-class PointVelocityMap:
-    points: np.ndarray  # (..., n, 3)
-    V_p: np.ndarray     # (..., 3n, 6)
-    status: Status = field(default_factory=Status)  # collinear point sets
-
-    @property
-    def count(self) -> int:
-        return self.points.shape[-2]
-
-
-def build_Vp(points) -> PointVelocityMap:
-    """Stack [I, -skew(a_i)] blocks of points (..., n, 3); a collinear set is DegeneratePoints."""
+def build_Vp(points) -> np.ndarray:
+    """V_p (..., 3n, 6): the stacked [I, -skew(a_i)] blocks of the points (..., n, 3)."""
     pts = np.asarray(points, float)
-    status = Status(pts.shape[:-2])
-    if pts.shape[-2] >= 3:
-        status.refuse(collinear(pts), DegeneratePoints, lambda i: "point set is collinear")
     V_p = np.empty(pts.shape + (6,))
     V_p[..., :3] = np.eye(3)
     V_p[..., 3:] = -skew(pts)
-    return PointVelocityMap(pts, V_p.reshape(pts.shape[:-2] + (-1, 6)), status)
+    return V_p.reshape(pts.shape[:-2] + (-1, 6))

@@ -35,7 +35,7 @@ PUS_ROW_VARIANT = "link"
 
 @dataclass(frozen=True)
 class InverseJacobian:
-    """Stacked [G_a^T; G_c^T] with its four named blocks, for one pose or a stack."""
+    """Stacked [G_a^T; G_c^T], for one pose or a stack."""
 
     G_a_T: np.ndarray  # (..., f, 6), actuation rows
     G_c_T: np.ndarray  # (..., 6 - f, 6), constraint rows
@@ -44,22 +44,6 @@ class InverseJacobian:
     @property
     def stacked(self) -> np.ndarray:
         return np.concatenate([self.G_a_T, self.G_c_T], axis=-2)
-
-    @property
-    def G_av_T(self) -> np.ndarray:
-        return self.G_a_T[..., :3]
-
-    @property
-    def G_aw_T(self) -> np.ndarray:
-        return self.G_a_T[..., 3:]
-
-    @property
-    def G_cv_T(self) -> np.ndarray:
-        return self.G_c_T[..., :3]
-
-    @property
-    def G_cw_T(self) -> np.ndarray:
-        return self.G_c_T[..., 3:]
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:

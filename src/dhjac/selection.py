@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DegeneratePair, Status
-from .pointmap import PointVelocityMap
 
 #: relative threshold on |a_ix - a_jx| below which a pair is degenerate
 PAIR_THRESHOLD = 1e-9
@@ -133,11 +132,11 @@ INDEPENDENT_COLS = (1, 2, 3, 4)
 CONSTRAINED_COLS = (0, 5)
 
 
-def nominal_map(sel: SelectionMatrix, vp: PointVelocityMap) -> tuple[np.ndarray, np.ndarray]:
-    """V_ps = S V_p and its square restriction to the independent freedoms."""
-    if sel.S.shape[-1] != vp.V_p.shape[-2]:
-        raise ConfigError(
-            f"selection matrix expects {sel.S.shape[-1] // 3} points, "
-            f"map has {vp.count}")
-    V_ps = sel.S @ vp.V_p
+def nominal_map(sel: SelectionMatrix, V_p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """V_ps = S V_p and its square restriction to the independent freedoms.
+
+    S and V_p are built from the same points, whose count
+    ``build_selection_matrix`` has checked against the plan.
+    """
+    V_ps = sel.S @ V_p
     return V_ps, V_ps[..., INDEPENDENT_COLS]

@@ -11,8 +11,8 @@ import math
 
 import numpy as np
 
-from dhjac.errors import (DegeneratePair, DegeneratePoints, NoConvergence,
-                          SingularConfiguration, SingularLimb, SingularSelection, Unreachable)
+from dhjac.errors import (DegeneratePair, NoConvergence, SingularConfiguration, SingularLimb,
+                          SingularSelection, Unreachable)
 from dhjac.forward_map import COND_LIMIT, SIGMA_FLOOR
 from dhjac.model import (ENVELOPE_SLACK, IK_CLAMP, RESOLVE_DET_RTOL, RESOLVE_HALVINGS,
                          RESOLVE_MAX_ITER, RESOLVE_TOL)
@@ -120,9 +120,6 @@ def scalar_condition_numbers(cfg, y, z, theta, psi, plan):
         S[r, 3 * (i - 1) + 1] = -ax[j - 1] / abs(delta)
         S[r, 3 * (j - 1) + 1] = ax[i - 1] / abs(delta)
         S[r, 3 * (min(i, j) - 1) + 2] = 1.0
-    d = np.array(anchors) - anchors[0]
-    if np.linalg.matrix_rank(d, tol=1e-9 * max(np.linalg.norm(d, axis=1).max(), 1e-30)) < 2:
-        raise DegeneratePoints("collinear")
     V_p = np.vstack([np.hstack([np.eye(3), [[0.0, a[2], -a[1]], [-a[2], 0.0, a[0]],
                                             [a[1], -a[0], 0.0]]]) for a in anchors])
     k = _cond(S @ V_p @ J_a)

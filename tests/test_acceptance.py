@@ -115,9 +115,9 @@ def test_criterion_5_annihilation(reference, poses):
     worst = 0.0
     for coords in poses:
         pts = resolve_pose(reference, *coords).a
-        vp = checked(build_Vp(pts))
+        V_p = build_Vp(pts)
         for plan in (PRIMARY_PLAN, ALTERNATE_PLAN):
-            V_ps, _ = nominal_map(checked(build_selection_matrix(plan, pts)), vp)
+            V_ps, _ = nominal_map(checked(build_selection_matrix(plan, pts)), V_p)
             worst = max(worst, np.max(np.abs(V_ps[:, list(CONSTRAINED_COLS)])))
     _report(5, "selection kills the constrained freedoms for both plans",
             worst < 1e-12, f"max column magnitude {worst:.3e}")

@@ -169,11 +169,67 @@ def test_sweep_units_match(tmp_path):
 @pytest.mark.parametrize("rows", [3, 5])
 def test_plan_row_count_must_match_limbs(tmp_path, capsys, cmd, rows):
     # refused once, before any pose is evaluated or any file written
-    plan = json.dumps([[f"{r}y", f"{r % rows + 1}z"] for r in range(1, rows + 1)])
     out = tmp_path / "out.json"
-    assert main([cmd, "--config", CFG, "--grid", "3", "--plan", plan, "--out", str(out)]) == 3
+    assert main([cmd, "--config", CFG, "--grid", "3", "--plan", _cyclic_plan(rows),
+                 "--out", str(out)]) == 3
     assert capsys.readouterr().err == f"config error: plan has {rows} rows but 4 points given\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def _limbs(*kinds):
+    """Limbs of the given kinds spread evenly around both circles."""
+    return [{"angle_deg": 360.0 * i / len(kinds), "kind": kind} for i, kind in enumerate(kinds)]
+
+
+def _cyclic_plan(rows):
+    return json.dumps([[f"{r}y", f"{r % rows + 1}z"] for r in range(1, rows + 1)])
+
+
+# Configs the loader refuses: (patch of the reference config, plan, stderr line).
+# The plan matches the limb count, so nothing but the config is at fault.
+REFUSED_AT_LOAD = {
+    "three_limbs": ({"limbs": _limbs("PUS", "PRS", "PRS")}, _cyclic_plan(3),
+                    "the pipeline supports four limbs, two of them PRS; got 3 limbs, 2 PRS"),
+    "five_limbs": ({"limbs": _limbs("PUS", "PRS", "PUS", "PRS", "PUS")}, _cyclic_plan(5),
+                   "the pipeline supports four limbs, two of them PRS; got 5 limbs, 2 PRS"),
+    "mobility_int": ({"mobility": 5}, None, "mobility must be an object of counts, got 5"),
+    "mobility_null": ({"mobility": None}, None,
+                      "mobility must be an object of counts, got None"),
+    "mobility_negative": ({"mobility": {"lambda": 6, "n": -10, "j": 12, "f_sum": 22}}, None,
+                          "mobility counts must be nonnegative"),
+}
+
+COMMANDS = {
+    "pose": ["pose", "0", "150", "10", "5"],
+    "sweep": ["sweep", "--grid", "3"],
+    "units": ["units", "--grid", "3"],
+    "validate": ["validate", "--poses", "3"],
+}
+
+
+@pytest.mark.parametrize("cmd", COMMANDS)
+@pytest.mark.parametrize("case", REFUSED_AT_LOAD)
+def test_config_refused_at_load_exit_3(tmp_path, capsys, monkeypatch, case, cmd):
+    import dhjac
+
+    def no_pose(*args, **kwargs):
+        raise AssertionError("a pose was resolved before the config was refused")
+
+    for module in (dhjac.model, dhjac.dhj, dhjac.verify):
+        monkeypatch.setattr(module, "resolve_many", no_pose)
+    patch, plan, line = REFUSED_AT_LOAD[case]
+    cfg = tmp_path / "layout.json"
+    cfg.write_text(json.dumps({**json.loads(REFERENCE_CONFIG.read_text()), **patch}))
+    argv = [*COMMANDS[cmd], "--config", str(cfg)]
+    if cmd != "pose":
+        argv += ["--out", str(tmp_path / "out.json")]
+    if plan is not None and cmd != "validate":
+        argv += ["--plan", plan]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {line}\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 def test_sweep_range_guard(tmp_path):

@@ -235,8 +235,7 @@ def test_scaling_equivariance(reference, s, layout, y, z, theta, psi):
         return
     rec_s = dexterity_at(scaled, y * s, z * s, theta, psi)
     assert rec_s.k == pytest.approx(rec.k, rel=1e-9, abs=0.0)
-    q, q_s = (np.array([limb.q for limb in r.pose.limbs]) for r in (rec, rec_s))
-    np.testing.assert_allclose(q_s, q * s, rtol=1e-9, atol=0.0)
+    np.testing.assert_allclose(rec_s.pose.q, rec.pose.q * s, rtol=1e-9, atol=0.0)
     # x is fixed only to the Newton tolerance, RESOLVE_TOL * r_b
     assert abs(rec_s.pose.x - rec.pose.x * s) <= RESOLVE_TOL * scaled.base_radius
 

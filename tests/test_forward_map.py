@@ -106,19 +106,6 @@ def test_block_formula_random_partitions():
         assert dev < 1e-9
 
 
-def test_block_formula_square_partition_decoupled():
-    # f = 3 with zero coupling blocks reduces to [A^-T-style inverse; 0]
-    rng = np.random.default_rng(7)
-    A = rng.standard_normal((3, 3)) + 3 * np.eye(3)
-    D = rng.standard_normal((3, 3)) + 3 * np.eye(3)
-    G = InverseJacobian(
-        G_a_T=np.hstack([A, np.zeros((3, 3))]),
-        G_c_T=np.hstack([np.zeros((3, 3)), D]),
-    )
-    expected = np.vstack([np.linalg.inv(A), np.zeros((3, 3))])
-    np.testing.assert_allclose(block_Ja(G), expected, atol=1e-12)
-
-
 def test_block_singular_raises():
     bad = InverseJacobian(G_a_T=np.zeros((4, 6)), G_c_T=np.eye(6)[4:])
     with pytest.raises(BlockSingular):

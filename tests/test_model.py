@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dhjac.errors import ConfigError, KinematicsError, NoConvergence, Unreachable
-from dhjac.model import (RESOLVE_TOL, X_HAT, LimbSpec, ManipulatorConfig, MobilityInputs,
-                         config_from_dict, load_config, resolve_many, resolve_pose,
-                         tsai_mobility)
+from dhjac.model import (RESOLVE_TOL, X_HAT, Z_HAT, LimbSpec, ManipulatorConfig,
+                         MobilityInputs, config_from_dict, limb_axes, load_config, resolve_many,
+                         resolve_pose, tsai_mobility)
 
 from conftest import REFERENCE_CONFIG, offset_prs_config, random_coords, square_config
 
@@ -81,40 +82,40 @@ def test_square_home_joint_values_equal_closed_form():
     # same-angle layout: every limb sees the same lateral offset r_b - r_a
     cfg = square_config()
     pose = resolve_pose(cfg, 0.0, 150.0, 0.0, 0.0)
-    q = [limb.q for limb in pose.limbs]
     expected = 150.0 - math.sqrt(687.0**2 - 250.0**2)
-    assert q == pytest.approx([expected] * 4, rel=1e-12)
+    assert pose.q.tolist() == pytest.approx([expected] * 4, rel=1e-12)
 
 
 def test_reference_home_joint_values_closed_form(reference):
-    pose = resolve_pose(reference, 0.0, 150.0, 0.0, 0.0)
-    limbs = pose.limbs
+    q = resolve_pose(reference, 0.0, 150.0, 0.0, 0.0).q
     P = reference.platform_points()
     A = reference.base_points()
-    for i, limb in enumerate(limbs):
+    for i in range(4):
         d = math.hypot(P[i][0] - A[i][0], P[i][1] - A[i][1])
-        assert limb.q == pytest.approx(150.0 - math.sqrt(687.0**2 - d * d), rel=1e-12)
+        assert q[i] == pytest.approx(150.0 - math.sqrt(687.0**2 - d * d), rel=1e-12)
     # mirror symmetry pairs the PUS limbs and the PRS limbs
-    assert limbs[0].q == pytest.approx(limbs[2].q, rel=1e-12)
-    assert limbs[1].q == pytest.approx(limbs[3].q, rel=1e-12)
+    assert q[0] == pytest.approx(q[2], rel=1e-12)
+    assert q[1] == pytest.approx(q[3], rel=1e-12)
 
 
 def test_link_length_preserved_everywhere(reference):
     for coords in random_coords(reference, 25, seed=3):
         pose = resolve_pose(reference, *coords)
-        for limb in pose.limbs:
-            assert np.linalg.norm(limb.link) == pytest.approx(687.0, rel=1e-9)
-            assert np.allclose(limb.B - limb.C, limb.link)
-            assert limb.C[2] <= limb.B[2]  # elbow-down branch
+        C = reference.base_points() + pose.q[:, None] * Z_HAT  # U/R joint centers
+        for B, C_i, link in zip(pose.B, C, pose.link):
+            assert np.linalg.norm(link) == pytest.approx(687.0, rel=1e-9)
+            assert np.allclose(B - C_i, link)
+            assert C_i[2] <= B[2]  # elbow-down branch
 
 
 def test_limb_axes_unit_and_orthogonal(reference):
+    # s1 = z_hat (rail), s2 = x_hat (R / slider-fixed U axis), s3 and n from the link
     pose = resolve_pose(reference, 0.0, 150.0, math.radians(20.0), math.radians(-30.0))
-    for limb in pose.limbs:
-        for axis in (limb.s1, limb.s2, limb.s3):
+    for s3, n in zip(*limb_axes(pose.link, reference.link_length)):
+        for axis in (Z_HAT, X_HAT, s3):
             assert np.linalg.norm(axis) == pytest.approx(1.0, abs=1e-12)
-        assert abs(limb.s2 @ limb.s3) < 1e-12
-        assert np.allclose(limb.n, np.cross(limb.s3, limb.s2))
+        assert abs(X_HAT @ s3) < 1e-12
+        assert np.allclose(n, np.cross(s3, X_HAT))
 
 
 @pytest.mark.parametrize("layout", ["reference", "square", "offset"])
@@ -123,11 +124,11 @@ def test_closed_form_axes_match_cross_products(reference, layout):
     cfg = {"reference": reference, "square": square_config(),
            "offset": offset_prs_config()}[layout]
     for coords in random_coords(cfg, 20, seed=17):
-        for limb in resolve_pose(cfg, *coords).limbs:
-            cross = np.cross(X_HAT, limb.link)
-            np.testing.assert_array_equal(limb.s2, X_HAT)
-            np.testing.assert_array_equal(limb.s3, cross / np.linalg.norm(cross))
-            np.testing.assert_array_equal(limb.n, np.cross(limb.s3, limb.s2))
+        link = resolve_pose(cfg, *coords).link
+        for link_i, s3, n in zip(link, *limb_axes(link, cfg.link_length)):
+            cross = np.cross(X_HAT, link_i)
+            np.testing.assert_array_equal(s3, cross / np.linalg.norm(cross))
+            np.testing.assert_array_equal(n, np.cross(s3, X_HAT))
 
 
 def test_link_parallel_to_x_takes_the_fallback_axis():
@@ -135,11 +136,10 @@ def test_link_parallel_to_x_takes_the_fallback_axis():
     pose = resolve_pose(square_config(), 0.0, 150.0, 0.0, 0.0)
     link = pose.link.copy()
     link[0] = [-687.0, 0.0, 0.0]
-    limb = dataclasses.replace(pose, link=link).limbs[0]
-    np.testing.assert_array_equal(limb.link, [-687.0, 0.0, 0.0])
-    assert np.linalg.norm(np.cross(X_HAT, limb.link)) == 0.0
-    np.testing.assert_array_equal(limb.s3, [0.0, 1.0, 0.0])
-    np.testing.assert_array_equal(limb.n, np.cross(limb.s3, limb.s2))
+    s3, n = limb_axes(link, 687.0)
+    assert np.linalg.norm(np.cross(X_HAT, link[0])) == 0.0
+    np.testing.assert_array_equal(s3[0], [0.0, 1.0, 0.0])
+    np.testing.assert_array_equal(n[0], np.cross(s3[0], X_HAT))
 
 
 def test_anchors_cached_read_only_and_fresh_per_instance(reference):
@@ -274,12 +274,11 @@ def test_scaling_homogeneity_power_of_two_exact(k):
     scaled = cfg.scaled(s)
     pose = resolve_pose(cfg, 0.0, 150.0, 0.25, -0.35)
     pose_s = resolve_pose(scaled, 0.0, 150.0 * s, 0.25, -0.35)
-    for limb, limb_s in zip(pose.limbs, pose_s.limbs):
-        assert limb_s.q == limb.q * s
-        assert np.array_equal(limb_s.B, limb.B * s)
-        assert np.array_equal(limb_s.C, limb.C * s)
-        assert np.array_equal(limb_s.a, limb.a * s)
-        assert np.array_equal(limb_s.link, limb.link * s)
+    np.testing.assert_array_equal(pose_s.q, pose.q * s)
+    for name in ("B", "a", "link"):
+        np.testing.assert_array_equal(getattr(pose_s, name), getattr(pose, name) * s)
+    C, C_s = (p.cfg.base_points() + p.q[:, None] * Z_HAT for p in (pose, pose_s))
+    np.testing.assert_array_equal(C_s, C * s)
 
 
 @given(s=st.floats(min_value=1e-3, max_value=1e3, allow_nan=False,
@@ -289,9 +288,8 @@ def test_scaling_homogeneity_general(s, reference):
     scaled = reference.scaled(s)
     pose = resolve_pose(reference, 0.0, 150.0, 0.2, 0.3)
     pose_s = resolve_pose(scaled, 0.0, 150.0 * s, 0.2, 0.3)
-    for limb, limb_s in zip(pose.limbs, pose_s.limbs):
-        assert limb_s.q == pytest.approx(limb.q * s, rel=1e-12)
-        np.testing.assert_allclose(limb_s.link, limb.link * s, rtol=1e-12)
+    np.testing.assert_allclose(pose_s.q, pose.q * s, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(pose_s.link, pose.link * s, rtol=1e-12)
 
 
 def test_load_reference_config(reference):
@@ -311,11 +309,24 @@ def test_config_validation_errors(tmp_path):
                   {"limbs": four_pus}, {"limbs": []}, {"limbs": nan_angle}):
         with pytest.raises(ConfigError):
             config_from_dict({**good, **patch})
+    # the loader admits four limbs, two of them PRS, and non-negative mobility counts
+    three = good["limbs"][1:]
+    five = good["limbs"] + [dict(good["limbs"][0], angle_deg=45.0, base_angle_deg=45.0)]
+    for patch, message in (
+            ({"limbs": three}, "supports four limbs, two of them PRS; got 3 limbs, 2 PRS"),
+            ({"limbs": five}, "supports four limbs, two of them PRS; got 5 limbs, 2 PRS"),
+            ({"limbs": four_pus}, "supports four limbs, two of them PRS; got 4 limbs, 0 PRS"),
+            ({"mobility": 5}, "mobility must be an object of counts, got 5"),
+            ({"mobility": None}, "mobility must be an object of counts, got None"),
+            ({"mobility": dict(good["mobility"], j=-12)}, "mobility counts must be nonnegative"),
+            ({"mobility": {"lambda": -6}}, "mobility counts must be nonnegative")):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            config_from_dict({**good, **patch})
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ConfigError):
         load_config(bad)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="platform anchor points are collinear"):
         ManipulatorConfig(
             moving_plate_radius=200.0, base_radius=450.0, link_length=687.0,
             limbs=(LimbSpec(0.0, "PUS"), LimbSpec(0.0, "PRS"), LimbSpec(180.0, "PUS"),

@@ -26,8 +26,7 @@ def _scalar_steps(cfg, h=1e-6):
 
 
 def _scalar_q(cfg, coords, envelope_deg=None):
-    return np.array([limb.q for limb in
-                     resolve_pose(cfg, *coords, envelope_deg=envelope_deg).limbs])
+    return resolve_pose(cfg, *coords, envelope_deg=envelope_deg).q
 
 
 def _perturbed(coords, k, delta):
@@ -95,9 +94,9 @@ def scalar_forward_refine(cfg, q_target, guess_coords):
 
 def scalar_brute_force_dhj(cfg, coords, plan=PRIMARY_PLAN):
     h_q = BRUTE_FORCE_STEP * max(cfg.base_radius, 1e-30)
-    limbs0 = resolve_pose(cfg, *coords).limbs
-    q0 = np.array([limb.q for limb in limbs0])
-    S = checked(build_selection_matrix(plan, [limb.a for limb in limbs0])).S
+    pose0 = resolve_pose(cfg, *coords)
+    q0 = pose0.q
+    S = checked(build_selection_matrix(plan, pose0.a)).S
     out = np.zeros((cfg.limb_count, cfg.limb_count))
     for m in range(cfg.limb_count):
         qp, qm = q0.copy(), q0.copy()
@@ -232,10 +231,10 @@ def test_fd_error_second_order_in_step(reference):
 
 def test_forward_refine_round_trip(reference):
     for coords in random_coords(reference, 6, seed=47):
-        q = np.array([limb.q for limb in resolve_pose(reference, *coords).limbs])
+        q = resolve_pose(reference, *coords).q
         guess = (coords[0], coords[1] + 1.0, coords[2] + 0.01, coords[3] - 0.01)
         refined = forward_refine(reference, q, guess)
-        q_back = np.array([limb.q for limb in resolve_pose(reference, *refined).limbs])
+        q_back = resolve_pose(reference, *refined).q
         np.testing.assert_allclose(q_back, q, atol=1e-8)
         np.testing.assert_allclose(refined, coords, atol=1e-8 * reference.base_radius)
 
