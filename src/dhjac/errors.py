@@ -2,6 +2,7 @@
 
 The stages record the failure of each pose of a stack, so that grids stay
 rectangular; the per-pose entry points raise it, the CLI maps it onto an exit code.
+``Stacked`` pairs a stage's values over a stack with their ``Status``.
 """
 
 from __future__ import annotations
@@ -130,6 +131,19 @@ class Status:
             k = int(bad[i].argmax())
             self.refusals[i] = Refusal(error, partial(describe, i, k), k + 1, float(value[i][k]))
 
+    def gather(self, owner, size: int, wrap=None) -> Status:
+        """The refusals of this stack passed on to the poses that own them, in a stack of ``size``.
+
+        Pose ``i`` belongs to pose ``owner[i]`` (to none when negative).  An owner
+        keeps the refusal of its first refused pose, as ``wrap(i, refusal)`` when given.
+        """
+        out = Status((size,))
+        for (i,), r in sorted(self.refusals.items()):
+            o = int(owner[i])
+            if o >= 0 and (o,) not in out.refusals:
+                out.refusals[(o,)] = r if wrap is None else wrap(i, r)
+        return out
+
     def then(self, later: Status) -> Status:
         """These refusals, and those of a later stage at the poses still ok."""
         out = Status(self.shape)
@@ -159,3 +173,17 @@ class Status:
         """Raise the error of the first refused pose, if any."""
         if self.refusals:
             raise self.error(min(self.refusals))
+
+
+@dataclass(frozen=True)
+class Stacked:
+    """Values of a stage at a stack of poses: ``value`` leads with the stack axis and is
+    NaN where ``status`` refuses a pose."""
+
+    value: np.ndarray
+    status: Status
+
+    def one(self):
+        """The value at the pose of a stack of one; its refusal is raised."""
+        self.status.check()
+        return self.value[0]

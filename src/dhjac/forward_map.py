@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BlockSingular, SingularConfiguration, Status
+from .errors import BlockSingular, SingularConfiguration, Stacked, Status
 from .screws import InverseJacobian
 
 COND_LIMIT = 1e12
@@ -85,18 +85,28 @@ def invert_full(G: InverseJacobian) -> ForwardJacobian:
     return ForwardJacobian(J=J, J_a=J[..., :f], J_c=J[..., f:], cond_GT=cond, status=status)
 
 
-def block_Ja(G: InverseJacobian) -> np.ndarray:
+def block_Ja(G: InverseJacobian):
     """Actuated forward block J_a = N (G_a^T N)^-1; see module docs.
 
-    An actuation map singular on the constraint kernel is BlockSingular.
+    An actuation map singular on the constraint kernel is BlockSingular.  One
+    G^T gives its (6, f) block or raises; a stack gives a ``Stacked`` of
+    (N, 6, f) blocks that refuses those poses, NaN also where G^T is not finite.
     """
-    Gc = G.G_c_T
-    m = Gc.shape[0]
+    Ga, Gc = np.asarray(G.G_a_T, float), np.asarray(G.G_c_T, float)
+    one = Ga.ndim == 2
+    Ga, Gc = Ga.reshape((-1,) + Ga.shape[-2:]), Gc.reshape((-1,) + Gc.shape[-2:])
+    f, m = Ga.shape[-2], Gc.shape[-2]
+    finite = np.flatnonzero(np.isfinite(Ga).all(axis=(1, 2)) & np.isfinite(Gc).all(axis=(1, 2)))
     # orthonormal kernel basis of the constraint rows
-    Q, _ = np.linalg.qr(Gc.T, mode="complete")
-    N = Q[:, m:]
-    M = G.G_a_T @ N
+    Q, _ = np.linalg.qr(Gc[finite].swapaxes(-1, -2), mode="complete")
+    N = Q[..., m:]
+    M = Ga[finite] @ N
     sv = np.linalg.svd(M, compute_uv=False)
-    if sv[-1] <= 1e-12 * sv[0]:
-        raise BlockSingular("actuation map singular on the constraint kernel")
-    return N @ np.linalg.solve(M, np.eye(M.shape[0]))
+    singular = sv[:, -1] <= 1e-12 * sv[:, 0]
+    status = Status((len(Ga),))
+    status.refuse(np.isin(np.arange(len(Ga)), finite[singular]), BlockSingular,
+                  lambda i: "actuation map singular on the constraint kernel")
+    J = np.full((len(Ga), Ga.shape[-1], f), math.nan)
+    J[finite[~singular]] = N[~singular] @ np.linalg.solve(M[~singular], np.eye(f))
+    out = Stacked(J, status)
+    return out.one() if one else out

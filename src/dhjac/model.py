@@ -184,8 +184,34 @@ def load_config(path: str | Path) -> ManipulatorConfig:
     return config_from_dict(raw)
 
 
+#: the keys of the JSON schema: top level, limb entries, and mobility counts with defaults
+CONFIG_KEYS = frozenset({"r_a", "r_b", "l", "limbs", "actuator", "unit", "envelope_deg",
+                         "mobility"})
+LIMB_KEYS = frozenset({"angle_deg", "kind", "base_angle_deg"})
+MOBILITY_DEFAULTS = {"lambda": 6, "n": 10, "j": 12, "f_sum": 22}
+
+
+def _known_keys(entry, known, where: str) -> None:
+    """Refuse as ConfigError the keys of a JSON object that the schema does not name."""
+    unknown = sorted(set(entry) - known) if isinstance(entry, dict) else []
+    if unknown:
+        raise ConfigError(f"unknown key {', '.join(map(repr, unknown))} in {where}")
+
+
+def _count(mob: dict, key: str) -> int:
+    """The mobility count ``key``: an integer, or a float of integral value; never a bool."""
+    v = mob.get(key, MOBILITY_DEFAULTS[key])
+    if isinstance(v, bool) or not (isinstance(v, int)
+                                   or isinstance(v, float) and v.is_integer()):
+        raise ConfigError(f"mobility count {key!r} must be an integer, got {v!r}")
+    return int(v)
+
+
 def config_from_dict(raw: dict) -> ManipulatorConfig:
+    _known_keys(raw, CONFIG_KEYS, "config")
     try:
+        for i, entry in enumerate(raw["limbs"]):
+            _known_keys(entry, LIMB_KEYS, f"limb {i + 1}")
         limbs = tuple(
             LimbSpec(
                 angle_deg=float(entry["angle_deg"]),
@@ -198,11 +224,12 @@ def config_from_dict(raw: dict) -> ManipulatorConfig:
         mob = raw.get("mobility", {})
         if not isinstance(mob, dict):
             raise ConfigError(f"mobility must be an object of counts, got {mob!r}")
+        _known_keys(mob, frozenset(MOBILITY_DEFAULTS), "mobility")
         mobility = MobilityInputs(
-            lam=int(mob.get("lambda", 6)),
-            n=int(mob.get("n", 10)),
-            j=int(mob.get("j", 12)),
-            f_sum=int(mob.get("f_sum", 22)),
+            lam=_count(mob, "lambda"),
+            n=_count(mob, "n"),
+            j=_count(mob, "j"),
+            f_sum=_count(mob, "f_sum"),
         )
         return ManipulatorConfig(
             moving_plate_radius=float(raw["r_a"]),

@@ -33,4 +33,4 @@ def build_Vp(points) -> np.ndarray:
     V_p = np.empty(pts.shape + (6,))
     V_p[..., :3] = np.eye(3)
     V_p[..., 3:] = -skew(pts)
-    return V_p.reshape(pts.shape[:-2] + (-1, 6))
+    return V_p.reshape(pts.shape[:-2] + (3 * pts.shape[-2], 6))

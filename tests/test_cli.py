@@ -197,6 +197,16 @@ REFUSED_AT_LOAD = {
                       "mobility must be an object of counts, got None"),
     "mobility_negative": ({"mobility": {"lambda": 6, "n": -10, "j": 12, "f_sum": 22}}, None,
                           "mobility counts must be nonnegative"),
+    "mobility_fraction": ({"mobility": {"lambda": 6.9}}, None,
+                          "mobility count 'lambda' must be an integer, got 6.9"),
+    "mobility_bool": ({"mobility": {"lambda": True}}, None,
+                      "mobility count 'lambda' must be an integer, got True"),
+    "unknown_key": ({"envelope_dg": 80}, None, "unknown key 'envelope_dg' in config"),
+    "unknown_limb_key": ({"limbs": [{"angle_deg": 0.0, "kind": "PUS", "base_deg": 45.0},
+                                    *_limbs("PUS", "PRS", "PUS", "PRS")[1:]]}, None,
+                         "unknown key 'base_deg' in limb 1"),
+    "unknown_mobility_key": ({"mobility": {"lambda": 6, "lamda": 6}}, None,
+                             "unknown key 'lamda' in mobility"),
 }
 
 COMMANDS = {

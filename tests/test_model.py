@@ -319,9 +319,21 @@ def test_config_validation_errors(tmp_path):
             ({"mobility": 5}, "mobility must be an object of counts, got 5"),
             ({"mobility": None}, "mobility must be an object of counts, got None"),
             ({"mobility": dict(good["mobility"], j=-12)}, "mobility counts must be nonnegative"),
-            ({"mobility": {"lambda": -6}}, "mobility counts must be nonnegative")):
+            ({"mobility": {"lambda": -6}}, "mobility counts must be nonnegative"),
+            ({"mobility": {"lambda": 6.9}}, "mobility count 'lambda' must be an integer, got 6.9"),
+            ({"mobility": {"lambda": True}},
+             "mobility count 'lambda' must be an integer, got True"),
+            ({"mobility": dict(good["mobility"], f_sum="22")},
+             "mobility count 'f_sum' must be an integer, got '22'"),
+            ({"envelope_dg": 80}, "unknown key 'envelope_dg' in config"),
+            ({"limbs": [dict(good["limbs"][0], knd="PUS")] + good["limbs"][1:]},
+             "unknown key 'knd' in limb 1"),
+            ({"mobility": dict(good["mobility"], lamda=6)}, "unknown key 'lamda' in mobility")):
         with pytest.raises(ConfigError, match=re.escape(message)):
             config_from_dict({**good, **patch})
+    # an integral float is a count; the shipped config carries no key outside the schema
+    assert config_from_dict({**good, "mobility": {"lambda": 6.0}}).mobility.lam == 6
+    assert config_from_dict(good) == load_config(REFERENCE_CONFIG)
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ConfigError):

@@ -16,6 +16,7 @@ from dhjac.verify import (BRUTE_FORCE_STEP, REFINE_MAX_ITER, REFINE_TOL, brute_f
                           run_validation, sample_poses)
 
 from conftest import checked, offset_prs_config, random_coords, square_config
+from validation_reference import scalar_run_validation
 
 
 # Scalar references: the oracles written pose by pose, one resolve_pose per
@@ -151,7 +152,7 @@ def test_forward_refine_stack_equals_one_target_at_a_time(reference):
     coords = (0.0, 150.0, 0.3, -0.2)
     q0 = _scalar_q(reference, coords)
     targets = q0 + np.array([[0.5, 0.0, 0.0, 0.0], [0.0, -2.0, 1.0, 0.0], [3.0, 3.0, 3.0, 3.0]])
-    refined = forward_refine(reference, targets, coords)
+    refined = checked(forward_refine(reference, targets, coords)).value
     assert refined.shape == (3, 4)
     for t, row in zip(targets, refined):
         np.testing.assert_array_equal(row, forward_refine(reference, t, coords))
@@ -168,9 +169,60 @@ def test_forward_refine_stack_raises_the_first_failed_targets_error(reference):
         alone.append(str(info.value))
     assert alone[0] != alone[1] and "left the workspace" in alone[0]
     for first, second in ((0, 1), (1, 0)):
-        with pytest.raises(NoForwardSolution) as stacked:
-            forward_refine(reference, np.stack([good, bad[first], good, bad[second]]), coords)
-        assert str(stacked.value) == alone[first]
+        stacked = forward_refine(reference, np.stack([good, bad[first], good, bad[second]]),
+                                 coords)
+        with pytest.raises(NoForwardSolution) as raised:
+            stacked.status.check()
+        assert str(raised.value) == alone[first]
+        # every target keeps the result or the error it gets alone
+        assert stacked.status.codes() == ["ok", "no_forward_solution"] * 2
+        assert [str(stacked.status.error(t)) for t in (1, 3)] == [alone[first], alone[second]]
+        for t in (0, 2):
+            np.testing.assert_array_equal(stacked.value[t],
+                                          scalar_forward_refine(reference, good, coords))
+        assert np.isnan(stacked.value[[1, 3]]).all()
+
+
+def test_forward_refine_singular_target_fails_only_itself(square):
+    # on the square layout the forward Jacobian is singular at theta = 0
+    a, b = (0.0, 150.0, 0.3, 0.1), (0.0, 150.0, 0.0, 0.1)
+    q_a = _scalar_q(square, a) + 1e-3
+    q_b = _scalar_q(square, b) + 1e-3
+    with pytest.raises(NoForwardSolution, match="singular forward Jacobian") as alone:
+        forward_refine(square, q_b, b)
+    stacked = forward_refine(square, np.stack([q_a, q_b]), np.array([a, b]))
+    assert stacked.status.codes() == ["ok", "no_forward_solution"]
+    assert str(stacked.status.error(1)) == str(alone.value)
+    np.testing.assert_array_equal(stacked.value[0], forward_refine(square, q_a, a))
+    np.testing.assert_array_equal(stacked.value[0], scalar_forward_refine(square, q_a, a))
+
+
+@pytest.mark.parametrize("layout", sorted(ORACLE_LAYOUTS))
+def test_oracles_over_a_stack_equal_each_pose_alone(reference, layout):
+    # a stack gives every pose the value, or the error, that it gets alone
+    cfg = reference if ORACLE_LAYOUTS[layout] is None else ORACLE_LAYOUTS[layout]()
+    lim = math.radians(cfg.envelope_deg)
+    coords = random_coords(cfg, 5, seed=73) + [
+        (0.0, 150.0, lim + math.radians(0.5), 0.0),  # outside the envelope, inside its guard
+        (0.0, 150.0, lim + math.radians(1.0) - 1e-7, 0.0),  # a perturbation is refused
+        (1e3, 150.0, 0.0, 0.0)]  # out of reach
+    for oracle in (fd_actuation_jacobian, fd_constraint_tangent, brute_force_dhj):
+        stacked = oracle(cfg, coords)
+        assert stacked.value.shape[0] == len(coords)
+        for i, c in enumerate(coords):
+            try:
+                alone = oracle(cfg, c)
+            except KinematicsError as exc:
+                got = stacked.status.error(i)
+                assert (type(got), str(got)) == (type(exc), str(exc))
+                assert np.isnan(stacked.value[i]).all()
+            else:
+                assert stacked.status.error(i) is None
+                np.testing.assert_array_equal(stacked.value[i], alone)
+    # the tangent resolves each center in the envelope; the actuation oracle only its steps
+    assert fd_constraint_tangent(cfg, coords).status.codes()[5:] == ["unreachable"] * 3
+    assert fd_actuation_jacobian(cfg, coords).status.codes() == \
+        ["ok"] * 6 + ["step_too_large"] * 2
 
 
 def test_perturbation_past_the_guard_is_step_too_large(reference):
@@ -321,7 +373,7 @@ def test_run_validation_reference(reference):
     json.dumps(report)  # must be serializable as-is
 
 
-def test_run_validation_evaluates_each_oracle_once_per_pose(reference, monkeypatch):
+def test_run_validation_evaluates_each_oracle_once_per_run(reference, monkeypatch):
     import dhjac.dhj
     import dhjac.verify
 
@@ -336,25 +388,51 @@ def test_run_validation_evaluates_each_oracle_once_per_pose(reference, monkeypat
 
         monkeypatch.setattr(module, name, counting)
 
-    count(dhjac.verify, "fd_constraint_tangent")
-    count(dhjac.verify, "fd_actuation_jacobian")
-    count(dhjac.verify, "forward_refine")
-    count(dhjac.verify, "resolve_pose")
-    count(dhjac.verify, "resolve_many")
+    for name in ("forward_refine", "resolve_pose", "resolve_many", "brute_force_dhj"):
+        count(dhjac.verify, name)
     count(dhjac.dhj, "dexterity_at")
-    report = run_validation(reference, seed=7, n_poses=12, n_dhj=2)
-    n = report["poses_feasible"]
-    assert n == 12 and report["all_passed"] is True
-    assert calls["fd_constraint_tangent"] == n
-    assert calls["fd_actuation_jacobian"] == n
-    # the primary-plan, alternate-plan and metric-unit records, once each
-    assert calls["dexterity_at"] <= 3 * n
-    # the oracles resolve every perturbed pose in stacked calls: resolve_pose
-    # only for a center (tangent, brute force), one stacked call per oracle
-    # and per refinement iteration; one-pose-at-a-time oracles made 538 here
-    assert calls["forward_refine"] == 2
-    assert calls["resolve_pose"] == n + 2
-    assert calls["resolve_many"] <= 3 * n
+    count(dhjac.dhj, "resolve_pose")
+    counts = []
+    for n_poses in (6, 24):
+        calls.clear()
+        report = run_validation(reference, seed=7, n_poses=n_poses, n_dhj=n_poses)
+        assert report["poses_feasible"] == n_poses and report["all_passed"] is True
+        counts.append(dict(calls))
+    # each oracle and each judged chain runs once over the stack of all poses, so the
+    # calls do not grow with the pose count; one pose at a time made 2 + 7 n
+    # resolve_many and 1.5 n resolve_pose calls
+    assert counts[0] == counts[1]
+    assert counts[0]["forward_refine"] == counts[0]["brute_force_dhj"] == 1
+    assert "resolve_pose" not in counts[0] and "dexterity_at" not in counts[0]
+    assert counts[0]["resolve_many"] <= 10
+
+
+VALIDATION_CASES = {
+    "reference_seed_0": (None, 0, 10),
+    "reference_seed_5": (None, 5, 12),
+    "reference_seed_777": (None, 777, 10),
+    "reference_seed_42_100_poses": (None, 42, 100),
+    "offset_seed_42": (offset_prs_config, 42, 12),
+    # dhj_vs_brute_force stops on no_forward_solution after 0, 4 and 3 poses
+    "square_seed_11": (square_config, 11, 10),
+    "square_seed_17": (square_config, 17, 10),
+    "square_seed_26": (square_config, 26, 10),
+    "square_short_link": (lambda: square_config(link_length=300.0), 13, 20),
+    "unreachable": (lambda: square_config(link_length=100.0), 3, 5),
+}
+
+
+@pytest.mark.parametrize("case", VALIDATION_CASES)
+def test_run_validation_equals_the_one_pose_at_a_time_run(reference, case):
+    make, seed, n_poses = VALIDATION_CASES[case]
+    cfg = reference if make is None else make()
+    stacked = run_validation(cfg, seed=seed, n_poses=n_poses)
+    assert json.dumps(stacked, sort_keys=True) == json.dumps(
+        scalar_run_validation(cfg, seed=seed, n_poses=n_poses), sort_keys=True)
+    if case.startswith("square_seed"):
+        dhj_fd = next(c for c in stacked["checks"] if c["name"] == "dhj_vs_brute_force")
+        assert dhj_fd["note"].startswith("no_forward_solution at")
+        assert dhj_fd["poses_tested"] == {"11": 0, "17": 4, "26": 3}[case[-2:]]
 
 
 def test_run_validation_deterministic(reference):
