@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -147,16 +148,17 @@ def cmd_pose(args) -> int:
 def sweep_rows(cfg: ManipulatorConfig, spec: SweepSpec):
     """Row-major (theta outer) condition-number rows for one grid.
 
-    Each theta row is evaluated in one ``dhj.condition_numbers_at`` call.
+    The grid is evaluated in blocks of whole theta rows (``dhj.grid_blocks``),
+    one ``dhj.condition_numbers_at`` call per block, and a block's rows are
+    yielded as soon as it is evaluated.
     """
     y = _length_from_mm(spec.y_mm, cfg.unit)
     z = _length_from_mm(spec.z_mm, cfg.unit)
-    th_deg, ps_deg = spec.grids()
-    psis = np.radians(ps_deg)
-    for th in th_deg:
-        status, k_g, k_dh = dhj.condition_numbers_at(cfg, y, z, math.radians(th), psis,
-                                                     plan=spec.plan)
-        for ps, code, kg, kd in zip(ps_deg, status, k_g.tolist(), k_dh.tolist()):
+    for th_deg, ps_deg in dhj.grid_blocks(*spec.grids()):
+        status, k_g, k_dh = dhj.condition_numbers_at(cfg, y, z, np.radians(th_deg),
+                                                     np.radians(ps_deg), plan=spec.plan)
+        for th, ps, code, kg, kd in zip(th_deg.tolist(), ps_deg.tolist(), status,
+                                        k_g.tolist(), k_dh.tolist()):
             if code != "ok":
                 yield th, ps, None, None, code
             else:
@@ -187,6 +189,27 @@ def _replacing(path: str, newline: str | None = None):
 def _dump_json(obj, fh) -> None:
     json.dump(obj, fh, indent=2, sort_keys=True)
     fh.write("\n")
+
+
+#: the ``units`` cells with the item separator ``json.dump(..., indent=2)`` puts
+#: between the fields of a cell, two levels deep
+_CELLS_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+
+
+def _write_units_json(report: dict, fh) -> None:
+    """``_dump_json(report, fh)`` byte for byte, with the cells in one C-encoder call.
+
+    ``indent`` turns the C encoder off, so only the header goes through it.
+    The cells are flat dicts and the encoder escapes every newline inside a
+    string, so the only "},<newline>" in their text is the separator between
+    two cells, which is then given its indent=2 layout.
+    """
+    text = json.dumps(dict(report, cells=[]), indent=2, sort_keys=True)
+    if report["cells"]:
+        cells = _CELLS_ENCODER.encode(report["cells"])[2:-2].replace(
+            "},\n      {", "\n    },\n    {\n      ")
+        text = text.replace('"cells": []', f'"cells": [\n    {{\n      {cells}\n    }}\n  ]', 1)
+    fh.write(text + "\n")
 
 
 def write_sweep_csv(path: str, rows) -> list:
@@ -251,7 +274,7 @@ def cmd_units(args) -> int:
     out_csv = out_json[:-5] + ".csv" if out_json.endswith(".json") else out_json + ".csv"
     # neither file is replaced unless both were written in full
     with _replacing(out_json) as fh_json, _replacing(out_csv, newline="") as fh:
-        _dump_json(report, fh_json)
+        _write_units_json(report, fh_json)
         fh.write("theta_deg,psi_deg,cond_G_base,cond_G_scaled,"
                  "cond_Jdh_base,cond_Jdh_scaled,rel_dev_Jdh,status\n")
         for cell in report["cells"]:
@@ -320,29 +343,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("theta_deg", type=float, help="rotation about x [deg]")
     p.add_argument("psi_deg", type=float, help="rotation about y [deg]")
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.set_defaults(fn=cmd_pose)
 
     p = sub.add_parser("sweep", help="condition-number grid over (theta, psi) to CSV")
     common(p, with_out="sweep.csv", grid=True)
-    p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("units", help="millimeter-vs-meter condition-number experiment")
     common(p, with_out="units_report.json", grid=True)
     p.add_argument("--scale", type=float, default=0.001, help="length scale of the second run")
-    p.set_defaults(fn=cmd_units)
 
     p = sub.add_parser("validate", help="run every finite-difference oracle")
     common(p, with_out="validation_report.json")
     p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
     p.add_argument("--poses", type=int, default=100, help="random poses per oracle")
-    p.set_defaults(fn=cmd_validate)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first ``main`` call, not at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up per call, so a rebound ``cmd_*`` name (perfbench's tracer) is the one run
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.fn(args)
+        return command(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -6,7 +6,7 @@ it (``forward_map``), build S and V_p (``selection``, ``pointmap``) and read
 the singular values of J_dh = S V_p J_a.  Each stage that can refuse records
 in a ``Status`` the refusal a pose would raise alone, and a pose keeps the
 first, so every pose of a stack gets the outcome it gets alone.
-``condition_numbers_at`` runs the chain on the N poses of a grid row;
+``condition_numbers_at`` runs the chain on the N poses of a block of grid rows;
 ``dexterity_at`` runs it on one pose (``resolve_pose`` is a stack of one),
 raises its refusal, and returns every intermediate that ``dhjac pose`` and
 the validation checks read.
@@ -130,6 +130,24 @@ def condition_numbers_at(
     return status.codes(), np.where(ok, fwd.cond_GT, math.nan), np.where(ok, k, math.nan)
 
 
+#: poses per ``condition_numbers_at`` call when a grid is evaluated; the
+#: chain's working arrays for a block of that many poses peak near 5 MB
+GRID_BLOCK_POSES = 2048
+
+
+def grid_blocks(thetas, psis):
+    """The (theta, psi) grid, theta outer, in blocks of whole theta rows.
+
+    Yields the ``(theta, psi)`` of every pose of a block as two flat arrays;
+    a block holds at most GRID_BLOCK_POSES poses, or one row if a row is longer.
+    """
+    thetas, psis = np.asarray(thetas, float), np.asarray(psis, float)
+    step = max(1, GRID_BLOCK_POSES // max(len(psis), 1))
+    for start in range(0, len(thetas), step):
+        rows = thetas[start:start + step]
+        yield np.repeat(rows, len(psis)), np.tile(psis, len(rows))
+
+
 #: invariance gate on cond(J_dh) between unit systems
 UNIT_INVARIANCE_TOL = 1e-9
 #: cond(G^T) is expected to move at least this much somewhere in the grid
@@ -157,28 +175,25 @@ def unit_scaling_experiment(
     target = UNIT_SCALES[cfg.unit] * scale
     scaled_unit = next((u for u, f in UNIT_SCALES.items() if f == target), None)
     cfg_b = cfg.scaled(scale, unit=scaled_unit)
-    psis = np.asarray(psis, float)
     cells = []
     devs_dh, devs_G = [], []
-    for th in thetas:
-        # one call per theta row and unit system
-        st_a, kG_a, kdh_a = condition_numbers_at(cfg, y, z, th, psis, plan=plan)
-        st_b, kG_b, kdh_b = condition_numbers_at(cfg_b, y * scale, z * scale, th, psis,
+    for th, ps in grid_blocks(thetas, psis):
+        # one call per block of whole theta rows and unit system
+        st_a, kG_a, kdh_a = condition_numbers_at(cfg, y, z, th, ps, plan=plan)
+        st_b, kG_b, kdh_b = condition_numbers_at(cfg_b, y * scale, z * scale, th, ps,
                                                  plan=plan)
-        for j, ps in enumerate(psis.tolist()):
-            cell = {"theta": float(th), "psi": ps}
-            if st_a[j] != "ok" or st_b[j] != "ok":
-                cell["status"] = st_a[j] if st_a[j] != "ok" else st_b[j]
-                cells.append(cell)
+        for t, p, s_a, s_b, k_G_a, k_G_b, k_dh_a, k_dh_b in zip(
+                th.tolist(), ps.tolist(), st_a, st_b, kG_a.tolist(), kG_b.tolist(),
+                kdh_a.tolist(), kdh_b.tolist()):
+            if s_a != "ok" or s_b != "ok":
+                cells.append({"theta": t, "psi": p, "status": s_a if s_a != "ok" else s_b})
                 continue
-            k_G_a, k_G_b = float(kG_a[j]), float(kG_b[j])
-            k_dh_a, k_dh_b = float(kdh_a[j]), float(kdh_b[j])
-            cell.update(status="ok", k_G_base=k_G_a, k_G_scaled=k_G_b,
-                        k_dh_base=k_dh_a, k_dh_scaled=k_dh_b)
+            cells.append({"theta": t, "psi": p, "status": "ok",
+                          "k_G_base": k_G_a, "k_G_scaled": k_G_b,
+                          "k_dh_base": k_dh_a, "k_dh_scaled": k_dh_b})
             # "ok" cells carry finite condition numbers (both are capped at COND_LIMIT)
             devs_dh.append(abs(k_dh_a - k_dh_b) / k_dh_a)
             devs_G.append(abs(k_G_a - k_G_b) / k_G_a)
-            cells.append(cell)
     max_dev_dh = max(devs_dh, default=math.nan)
     max_dev_G = max(devs_G, default=math.nan)
     return {

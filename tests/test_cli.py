@@ -1,12 +1,16 @@
+import dataclasses
+import io
 import json
 import math
 
 import numpy as np
 import pytest
 
-from dhjac.cli import SWEEP_HEADER, main
-from dhjac.dhj import dexterity_at
+from dhjac import cli, dhj
+from dhjac.cli import SWEEP_HEADER, SweepSpec, main, sweep_rows
+from dhjac.dhj import condition_numbers_at, dexterity_at, unit_scaling_experiment
 from dhjac.model import load_config
+from dhjac.selection import PRIMARY_PLAN
 
 from conftest import REFERENCE_CONFIG, offset_prs_config, square_config
 
@@ -389,3 +393,115 @@ def test_explicit_json_plan(tmp_path, capsys):
                  "--plan", plan, "--json"]) == 0
     record = json.loads(capsys.readouterr().out)
     assert record["plan"][0] == ["1y", "3z"]
+
+
+REUSED_PARSER_REQUESTS = [
+    ["pose", "0", "150", "10", "5", "--config", CFG, "--json"],
+    ["sweep", "--config", CFG, "--grid", "3", "--y", "20"],
+    ["pose", "0", "150", "10", "5", "--config", CFG],
+    ["units", "--config", CFG, "--grid", "3", "--scale", "0.5"],
+]
+
+
+def test_reused_parser_answers_like_a_fresh_one(tmp_path, capsys):
+    # one parser serves every main call; no flag of one request leaks into the next
+    def request(argv):
+        if argv[0] != "pose":
+            argv = [*argv, "--out", str(tmp_path / argv[0])]
+        rc = main(argv)
+        files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        for p in tmp_path.iterdir():
+            p.unlink()
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err, files
+
+    cli._parser.cache_clear()
+    in_turn = [request(argv) for argv in REUSED_PARSER_REQUESTS]
+    assert (cli._parser.cache_info().misses, cli._parser.cache_info().hits) == (1, 3)
+    fresh = []
+    for argv in REUSED_PARSER_REQUESTS:
+        cli._parser.cache_clear()
+        fresh.append(request(argv))
+    assert in_turn == fresh
+    assert [rc for rc, *_ in in_turn] == [0, 0, 0, 0]
+    assert json.loads(in_turn[0][1])["cond_Jdh"] > 1.0 and "q_a:" in in_turn[2][1]
+
+
+# offset PRS rails over +/-85 deg: ok, no_convergence and singular_selection cells
+OFFSET_WIDE = dataclasses.replace(offset_prs_config(), envelope_deg=89.0)
+OFFSET_SPEC = SweepSpec(range_deg=85.0, steps=21, y_mm=0.0, z_mm=150.0, plan=PRIMARY_PLAN,
+                        out="unused.csv")
+
+
+@pytest.mark.parametrize("rows_per_block, blocks", [(4, 6), (21, 1)])
+def test_grid_blocks_equal_row_by_row(monkeypatch, rows_per_block, blocks):
+    # 21 rows in blocks of 4 leave a last block of one row; 21 rows fit the cap whole
+    th_deg, ps_deg = OFFSET_SPEC.grids()
+    th, ps = np.radians(th_deg), np.radians(ps_deg)
+    row_by_row = [condition_numbers_at(OFFSET_WIDE, 0.0, 150.0, t, ps)
+                  for t in th.tolist()]
+    cfg_m = OFFSET_WIDE.scaled(0.001, unit="m")
+    row_by_row_m = [condition_numbers_at(cfg_m, 0.0, 150.0 * 0.001, t, ps)
+                    for t in th.tolist()]
+    # a cap that is not a whole number of rows
+    monkeypatch.setattr(dhj, "GRID_BLOCK_POSES", rows_per_block * len(ps) + 3)
+    calls = []
+
+    def counted(cfg, y, z, theta, psi, **kwargs):
+        calls.append(len(theta))
+        return condition_numbers_at(cfg, y, z, theta, psi, **kwargs)
+
+    monkeypatch.setattr(dhj, "condition_numbers_at", counted)
+
+    want = [(t, p, None, None, code) if code != "ok" else (t, p, kg, kd, "ok")
+            for t, (status, k_g, k_dh) in zip(th_deg.tolist(), row_by_row)
+            for p, code, kg, kd in zip(ps_deg.tolist(), status, k_g.tolist(), k_dh.tolist())]
+    assert list(sweep_rows(OFFSET_WIDE, OFFSET_SPEC)) == want
+    assert calls == [len(ps) * min(rows_per_block, len(th) - i)
+                     for i in range(0, len(th), rows_per_block)]
+    assert len(calls) == blocks
+    assert {row[4] for row in want} == {"ok", "no_convergence", "singular_selection"}
+
+    calls.clear()
+    cells = unit_scaling_experiment(OFFSET_WIDE, th, ps, y=0.0, z=150.0)["cells"]
+    assert len(calls) == 2 * blocks
+    want = []
+    for t, (st_a, kG_a, kdh_a), (st_b, kG_b, kdh_b) in zip(th.tolist(), row_by_row,
+                                                            row_by_row_m):
+        for j, p in enumerate(ps.tolist()):
+            if st_a[j] != "ok" or st_b[j] != "ok":
+                want.append({"theta": t, "psi": p,
+                             "status": st_a[j] if st_a[j] != "ok" else st_b[j]})
+            else:
+                want.append({"theta": t, "psi": p, "status": "ok",
+                             "k_G_base": kG_a[j], "k_G_scaled": kG_b[j],
+                             "k_dh_base": kdh_a[j], "k_dh_scaled": kdh_b[j]})
+    assert cells == want
+
+
+GRID5 = np.radians(np.linspace(-50.0, 50.0, 5))
+# report -> (experiment on the reference config, what makes the report a case)
+WRITER_REPORTS = {
+    # y = 380 mm: the links reach only part of the grid
+    "mixed": (lambda ref: unit_scaling_experiment(ref, GRID5, GRID5, y=380.0),
+              lambda r: {c["status"] for c in r["cells"]} == {"ok", "unreachable"}),
+    "all_skipped": (lambda ref: unit_scaling_experiment(
+        dataclasses.replace(ref, link_length=100.0), GRID5, GRID5),
+        lambda r: r["skipped"] == 25 and math.isnan(r["max_rel_dev_k_dh"])),
+    "no_cells": (lambda ref: unit_scaling_experiment(ref, [], GRID5),
+                 lambda r: r["cells"] == []),
+    "scaled_label": (lambda ref: unit_scaling_experiment(ref, GRID5[:2], GRID5[:3], scale=0.5),
+                     lambda r: r["unit_scaled"] == "mmx0.5"),
+}
+
+
+@pytest.mark.parametrize("name", WRITER_REPORTS)
+def test_units_writer_equals_json_dump(reference, name):
+    experiment, is_case = WRITER_REPORTS[name]
+    report = experiment(reference)
+    assert is_case(report)
+    want = io.StringIO()
+    json.dump(report, want, indent=2, sort_keys=True)
+    got = io.StringIO()
+    cli._write_units_json(report, got)
+    assert got.getvalue() == want.getvalue() + "\n"
