@@ -41,8 +41,21 @@ NAMED_PLANS = {
 }
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
+def _sweep_line(th: float, ps: float, k_g, k_dh, status: str) -> str:
+    """One sweep CSV line, formatted in one operation."""
+    if status == "ok":
+        return "%.17g,%.17g,%.17g,%.17g,ok\n" % (th, ps, k_g, k_dh)
+    return "%.17g,%.17g,,,%s\n" % (th, ps, status)
+
+
+def _units_line(cell: dict) -> str:
+    """One ``units`` CSV line of a report cell, formatted in one operation."""
+    th, ps = math.degrees(cell["theta"]), math.degrees(cell["psi"])
+    if cell["status"] != "ok":
+        return "%.17g,%.17g,,,,,,%s\n" % (th, ps, cell["status"])
+    base, scaled = cell["k_dh_base"], cell["k_dh_scaled"]
+    return "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,ok\n" % (
+        th, ps, cell["k_G_base"], cell["k_G_scaled"], base, scaled, abs(base - scaled) / base)
 
 
 def parse_plan(text: str) -> SelectionPlan:
@@ -221,10 +234,7 @@ def write_sweep_csv(path: str, rows) -> list:
     with _replacing(path, newline="") as fh:
         fh.write(SWEEP_HEADER + "\n")
         for row in rows:
-            th, ps, k_g, k_dh, status = row
-            kg = _fmt(k_g) if k_g is not None else ""
-            kd = _fmt(k_dh) if k_dh is not None else ""
-            fh.write(f"{_fmt(th)},{_fmt(ps)},{kg},{kd},{status}\n")
+            fh.write(_sweep_line(*row))
             written.append(row)
     return written
 
@@ -278,18 +288,7 @@ def cmd_units(args) -> int:
         fh.write("theta_deg,psi_deg,cond_G_base,cond_G_scaled,"
                  "cond_Jdh_base,cond_Jdh_scaled,rel_dev_Jdh,status\n")
         for cell in report["cells"]:
-            th = _fmt(math.degrees(cell["theta"]))
-            ps = _fmt(math.degrees(cell["psi"]))
-            if cell["status"] != "ok":
-                fh.write(f"{th},{ps},,,,,,{cell['status']}\n")
-                continue
-            dev = abs(cell["k_dh_base"] - cell["k_dh_scaled"]) / cell["k_dh_base"]
-            fh.write(",".join([
-                th, ps,
-                _fmt(cell["k_G_base"]), _fmt(cell["k_G_scaled"]),
-                _fmt(cell["k_dh_base"]), _fmt(cell["k_dh_scaled"]),
-                _fmt(dev), "ok",
-            ]) + "\n")
+            fh.write(_units_line(cell))
     print(f"k_dh max rel deviation: {report['max_rel_dev_k_dh']:.3e} "
           f"(invariant: {report['k_dh_invariant']})")
     print(f"k_G  max rel deviation: {report['max_rel_dev_k_G']:.3e} "

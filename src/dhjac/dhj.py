@@ -80,7 +80,7 @@ def _chain(pose: PlatformPose, plan: SelectionPlan):
     J_dh = assemble_dhj(V_ps, fwd.J_a)
     sv = singular_values(J_dh)
     k = cond_from_sigmas(sv)
-    status = pose.status.then(G.status).then(fwd.status).then(sel.status)
+    status = pose.status.then(G.status, fwd.status, sel.status)
     status.refuse(~(k <= COND_LIMIT), SingularSelection,
                   lambda i: f"cond(J_dh) = {k[i]:.3e} exceeds {COND_LIMIT:.1e}", value=k)
     return G, fwd, sel.S, V_ps, J_dh, sv, k, status

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -111,7 +111,7 @@ class Status:
 
     def _new(self, bad):
         """Indices where ``bad`` holds and the pose is not refused yet."""
-        if not bad.any():
+        if not np.count_nonzero(bad):
             return []
         return [i for i in (zip(*np.nonzero(bad)) if self.shape else [()])
                 if i not in self.refusals]
@@ -127,6 +127,8 @@ class Status:
 
         Entry ``k`` (0-based) of pose ``i`` has message ``describe(i, k)``, value ``value[i][k]``.
         """
+        if not np.count_nonzero(bad):
+            return
         for i in self._new(bad.any(axis=-1)):
             k = int(bad[i].argmax())
             self.refusals[i] = Refusal(error, partial(describe, i, k), k + 1, float(value[i][k]))
@@ -144,17 +146,23 @@ class Status:
                 out.refusals[(o,)] = r if wrap is None else wrap(i, r)
         return out
 
-    def then(self, later: Status) -> Status:
-        """These refusals, and those of a later stage at the poses still ok."""
+    def then(self, *later: Status) -> Status:
+        """These refusals, then those of each later stage in turn at the poses still ok."""
         out = Status(self.shape)
-        out.refusals = {**later.refusals, **self.refusals}
+        for stage in reversed(later):
+            out.refusals.update(stage.refusals)
+        out.refusals.update(self.refusals)
         return out
 
     @property
     def ok(self) -> np.ndarray:
+        """Read-only mask of the poses not refused, built anew only when some pose is."""
+        if not self.refusals:
+            return _all_true(self.shape)
         ok = np.ones(self.shape, bool)
         for i in self.refusals:
             ok[i] = False
+        ok.flags.writeable = False
         return ok
 
     def codes(self) -> list[str]:
@@ -173,6 +181,14 @@ class Status:
         """Raise the error of the first refused pose, if any."""
         if self.refusals:
             raise self.error(min(self.refusals))
+
+
+@lru_cache(maxsize=16)
+def _all_true(shape: tuple) -> np.ndarray:
+    """The read-only all-True mask of ``shape``, shared by every ``Status`` with no refusal."""
+    ok = np.ones(shape, bool)
+    ok.flags.writeable = False
+    return ok
 
 
 @dataclass(frozen=True)

@@ -33,11 +33,17 @@ COND_LIMIT = 1e12
 #: sigma_min below this reports an infinite condition number
 SIGMA_FLOOR = 1e-300
 
+_EYE6 = np.eye(6)
+_EYE6.flags.writeable = False
+
 
 def singular_values(M: np.ndarray) -> np.ndarray:
     """Descending singular values (LAPACK) of a matrix or a stack; NaN for a non-finite matrix."""
     M = np.asarray(M, float)
-    finite = np.isfinite(M).all(axis=(-2, -1))
+    finite = np.isfinite(M)
+    if np.count_nonzero(finite) == finite.size:
+        return np.linalg.svd(M, compute_uv=False)
+    finite = finite.all(axis=(-2, -1))
     sv = np.linalg.svd(np.where(finite[..., None, None], M, 0.0), compute_uv=False)
     sv[~finite] = math.nan
     return sv
@@ -46,8 +52,10 @@ def singular_values(M: np.ndarray) -> np.ndarray:
 def cond_from_sigmas(sv: np.ndarray):
     """2-norm condition sigma_max / sigma_min of one set or a stack; infinite below SIGMA_FLOOR."""
     lo = sv[..., -1]
-    return np.divide(sv[..., 0], lo, out=np.full(lo.shape, math.inf),
-                     where=~(lo < SIGMA_FLOOR))[()]
+    tiny = lo < SIGMA_FLOOR
+    if not np.count_nonzero(tiny):
+        return (sv[..., 0] / lo)[()]
+    return np.divide(sv[..., 0], lo, out=np.full(lo.shape, math.inf), where=~tiny)[()]
 
 
 @dataclass(frozen=True)
@@ -72,15 +80,19 @@ class ForwardJacobian:
 
 
 def invert_full(G: InverseJacobian) -> ForwardJacobian:
-    """Column solves of G^T J = I; cond(G^T) over COND_LIMIT is SingularConfiguration (J NaN)."""
+    """(G^T)^-1 by LAPACK gesv on the identity; cond(G^T) over COND_LIMIT is
+    SingularConfiguration (J NaN)."""
     GT = G.stacked
     cond = cond_from_sigmas(singular_values(GT))
     singular = ~(cond <= COND_LIMIT)
     status = Status(np.shape(cond))
     status.refuse(singular, SingularConfiguration,
                   lambda i: f"cond(G^T) = {cond[i]:.3e} exceeds {COND_LIMIT:.1e}", value=cond)
-    J = np.linalg.solve(np.where(singular[..., None, None], np.eye(6), GT), np.eye(6))
-    J[singular] = math.nan
+    if not status.refusals:
+        J = np.linalg.inv(GT)
+    else:
+        J = np.linalg.inv(np.where(singular[..., None, None], _EYE6, GT))
+        J[singular] = math.nan
     f = G.G_a_T.shape[-2]
     return ForwardJacobian(J=J, J_a=J[..., :f], J_c=J[..., f:], cond_GT=cond, status=status)
 

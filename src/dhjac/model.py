@@ -43,6 +43,8 @@ RESOLVE_HALVINGS = 25
 ENVELOPE_SLACK = 1e-12
 #: IK discriminants down to -IK_CLAMP * l^2 count as 0 (boundary poses land eps-negative)
 IK_CLAMP = 16.0 * np.finfo(float).eps
+#: |v| <= DBL_MAX holds exactly for the finite v
+DBL_MAX = np.finfo(float).max
 
 
 @dataclass(frozen=True)
@@ -115,8 +117,9 @@ class ManipulatorConfig:
     def limb_count(self) -> int:
         return len(self.limbs)
 
-    def prs_indices(self) -> list[int]:
-        return [i for i, limb in enumerate(self.limbs) if limb.kind == "PRS"]
+    def prs_indices(self) -> np.ndarray:
+        """Indices of the PRS limbs, read-only; cached as ``platform_points``."""
+        return self._prs_indices
 
     def platform_points(self) -> np.ndarray:
         """Anchor positions in the platform frame (spherical joint centers), (f, 3).
@@ -137,6 +140,18 @@ class ManipulatorConfig:
     @functools.cached_property
     def _base_points(self) -> np.ndarray:
         return _ring(self.base_radius, [s.base_deg for s in self.limbs])
+
+    @functools.cached_property
+    def _prs_indices(self) -> np.ndarray:
+        prs = np.flatnonzero([limb.kind == "PRS" for limb in self.limbs])
+        prs.flags.writeable = False
+        return prs
+
+    @functools.cached_property
+    def _prs_anchors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(P_x, P_y, A_x) of the PRS limbs: their platform anchors and rail feet."""
+        prs = self.prs_indices()
+        return (*self.platform_points()[prs, :2].T, self.base_points()[prs, 0])
 
     def scaled(self, s: float, unit: str | None = None) -> "ManipulatorConfig":
         """Copy with every length multiplied by s (pure geometric scaling)."""
@@ -295,14 +310,21 @@ def limb_axes(link: np.ndarray, L: float) -> tuple[np.ndarray, np.ndarray]:
     return s3, np.stack([zero, s3[..., 2], -s3[..., 1]], axis=-1)
 
 
-def _rot(c: np.ndarray, s: np.ndarray, axis: int) -> np.ndarray:
-    """Stacked rotations about frame axis 0, 1 or 2 by angles of cosines ``c``, sines ``s``."""
-    i, j = (axis + 1) % 3, (axis + 2) % 3  # cyclic successors carry -sin at (i, j)
-    R = np.zeros((len(c), 3, 3))
-    R[:, axis, axis] = 1.0
-    R[:, i, i] = R[:, j, j] = c
-    R[:, i, j], R[:, j, i] = -s, s
-    return R
+_AXES = np.arange(3)
+#: flat places in a 3x3 matrix of -sin and +sin in the rotation about axis 0, 1, 2: with
+#: (i, j) the cyclic successors of the axis, -sin sits at (i, j) and +sin at (j, i)
+_MINUS_SIN, _PLUS_SIN = np.array([5, 6, 1]), np.array([7, 2, 3])
+
+
+def _rotations(angles: np.ndarray) -> np.ndarray:
+    """Rotations (3, N, 3, 3) about frame axes 0, 1 and 2 by the rows of ``angles`` (3, N)."""
+    c, s = np.cos(angles), np.sin(angles)
+    R = np.zeros(angles.shape + (9,))
+    R[..., ::4] = c[..., None]  # the diagonal; the axis itself holds 1
+    R[_AXES, :, 4 * _AXES] = 1.0
+    R[_AXES, :, _MINUS_SIN] = -s
+    R[_AXES, :, _PLUS_SIN] = s
+    return R.reshape(angles.shape + (3, 3))
 
 
 def _resolve_dependent(cfg: ManipulatorConfig, psi: np.ndarray, status: Status):
@@ -314,17 +336,14 @@ def _resolve_dependent(cfg: ManipulatorConfig, psi: np.ndarray, status: Status):
     dr_k/dphi = -cos psi (sin phi P_x + cos phi P_y).  Started at (0, 0); a
     stalled solve is refused in ``status`` as NoConvergence.
     """
-    prs = cfg.prs_indices()
-    Px, Py = cfg.platform_points()[prs, :2].T
-    Ax = cfg.base_points()[prs, 0]
+    Px, Py, Ax = cfg._prs_anchors
     cp = np.cos(psi)[:, None]
     tol = RESOLVE_TOL * cfg.base_radius
 
     def residual(x, phi, rows):
-        c, s = np.cos(phi)[:, None], np.sin(phi)[:, None]
-        cpr = cp[rows]
-        res = x[:, None] + (cpr * c * Px - cpr * s * Py) - Ax
-        dres = -cpr * s * Px - cpr * c * Py
+        cc, cs = cp[rows] * np.cos(phi)[:, None], cp[rows] * np.sin(phi)[:, None]
+        res = x[:, None] + (cc * Px - cs * Py) - Ax
+        dres = -(cs * Px) - cc * Py
         return res, dres, np.abs(res).max(axis=1)
 
     n = len(psi)
@@ -332,7 +351,7 @@ def _resolve_dependent(cfg: ManipulatorConfig, psi: np.ndarray, status: Status):
     res, dres, norm = residual(x, phi, slice(None))
     for _ in range(RESOLVE_MAX_ITER):
         active = ~(norm < tol) & status.ok  # refused poses leave the solve
-        if not active.any():
+        if not np.count_nonzero(active):
             break
         # jac = [[1, dres_0], [1, dres_1]]
         det = dres[:, 1] - dres[:, 0]
@@ -383,18 +402,20 @@ def resolve_many(cfg: ManipulatorConfig, coords, envelope_deg: float | None = No
     env = cfg.envelope_deg if envelope_deg is None else envelope_deg
     lim = math.radians(env) + ENVELOPE_SLACK
     status = Status((len(coords),))
-    status.refuse(~np.isfinite(coords).all(axis=1), Unreachable,
-                  lambda i: f"pose coordinates {tuple(coords[i].tolist())} are not all finite")
-    status.refuse(~(np.abs(coords[:, 2:]) <= lim).all(axis=1), Unreachable,
-                  lambda i: f"(theta, psi) = ({math.degrees(coords[i][2]):.2f}, "
-                            f"{math.degrees(coords[i][3]):.2f}) deg outside the "
-                            f"+/-{env:g} deg envelope")
+    # a pose passes both guards when its coordinates are finite and (theta, psi) in the envelope
+    if np.count_nonzero(np.abs(coords) <= (DBL_MAX, DBL_MAX, lim, lim)) < coords.size:
+        status.refuse(~np.isfinite(coords).all(axis=1), Unreachable,
+                      lambda i: f"pose coordinates {tuple(coords[i].tolist())} are not all finite")
+        status.refuse(~(np.abs(coords[:, 2:]) <= lim).all(axis=1), Unreachable,
+                      lambda i: f"(theta, psi) = ({math.degrees(coords[i][2]):.2f}, "
+                                f"{math.degrees(coords[i][3]):.2f}) deg outside the "
+                                f"+/-{env:g} deg envelope")
     # refused rows ride along at (0, 0, 0, 0) and are blanked at the end
-    y, z, th, ps = np.where(status.ok[:, None], coords, 0.0).T
+    y, z, th, ps = (np.where(status.ok[:, None], coords, 0.0) if status.refusals else coords).T
     x, phi = _resolve_dependent(cfg, ps, status)
 
-    R = _rot(np.cos(th), np.sin(th), 0) @ _rot(np.cos(ps), np.sin(ps), 1) \
-        @ _rot(np.cos(phi), np.sin(phi), 2)
+    Rx, Ry, Rz = _rotations(np.array((th, ps, phi)))
+    R = Rx @ Ry @ Rz
     origin = np.empty((len(coords), 3))
     origin[:, 0], origin[:, 1], origin[:, 2] = x, y, z
     # one matrix-vector product per anchor, which rounds as ``rotation @ P[i]``
@@ -402,16 +423,19 @@ def resolve_many(cfg: ManipulatorConfig, coords, envelope_deg: float | None = No
     A, L = cfg.base_points(), cfg.link_length
     dx, dy = B[..., 0] - A[:, 0], B[..., 1] - A[:, 1]
     disc = L * L - dx * dx - dy * dy
-    disc[(disc >= -IK_CLAMP * L * L) & (disc < 0.0)] = 0.0
-    offset = np.hypot(dx, dy)
-    status.refuse_first(disc < 0.0, Unreachable,
-                        lambda i, k: f"limb {k + 1}: lateral offset {offset[i][k]:.6g} "
-                                     f"exceeds link {L:g}", value=offset)
-    refused = ~status.ok
-    q = B[..., 2] - np.sqrt(np.where(refused[:, None], math.nan, disc))
-    if refused.any():
-        for v in (x, phi, R, origin, B):
+    out_of_reach = disc < 0.0
+    if np.count_nonzero(out_of_reach):
+        disc[out_of_reach & (disc >= -IK_CLAMP * L * L)] = 0.0
+        out_of_reach = disc < 0.0
+        offset = np.hypot(dx, dy)  # read by the message alone
+        status.refuse_first(out_of_reach, Unreachable,
+                            lambda i, k: f"limb {k + 1}: lateral offset {offset[i][k]:.6g} "
+                                         f"exceeds link {L:g}", value=offset)
+    if status.refusals:
+        refused = ~status.ok
+        for v in (x, phi, R, origin, B, disc):
             v[refused] = math.nan
+    q = B[..., 2] - np.sqrt(disc)
     link = B - (A + q[..., None] * Z_HAT)
     return PlatformPose(cfg, *coords.T, x, phi, R, origin, B, q, B - origin[:, None, :], link,
                         status)

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
+_EYE3 = np.eye(3)
+_EYE3.flags.writeable = False
+
 
 def skew(a: np.ndarray) -> np.ndarray:
     """Cross-product matrices (..., 3, 3) of the vectors (..., 3)."""
@@ -31,6 +34,6 @@ def build_Vp(points) -> np.ndarray:
     """V_p (..., 3n, 6): the stacked [I, -skew(a_i)] blocks of the points (..., n, 3)."""
     pts = np.asarray(points, float)
     V_p = np.empty(pts.shape + (6,))
-    V_p[..., :3] = np.eye(3)
+    V_p[..., :3] = _EYE3
     V_p[..., 3:] = -skew(pts)
     return V_p.reshape(pts.shape[:-2] + (3 * pts.shape[-2], 6))

@@ -46,15 +46,14 @@ class InverseJacobian:
         return np.concatenate([self.G_a_T, self.G_c_T], axis=-2)
 
 
+#: component k of a x b is a[_NEXT[k]] * b[_LAST[k]] - a[_LAST[k]] * b[_NEXT[k]]
+_NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a x b over (..., 3), ``b`` broadcast to ``a``, term by term as ``np.cross`` rounds it."""
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    out = np.empty(a.shape)
-    out[..., 0] = a1 * b2 - a2 * b1
-    out[..., 1] = a2 * b0 - a0 * b2
-    out[..., 2] = a0 * b1 - a1 * b0
-    return out
+    return (a.take(_NEXT, axis=-1) * b.take(_LAST, axis=-1)
+            - a.take(_LAST, axis=-1) * b.take(_NEXT, axis=-1))
 
 
 def build_inverse_jacobian(
@@ -82,9 +81,10 @@ def build_inverse_jacobian(
                         lambda i, k: f"limb {k + 1}: actuation screw reciprocal to rail "
                                      f"(|u.s1| = {size[i][k]:.3e})",
                         value=size)
-    den = np.where(singular[..., None], math.nan, den)
-    Ga = np.concatenate([u / den, moment_sign * _cross(pose.a, u) / den], axis=-1)
-    a = pose.a[..., pose.cfg.prs_indices(), :]
+    if status.refusals:
+        den = np.where(singular[..., None], math.nan, den)
+    Ga = np.concatenate([u, moment_sign * _cross(pose.a, u)], axis=-1) / den
+    a = pose.a.take(pose.cfg.prs_indices(), axis=-2)
     Gc = np.empty(a.shape[:-1] + (6,))
     Gc[..., :3] = X_HAT  # s2
     Gc[..., 3:] = moment_sign * _cross(a, X_HAT)

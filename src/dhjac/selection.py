@@ -19,6 +19,7 @@ map invertible.  The choice is recorded in the validation report.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -72,6 +73,16 @@ class SelectionPlan:
             parsed.append((int(entry[0][:-1]), int(entry[1][:-1])))
         return cls(pairs=tuple(parsed))
 
+    @functools.cached_property
+    def _index(self) -> tuple[np.ndarray, ...]:
+        """0-based ``(i, j, rows, y_col_i, y_col_j, z_col)`` of the plan rows: the y-point
+        and z-partner of each row, the row numbers, and the columns of S that they fill."""
+        i, j = np.array(self.pairs).T - 1
+        arrays = (i, j, np.arange(self.f), 3 * i + 1, 3 * j + 1, 3 * np.minimum(i, j) + 2)
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
+
     def pair_strings(self) -> list[list[str]]:
         return [[f"{i}y", f"{j}z"] for i, j in self.pairs]
 
@@ -106,23 +117,25 @@ def build_selection_matrix(plan: SelectionPlan, points) -> SelectionMatrix:
     """
     pts = np.asarray(points, float)
     plan.require_points(pts.shape[-2])
-    i, j = np.array(plan.pairs).T - 1  # y-point and z-partner of each row, 0-based
+    i, j, rows, col_i, col_j, col_z = plan._index
     ax = pts[..., 0]
+    ax_i, ax_j = ax[..., i], ax[..., j]
     scale = np.maximum(np.abs(ax).max(axis=-1), 1e-300)
-    delta = ax[..., i] - ax[..., j]
-    degenerate = np.abs(delta) <= PAIR_THRESHOLD * scale[..., None]
+    delta = ax_i - ax_j
+    width = np.abs(delta)
+    degenerate = width <= PAIR_THRESHOLD * scale[..., None]
     status = Status(scale.shape)
     status.refuse_first(degenerate, DegeneratePair,
                         lambda n, r: f"pair (v_{i[r] + 1}y, v_{j[r] + 1}z): a_{i[r] + 1}x - "
                                      f"a_{j[r] + 1}x = {delta[n][r]:.3e} "
                                      f"(threshold {PAIR_THRESHOLD * scale[n]:.3e})",
                         value=delta)
-    width = np.where(degenerate, math.nan, np.abs(delta))
-    rows = np.arange(plan.f)
+    if status.refusals:
+        width = np.where(degenerate, math.nan, width)
     S = np.zeros(scale.shape + (plan.f, 3 * plan.f))
-    S[..., rows, 3 * i + 1] = -ax[..., j] / width
-    S[..., rows, 3 * j + 1] = ax[..., i] / width
-    S[..., rows, 3 * np.minimum(i, j) + 2] = 1.0
+    S[..., rows, col_i] = -ax_j / width
+    S[..., rows, col_j] = ax_i / width
+    S[..., rows, col_z] = 1.0
     return SelectionMatrix(S=S, plan=plan, status=status)
 
 

@@ -283,19 +283,19 @@ def test_interrupted_sweep_keeps_previous_csv(tmp_path, monkeypatch):
     assert main(["sweep", "--config", CFG, "--grid", "5", "--out", str(out)]) == 0
     before = out.read_bytes()
     calls = []
-    fmt = dhjac.cli._fmt
+    line = dhjac.cli._sweep_line
 
-    def interrupted(value):
-        calls.append(value)
-        if len(calls) == 30:  # row 8 of 25, four fields per row
+    def interrupted(*row):
+        calls.append(row)
+        if len(calls) == 8:  # row 8 of 25
             raise KeyboardInterrupt
-        return fmt(value)
+        return line(*row)
 
-    monkeypatch.setattr(dhjac.cli, "_fmt", interrupted)
+    monkeypatch.setattr(dhjac.cli, "_sweep_line", interrupted)
     with pytest.raises(KeyboardInterrupt):
         main(["sweep", "--config", CFG, "--grid", "5", "--range-deg", "40",
               "--out", str(out)])
-    assert len(calls) == 30
+    assert len(calls) == 8
     assert out.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
 
@@ -307,11 +307,11 @@ def test_interrupted_units_keeps_previous_pair(tmp_path, monkeypatch):
     assert main(["units", "--config", CFG, "--grid", "3", "--out", str(out)]) == 0
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
 
-    def interrupted(value):
+    def interrupted(cell):
         raise KeyboardInterrupt
 
-    # fails on the first CSV field, after the JSON report is written
-    monkeypatch.setattr(dhjac.cli, "_fmt", interrupted)
+    # fails on the first CSV row, after the JSON report is written
+    monkeypatch.setattr(dhjac.cli, "_units_line", interrupted)
     with pytest.raises(KeyboardInterrupt):
         main(["units", "--config", CFG, "--grid", "3", "--scale", "0.5", "--out", str(out)])
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before

@@ -119,6 +119,25 @@ def test_dexterity_at_resolves_once(reference, monkeypatch):
     np.testing.assert_array_equal(rec.pose.q, resolve(reference, coords).q[0])
 
 
+def test_dexterity_at_lapack_calls(reference, monkeypatch):
+    # one pose takes two SVDs (G^T and J_dh), one inversion and no identity matrix
+    calls = {"svd": 0, "inv": 0, "solve": 0, "eye": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((np.linalg, "svd"), (np.linalg, "inv"), (np.linalg, "solve"),
+                         (np, "eye")):
+        counting(module, name)
+    dexterity_at(reference, 0.0, 150.0, math.radians(10.0), math.radians(5.0))
+    assert calls == {"svd": 2, "inv": 1, "solve": 0, "eye": 0}
+
+
 GRID_SLICES = {
     # id: (config, y, z, half-range deg, steps, plan, rtol, status counts)
     "primary": (lambda c: c, 0.0, 150.0, 50.0, 11, PRIMARY_PLAN, 1e-12, {"ok": 121}),

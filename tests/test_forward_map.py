@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dhjac.errors import BlockSingular, KinematicsError, SingularConfiguration
-from dhjac.forward_map import block_Ja, invert_full
+from dhjac.forward_map import (SIGMA_FLOOR, block_Ja, cond_from_sigmas, invert_full,
+                               singular_values)
 from dhjac.model import resolve_pose
 from dhjac.screws import InverseJacobian, build_inverse_jacobian
 
@@ -55,6 +56,42 @@ def test_singular_configuration_raises(square):
     G = G_at(square, (0.0, 150.0, 0.05, 0.2))
     fwd = checked(invert_full(G))
     assert fwd.cond_GT > 1e3
+
+
+def test_singular_values_nan_exactly_where_not_finite():
+    rng = np.random.default_rng(3)
+    M = rng.standard_normal((4, 5, 3))
+    M[1, 2, 0], M[3, 0, 2] = math.nan, -math.inf
+    sv = singular_values(M)
+    assert np.isnan(sv).all(axis=1).tolist() == [False, True, False, True]
+    assert not np.isnan(sv[[0, 2]]).any()
+    for i in (0, 2):
+        np.testing.assert_array_equal(sv[i], singular_values(M[i]))
+
+
+def test_cond_from_sigmas_infinite_below_floor():
+    sv = np.array([[2.0, 1.0], [3.0, 0.0], [1.0, SIGMA_FLOOR / 10], [1.0, SIGMA_FLOOR],
+                   [math.nan, math.nan]])
+    k = cond_from_sigmas(sv)
+    assert k[:4].tolist() == [2.0, math.inf, math.inf, 1.0 / SIGMA_FLOOR]
+    assert math.isnan(k[4])
+    assert cond_from_sigmas(np.array([3.0, 1.5])) == 2.0
+    assert cond_from_sigmas(np.array([1.0, 0.0])) == math.inf
+
+
+def test_invert_full_nan_only_on_the_singular_pose(reference, square):
+    # G^T of a reference pose, of the square layout at theta = 0 (singular), and of another
+    G = [G_at(reference, (0.0, 150.0, 0.1, 0.2)), G_at(square, (0.0, 150.0, 0.0, 0.2)),
+         G_at(reference, (20.0, 160.0, -0.3, 0.4))]
+    stack = InverseJacobian(G_a_T=np.array([g.G_a_T for g in G]),
+                            G_c_T=np.array([g.G_c_T for g in G]))
+    fwd = invert_full(stack)
+    assert fwd.status.codes() == ["ok", "singular_configuration", "ok"]
+    assert np.isnan(fwd.J[1]).all()
+    for i in (0, 2):
+        alone = checked(invert_full(G[i]))
+        assert fwd.J[i].tobytes() == alone.J.tobytes()
+        assert fwd.cond_GT[i] == alone.cond_GT
 
 
 def _cond_GT_or_code(cfg, coords):

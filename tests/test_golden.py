@@ -1,7 +1,8 @@
-"""Golden outputs of ``dhjac sweep`` and ``dhjac units``.
+"""Golden outputs of ``dhjac sweep``, ``dhjac units`` and ``dhjac pose``.
 
 Each case is run again into ``tmp_path`` and compared with its files under
-``tests/golden/``.  On the numpy, BLAS and machine recorded in
+``tests/golden/``; a ``pose`` case writes its exit code, stdout and stderr to
+one file.  On the numpy, BLAS and machine recorded in
 ``tests/golden/platform.json`` the files must be equal byte for byte;
 elsewhere every status and every other word must be equal and every number
 equal to 1e-12 relative.  To write the golden files from the current tree:
@@ -9,6 +10,8 @@ equal to 1e-12 relative.  To write the golden files from the current tree:
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import contextlib
+import io
 import json
 import math
 import platform
@@ -24,6 +27,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 REFERENCE = Path(__file__).resolve().parents[1] / "configs" / "reference_4dof.json"
 #: offset PRS rails (``conftest.offset_prs_config``) in the config schema
 OFFSET = GOLDEN / "offset_layout.json"
+#: rails under the anchors (``conftest.square_config``): G^T singular at theta = 0
+SQUARE = GOLDEN / "square_layout.json"
 
 # case -> (argv without --out, files written); the first file is the --out path
 CASES = {
@@ -39,6 +44,28 @@ CASES = {
                     ["units_grid7.json", "units_grid7.csv"]),
 }
 
+# case -> argv of a ``pose`` request, whose output goes to <case>.txt
+POSE_CASES = {
+    "pose_10_5": ["pose", "--config", REFERENCE, "--json", "0", "150", "10", "5"],
+    "pose_home": ["pose", "--config", REFERENCE, "--json", "0", "150", "0", "0"],
+    "pose_20_160": ["pose", "--config", REFERENCE, "--json", "20", "160", "-30", "40"],
+    "pose_corner": ["pose", "--config", REFERENCE, "--json", "-50", "120", "45", "-45"],
+    "pose_100_180": ["pose", "--config", REFERENCE, "--json", "100", "180", "-12", "33"],
+    # one refused pose per code, exit 2 and the message on stderr
+    "pose_unreachable_reach": ["pose", "--config", REFERENCE, "500", "150", "0", "0"],
+    "pose_unreachable_envelope": ["pose", "--config", REFERENCE, "0", "150", "60", "0"],
+    "pose_degenerate_pair": ["pose", "--config", REFERENCE, "--plan", "opposite",
+                             "0", "150", "10", "5"],
+    "pose_singular_selection": ["pose", "--config", OFFSET, "--envelope-deg", "89",
+                                "0", "150", "0", "59.5"],
+    "pose_no_convergence": ["pose", "--config", OFFSET, "--envelope-deg", "89",
+                            "0", "150", "-74.375", "-74.375"],
+    "pose_singular_configuration": ["pose", "--config", SQUARE, "0", "150", "0", "10"],
+}
+#: cases whose message prints the condition number of a singular matrix, which is
+#: rounding noise: off the recorded platform only their words are compared
+NOISE_CASES = {"pose_singular_selection", "pose_singular_configuration"}
+
 NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
 RTOL = 1e-12
 
@@ -53,6 +80,14 @@ def run_case(case: str, directory: Path) -> None:
     argv, files = CASES[case]
     rc = main([str(a) for a in argv] + ["--out", str(directory / files[0])])
     assert rc == 0
+
+
+def run_pose_case(case: str) -> str:
+    """Exit code, stdout and stderr of a ``pose`` case, as the text of its golden file."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main([str(a) for a in POSE_CASES[case]])
+    return f"exit {rc}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
 
 
 def assert_close_text(got: str, want: str) -> None:
@@ -76,6 +111,18 @@ def test_golden_output(tmp_path, capsys, case):
             assert_close_text(got.decode(), want.decode())
 
 
+@pytest.mark.parametrize("case", POSE_CASES)
+def test_golden_pose(case):
+    got = run_pose_case(case)
+    want = (GOLDEN / f"{case}.txt").read_text()
+    if json.loads((GOLDEN / "platform.json").read_text()) == current_platform():
+        assert got == want
+    elif case in NOISE_CASES:
+        assert NUMBER.split(got) == NUMBER.split(want)
+    else:
+        assert_close_text(got, want)
+
+
 def test_number_pattern_splits_every_field():
     line = "-50,1.5e-05,12.000000000000002,,no_convergence"
     assert NUMBER.findall(line) == ["-50", "1.5e-05", "12.000000000000002"]
@@ -89,4 +136,6 @@ def test_number_pattern_splits_every_field():
 if __name__ == "__main__":
     for case in CASES:
         run_case(case, GOLDEN)
+    for case in POSE_CASES:
+        (GOLDEN / f"{case}.txt").write_text(run_pose_case(case))
     (GOLDEN / "platform.json").write_text(json.dumps(current_platform(), indent=2) + "\n")

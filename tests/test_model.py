@@ -238,6 +238,17 @@ def test_short_link_unreachable():
         resolve_pose(cfg, 0.0, 150.0, 0.0, 0.0)
 
 
+def test_discriminant_rounded_below_zero_counts_as_zero(reference):
+    # limb 1 at exactly full reach: its IK discriminant rounds to -5.8e-11, inside the
+    # IK_CLAMP band, so the link lies flat (q = B_z); a millimetre further it is out of reach
+    edge, past = (-358.5576064502175, 150.0, 0.0, 0.0), (-359.5576064502175, 150.0, 0.0, 0.0)
+    poses = resolve_many(reference, [edge, past, edge])
+    assert poses.status.codes() == ["ok", "unreachable", "ok"]
+    assert poses.q[0, 0] == poses.B[0, 0, 2] == 150.0
+    assert resolve_pose(reference, *edge).q.tobytes() == poses.q[2].tobytes()
+    assert np.isnan(poses.q[1]).all()
+
+
 def test_tsai_mobility_reference_counts(reference):
     assert tsai_mobility(reference.mobility) == 4
 

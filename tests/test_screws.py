@@ -79,6 +79,21 @@ def test_singular_limb_raised_at_horizontal_link():
     assert (G.status.refusals[()].limb, G.status.refusals[()].value) == (1, 0.0)
 
 
+def test_singular_limb_nan_only_on_the_refused_pose(reference):
+    # a stack of a reference pose, a pose whose four links are horizontal, and the first again
+    ok = resolve_pose(reference, 0.0, 150.0, 0.1, 0.2)
+    bad = resolve_pose(square_config(link_length=250.0), 0.0, 150.0, 0.0, 0.0)
+    stack = dataclasses.replace(ok, a=np.stack([ok.a, bad.a, ok.a]),
+                                link=np.stack([ok.link, bad.link, ok.link]))
+    G = build_inverse_jacobian(stack)
+    assert G.status.codes() == ["ok", "singular_limb", "ok"]
+    assert G.status.refusals[(1,)].limb == 1
+    assert np.isnan(G.G_a_T[1]).all() and np.isfinite(G.G_c_T).all()
+    alone = checked(build_inverse_jacobian(ok)).stacked
+    for i in (0, 2):
+        assert G.stacked[i].tobytes() == alone.tobytes()
+
+
 def test_rejected_variants_fail_the_oracle(reference):
     # normal-direction rows for the PUS limbs and the flipped moment block
     # both disagree with the finite-difference IK Jacobian away from psi = 0;

@@ -82,6 +82,19 @@ def test_degenerate_pair_rejected():
         build_selection_matrix(SelectionPlan(((1, 2), (2, 3), (3, 4), (4, 1))), pts).status.check()
 
 
+def test_degenerate_row_nan_only_on_the_refused_pose(reference):
+    clean = anchors_at(reference, (0.0, 150.0, 0.1, 0.2))
+    # the pair (v_1y, v_2z) of the primary plan is degenerate here: a_1x = a_2x
+    degenerate = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [-1.0, 0.5, 0.0], [0.2, -1.0, 0.0]])
+    sel = build_selection_matrix(PRIMARY_PLAN, np.stack([clean, degenerate, clean]))
+    assert sel.status.codes() == ["ok", "degenerate_pair", "ok"]
+    assert sel.status.refusals[(1,)].limb == 1
+    assert np.isnan(sel.S[1]).any(axis=1).tolist() == [True, False, False, False]
+    alone = checked(build_selection_matrix(PRIMARY_PLAN, clean)).S
+    for i in (0, 2):
+        assert sel.S[i].tobytes() == alone.tobytes()
+
+
 def test_opposite_plan_degenerate_at_reference(reference):
     # PRS anchors sit on the x = 0 plane at every feasible pose, so the
     # opposite-partner pairs (2,4)/(4,2) have coincident x-coordinates
