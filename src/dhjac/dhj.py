@@ -67,16 +67,20 @@ class DexterityRecord:
         return self.fwd.cond_GT
 
 
-def _chain(pose: PlatformPose, plan: SelectionPlan):
+def _chain(pose: PlatformPose, plan: SelectionPlan, inverse=None):
     """G^T -> J_dh at one resolved pose or a stack: ``(G, fwd, S, V_ps, J_dh, sigmas, k, status)``.
 
     ``status`` holds each pose's first refusal from ``pose.status`` on; a
     cond(J_dh) over COND_LIMIT (the rule of ``invert_full``) is SingularSelection.
+    ``inverse`` is the ``(G, fwd)`` of an earlier chain at the same poses under
+    another plan: G^T and its inverse depend on the pose only.
     """
     sel = build_selection_matrix(plan, pose.a)  # a plan of the wrong length raises here
-    G = screws.build_inverse_jacobian(pose)
-    fwd = invert_full(G)
-    V_ps, _ = nominal_map(sel, build_Vp(pose.a))
+    if inverse is None:
+        G = screws.build_inverse_jacobian(pose)
+        inverse = G, invert_full(G)
+    G, fwd = inverse
+    V_ps = nominal_map(sel, build_Vp(pose.a))
     J_dh = assemble_dhj(V_ps, fwd.J_a)
     sv = singular_values(J_dh)
     k = cond_from_sigmas(sv)

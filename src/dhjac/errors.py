@@ -146,6 +146,20 @@ class Status:
                 out.refusals[(o,)] = r if wrap is None else wrap(i, r)
         return out
 
+    def take(self, index, wrap=None) -> Status:
+        """The refusals of this stack passed on by position: pose ``i`` of the result has the
+        refusal of pose ``index[i]`` (none where it is negative), as ``wrap(refusal)`` when given.
+
+        Unlike ``gather``, several poses may take the refusal of one.
+        """
+        out = Status((len(index),))
+        if self.refusals:
+            for i, j in enumerate(np.asarray(index).tolist()):
+                r = self.refusals.get((j,)) if j >= 0 else None
+                if r is not None:
+                    out.refusals[(i,)] = r if wrap is None else wrap(r)
+        return out
+
     def then(self, *later: Status) -> Status:
         """These refusals, then those of each later stage in turn at the poses still ok."""
         out = Status(self.shape)

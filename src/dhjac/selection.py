@@ -145,11 +145,10 @@ INDEPENDENT_COLS = (1, 2, 3, 4)
 CONSTRAINED_COLS = (0, 5)
 
 
-def nominal_map(sel: SelectionMatrix, V_p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """V_ps = S V_p and its square restriction to the independent freedoms.
+def nominal_map(sel: SelectionMatrix, V_p: np.ndarray) -> np.ndarray:
+    """V_ps = S V_p; its columns INDEPENDENT_COLS are the square restricted map.
 
     S and V_p are built from the same points, whose count
     ``build_selection_matrix`` has checked against the plan.
     """
-    V_ps = sel.S @ V_p
-    return V_ps, V_ps[..., INDEPENDENT_COLS]
+    return sel.S @ V_p

@@ -10,8 +10,11 @@ Each oracle takes one pose, and returns its value or raises, or a stack of
 poses (N, 4), and returns a ``Stacked`` whose status gives each pose the
 error it raises alone.  Each differencing step resolves all its perturbed
 poses in one ``model.resolve_many`` call, whose rows equal ``resolve_pose``
-bit for bit.  ``run_validation`` evaluates each oracle, and each chain of
-``dhj`` it judges, once over the stack of all feasible poses.
+bit for bit, so a pose resolved once may stand for every equal one: the
+Newton refinement resolves each distinct iterate once per iteration, and
+the perturbed poses only of the iterates that still step.
+``run_validation`` resolves the feasible poses once and evaluates each
+oracle, and each chain of ``dhj`` it judges, once over that stack.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 from . import dhj, forward_map, screws
 from .errors import (ConfigError, DegeneratePair, NoForwardSolution, Refusal, Stacked, Status,
                      StepTooLarge)
-from .model import ManipulatorConfig, resolve_many, tsai_mobility
+from .model import ManipulatorConfig, PlatformPose, resolve_many, tsai_mobility
 from .model import resolve_pose  # noqa: F401  (perfbench's tracer test reads verify.resolve_pose)
 from .selection import (ALTERNATE_PLAN, CONSTRAINED_COLS, OPPOSITE_PLAN,
                         PRIMARY_PLAN, build_selection_matrix)
@@ -63,11 +66,15 @@ def fd_oracles(cfg: ManipulatorConfig, coords, h: float = 1e-6) -> tuple[Stacked
     in one call; a refused row is StepTooLarge for its pose.  The tangent also
     resolves the centers, whose rotation it differences against.
     """
-    coords = np.array(coords, float).reshape(-1, 4)
+    return _fd_oracles(cfg, resolve_many(cfg, coords), h)
+
+
+def _fd_oracles(cfg: ManipulatorConfig, centers: PlatformPose, h: float = 1e-6):
+    """``fd_oracles`` at the poses ``centers`` that ``resolve_many`` resolved."""
+    coords = np.stack(centers.coords, axis=-1)
     n = len(coords)
     steps = step_sizes(cfg, h)
     two_h = 2.0 * steps
-    centers = resolve_many(cfg, coords)
     env = cfg.envelope_deg + 1.0  # perturbations of a feasible pose may graze the guard
     rows = resolve_many(cfg, _central_rows(coords, steps), env)
     stepped = rows.status.gather(np.arange(8 * n) // 8, n, lambda i, r: Refusal(
@@ -99,23 +106,31 @@ def fd_constraint_tangent(cfg: ManipulatorConfig, coords, h: float = 1e-6):
     return out if np.ndim(coords) == 2 else out.one()
 
 
-def _iterate_failed(i: int, r: Refusal) -> Refusal:
-    """The refusal of row ``i`` of a target's 9 in ``forward_refine``: row 0 is the iterate."""
-    if i % 9:
-        return r
+def _iterate_failed(r: Refusal) -> Refusal:
+    """The refusal of a target in ``forward_refine`` whose iterate was refused."""
     return Refusal(NoForwardSolution, lambda: f"iterate left the workspace: {r.message()}")
+
+
+@dataclass(frozen=True)
+class Refined(Stacked):
+    """``forward_refine`` over a stack: the refined coordinates (T, 4), and the anchor points
+    ``B`` (T, f, 3) that the iteration which accepted them resolved there; NaN where refused."""
+
+    B: np.ndarray
 
 
 def forward_refine(cfg: ManipulatorConfig, q_target: np.ndarray, guess_coords):
     """Newton-refine (y, z, theta, psi) until IK reproduces q_target.
 
     ``q_target`` is one target (f,), refined to (4,) or raising, or a stack
-    (T, f), refined to a ``Stacked`` (T, 4); ``guess_coords`` broadcasts to
+    (T, f), refined to a ``Refined`` (T, 4); ``guess_coords`` broadcasts to
     (T, 4).  Each target iterates on its own and gets the result and error it
-    gets alone; one ``resolve_many`` call per iteration takes the center and 8
-    perturbed poses of every unconverged target.  The finite-difference
-    coordinate Jacobian keeps the refinement independent of the analytic
-    screw rows.
+    gets alone.  An iteration resolves the distinct iterates in one call (equal
+    consecutive iterates, as the targets of one pose in ``brute_force_dhj``
+    start, share a row), tests convergence on them, and resolves in a second
+    call the 8 perturbed poses of the distinct iterates that still step.  The
+    finite-difference coordinate Jacobian keeps the refinement independent of
+    the analytic screw rows.
     """
     tol = REFINE_TOL * max(cfg.base_radius, 1e-30)
     env = cfg.envelope_deg + 5.0  # refinement may step slightly past the envelope
@@ -124,40 +139,60 @@ def forward_refine(cfg: ManipulatorConfig, q_target: np.ndarray, guess_coords):
     targets = np.atleast_2d(q_target)
     size = len(targets)
     coords = np.array(np.broadcast_to(guess_coords, (size, 4)), float)
+    B = np.full((size, cfg.limb_count, 3), math.nan)
     status = Status((size,))
     active = np.arange(size)
     for _ in range(REFINE_MAX_ITER):
         if not len(active):
             break
-        rows = np.concatenate([coords[active, None], _central_rows(coords[active], steps)], 1)
-        poses = resolve_many(cfg, rows, env)
-        q, resolved = poses.q.reshape(len(active), 9, -1), poses.status
-        del poses  # the rest of this iteration's poses would stay alive through the next
-        ok = resolved.ok.reshape(len(active), 9)
-        r = q[:, 0] - targets[active]
-        stepping = ~(ok[:, 0] & (np.abs(r).max(axis=1) < tol))
-        owner = np.where(np.repeat(stepping, 9), np.repeat(active, 9), -1)
-        status = status.then(resolved.gather(owner, size, _iterate_failed))
-        s = np.flatnonzero(stepping & ok.all(axis=1))
-        Jq = ((q[s, 1::2] - q[s, 2::2]) / (2.0 * steps)[:, None]).transpose(0, 2, 1)
-        try:
-            step = np.linalg.solve(Jq, r[s, :, None])[..., 0]
-        except np.linalg.LinAlgError:
-            # a singular forward Jacobian fails its own target only
-            step = np.full((len(s), 4), math.nan)
-            for k, t in enumerate(s):
-                try:
-                    step[k] = np.linalg.solve(Jq[k], r[t, :, None])[:, 0]
-                except np.linalg.LinAlgError as exc:
-                    status.refuse(np.arange(size) == active[t], NoForwardSolution,
-                                  lambda i, exc=exc: f"singular forward Jacobian: {exc}")
-        coords[active[s]] -= step
+        # target active[i] iterates from the distinct iterate iterate[i]; equal means equal bits
+        now = coords[active]
+        bits = now.view(np.int64)
+        new = np.ones(len(active), bool)
+        new[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+        iterate = np.cumsum(new) - 1
+        distinct = now[new]
+        centers = resolve_many(cfg, distinct, env)
+        r = centers.q[iterate] - targets[active]
+        resolved = centers.status.ok[iterate]
+        done = resolved & (np.abs(r).max(axis=1) < tol)
+        B[active[done]] = centers.B[iterate[done]]
+        stepping = resolved & ~done
+        refused = centers.status.take(np.where(resolved, -1, iterate), _iterate_failed)
+        if np.count_nonzero(stepping):
+            # row slot[u] of the perturbed iterates is distinct iterate u
+            perturb = np.zeros(len(distinct), bool)
+            perturb[iterate[stepping]] = True
+            slot = np.cumsum(perturb) - 1
+            rows = resolve_many(cfg, _central_rows(distinct[perturb], steps), env)
+            m = np.count_nonzero(perturb)
+            q = rows.q.reshape(m, 8, -1)
+            first = rows.status.gather(np.arange(8 * m) // 8, m)
+            refused = refused.then(first.take(np.where(stepping, slot[iterate], -1)))
+            del rows  # the rest of this iteration's poses would stay alive through the next
+        status = status.then(refused.gather(active, size))
+        s = np.flatnonzero(stepping & refused.ok)
+        if len(s):
+            Jq = ((q[:, 0::2] - q[:, 1::2]) / (2.0 * steps)[:, None]).transpose(0, 2, 1)
+            Jq = Jq[slot[iterate[s]]]
+            try:
+                step = np.linalg.solve(Jq, r[s, :, None])[..., 0]
+            except np.linalg.LinAlgError:
+                # a singular forward Jacobian fails its own target only
+                step = np.full((len(s), 4), math.nan)
+                for k, t in enumerate(s):
+                    try:
+                        step[k] = np.linalg.solve(Jq[k], r[t, :, None])[:, 0]
+                    except np.linalg.LinAlgError as exc:
+                        status.refuse(np.arange(size) == active[t], NoForwardSolution,
+                                      lambda i, exc=exc: f"singular forward Jacobian: {exc}")
+            coords[active[s]] -= step
         active = active[s][status.ok[active[s]]]
     else:
         status.refuse(np.isin(np.arange(size), active), NoForwardSolution,
                       lambda i: f"no convergence in {REFINE_MAX_ITER} iterations")
     coords[~status.ok] = math.nan
-    out = Stacked(coords, status)
+    out = Refined(coords, status, B)
     return out if q_target.ndim == 2 else out.one()
 
 
@@ -166,28 +201,30 @@ def brute_force_dhj(cfg: ManipulatorConfig, coords, plan=PRIMARY_PLAN):
 
     The selection weights are frozen at the center pose; each actuated joint
     is perturbed both ways, and the 2f poses of every pose are re-found
-    together by one Newton forward refinement.
+    together by one Newton forward refinement, whose accepting iteration
+    gives their anchor points.
     """
-    stacked = np.ndim(coords) == 2
-    coords = np.array(coords, float).reshape(-1, 4)
-    n, f = len(coords), cfg.limb_count
+    out = _brute_force_dhj(cfg, resolve_many(cfg, coords), plan)
+    return out if np.ndim(coords) == 2 else out.one()
+
+
+def _brute_force_dhj(cfg: ManipulatorConfig, centers: PlatformPose, plan=PRIMARY_PLAN):
+    """``brute_force_dhj`` at the poses ``centers`` that ``resolve_many`` resolved."""
+    n, f = len(centers.q), cfg.limb_count
     h_q = BRUTE_FORCE_STEP * max(cfg.base_radius, 1e-30)
-    centers = resolve_many(cfg, coords)
     sel = build_selection_matrix(plan, centers.a)
     status = centers.status.then(sel.status)
     todo = np.flatnonzero(status.ok)
     refined = forward_refine(cfg, _central_rows(centers.q[todo], h_q).reshape(-1, f),
-                             np.repeat(coords[todo], 2 * f, axis=0))
+                             np.repeat(np.stack(centers.coords, axis=-1)[todo], 2 * f, axis=0))
     status = status.then(refined.status.gather(np.repeat(todo, 2 * f), n))
-    # forward_refine accepted each refined pose at this envelope in its last iteration
     B = np.full((n, 2 * f, f, 3), math.nan)
-    B[todo] = resolve_many(cfg, refined.value, cfg.envelope_deg + 5.0).B.reshape(-1, 2 * f, f, 3)
+    B[todo] = refined.B.reshape(-1, 2 * f, f, 3)
     d = (B[:, 0::2] - B[:, 1::2]).reshape(n, f, 3 * f)  # the f anchor points, concatenated
     # a matrix-vector product per column, as S @ (bp - bm) rounds it
     BF = ((sel.S[:, None] @ d[..., None])[..., 0] / (2.0 * h_q)).swapaxes(-1, -2)
     BF[~status.ok] = math.nan
-    out = Stacked(BF, status)
-    return out if stacked else out.one()
+    return Stacked(BF, status)
 
 
 @dataclass
@@ -229,12 +266,10 @@ def random_coords(cfg: ManipulatorConfig, n: int,
     radius, scaled to the config's, and both angles across the rotational envelope."""
     rng = np.random.default_rng(seed)
     lim = math.radians(cfg.envelope_deg)
-    z_scale = cfg.base_radius / 450.0
-    return [(0.0,
-             float(rng.uniform(100.0, 200.0) * z_scale),
-             float(rng.uniform(-lim, lim)),
-             float(rng.uniform(-lim, lim)))
-            for _ in range(n)]
+    # one (z, theta, psi) draw per pose, in the order of one uniform call per coordinate
+    draws = rng.uniform([100.0, -lim, -lim], [200.0, lim, lim], size=(n, 3))
+    draws[:, 0] *= cfg.base_radius / 450.0
+    return [(0.0, *pose) for pose in draws.tolist()]
 
 
 def sample_poses(cfg: ManipulatorConfig, n: int, seed: int = DEFAULT_SEED):
@@ -260,18 +295,19 @@ def run_validation(cfg: ManipulatorConfig, seed: int = DEFAULT_SEED,
     n_unit = min(25, n)
     n_bf = len(poses[:n_dhj])
     checks: list[OracleReport] = []
-    # each oracle and each judged chain is evaluated once, over the stack of feasible
-    # poses, and read by every check; a check counts the poses before its first refusal
-    tangent, fd_ik = fd_oracles(cfg, coords)
-    T, FD = tangent.value, fd_ik.value
+    # the feasible poses are resolved once; each oracle and each judged chain is evaluated
+    # once, over that stack, and read by every check; a check counts the poses before its
+    # first refusal
     centers = resolve_many(cfg, coords)
+    tangent, fd_ik = _fd_oracles(cfg, centers)
+    T, FD = tangent.value, fd_ik.value
     G, fwd, _, V_ps, J_dh, _, k, rec = dhj._chain(centers, PRIMARY_PLAN)
-    *_, V_ps_alt, _, _, k_alt, rec_alt = dhj._chain(centers, ALTERNATE_PLAN)
+    *_, V_ps_alt, _, _, k_alt, rec_alt = dhj._chain(centers, ALTERNATE_PLAN, (G, fwd))
     scale = 0.001
     cfg_m = cfg.scaled(scale, unit="m" if cfg.unit == "mm" else cfg.unit)
     *_, k_m, rec_m = dhj._chain(resolve_many(cfg_m, coords[:n_unit] * [scale, scale, 1, 1]),
                                 PRIMARY_PLAN)
-    bf = brute_force_dhj(cfg, coords[:n_bf])
+    bf = _brute_force_dhj(cfg, centers if n_bf == n else resolve_many(cfg, coords[:n_bf]))
 
     def pose_check(name, threshold, statuses, errors, count=n, relative=True):
         """``errors(i)`` gives the per-pose (abs, rel) errors of the first i poses."""

@@ -117,7 +117,7 @@ def test_criterion_5_annihilation(reference, poses):
         pts = resolve_pose(reference, *coords).a
         V_p = build_Vp(pts)
         for plan in (PRIMARY_PLAN, ALTERNATE_PLAN):
-            V_ps, _ = nominal_map(checked(build_selection_matrix(plan, pts)), V_p)
+            V_ps = nominal_map(checked(build_selection_matrix(plan, pts)), V_p)
             worst = max(worst, np.max(np.abs(V_ps[:, list(CONSTRAINED_COLS)])))
     _report(5, "selection kills the constrained freedoms for both plans",
             worst < 1e-12, f"max column magnitude {worst:.3e}")

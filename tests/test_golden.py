@@ -1,11 +1,13 @@
-"""Golden outputs of ``dhjac sweep``, ``dhjac units`` and ``dhjac pose``.
+"""Golden outputs of ``dhjac sweep``, ``dhjac units``, ``dhjac pose`` and ``dhjac validate``.
 
 Each case is run again into ``tmp_path`` and compared with its files under
 ``tests/golden/``; a ``pose`` case writes its exit code, stdout and stderr to
-one file.  On the numpy, BLAS and machine recorded in
+one file, a ``validate`` case its exit code and stdout to one file and its
+report to another.  On the numpy, BLAS and machine recorded in
 ``tests/golden/platform.json`` the files must be equal byte for byte;
 elsewhere every status and every other word must be equal and every number
-equal to 1e-12 relative.  To write the golden files from the current tree:
+equal to 1e-12 relative, except where a case says otherwise.  To write the
+golden files from the current tree:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -16,6 +18,7 @@ import json
 import math
 import platform
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +69,38 @@ POSE_CASES = {
 #: rounding noise: off the recorded platform only their words are compared
 NOISE_CASES = {"pose_singular_selection", "pose_singular_configuration"}
 
+
+def square_layout(link_length: float):
+    """The square layout with another link length, written into the directory of a run."""
+    def write(directory: Path) -> Path:
+        path = directory / f"square_layout_l{link_length:g}.json"
+        raw = json.loads(SQUARE.read_text())
+        path.write_text(json.dumps(dict(raw, l=link_length)))
+        return path
+    return write
+
+
+# case -> argv of a ``validate`` request without --out: the cases of
+# ``test_verify.VALIDATION_CASES``, then the offset layout at +/-89 deg, which
+# exits 1 (constraint_rows_annihilate_tangent reads the truncation error of the
+# finite-difference tangent; see ``test_verify.test_offset_tangent_error_is_truncation``)
+VALIDATE_CASES = {
+    "validate_reference_seed_0": ["--config", REFERENCE, "--seed", "0", "--poses", "10"],
+    "validate_reference_seed_5": ["--config", REFERENCE, "--seed", "5", "--poses", "12"],
+    "validate_reference_seed_777": ["--config", REFERENCE, "--seed", "777", "--poses", "10"],
+    "validate_reference_seed_42_100_poses": ["--config", REFERENCE, "--seed", "42",
+                                             "--poses", "100"],
+    "validate_offset_seed_42": ["--config", OFFSET, "--seed", "42", "--poses", "12"],
+    # dhj_vs_brute_force stops on no_forward_solution after 0, 4 and 3 poses
+    "validate_square_seed_11": ["--config", SQUARE, "--seed", "11", "--poses", "10"],
+    "validate_square_seed_17": ["--config", SQUARE, "--seed", "17", "--poses", "10"],
+    "validate_square_seed_26": ["--config", SQUARE, "--seed", "26", "--poses", "10"],
+    "validate_square_short_link": ["--config", square_layout(300.0), "--seed", "13",
+                                   "--poses", "20"],
+    "validate_unreachable": ["--config", square_layout(100.0), "--seed", "3", "--poses", "5"],
+    "validate_offset_89": ["--config", OFFSET, "--envelope-deg", "89", "--poses", "30"],
+}
+
 NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
 RTOL = 1e-12
 
@@ -88,6 +123,29 @@ def run_pose_case(case: str) -> str:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main([str(a) for a in POSE_CASES[case]])
     return f"exit {rc}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
+
+
+def run_validate_case(case: str, directory: Path) -> tuple[str, str]:
+    """The exit code and stdout of a ``validate`` case, and its report, as the texts of its
+    two golden files; stdout names the report by its golden file."""
+    out_path = directory / f"{case}.json"
+    argv = [str(a(directory) if callable(a) else a) for a in VALIDATE_CASES[case]]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(["validate", *argv, "--out", str(out_path)])
+    stdout = out.getvalue().replace(str(out_path), out_path.name)
+    return f"exit {rc}\n--- stdout\n{stdout}", out_path.read_text()
+
+
+def validation_counts(report: dict) -> dict:
+    """What a validation report counts, and each check's verdict, which no rounding moves."""
+    return {
+        "poses": (report["seed"], report["poses_requested"], report["poses_feasible"]),
+        "failures": [f["code"] for f in report["pose_failures"]],
+        "checks": [(c["name"], c["threshold"], c["passed"], c["poses_tested"])
+                   for c in report["checks"]],
+        "all_passed": report["all_passed"],
+    }
 
 
 def assert_close_text(got: str, want: str) -> None:
@@ -123,6 +181,24 @@ def test_golden_pose(case):
         assert_close_text(got, want)
 
 
+@pytest.mark.parametrize("case", VALIDATE_CASES)
+def test_golden_validate(tmp_path, case):
+    got_text, got_report = run_validate_case(case, tmp_path)
+    want_text = (GOLDEN / f"{case}.txt").read_text()
+    want_report = (GOLDEN / f"{case}.json").read_text()
+    if json.loads((GOLDEN / "platform.json").read_text()) == current_platform():
+        assert got_text == want_text
+        assert got_report == want_report
+        return
+    # elsewhere the error numbers are finite-difference noise (the differences of nearly
+    # equal resolved poses), so every number is compared as a word only, and the exit
+    # code, the counts and each check's verdict exactly
+    assert got_text.splitlines()[0] == want_text.splitlines()[0]
+    assert NUMBER.split(got_text) == NUMBER.split(want_text)
+    assert NUMBER.split(got_report) == NUMBER.split(want_report)
+    assert validation_counts(json.loads(got_report)) == validation_counts(json.loads(want_report))
+
+
 def test_number_pattern_splits_every_field():
     line = "-50,1.5e-05,12.000000000000002,,no_convergence"
     assert NUMBER.findall(line) == ["-50", "1.5e-05", "12.000000000000002"]
@@ -138,4 +214,9 @@ if __name__ == "__main__":
         run_case(case, GOLDEN)
     for case in POSE_CASES:
         (GOLDEN / f"{case}.txt").write_text(run_pose_case(case))
+    with tempfile.TemporaryDirectory() as scratch:
+        for case in VALIDATE_CASES:
+            text, report = run_validate_case(case, Path(scratch))
+            (GOLDEN / f"{case}.txt").write_text(text)
+            (GOLDEN / f"{case}.json").write_text(report)
     (GOLDEN / "platform.json").write_text(json.dumps(current_platform(), indent=2) + "\n")

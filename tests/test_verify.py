@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from dhjac.dhj import dexterity_at, singular_values
-from dhjac.errors import KinematicsError, NoForwardSolution, StepTooLarge
-from dhjac.model import resolve_pose
+from dhjac.errors import KinematicsError, NoForwardSolution, StepTooLarge, Unreachable
+from dhjac.model import resolve_many, resolve_pose
 from dhjac.screws import build_inverse_jacobian
 from dhjac.selection import PRIMARY_PLAN, build_selection_matrix
 from dhjac.verify import (BRUTE_FORCE_STEP, REFINE_MAX_ITER, REFINE_TOL, brute_force_dhj,
@@ -197,6 +197,83 @@ def test_forward_refine_singular_target_fails_only_itself(square):
     np.testing.assert_array_equal(stacked.value[0], scalar_forward_refine(square, q_a, a))
 
 
+def assert_each_target_as_alone(cfg, targets, guesses):
+    """``forward_refine`` over the stack gives each target the value, the error and the
+    anchor points that it gets alone; returns the stacked result."""
+    stacked = forward_refine(cfg, np.array(targets), np.array(guesses))
+    for t, (q, guess) in enumerate(zip(targets, guesses)):
+        try:
+            alone = forward_refine(cfg, q, guess)
+        except KinematicsError as exc:
+            got = stacked.status.error(t)
+            assert (type(got), str(got)) == (type(exc), str(exc))
+            assert np.isnan(stacked.value[t]).all() and np.isnan(stacked.B[t]).all()
+        else:
+            assert stacked.status.error(t) is None
+            np.testing.assert_array_equal(stacked.value[t], alone)
+            np.testing.assert_array_equal(stacked.value[t], scalar_forward_refine(cfg, q, guess))
+            # the anchor points of the accepting iteration, which resolved exactly there
+            B = resolve_pose(cfg, *alone, envelope_deg=cfg.envelope_deg + 5.0).B
+            np.testing.assert_array_equal(stacked.B[t], B)
+    return stacked
+
+
+def test_forward_refine_shared_iterate_outside_the_guard(reference):
+    # targets sharing a guess past envelope + 5 deg each fail on the one resolved iterate;
+    # the targets of another guess in between still refine
+    inside = np.array([0.0, 150.0, 0.3, -0.2])
+    outside = np.array([0.0, 150.0, math.radians(reference.envelope_deg + 6.0), 0.1])
+    q = _scalar_q(reference, inside)
+    targets = [q, q + 0.5, q - 0.5, q + 0.25, q]
+    guesses = [outside, outside, inside, inside, outside]
+    stacked = assert_each_target_as_alone(reference, targets, guesses)
+    assert stacked.status.codes() == ["no_forward_solution"] * 2 + ["ok"] * 2 + \
+        ["no_forward_solution"]
+    assert "iterate left the workspace" in str(stacked.status.error(0))
+
+
+def test_forward_refine_shared_iterate_with_a_refused_perturbation(reference):
+    # the iterate sits 1e-7 rad inside envelope + 5 deg, so its +theta perturbation is
+    # refused: the targets that step from it fail with that refusal, the one it already
+    # reproduces converges without perturbing it
+    edge = np.array([0.0, 150.0, math.radians(reference.envelope_deg + 5.0) - 1e-7, 0.0])
+    inside = np.array([0.0, 150.0, 0.3, -0.2])
+    q_edge = _scalar_q(reference, edge, reference.envelope_deg + 5.0)
+    q_in = _scalar_q(reference, inside)
+    targets = [q_edge + 0.01, q_edge, q_edge - 0.01, q_in + 0.5, q_in - 0.5]
+    guesses = [edge, edge, edge, inside, inside]
+    stacked = assert_each_target_as_alone(reference, targets, guesses)
+    assert stacked.status.codes() == ["unreachable", "ok", "unreachable", "ok", "ok"]
+    assert isinstance(stacked.status.error(0), Unreachable)
+    np.testing.assert_array_equal(stacked.value[1], edge)
+
+
+def test_forward_refine_shared_singular_iterate(square):
+    # on the square layout the forward Jacobian is singular at theta = 0: every target that
+    # steps from that iterate fails alone, the one it reproduces does not
+    flat, tilted = np.array([0.0, 150.0, 0.0, 0.1]), np.array([0.0, 150.0, 0.3, 0.1])
+    q_flat, q_tilted = _scalar_q(square, flat), _scalar_q(square, tilted)
+    targets = [q_tilted + 1e-3, q_flat + 1e-3, q_flat, q_flat - 1e-3, q_tilted - 1e-3]
+    guesses = [tilted, flat, flat, flat, tilted]
+    stacked = assert_each_target_as_alone(square, targets, guesses)
+    assert stacked.status.codes() == ["ok", "no_forward_solution", "ok",
+                                      "no_forward_solution", "ok"]
+    assert "singular forward Jacobian" in str(stacked.status.error(3))
+
+
+def test_forward_refine_iterates_one_bit_apart_stay_apart(reference):
+    # equal iterates share one resolved row; iterates that differ in the last bit of one
+    # coordinate do not
+    guess = np.array([0.0, 150.0, 0.3, -0.2])
+    near = guess.copy()
+    near[3] = np.nextafter(near[3], 1.0)
+    q = _scalar_q(reference, guess) + np.array([0.3, -0.2, 0.1, 0.25])
+    targets = [q, q + 0.1, q, q + 0.1, q]
+    guesses = [guess, guess, near, near, guess]
+    stacked = assert_each_target_as_alone(reference, targets, guesses)
+    assert not np.array_equal(stacked.value[0], stacked.value[2])
+
+
 @pytest.mark.parametrize("layout", sorted(ORACLE_LAYOUTS))
 def test_oracles_over_a_stack_equal_each_pose_alone(reference, layout):
     # a stack gives every pose the value, or the error, that it gets alone
@@ -234,6 +311,25 @@ def test_perturbation_past_the_guard_is_step_too_large(reference):
         scalar_fd_actuation_jacobian(reference, coords)
     assert str(got.value) == str(want.value)
     assert "along coord 2" in str(got.value)
+
+
+def test_offset_tangent_error_is_truncation():
+    # on the offset layout at +/-89 deg, constraint_rows_annihilate_tangent fails (dhjac
+    # validate exits 1): its worst pose of 23 reads max |G_c^T T| = 1.19e-7 against 1e-7.
+    # There the error grows as h^2 with the step of the finite-difference tangent, which
+    # is the truncation of the central difference, not an error of the constraint rows
+    # (that would stay as h shrinks)
+    cfg = dataclasses.replace(offset_prs_config(), envelope_deg=89.0)
+    poses, _ = sample_poses(cfg, 30, seed=42)
+    G = checked(build_inverse_jacobian(resolve_many(cfg, poses)))
+    err = np.abs(G.G_c_T @ checked(fd_constraint_tangent(cfg, poses)).value).max(axis=(-2, -1))
+    assert len(poses) == 23 and err.max() > 1e-7
+    worst = int(err.argmax())
+
+    def error(h):
+        return np.abs(G.G_c_T[worst] @ fd_constraint_tangent(cfg, poses[worst], h=h)).max()
+
+    assert 3.0 <= error(2e-6) / error(1e-6) <= 5.0
 
 
 def test_tangent_home_columns(reference):
@@ -378,23 +474,28 @@ def test_run_validation_evaluates_each_oracle_once_per_run(reference, monkeypatc
     import dhjac.verify
 
     calls = collections.Counter()
+    rows = []
 
     def count(module, name):
         fn = getattr(module, name)
 
         def counting(*args, **kwargs):
             calls[name] += 1
+            if name == "resolve_many":
+                rows[-1] += len(np.reshape(args[1], (-1, 4)))
             return fn(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counting)
 
-    for name in ("forward_refine", "resolve_pose", "resolve_many", "brute_force_dhj"):
+    for name in ("forward_refine", "resolve_pose", "resolve_many", "brute_force_dhj",
+                 "_brute_force_dhj", "fd_oracles", "_fd_oracles"):
         count(dhjac.verify, name)
     count(dhjac.dhj, "dexterity_at")
     count(dhjac.dhj, "resolve_pose")
     counts = []
     for n_poses in (6, 24):
         calls.clear()
+        rows.append(0)
         report = run_validation(reference, seed=7, n_poses=n_poses, n_dhj=n_poses)
         assert report["poses_feasible"] == n_poses and report["all_passed"] is True
         counts.append(dict(calls))
@@ -402,9 +503,16 @@ def test_run_validation_evaluates_each_oracle_once_per_run(reference, monkeypatc
     # calls do not grow with the pose count; one pose at a time made 2 + 7 n
     # resolve_many and 1.5 n resolve_pose calls
     assert counts[0] == counts[1]
-    assert counts[0]["forward_refine"] == counts[0]["brute_force_dhj"] == 1
+    assert counts[0]["forward_refine"] == counts[0]["_brute_force_dhj"] == 1
+    assert counts[0]["_fd_oracles"] == 1
+    # the oracles take the poses that run_validation resolved; the public forms resolve again
+    assert "brute_force_dhj" not in counts[0] and "fd_oracles" not in counts[0]
     assert "resolve_pose" not in counts[0] and "dexterity_at" not in counts[0]
-    assert counts[0]["resolve_many"] <= 10
+    assert counts[0]["resolve_many"] <= 9
+    # resolving every row of every Newton iteration made 237 rows per pose (1,422 and
+    # 5,688 here) in 10 calls; one row per distinct iterate, no perturbed rows for the
+    # converged ones and the centers resolved once leave 100
+    assert rows[0] <= 100 * 6 and rows[1] <= 100 * 24
 
 
 VALIDATION_CASES = {
