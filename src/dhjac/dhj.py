@@ -38,15 +38,14 @@ def condition_number(M: np.ndarray) -> float:
 
 
 def assemble_dhj(V_ps: np.ndarray, J_a: np.ndarray) -> np.ndarray:
-    """J_dh = V_ps J_a mapping actuated joint rates to nominal velocities."""
-    V_ps = np.asarray(V_ps, float)
-    J_a = np.asarray(J_a, float)
-    if V_ps.shape[-1] != J_a.shape[-2]:
-        raise ValueError(f"shape mismatch: V_ps {V_ps.shape} vs J_a {J_a.shape}")
-    return V_ps @ J_a
+    """J_dh = V_ps J_a mapping actuated joint rates to nominal velocities.
+
+    Shapes that do not chain raise ValueError (from the product itself).
+    """
+    return np.asarray(V_ps, float) @ np.asarray(J_a, float)
 
 
-@dataclass(frozen=True)
+@dataclass
 class DexterityRecord:
     """Everything dexterity-related evaluated at one pose, with its intermediates."""
 

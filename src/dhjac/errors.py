@@ -86,6 +86,15 @@ class NoForwardSolution(KinematicsError):
     code = "no_forward_solution"
 
 
+def any_true(mask) -> bool:
+    """Whether some entry of a boolean array, or a numpy bool, holds.
+
+    ``np.count_nonzero`` takes its slow path on a numpy scalar, as a pose
+    without a stack axis yields, so that one is tested directly.
+    """
+    return bool(mask) if mask.ndim == 0 else np.count_nonzero(mask) > 0
+
+
 @dataclass(frozen=True)
 class Refusal:
     """Why one pose was refused: the error it raises alone, and what its message prints."""
@@ -111,7 +120,7 @@ class Status:
 
     def _new(self, bad):
         """Indices where ``bad`` holds and the pose is not refused yet."""
-        if not np.count_nonzero(bad):
+        if not any_true(bad):
             return []
         return [i for i in (zip(*np.nonzero(bad)) if self.shape else [()])
                 if i not in self.refusals]
@@ -127,7 +136,7 @@ class Status:
 
         Entry ``k`` (0-based) of pose ``i`` has message ``describe(i, k)``, value ``value[i][k]``.
         """
-        if not np.count_nonzero(bad):
+        if not any_true(bad):
             return
         for i in self._new(bad.any(axis=-1)):
             k = int(bad[i].argmax())

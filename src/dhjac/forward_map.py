@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BlockSingular, SingularConfiguration, Stacked, Status
+from .errors import BlockSingular, SingularConfiguration, Stacked, Status, any_true
 from .screws import InverseJacobian
 
 COND_LIMIT = 1e12
@@ -53,12 +53,12 @@ def cond_from_sigmas(sv: np.ndarray):
     """2-norm condition sigma_max / sigma_min of one set or a stack; infinite below SIGMA_FLOOR."""
     lo = sv[..., -1]
     tiny = lo < SIGMA_FLOOR
-    if not np.count_nonzero(tiny):
+    if not any_true(tiny):
         return (sv[..., 0] / lo)[()]
     return np.divide(sv[..., 0], lo, out=np.full(lo.shape, math.inf), where=~tiny)[()]
 
 
-@dataclass(frozen=True)
+@dataclass
 class ForwardJacobian:
     """J = (G^T)^-1 partitioned into actuated and constraint columns, for one pose or a stack."""
 
@@ -85,7 +85,7 @@ def invert_full(G: InverseJacobian) -> ForwardJacobian:
     GT = G.stacked
     cond = cond_from_sigmas(singular_values(GT))
     singular = ~(cond <= COND_LIMIT)
-    status = Status(np.shape(cond))
+    status = Status(singular.shape)
     status.refuse(singular, SingularConfiguration,
                   lambda i: f"cond(G^T) = {cond[i]:.3e} exceeds {COND_LIMIT:.1e}", value=cond)
     if not status.refusals:

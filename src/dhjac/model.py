@@ -260,13 +260,18 @@ def config_from_dict(raw: dict) -> ManipulatorConfig:
         raise ConfigError(f"malformed config: {exc}") from exc
 
 
-@dataclass(frozen=True)
+@dataclass
 class PlatformPose:
     """Resolved platform placement with its IK: one pose, or a stack of N poses.
 
     ``resolve_many`` returns a stack: every array field leads with an axis of
     N, refused rows hold NaN and ``status`` records why.  ``resolve_pose``
     returns one pose, row 0 of a stack of one.
+
+    The records of the chain (this one, ``InverseJacobian``, ``ForwardJacobian``,
+    ``SelectionMatrix``, ``DexterityRecord``) are not frozen: a frozen dataclass
+    sets each field through ``object.__setattr__``, about 3 us for the 14
+    fields of this one against 0.5 us for a plain one, on every pose.
     """
 
     cfg: ManipulatorConfig = field(repr=False)
@@ -287,6 +292,13 @@ class PlatformPose:
     @property
     def coords(self) -> tuple[float, float, float, float]:
         return (self.y, self.z, self.theta, self.psi)
+
+    def take(self, rows) -> PlatformPose:
+        """The poses ``rows`` of a stack, as a stack, with their refusals."""
+        rows = np.asarray(rows, dtype=np.intp)
+        return PlatformPose(self.cfg, *(v[rows] for v in (
+            self.y, self.z, self.theta, self.psi, self.x, self.phi_z, self.rotation,
+            self.origin, self.B, self.q, self.a, self.link)), self.status.take(rows))
 
 
 def norms(v: np.ndarray) -> np.ndarray:
@@ -311,6 +323,7 @@ def limb_axes(link: np.ndarray, L: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 _AXES = np.arange(3)
+_AXIS_DIAGONAL = 4 * _AXES  # flat places of (0, 0), (1, 1) and (2, 2) in a 3x3 matrix
 #: flat places in a 3x3 matrix of -sin and +sin in the rotation about axis 0, 1, 2: with
 #: (i, j) the cyclic successors of the axis, -sin sits at (i, j) and +sin at (j, i)
 _MINUS_SIN, _PLUS_SIN = np.array([5, 6, 1]), np.array([7, 2, 3])
@@ -321,36 +334,57 @@ def _rotations(angles: np.ndarray) -> np.ndarray:
     c, s = np.cos(angles), np.sin(angles)
     R = np.zeros(angles.shape + (9,))
     R[..., ::4] = c[..., None]  # the diagonal; the axis itself holds 1
-    R[_AXES, :, 4 * _AXES] = 1.0
+    R[_AXES, :, _AXIS_DIAGONAL] = 1.0
     R[_AXES, :, _MINUS_SIN] = -s
     R[_AXES, :, _PLUS_SIN] = s
     return R.reshape(angles.shape + (3, 3))
 
 
-def _resolve_dependent(cfg: ManipulatorConfig, psi: np.ndarray, status: Status):
-    """(x, phi_z) at N poses by damped Newton on the PRS plane residuals, one mask per pose.
+def _plane_residual(cp, Px, Py, Ax, x, phi):
+    """The PRS plane residuals (N, 2) at (x, phi) (N,), their slopes in phi, and max |r| (N,).
 
     Row 0 of Rx(theta) Ry(psi) Rz(phi) is (cos psi cos phi, -cos psi sin phi,
     sin psi) and the anchors lie in z = 0, so theta drops out:
     r_k = x + cos psi (cos phi P_x - sin phi P_y) - A_x, with dr_k/dx = 1 and
-    dr_k/dphi = -cos psi (sin phi P_x + cos phi P_y).  Started at (0, 0); a
-    stalled solve is refused in ``status`` as NoConvergence.
+    dr_k/dphi = -cos psi (sin phi P_x + cos phi P_y); ``cp`` is cos psi (N, 1).
+    """
+    cc, cs = cp * np.cos(phi)[:, None], cp * np.sin(phi)[:, None]
+    res = x[:, None] + (cc * Px - cs * Py) - Ax
+    dres = -(cs * Px) - cc * Py
+    return res, dres, np.abs(res).max(axis=1)
+
+
+def _start_residual(cp, Px, Py, Ax):
+    """``_plane_residual`` at the start (x, phi) = (0, 0), in closed form.
+
+    cos 0 = 1 and sin 0 = 0 exactly, so the residual is cp P_x - A_x and the
+    slope -(cp P_y): bit for bit the general form, signed zeros included, for
+    every P_x != 0 (``_ring`` never places an anchor at P_x = 0) except at a
+    PRS limb angle of -0.0 (P_y = -0.0) with cos psi < 0, past a 90 deg
+    envelope.  There the zero slope is -0.0 instead of +0.0, which the step
+    solve carries into neither x nor phi.
+    """
+    res = cp * Px - Ax
+    return res, -(cp * Py), np.abs(res).max(axis=1)
+
+
+def _resolve_dependent(cfg: ManipulatorConfig, psi: np.ndarray, status: Status):
+    """(x, phi_z) at N poses by damped Newton on the PRS plane residuals, one mask per pose.
+
+    The residuals are ``_plane_residual``'s.  Started at (0, 0), where they
+    take their closed form; a stalled solve is refused in ``status`` as
+    NoConvergence.
     """
     Px, Py, Ax = cfg._prs_anchors
     cp = np.cos(psi)[:, None]
     tol = RESOLVE_TOL * cfg.base_radius
-
-    def residual(x, phi, rows):
-        cc, cs = cp[rows] * np.cos(phi)[:, None], cp[rows] * np.sin(phi)[:, None]
-        res = x[:, None] + (cc * Px - cs * Py) - Ax
-        dres = -(cs * Px) - cc * Py
-        return res, dres, np.abs(res).max(axis=1)
-
     n = len(psi)
     x, phi = np.zeros(n), np.zeros(n)
-    res, dres, norm = residual(x, phi, slice(None))
+    res, dres, norm = _start_residual(cp, Px, Py, Ax)
     for _ in range(RESOLVE_MAX_ITER):
-        active = ~(norm < tol) & status.ok  # refused poses leave the solve
+        active = ~(norm < tol)
+        if status.refusals:
+            active &= status.ok  # refused poses leave the solve
         if not np.count_nonzero(active):
             break
         # jac = [[1, dres_0], [1, dres_1]]
@@ -366,7 +400,7 @@ def _resolve_dependent(cfg: ManipulatorConfig, psi: np.ndarray, status: Status):
         lam = 1.0  # the poses still searching have all been halved equally often
         for _ in range(RESOLVE_HALVINGS):
             x_t, phi_t = x[rows] + lam * step[:, 0], phi[rows] + lam * step[:, 1]
-            res_t, dres_t, norm_t = residual(x_t, phi_t, rows)
+            res_t, dres_t, norm_t = _plane_residual(cp[rows], Px, Py, Ax, x_t, phi_t)
             take = (norm_t < norm[rows]) | (norm_t < tol)
             t = rows[take]
             x[t], phi[t] = x_t[take], phi_t[take]
@@ -386,6 +420,72 @@ def _resolve_dependent(cfg: ManipulatorConfig, psi: np.ndarray, status: Status):
     return x, phi
 
 
+def _all_refused(cfg: ManipulatorConfig, coords: np.ndarray, status: Status) -> tuple:
+    """``_resolve``'s result for a stack whose every pose is refused: all arrays NaN."""
+    n, f = len(coords), cfg.limb_count
+    out = [coords]
+    for shape in ((n,), (n,), (n, 3, 3), (n, 3), (n, f, 3), (n, f), (n, f, 3), (n, f, 3)):
+        v = np.empty(shape)
+        v.fill(math.nan)
+        out.append(v)
+    return (*out, status)
+
+
+def _resolve(cfg: ManipulatorConfig, coords, envelope_deg: float | None):
+    """``resolve_many``'s stack as ``(coords, x, phi, R, origin, B, q, a, link, status)``.
+
+    Once every pose is refused, the stages left are skipped (``_all_refused``).
+    """
+    coords = np.array(coords, float).reshape(-1, 4)  # a copy: the messages read it later
+    n = len(coords)
+    env = cfg.envelope_deg if envelope_deg is None else envelope_deg
+    lim = math.radians(env) + ENVELOPE_SLACK
+    status = Status((n,))
+    # a pose passes both guards when its coordinates are finite and (theta, psi) in the envelope
+    if np.count_nonzero(np.abs(coords) <= (DBL_MAX, DBL_MAX, lim, lim)) < coords.size:
+        status.refuse(~np.isfinite(coords).all(axis=1), Unreachable,
+                      lambda i: f"pose coordinates {tuple(coords[i].tolist())} are not all finite")
+        status.refuse(~(np.abs(coords[:, 2:]) <= lim).all(axis=1), Unreachable,
+                      lambda i: f"(theta, psi) = ({math.degrees(coords[i][2]):.2f}, "
+                                f"{math.degrees(coords[i][3]):.2f}) deg outside the "
+                                f"+/-{env:g} deg envelope")
+        if len(status.refusals) == n:
+            return _all_refused(cfg, coords, status)
+    # refused rows ride along at (0, 0, 0, 0) and are blanked at the end
+    y, z, th, ps = (np.where(status.ok[:, None], coords, 0.0) if status.refusals else coords).T
+    x, phi = _resolve_dependent(cfg, ps, status)
+    if len(status.refusals) == n:
+        return _all_refused(cfg, coords, status)
+
+    Rx, Ry, Rz = _rotations(np.array((th, ps, phi)))
+    R = Rx @ Ry @ Rz
+    origin = np.empty((n, 3))
+    origin[:, 0], origin[:, 1], origin[:, 2] = x, y, z
+    # one matrix-vector product per anchor, which rounds as ``rotation @ P[i]``
+    B = origin[:, None, :] + (R[:, None] @ cfg.platform_points()[:, :, None])[..., 0]
+    A, L = cfg.base_points(), cfg.link_length
+    d = B[..., :2] - A[:, :2]
+    dx, dy = d[..., 0], d[..., 1]
+    disc = L * L - dx * dx - dy * dy
+    out_of_reach = disc < 0.0
+    if np.count_nonzero(out_of_reach):
+        disc[out_of_reach & (disc >= -IK_CLAMP * L * L)] = 0.0
+        out_of_reach = disc < 0.0
+        offset = np.hypot(dx, dy)  # read by the message alone
+        status.refuse_first(out_of_reach, Unreachable,
+                            lambda i, k: f"limb {k + 1}: lateral offset {offset[i][k]:.6g} "
+                                         f"exceeds link {L:g}", value=offset)
+        if len(status.refusals) == n:
+            return _all_refused(cfg, coords, status)
+    if status.refusals:
+        refused = ~status.ok
+        for v in (x, phi, R, origin, B, disc):
+            v[refused] = math.nan
+    q = B[..., 2] - np.sqrt(disc)
+    link = B - (A + q[..., None] * Z_HAT)
+    return coords, x, phi, R, origin, B, q, B - origin[:, None, :], link, status
+
+
 def resolve_many(cfg: ManipulatorConfig, coords, envelope_deg: float | None = None
                  ) -> PlatformPose:
     """Resolve the M poses (y, z, theta, psi) of ``coords`` (M, 4) and their IK, as a stack.
@@ -396,49 +496,12 @@ def resolve_many(cfg: ManipulatorConfig, coords, envelope_deg: float | None = No
     ``status`` refuses a non-finite pose, one outside the ``envelope_deg``
     envelope (by default the config's) or out of a limb's reach as
     Unreachable, and a stalled solve as NoConvergence.  A row takes the same
-    operations in any stack, so it equals ``resolve_pose`` bit for bit.
+    operations in any stack, so it equals ``resolve_pose`` bit for bit; a
+    refused row is NaN but for its coordinates, and a stack whose every row
+    is refused stops at the stage that refuses the last.
     """
-    coords = np.array(coords, float).reshape(-1, 4)  # a copy: the messages read it later
-    env = cfg.envelope_deg if envelope_deg is None else envelope_deg
-    lim = math.radians(env) + ENVELOPE_SLACK
-    status = Status((len(coords),))
-    # a pose passes both guards when its coordinates are finite and (theta, psi) in the envelope
-    if np.count_nonzero(np.abs(coords) <= (DBL_MAX, DBL_MAX, lim, lim)) < coords.size:
-        status.refuse(~np.isfinite(coords).all(axis=1), Unreachable,
-                      lambda i: f"pose coordinates {tuple(coords[i].tolist())} are not all finite")
-        status.refuse(~(np.abs(coords[:, 2:]) <= lim).all(axis=1), Unreachable,
-                      lambda i: f"(theta, psi) = ({math.degrees(coords[i][2]):.2f}, "
-                                f"{math.degrees(coords[i][3]):.2f}) deg outside the "
-                                f"+/-{env:g} deg envelope")
-    # refused rows ride along at (0, 0, 0, 0) and are blanked at the end
-    y, z, th, ps = (np.where(status.ok[:, None], coords, 0.0) if status.refusals else coords).T
-    x, phi = _resolve_dependent(cfg, ps, status)
-
-    Rx, Ry, Rz = _rotations(np.array((th, ps, phi)))
-    R = Rx @ Ry @ Rz
-    origin = np.empty((len(coords), 3))
-    origin[:, 0], origin[:, 1], origin[:, 2] = x, y, z
-    # one matrix-vector product per anchor, which rounds as ``rotation @ P[i]``
-    B = origin[:, None, :] + (R[:, None] @ cfg.platform_points()[:, :, None])[..., 0]
-    A, L = cfg.base_points(), cfg.link_length
-    dx, dy = B[..., 0] - A[:, 0], B[..., 1] - A[:, 1]
-    disc = L * L - dx * dx - dy * dy
-    out_of_reach = disc < 0.0
-    if np.count_nonzero(out_of_reach):
-        disc[out_of_reach & (disc >= -IK_CLAMP * L * L)] = 0.0
-        out_of_reach = disc < 0.0
-        offset = np.hypot(dx, dy)  # read by the message alone
-        status.refuse_first(out_of_reach, Unreachable,
-                            lambda i, k: f"limb {k + 1}: lateral offset {offset[i][k]:.6g} "
-                                         f"exceeds link {L:g}", value=offset)
-    if status.refusals:
-        refused = ~status.ok
-        for v in (x, phi, R, origin, B, disc):
-            v[refused] = math.nan
-    q = B[..., 2] - np.sqrt(disc)
-    link = B - (A + q[..., None] * Z_HAT)
-    return PlatformPose(cfg, *coords.T, x, phi, R, origin, B, q, B - origin[:, None, :], link,
-                        status)
+    coords, *fields = _resolve(cfg, coords, envelope_deg)
+    return PlatformPose(cfg, *coords.T, *fields)
 
 
 def resolve_pose(
@@ -454,11 +517,10 @@ def resolve_pose(
     Raises Unreachable or NoConvergence as ``resolve_many`` records them.
     The returned pose carries its IK, so callers never run IK on it again.
     """
-    poses = resolve_many(cfg, (y, z, theta, psi), envelope_deg)
-    poses.status.check()
-    return PlatformPose(cfg, *(float(v[0]) for v in (*poses.coords, poses.x, poses.phi_z)),
-                        *(v[0] for v in (poses.rotation, poses.origin, poses.B, poses.q, poses.a,
-                                         poses.link)), Status())
+    coords, x, phi, *arrays, status = _resolve(cfg, (y, z, theta, psi), envelope_deg)
+    status.check()
+    return PlatformPose(cfg, *coords[0].tolist(), x.item(), phi.item(),
+                        *(v[0] for v in arrays), Status())
 
 
 def tsai_mobility(mobility: MobilityInputs) -> int:

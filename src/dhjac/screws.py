@@ -33,7 +33,7 @@ DENOMINATOR_THRESHOLD = 1e-12
 PUS_ROW_VARIANT = "link"
 
 
-@dataclass(frozen=True)
+@dataclass
 class InverseJacobian:
     """Stacked [G_a^T; G_c^T], for one pose or a stack."""
 
@@ -83,11 +83,15 @@ def build_inverse_jacobian(
                         value=size)
     if status.refusals:
         den = np.where(singular[..., None], math.nan, den)
-    Ga = np.concatenate([u, moment_sign * _cross(pose.a, u)], axis=-1) / den
+    Ga = np.concatenate([u, _cross(pose.a, u)], axis=-1)
     a = pose.a.take(pose.cfg.prs_indices(), axis=-2)
     Gc = np.empty(a.shape[:-1] + (6,))
     Gc[..., :3] = X_HAT  # s2
-    Gc[..., 3:] = moment_sign * _cross(a, X_HAT)
+    Gc[..., 3:] = _cross(a, X_HAT)
+    if moment_sign != 1.0:  # a product by 1.0 is exact, so the adopted recipe skips it
+        Ga[..., 3:] *= moment_sign
+        Gc[..., 3:] *= moment_sign
+    Ga /= den
     return InverseJacobian(G_a_T=Ga, G_c_T=Gc, status=status)
 
 

@@ -102,7 +102,7 @@ def enumerate_pairings(f: int) -> list[list[tuple[int, int]]]:
     return [[(i, j) for j in range(1, f + 1) if j != i] for i in range(1, f + 1)]
 
 
-@dataclass(frozen=True)
+@dataclass
 class SelectionMatrix:
     S: np.ndarray  # (..., f, 3f), dimensionless
     plan: SelectionPlan

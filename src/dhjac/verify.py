@@ -13,14 +13,15 @@ poses in one ``model.resolve_many`` call, whose rows equal ``resolve_pose``
 bit for bit, so a pose resolved once may stand for every equal one: the
 Newton refinement resolves each distinct iterate once per iteration, and
 the perturbed poses only of the iterates that still step.
-``run_validation`` resolves the feasible poses once and evaluates each
-oracle, and each chain of ``dhj`` it judges, once over that stack.
+``run_validation`` resolves the sampled poses once, takes the feasible rows of
+that stack, and evaluates each oracle, and each chain of ``dhj`` it judges,
+once over them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -274,11 +275,18 @@ def random_coords(cfg: ManipulatorConfig, n: int,
 
 def sample_poses(cfg: ManipulatorConfig, n: int, seed: int = DEFAULT_SEED):
     """``random_coords`` split into the feasible poses and the refused ones with their codes."""
+    return _sample_poses(cfg, n, seed)[:2]
+
+
+def _sample_poses(cfg: ManipulatorConfig, n: int, seed: int):
+    """``sample_poses`` and the stack of the feasible poses, the rows of the one that
+    resolved every sampled pose (a row is the same in any stack)."""
     coords = random_coords(cfg, n, seed)
-    codes = resolve_many(cfg, coords).status.codes()
-    feasible = [c for c, code in zip(coords, codes) if code == "ok"]
+    stack = resolve_many(cfg, coords)
+    codes = stack.status.codes()
+    rows = [i for i, code in enumerate(codes) if code == "ok"]
     failures = [(c, code) for c, code in zip(coords, codes) if code != "ok"]
-    return feasible, failures
+    return [coords[i] for i in rows], failures, stack.take(rows)
 
 
 def run_validation(cfg: ManipulatorConfig, seed: int = DEFAULT_SEED,
@@ -289,16 +297,15 @@ def run_validation(cfg: ManipulatorConfig, seed: int = DEFAULT_SEED,
         raise ConfigError(f"seed must be non-negative, got {seed}")
     if n_poses < 1:
         raise ConfigError(f"at least one pose is needed, got {n_poses}")
-    poses, failures = sample_poses(cfg, n_poses, seed)
+    # the sampled poses are resolved once, and the feasible rows of that stack are the
+    # centers; each oracle and each judged chain is evaluated once, over that stack, and
+    # read by every check; a check counts the poses before its first refusal
+    poses, failures, centers = _sample_poses(cfg, n_poses, seed)
     n = len(poses)
     coords = np.array(poses, float).reshape(n, 4)
     n_unit = min(25, n)
     n_bf = len(poses[:n_dhj])
     checks: list[OracleReport] = []
-    # the feasible poses are resolved once; each oracle and each judged chain is evaluated
-    # once, over that stack, and read by every check; a check counts the poses before its
-    # first refusal
-    centers = resolve_many(cfg, coords)
     tangent, fd_ik = _fd_oracles(cfg, centers)
     T, FD = tangent.value, fd_ik.value
     G, fwd, _, V_ps, J_dh, _, k, rec = dhj._chain(centers, PRIMARY_PLAN)
@@ -307,7 +314,7 @@ def run_validation(cfg: ManipulatorConfig, seed: int = DEFAULT_SEED,
     cfg_m = cfg.scaled(scale, unit="m" if cfg.unit == "mm" else cfg.unit)
     *_, k_m, rec_m = dhj._chain(resolve_many(cfg_m, coords[:n_unit] * [scale, scale, 1, 1]),
                                 PRIMARY_PLAN)
-    bf = _brute_force_dhj(cfg, centers if n_bf == n else resolve_many(cfg, coords[:n_bf]))
+    bf = _brute_force_dhj(cfg, centers if n_bf == n else centers.take(range(n_bf)))
 
     def pose_check(name, threshold, statuses, errors, count=n, relative=True):
         """``errors(i)`` gives the per-pose (abs, rel) errors of the first i poses."""
@@ -434,7 +441,7 @@ def run_validation(cfg: ManipulatorConfig, seed: int = DEFAULT_SEED,
         "poses_requested": n_poses,
         "poses_feasible": len(poses),
         "pose_failures": [{"coords": list(c), "code": code} for c, code in failures[:10]],
-        "checks": [asdict(c) for c in checks],
+        "checks": [vars(c).copy() for c in checks],  # the fields, in order, as asdict gives
         "variants": variants,
         "all_passed": all(c.passed for c in checks),
     }

@@ -102,21 +102,22 @@ def test_joint_rates_consistent_through_dhj(reference):
 
 
 def test_dexterity_at_resolves_once(reference, monkeypatch):
-    # one pose is a stack of one: a single resolve_many call resolves it and runs its IK
+    # one pose is a stack of one: a single pass of the stacked resolve resolves it and runs
+    # its IK
     import dhjac.model
 
     calls = []
-    resolve = dhjac.model.resolve_many
+    resolve = dhjac.model._resolve
 
-    def counting_resolve(cfg, coords, envelope_deg=None):
+    def counting_resolve(cfg, coords, envelope_deg):
         calls.append(coords)
         return resolve(cfg, coords, envelope_deg)
 
-    monkeypatch.setattr(dhjac.model, "resolve_many", counting_resolve)
+    monkeypatch.setattr(dhjac.model, "_resolve", counting_resolve)
     coords = (0.0, 150.0, math.radians(20.0), math.radians(10.0))
     rec = dexterity_at(reference, *coords)
     assert calls == [coords]
-    np.testing.assert_array_equal(rec.pose.q, resolve(reference, coords).q[0])
+    np.testing.assert_array_equal(rec.pose.q, dhjac.model.resolve_many(reference, coords).q[0])
 
 
 def test_dexterity_at_lapack_calls(reference, monkeypatch):

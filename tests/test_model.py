@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 from dhjac.errors import ConfigError, KinematicsError, NoConvergence, Unreachable
 from dhjac.model import (RESOLVE_TOL, X_HAT, Z_HAT, LimbSpec, ManipulatorConfig,
-                         MobilityInputs, config_from_dict, limb_axes, load_config, resolve_many,
-                         resolve_pose, tsai_mobility)
+                         MobilityInputs, _plane_residual, _start_residual, config_from_dict,
+                         limb_axes, load_config, resolve_many, resolve_pose, tsai_mobility)
 
 from conftest import REFERENCE_CONFIG, offset_prs_config, random_coords, square_config
+from scalar_reference import scalar_resolve
 
 
 def test_home_pose_dependents_vanish(reference):
@@ -230,6 +231,78 @@ def test_resolve_many_empty_and_no_convergence():
     rows = [(0.0, 150.0, 0.0, math.radians(70.0)), (0.0, 150.0, 0.0, 0.1)]
     status = resolve_many(cfg, rows, envelope_deg=75.0).status
     assert status.codes() == ["no_convergence", "ok"]
+
+
+@given(layout=st.sampled_from(["reference", "square", "offset"]),
+       unit=st.sampled_from(["mm", "m"]),
+       psi=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=8))
+@settings(max_examples=80, deadline=None)
+def test_closed_form_newton_start_is_the_general_residual(layout, unit, psi):
+    # at (x, phi) = (0, 0) the closed form gives the residual, slope and norm of the general
+    # form bit for bit, signed zeros included, across the envelope
+    cfg = LAYOUTS[layout]().in_unit(unit)
+    cp = np.cos(math.radians(cfg.envelope_deg) * np.array(psi))[:, None]
+    zero = np.zeros(len(psi))
+    start = _start_residual(cp, *cfg._prs_anchors)
+    general = _plane_residual(cp, *cfg._prs_anchors, zero, zero)
+    for closed, full in zip(start, general):
+        assert closed.shape == full.shape and closed.tobytes() == full.tobytes()
+    # the rails of the offset layout lie off the anchor planes: the solve iterates from
+    # the start there, and stops at it on the other two
+    assert (start[2] >= RESOLVE_TOL * cfg.base_radius).all() == (layout == "offset")
+
+
+#: one pose refused by each stage that can refuse a pose alone before the IK ends
+REFUSED_ALONE = {
+    "reach": (500.0, 150.0, 0.0, 0.0),
+    "envelope": (0.0, 150.0, math.radians(60.0), 0.0),
+    "non_finite": (0.0, math.nan, 0.0, 0.0),
+}
+POSE_ARRAYS = ("x", "phi_z", "rotation", "origin", "B", "q", "a", "link")
+
+
+def _refusal(status, i):
+    r = status.refusals[(i,)]
+    return r.error, r.message(), r.limb, repr(r.value)
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_ALONE))
+def test_fully_refused_stack_is_all_nan(reference, case):
+    # a stack whose every pose is refused stops at the refusal: each pose keeps the code,
+    # message, limb and value it gets next to an ok pose, and every array is NaN
+    pose = REFUSED_ALONE[case]
+    alone = resolve_many(reference, [pose])
+    mixed = resolve_many(reference, [(0.0, 150.0, 0.1, 0.05), pose])
+    assert alone.status.codes() == ["unreachable"] and mixed.status.codes() == ["ok", "unreachable"]
+    assert _refusal(alone.status, 0) == _refusal(mixed.status, 1)
+    for name in POSE_ARRAYS:
+        value = getattr(alone, name)
+        assert value.shape == getattr(mixed, name)[1:].shape and np.isnan(value).all()
+    assert np.array_equal(np.stack(alone.coords, axis=-1), [pose], equal_nan=True)
+    with pytest.raises(Unreachable, match=re.escape(_refusal(mixed.status, 1)[1])):
+        resolve_pose(reference, *pose)
+
+
+def test_fully_refused_grid_keeps_each_refusal(reference):
+    # the 100 mm link reaches no pose of the grid: the stack stops after the reach test,
+    # every array is NaN, and each pose keeps the refusal it gets alone, at the limb and
+    # lateral offset that the independent scalar chain finds
+    cfg = dataclasses.replace(reference, link_length=100.0)
+    th, ps = np.meshgrid(np.radians(np.linspace(-50.0, 50.0, 5)), np.radians([-50.0, 0.0, 50.0]))
+    rows = np.column_stack([np.zeros(th.size), np.full(th.size, 150.0), th.ravel(), ps.ravel()])
+    grid = resolve_many(cfg, rows)
+    assert grid.status.codes() == ["unreachable"] * len(rows)
+    for name in POSE_ARRAYS:
+        assert np.isnan(getattr(grid, name)).all()
+    A, P = cfg.base_points(), cfg.platform_points()
+    for i, row in enumerate(rows):
+        assert _refusal(grid.status, i) == _refusal(resolve_many(cfg, [row]).status, 0)
+        R, origin = scalar_resolve(cfg, *row)
+        offset = [math.hypot(*(origin + R @ P[k] - A[k])[:2]) for k in range(4)]
+        limb = next(k for k in range(4) if offset[k] > cfg.link_length)
+        error, _, k, value = _refusal(grid.status, i)
+        assert (error, k) == (Unreachable, limb + 1)
+        assert float(value) == pytest.approx(offset[limb], rel=1e-12)
 
 
 def test_short_link_unreachable():

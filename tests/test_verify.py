@@ -508,7 +508,8 @@ def test_run_validation_evaluates_each_oracle_once_per_run(reference, monkeypatc
     # the oracles take the poses that run_validation resolved; the public forms resolve again
     assert "brute_force_dhj" not in counts[0] and "fd_oracles" not in counts[0]
     assert "resolve_pose" not in counts[0] and "dexterity_at" not in counts[0]
-    assert counts[0]["resolve_many"] <= 9
+    # the feasible poses are rows of the stack that sorted the sampled ones
+    assert counts[0]["resolve_many"] <= 8
     # resolving every row of every Newton iteration made 237 rows per pose (1,422 and
     # 5,688 here) in 10 calls; one row per distinct iterate, no perturbed rows for the
     # converged ones and the centers resolved once leave 100
