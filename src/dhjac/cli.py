@@ -321,9 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="manipulator JSON config")
         p.add_argument("--unit", choices=("mm", "m"), default=None,
                        help="convert the config to this unit before computing")
-        p.add_argument("--plan", default="primary",
-                       help='selection plan: primary | alternate | opposite '
-                            '| JSON like [["1y","2z"],["2y","3z"],["3y","4z"],["4y","1z"]]')
         p.add_argument("--envelope-deg", type=float, default=None,
                        help="override the rotational envelope guard")
         if with_out:
@@ -354,6 +351,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, with_out="validation_report.json")
     p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
     p.add_argument("--poses", type=int, default=100, help="random poses per oracle")
+
+    for name in ("pose", "sweep", "units"):  # validate judges the plans it names itself
+        sub.choices[name].add_argument(
+            "--plan", default="primary",
+            help='selection plan: primary | alternate | opposite '
+                 '| JSON like [["1y","2z"],["2y","3z"],["3y","4z"],["4y","1z"]]')
     return parser
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import screws
-from .errors import MixedActuation, SingularSelection
+from .errors import SingularSelection
 from .forward_map import (COND_LIMIT, ForwardJacobian, cond_from_sigmas, invert_full,
                           singular_values)
 from .model import UNIT_SCALES, ManipulatorConfig, PlatformPose, resolve_many, resolve_pose
@@ -211,44 +211,4 @@ def unit_scaling_experiment(
         "max_rel_dev_k_G": max_dev_G,
         "k_dh_invariant": bool(max_dev_dh < UNIT_INVARIANCE_TOL) if devs_dh else False,
         "k_G_unit_sensitive": bool(max_dev_G > UNIT_SENSITIVITY_FLOOR) if devs_G else False,
-    }
-
-
-_POWER_NAMES = {-1: "1/{u}", 0: "1", 1: "{u}"}
-
-
-def _unit_name(power: int, unit: str) -> str:
-    return _POWER_NAMES.get(power, "{u}^" + str(power)).format(u=unit)
-
-
-def dimensional_audit(cfg: ManipulatorConfig) -> dict:
-    """Symbolic length powers of every pipeline block plus a homogeneity check.
-
-    Linear actuation must yield a dimensionless J_dh; rotational actuation a
-    J_dh with one uniform power of length.  Raises MixedActuation otherwise.
-    """
-    if cfg.actuator_kind == "mixed":
-        raise MixedActuation("mixed linear/rotational actuation is out of scope")
-    row_units = screws.actuation_row_units(cfg)
-    u = cfg.unit
-    vp_v, vp_w, s_pow = 0, 1, 0
-    jdh_from_v = s_pow + vp_v + row_units.j_linear
-    jdh_from_w = s_pow + vp_w + row_units.j_angular
-    homogeneous = jdh_from_v == jdh_from_w
-    table = {
-        "V_p_translation_block": _unit_name(vp_v, u),
-        "V_p_moment_block": _unit_name(vp_w, u),
-        "S": _unit_name(s_pow, u),
-        "G_a_T_translation_block": _unit_name(row_units.g_linear, u),
-        "G_a_T_moment_block": _unit_name(row_units.g_angular, u),
-        "J_a1": _unit_name(row_units.j_linear, u),
-        "J_a2": _unit_name(row_units.j_angular, u),
-        "J_dh": _unit_name(jdh_from_v, u) if homogeneous else "inhomogeneous",
-    }
-    return {
-        "actuator": cfg.actuator_kind,
-        "unit": u,
-        "blocks": table,
-        "J_dh_length_power": jdh_from_v if homogeneous else None,
-        "homogeneous": homogeneous,
     }

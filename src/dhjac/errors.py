@@ -68,12 +68,6 @@ class DegeneratePair(KinematicsError):
     code = "degenerate_pair"
 
 
-class MixedActuation(KinematicsError):
-    """Limbs mix linear and rotational actuators; unit bookkeeping unsupported."""
-
-    code = "mixed_actuation"
-
-
 class StepTooLarge(KinematicsError):
     """Finite-difference step left the feasible workspace."""
 

@@ -68,16 +68,6 @@ class ForwardJacobian:
     cond_GT: float       # 2-norm condition of the stacked G^T
     status: Status = field(default_factory=Status)  # singular configurations
 
-    @property
-    def J_a1(self) -> np.ndarray:
-        """Linear-velocity block (first three rows of J_a)."""
-        return self.J_a[..., :3, :]
-
-    @property
-    def J_a2(self) -> np.ndarray:
-        """Angular-velocity block (last three rows of J_a)."""
-        return self.J_a[..., 3:, :]
-
 
 def invert_full(G: InverseJacobian) -> ForwardJacobian:
     """(G^T)^-1 by LAPACK gesv on the identity; cond(G^T) over COND_LIMIT is

@@ -80,7 +80,6 @@ class ManipulatorConfig:
     base_radius: float
     link_length: float
     limbs: tuple[LimbSpec, ...]
-    actuator_kind: str = "linear"  # "linear" or "rotational"
     unit: str = "mm"
     envelope_deg: float = DEFAULT_ENVELOPE_DEG
     mobility: MobilityInputs = field(
@@ -96,8 +95,6 @@ class ManipulatorConfig:
                               f"got {self.envelope_deg!r}")
         if self.unit not in UNIT_SCALES:
             raise ConfigError(f"unknown unit {self.unit!r} (expected mm or m)")
-        if self.actuator_kind not in ("linear", "rotational", "mixed"):
-            raise ConfigError(f"unknown actuator kind {self.actuator_kind!r}")
         for limb in self.limbs:
             if limb.kind not in ("PUS", "PRS"):
                 raise ConfigError(f"unknown limb kind {limb.kind!r}")
@@ -236,6 +233,10 @@ def config_from_dict(raw: dict) -> ManipulatorConfig:
             )
             for entry in raw["limbs"]
         )
+        actuator = raw.get("actuator", "linear")
+        if actuator != "linear":
+            raise ConfigError('actuator must be "linear" (the chain writes prismatic '
+                              f'actuation rows), got {actuator!r}')
         mob = raw.get("mobility", {})
         if not isinstance(mob, dict):
             raise ConfigError(f"mobility must be an object of counts, got {mob!r}")
@@ -251,7 +252,6 @@ def config_from_dict(raw: dict) -> ManipulatorConfig:
             base_radius=float(raw["r_b"]),
             link_length=float(raw["l"]),
             limbs=limbs,
-            actuator_kind=str(raw.get("actuator", "linear")),
             unit=str(raw.get("unit", "mm")),
             envelope_deg=float(raw.get("envelope_deg", DEFAULT_ENVELOPE_DEG)),
             mobility=mobility,

@@ -25,11 +25,6 @@ def skew(a: np.ndarray) -> np.ndarray:
     return S
 
 
-def point_velocity(v: np.ndarray, w: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Velocity of the platform point at offset a from the reference point."""
-    return np.asarray(v, float) + np.cross(w, a)
-
-
 def build_Vp(points) -> np.ndarray:
     """V_p (..., 3n, 6): the stacked [I, -skew(a_i)] blocks of the points (..., n, 3)."""
     pts = np.asarray(points, float)

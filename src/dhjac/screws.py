@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MixedActuation, SingularLimb, Status
-from .model import X_HAT, ManipulatorConfig, PlatformPose, limb_axes, norms
+from .errors import SingularLimb, Status
+from .model import X_HAT, PlatformPose, limb_axes, norms
 
 #: |l_hat . s1| below this is treated as a limb singularity (dimensionless)
 DENOMINATOR_THRESHOLD = 1e-12
@@ -93,35 +93,3 @@ def build_inverse_jacobian(
         Gc[..., 3:] *= moment_sign
     Ga /= den
     return InverseJacobian(G_a_T=Ga, G_c_T=Gc, status=status)
-
-
-@dataclass(frozen=True)
-class RowUnits:
-    """Length powers of the velocity-coupled and rate-coupled blocks.
-
-    ``g_linear``/``g_angular`` are the units of G_av^T and G_aw^T; the
-    ``j_*`` fields are the corresponding forward blocks J_a1 and J_a2
-    (reciprocal powers), which is what the homogeneity audit consumes.
-    Powers: 0 = dimensionless, 1 = length, -1 = 1/length.
-    """
-
-    g_linear: int
-    g_angular: int
-
-    @property
-    def j_linear(self) -> int:
-        return -self.g_linear
-
-    @property
-    def j_angular(self) -> int:
-        return -self.g_angular
-
-
-def actuation_row_units(cfg: ManipulatorConfig) -> RowUnits:
-    """Unit descriptor of the actuation-row blocks for the actuator type."""
-    if cfg.actuator_kind == "linear":
-        return RowUnits(g_linear=0, g_angular=1)
-    if cfg.actuator_kind == "rotational":
-        return RowUnits(g_linear=-1, g_angular=0)
-    raise MixedActuation(
-        f"actuator kind {cfg.actuator_kind!r}: mixed or unknown actuation unsupported")

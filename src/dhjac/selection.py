@@ -97,11 +97,6 @@ OPPOSITE_PLAN = SelectionPlan(OPPOSITE_PLAN_PAIRS)
 ALTERNATE_PLAN = SelectionPlan(ALTERNATE_PLAN_PAIRS)
 
 
-def enumerate_pairings(f: int) -> list[list[tuple[int, int]]]:
-    """All admissible (v_iy, v_jz) pairs, grouped per limb."""
-    return [[(i, j) for j in range(1, f + 1) if j != i] for i in range(1, f + 1)]
-
-
 @dataclass
 class SelectionMatrix:
     S: np.ndarray  # (..., f, 3f), dimensionless

@@ -211,6 +211,12 @@ REFUSED_AT_LOAD = {
                          "unknown key 'base_deg' in limb 1"),
     "unknown_mobility_key": ({"mobility": {"lambda": 6, "lamda": 6}}, None,
                              "unknown key 'lamda' in mobility"),
+    "actuator_rotational": ({"actuator": "rotational"}, None,
+                            'actuator must be "linear" (the chain writes prismatic actuation '
+                            "rows), got 'rotational'"),
+    "actuator_mixed": ({"actuator": "mixed"}, None,
+                       'actuator must be "linear" (the chain writes prismatic actuation '
+                       "rows), got 'mixed'"),
 }
 
 COMMANDS = {
@@ -244,6 +250,14 @@ def test_config_refused_at_load_exit_3(tmp_path, capsys, monkeypatch, case, cmd)
     assert captured.err == f"config error: {line}\n"
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_validate_has_no_plan_flag(capsys):
+    # validate judges the plans it names itself, so --plan is a usage error there
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--config", CFG, "--plan", "primary"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --plan primary" in capsys.readouterr().err
 
 
 def test_sweep_range_guard(tmp_path):

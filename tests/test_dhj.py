@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dhjac.dhj import (assemble_dhj, condition_number, condition_numbers_at, dexterity_at,
-                       dimensional_audit, singular_values, unit_scaling_experiment)
-from dhjac.errors import KinematicsError, MixedActuation, SingularSelection
+                       singular_values, unit_scaling_experiment)
+from dhjac.errors import KinematicsError, SingularSelection
 from dhjac.forward_map import invert_full
 from dhjac.model import RESOLVE_TOL, resolve_pose
 from dhjac.screws import build_inverse_jacobian
@@ -321,26 +321,3 @@ def test_plan_choice_changes_record_but_stays_valid(reference):
     assert a.k >= 1.0 and b.k >= 1.0
     assert a.plan is PRIMARY_PLAN and b.plan is ALTERNATE_PLAN
 
-
-def test_dimensional_audit_linear(reference):
-    audit = dimensional_audit(reference)
-    assert audit["homogeneous"] is True
-    assert audit["blocks"]["J_dh"] == "1"
-    assert audit["blocks"]["S"] == "1"
-    assert audit["blocks"]["V_p_moment_block"] == "mm"
-    assert audit["blocks"]["J_a2"] == "1/mm"
-    assert audit["J_dh_length_power"] == 0
-
-
-def test_dimensional_audit_rotational(reference):
-    audit = dimensional_audit(dataclasses.replace(reference, actuator_kind="rotational"))
-    assert audit["homogeneous"] is True
-    assert audit["blocks"]["J_dh"] == "mm"
-    assert audit["blocks"]["J_a1"] == "mm"
-    assert audit["blocks"]["J_a2"] == "1"
-    assert audit["J_dh_length_power"] == 1
-
-
-def test_dimensional_audit_mixed_rejected(reference):
-    with pytest.raises(MixedActuation):
-        dimensional_audit(dataclasses.replace(reference, actuator_kind="mixed"))

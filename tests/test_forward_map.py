@@ -150,11 +150,12 @@ def test_block_singular_raises():
 
 
 def test_forward_blocks_scale_as_case1(reference):
-    # linear actuators: J_a1 dimensionless, J_a2 carries 1/length
+    # linear actuators: the linear-velocity rows of J_a are dimensionless, the
+    # angular-velocity rows carry 1/length
     s = 0.001
     coords = (0.0, 150.0, math.radians(18.0), math.radians(-9.0))
     fwd = checked(invert_full(G_at(reference, coords)))
     scaled = reference.scaled(s, unit="m")
     fwd_s = checked(invert_full(G_at(scaled, (0.0, 0.150, coords[2], coords[3]))))
-    np.testing.assert_allclose(fwd_s.J_a1, fwd.J_a1, rtol=1e-9, atol=1e-14)
-    np.testing.assert_allclose(fwd_s.J_a2, fwd.J_a2 / s, rtol=1e-9, atol=1e-14)
+    np.testing.assert_allclose(fwd_s.J_a[:3], fwd.J_a[:3], rtol=1e-9, atol=1e-14)
+    np.testing.assert_allclose(fwd_s.J_a[3:], fwd.J_a[3:] / s, rtol=1e-9, atol=1e-14)

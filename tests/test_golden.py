@@ -80,8 +80,8 @@ def square_layout(link_length: float):
     return write
 
 
-# case -> argv of a ``validate`` request without --out: the cases of
-# ``test_verify.VALIDATION_CASES``, then the offset layout at +/-89 deg, which
+# case -> argv of a ``validate`` request without --out: the reference, offset and
+# square layouts at a few seeds, then the offset layout at +/-89 deg, which
 # exits 1 (constraint_rows_annihilate_tangent reads the truncation error of the
 # finite-difference tangent; see ``test_verify.test_offset_tangent_error_is_truncation``)
 VALIDATE_CASES = {
@@ -91,7 +91,7 @@ VALIDATE_CASES = {
     "validate_reference_seed_42_100_poses": ["--config", REFERENCE, "--seed", "42",
                                              "--poses", "100"],
     "validate_offset_seed_42": ["--config", OFFSET, "--seed", "42", "--poses", "12"],
-    # dhj_vs_brute_force stops on no_forward_solution after 0, 4 and 3 poses
+    # dhj_vs_brute_force stops on no_forward_solution (BRUTE_FORCE_STOPS)
     "validate_square_seed_11": ["--config", SQUARE, "--seed", "11", "--poses", "10"],
     "validate_square_seed_17": ["--config", SQUARE, "--seed", "17", "--poses", "10"],
     "validate_square_seed_26": ["--config", SQUARE, "--seed", "26", "--poses", "10"],
@@ -100,6 +100,11 @@ VALIDATE_CASES = {
     "validate_unreachable": ["--config", square_layout(100.0), "--seed", "3", "--poses", "5"],
     "validate_offset_89": ["--config", OFFSET, "--envelope-deg", "89", "--poses", "30"],
 }
+
+# case -> the poses dhj_vs_brute_force judges before a target has no forward solution,
+# which the report must show on any platform
+BRUTE_FORCE_STOPS = {"validate_square_seed_11": 0, "validate_square_seed_17": 4,
+                     "validate_square_seed_26": 3}
 
 NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
 RTOL = 1e-12
@@ -186,6 +191,11 @@ def test_golden_validate(tmp_path, case):
     got_text, got_report = run_validate_case(case, tmp_path)
     want_text = (GOLDEN / f"{case}.txt").read_text()
     want_report = (GOLDEN / f"{case}.json").read_text()
+    if case in BRUTE_FORCE_STOPS:
+        checks = json.loads(got_report)["checks"]
+        dhj_fd = next(c for c in checks if c["name"] == "dhj_vs_brute_force")
+        assert dhj_fd["note"].startswith("no_forward_solution at")
+        assert dhj_fd["poses_tested"] == BRUTE_FORCE_STOPS[case]
     if json.loads((GOLDEN / "platform.json").read_text()) == current_platform():
         assert got_text == want_text
         assert got_report == want_report

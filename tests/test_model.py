@@ -412,12 +412,22 @@ def test_config_validation_errors(tmp_path):
             ({"envelope_dg": 80}, "unknown key 'envelope_dg' in config"),
             ({"limbs": [dict(good["limbs"][0], knd="PUS")] + good["limbs"][1:]},
              "unknown key 'knd' in limb 1"),
-            ({"mobility": dict(good["mobility"], lamda=6)}, "unknown key 'lamda' in mobility")):
+            ({"mobility": dict(good["mobility"], lamda=6)}, "unknown key 'lamda' in mobility"),
+            ({"actuator": "rotational"}, 'actuator must be "linear" (the chain writes '
+                                         "prismatic actuation rows), got 'rotational'"),
+            ({"actuator": "mixed"}, 'actuator must be "linear" (the chain writes '
+                                    "prismatic actuation rows), got 'mixed'"),
+            ({"actuator": 1}, 'actuator must be "linear" (the chain writes '
+                              "prismatic actuation rows), got 1")):
         with pytest.raises(ConfigError, match=re.escape(message)):
             config_from_dict({**good, **patch})
     # an integral float is a count; the shipped config carries no key outside the schema
     assert config_from_dict({**good, "mobility": {"lambda": 6.0}}).mobility.lam == 6
     assert config_from_dict(good) == load_config(REFERENCE_CONFIG)
+    # linear actuation, the only kind the chain computes, may be named or left out
+    assert good["actuator"] == "linear"
+    assert config_from_dict({k: v for k, v in good.items() if k != "actuator"}) == \
+        config_from_dict(good)
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ConfigError):

@@ -1,11 +1,16 @@
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dhjac.pointmap import build_Vp, point_velocity, skew
+from dhjac.pointmap import build_Vp, skew
 
 finite = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 vec3 = st.tuples(finite, finite, finite).map(np.array)
+
+
+def point_velocity(v: np.ndarray, w: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The shifting property v + w x a, one point at a time: the oracle of ``build_Vp``."""
+    return np.asarray(v, float) + np.cross(w, a)
 
 
 def test_pure_translation_passthrough():
@@ -47,10 +52,14 @@ def test_four_symmetric_points_heave(reference):
 
 @given(v=vec3, w=vec3, pts=st.lists(vec3, min_size=3, max_size=5))
 @settings(max_examples=50, deadline=None)
+# w x a = 0 exactly, but the product sums terms of |w| |a| ~ 1e3 that cancel
+@example(v=np.zeros(3), w=np.array([0.0, 36.90563100968123, 7.0]),
+         pts=[np.zeros(3), np.zeros(3), np.array([0.0, 36.90563100968123, 7.0])])
 def test_stacked_map_equals_pointwise(v, w, pts):
     stacked = build_Vp(pts) @ np.concatenate([v, w])
     direct = np.concatenate([point_velocity(v, w, a) for a in pts])
-    np.testing.assert_allclose(stacked, direct, atol=1e-14 * (1 + np.max(np.abs(direct))))
+    terms = 1 + np.max(np.abs(v)) + np.max(np.abs(w)) * np.max(np.abs(pts))
+    np.testing.assert_allclose(stacked, direct, atol=1e-14 * terms)
 
 
 @given(v=vec3, w=vec3, a=vec3, b=vec3)

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from dhjac.errors import MixedActuation, SingularLimb
+from dhjac.errors import SingularLimb
 from dhjac.model import resolve_pose
-from dhjac.screws import actuation_row_units, build_inverse_jacobian
+from dhjac.screws import build_inverse_jacobian
 from dhjac.verify import fd_actuation_jacobian, fd_constraint_tangent
 
 from conftest import checked, random_coords, square_config
@@ -113,17 +113,3 @@ def test_rejected_variants_fail_the_oracle(reference):
     flipped = checked(build_inverse_jacobian(pose, moment_sign=-1.0))
     assert np.max(np.abs(flipped.G_a_T @ T - FD)) / scale > 1e-3
 
-
-def test_actuation_row_units(reference):
-    units = actuation_row_units(reference)
-    assert (units.g_linear, units.g_angular) == (0, 1)    # (1, mm)
-    assert (units.j_linear, units.j_angular) == (0, -1)   # (1, 1/mm)
-
-    rotational = dataclasses.replace(reference, actuator_kind="rotational")
-    units = actuation_row_units(rotational)
-    assert (units.j_linear, units.j_angular) == (1, 0)    # (mm, 1)
-    assert (units.g_linear, units.g_angular) == (-1, 0)
-
-    mixed = dataclasses.replace(reference, actuator_kind="mixed")
-    with pytest.raises(MixedActuation):
-        actuation_row_units(mixed)

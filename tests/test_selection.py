@@ -10,7 +10,7 @@ from dhjac.model import resolve_pose
 from dhjac.pointmap import build_Vp
 from dhjac.selection import (ALTERNATE_PLAN, CONSTRAINED_COLS, INDEPENDENT_COLS,
                              OPPOSITE_PLAN, PRIMARY_PLAN, SelectionPlan,
-                             build_selection_matrix, enumerate_pairings, nominal_map)
+                             build_selection_matrix, nominal_map)
 
 from conftest import checked, random_coords
 
@@ -19,20 +19,14 @@ def anchors_at(cfg, coords):
     return resolve_pose(cfg, *coords).a
 
 
-def test_enumerate_pairings_lists_all_twelve():
-    groups = enumerate_pairings(4)
-    assert groups[0] == [(1, 2), (1, 3), (1, 4)]
-    assert groups[1] == [(2, 1), (2, 3), (2, 4)]
-    assert groups[3] == [(4, 1), (4, 2), (4, 3)]
-    assert sum(len(g) for g in groups) == 12
-
-
 def test_named_plans():
+    # row k of a plan pairs limb k with another limb; SelectionPlan refuses anything else
     assert PRIMARY_PLAN.pairs == ((1, 2), (2, 3), (3, 4), (4, 1))
     assert OPPOSITE_PLAN.pairs == ((1, 3), (2, 4), (3, 1), (4, 2))
     for plan in (PRIMARY_PLAN, OPPOSITE_PLAN, ALTERNATE_PLAN):
-        for group, (i, j) in zip(enumerate_pairings(4), plan.pairs):
-            assert (i, j) in group
+        assert [i for i, _ in plan.pairs] == [1, 2, 3, 4]
+        assert all(j in (1, 2, 3, 4) and j != i for i, j in plan.pairs)
+        assert SelectionPlan(plan.pairs) == plan
 
 
 def test_pair_string_round_trip():

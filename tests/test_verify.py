@@ -16,7 +16,6 @@ from dhjac.verify import (BRUTE_FORCE_STEP, REFINE_MAX_ITER, REFINE_TOL, brute_f
                           run_validation, sample_poses)
 
 from conftest import checked, offset_prs_config, random_coords, square_config
-from validation_reference import scalar_run_validation
 
 
 # Scalar references: the oracles written pose by pose, one resolve_pose per
@@ -514,34 +513,6 @@ def test_run_validation_evaluates_each_oracle_once_per_run(reference, monkeypatc
     # 5,688 here) in 10 calls; one row per distinct iterate, no perturbed rows for the
     # converged ones and the centers resolved once leave 100
     assert rows[0] <= 100 * 6 and rows[1] <= 100 * 24
-
-
-VALIDATION_CASES = {
-    "reference_seed_0": (None, 0, 10),
-    "reference_seed_5": (None, 5, 12),
-    "reference_seed_777": (None, 777, 10),
-    "reference_seed_42_100_poses": (None, 42, 100),
-    "offset_seed_42": (offset_prs_config, 42, 12),
-    # dhj_vs_brute_force stops on no_forward_solution after 0, 4 and 3 poses
-    "square_seed_11": (square_config, 11, 10),
-    "square_seed_17": (square_config, 17, 10),
-    "square_seed_26": (square_config, 26, 10),
-    "square_short_link": (lambda: square_config(link_length=300.0), 13, 20),
-    "unreachable": (lambda: square_config(link_length=100.0), 3, 5),
-}
-
-
-@pytest.mark.parametrize("case", VALIDATION_CASES)
-def test_run_validation_equals_the_one_pose_at_a_time_run(reference, case):
-    make, seed, n_poses = VALIDATION_CASES[case]
-    cfg = reference if make is None else make()
-    stacked = run_validation(cfg, seed=seed, n_poses=n_poses)
-    assert json.dumps(stacked, sort_keys=True) == json.dumps(
-        scalar_run_validation(cfg, seed=seed, n_poses=n_poses), sort_keys=True)
-    if case.startswith("square_seed"):
-        dhj_fd = next(c for c in stacked["checks"] if c["name"] == "dhj_vs_brute_force")
-        assert dhj_fd["note"].startswith("no_forward_solution at")
-        assert dhj_fd["poses_tested"] == {"11": 0, "17": 4, "26": 3}[case[-2:]]
 
 
 def test_run_validation_deterministic(reference):
