@@ -32,11 +32,6 @@ from .screws import InverseJacobian
 from .selection import PRIMARY_PLAN, SelectionPlan, build_selection_matrix, nominal_map
 
 
-def condition_number(M: np.ndarray) -> float:
-    """2-norm condition (sigma_max / sigma_min); infinite below the floor."""
-    return cond_from_sigmas(singular_values(M))
-
-
 def assemble_dhj(V_ps: np.ndarray, J_a: np.ndarray) -> np.ndarray:
     """J_dh = V_ps J_a mapping actuated joint rates to nominal velocities.
 

@@ -215,8 +215,3 @@ class Stacked:
 
     value: np.ndarray
     status: Status
-
-    def one(self):
-        """The value at the pose of a stack of one; its refusal is raised."""
-        self.status.check()
-        return self.value[0]

@@ -87,16 +87,14 @@ def invert_full(G: InverseJacobian) -> ForwardJacobian:
     return ForwardJacobian(J=J, J_a=J[..., :f], J_c=J[..., f:], cond_GT=cond, status=status)
 
 
-def block_Ja(G: InverseJacobian):
-    """Actuated forward block J_a = N (G_a^T N)^-1; see module docs.
+def block_Ja(G: InverseJacobian) -> Stacked:
+    """Actuated forward blocks J_a = N (G_a^T N)^-1 (N, 6, f) of a stack of G^T; see module
+    docs.
 
-    An actuation map singular on the constraint kernel is BlockSingular.  One
-    G^T gives its (6, f) block or raises; a stack gives a ``Stacked`` of
-    (N, 6, f) blocks that refuses those poses, NaN also where G^T is not finite.
+    An actuation map singular on the constraint kernel is BlockSingular: the
+    ``Stacked`` refuses those poses, and is NaN also where G^T is not finite.
     """
     Ga, Gc = np.asarray(G.G_a_T, float), np.asarray(G.G_c_T, float)
-    one = Ga.ndim == 2
-    Ga, Gc = Ga.reshape((-1,) + Ga.shape[-2:]), Gc.reshape((-1,) + Gc.shape[-2:])
     f, m = Ga.shape[-2], Gc.shape[-2]
     finite = np.flatnonzero(np.isfinite(Ga).all(axis=(1, 2)) & np.isfinite(Gc).all(axis=(1, 2)))
     # orthonormal kernel basis of the constraint rows
@@ -110,5 +108,4 @@ def block_Ja(G: InverseJacobian):
                   lambda i: "actuation map singular on the constraint kernel")
     J = np.full((len(Ga), Ga.shape[-1], f), math.nan)
     J[finite[~singular]] = N[~singular] @ np.linalg.solve(M[~singular], np.eye(f))
-    out = Stacked(J, status)
-    return out.one() if one else out
+    return Stacked(J, status)

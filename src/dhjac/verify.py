@@ -6,16 +6,15 @@ the constrained pose resolution, and the brute-force DHJ differentiates
 Newton-refined forward kinematics.  These are the arbiters for the formula
 variants documented in the validation report.
 
-Each oracle takes one pose, and returns its value or raises, or a stack of
-poses (N, 4), and returns a ``Stacked`` whose status gives each pose the
-error it raises alone.  Each differencing step resolves all its perturbed
-poses in one ``model.resolve_many`` call, whose rows equal ``resolve_pose``
-bit for bit, so a pose resolved once may stand for every equal one: the
-Newton refinement resolves each distinct iterate once per iteration, and
-the perturbed poses only of the iterates that still step.
-``run_validation`` resolves the sampled poses once, takes the feasible rows of
-that stack, and evaluates each oracle, and each chain of ``dhj`` it judges,
-once over them.
+Each oracle takes a stack of poses resolved by ``model.resolve_many`` and
+returns a ``Stacked`` whose status gives each pose the error it gets as a
+stack of one.  Each differencing step resolves all its perturbed poses in one
+``resolve_many`` call, whose rows equal ``resolve_pose`` bit for bit, so a
+pose resolved once may stand for every equal one: the Newton refinement
+resolves each distinct iterate once per iteration, and the perturbed poses
+only of the iterates that still step.  ``run_validation`` resolves the
+sampled poses once, takes the feasible rows of that stack, and evaluates each
+oracle, and each chain of ``dhj`` it judges, once over them.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ DEFAULT_SEED = 42
 
 REFINE_TOL = 1e-12  # forward_refine stops when IK reproduces q to this * r_b
 REFINE_MAX_ITER = 30
-BRUTE_FORCE_STEP = 1e-5  # actuated-joint step of brute_force_dhj, as a fraction of r_b
+BRUTE_FORCE_STEP = 1e-5  # actuated-joint step of _brute_force_dhj, as a fraction of r_b
 
 
 def step_sizes(cfg: ManipulatorConfig, h: float = 1e-6) -> np.ndarray:
@@ -59,19 +58,17 @@ def _central_rows(center, steps) -> np.ndarray:
     return rows
 
 
-def fd_oracles(cfg: ManipulatorConfig, coords, h: float = 1e-6) -> tuple[Stacked, Stacked]:
+def fd_oracles(cfg: ManipulatorConfig, centers: PlatformPose,
+               h: float = 1e-6) -> tuple[Stacked, Stacked]:
     """The constraint tangents (N, 6, 4) and the actuation Jacobians (N, f, 4) at the poses
-    ``coords`` (N, 4), which ``fd_constraint_tangent`` and ``fd_actuation_jacobian`` return.
+    ``centers`` that ``resolve_many`` resolved, by central differences over (y, z, theta, psi).
 
+    The tangent is a basis of the feasible twist cone, from differencing the
+    pose resolution; the actuation Jacobian differences the IK joint values.
     Both difference the same 8 central-difference rows of every pose, resolved
     in one call; a refused row is StepTooLarge for its pose.  The tangent also
-    resolves the centers, whose rotation it differences against.
+    takes the refusal of its center, whose rotation it differences against.
     """
-    return _fd_oracles(cfg, resolve_many(cfg, coords), h)
-
-
-def _fd_oracles(cfg: ManipulatorConfig, centers: PlatformPose, h: float = 1e-6):
-    """``fd_oracles`` at the poses ``centers`` that ``resolve_many`` resolved."""
     coords = np.stack(centers.coords, axis=-1)
     n = len(coords)
     steps = step_sizes(cfg, h)
@@ -95,18 +92,6 @@ def _fd_oracles(cfg: ManipulatorConfig, centers: PlatformPose, h: float = 1e-6):
     return Stacked(T, tangent), Stacked(FD, stepped)
 
 
-def fd_actuation_jacobian(cfg: ManipulatorConfig, coords, h: float = 1e-6):
-    """Central differences of the IK joint values over (y, z, theta, psi): (f, 4) per pose."""
-    out = fd_oracles(cfg, coords, h)[1]
-    return out if np.ndim(coords) == 2 else out.one()
-
-
-def fd_constraint_tangent(cfg: ManipulatorConfig, coords, h: float = 1e-6):
-    """6 x 4 basis of the feasible twist cone at each pose, by differencing the pose resolution."""
-    out = fd_oracles(cfg, coords, h)[0]
-    return out if np.ndim(coords) == 2 else out.one()
-
-
 def _iterate_failed(r: Refusal) -> Refusal:
     """The refusal of a target in ``forward_refine`` whose iterate was refused."""
     return Refusal(NoForwardSolution, lambda: f"iterate left the workspace: {r.message()}")
@@ -114,30 +99,28 @@ def _iterate_failed(r: Refusal) -> Refusal:
 
 @dataclass(frozen=True)
 class Refined(Stacked):
-    """``forward_refine`` over a stack: the refined coordinates (T, 4), and the anchor points
+    """``forward_refine``'s result: the refined coordinates (T, 4), and the anchor points
     ``B`` (T, f, 3) that the iteration which accepted them resolved there; NaN where refused."""
 
     B: np.ndarray
 
 
-def forward_refine(cfg: ManipulatorConfig, q_target: np.ndarray, guess_coords):
-    """Newton-refine (y, z, theta, psi) until IK reproduces q_target.
+def forward_refine(cfg: ManipulatorConfig, targets: np.ndarray, guess_coords) -> Refined:
+    """Newton-refine (y, z, theta, psi) until IK reproduces each of the ``targets`` (T, f).
 
-    ``q_target`` is one target (f,), refined to (4,) or raising, or a stack
-    (T, f), refined to a ``Refined`` (T, 4); ``guess_coords`` broadcasts to
-    (T, 4).  Each target iterates on its own and gets the result and error it
-    gets alone.  An iteration resolves the distinct iterates in one call (equal
-    consecutive iterates, as the targets of one pose in ``brute_force_dhj``
-    start, share a row), tests convergence on them, and resolves in a second
-    call the 8 perturbed poses of the distinct iterates that still step.  The
-    finite-difference coordinate Jacobian keeps the refinement independent of
-    the analytic screw rows.
+    ``guess_coords`` broadcasts to (T, 4).  Each target iterates on its own
+    and gets the result and error it gets as a stack of one.  An iteration
+    resolves the distinct iterates in one call (equal consecutive iterates, as
+    the targets of one pose in ``_brute_force_dhj`` start, share a row), tests
+    convergence on them, and resolves in a second call the 8 perturbed poses
+    of the distinct iterates that still step.  The finite-difference
+    coordinate Jacobian keeps the refinement independent of the analytic
+    screw rows.
     """
     tol = REFINE_TOL * max(cfg.base_radius, 1e-30)
     env = cfg.envelope_deg + 5.0  # refinement may step slightly past the envelope
     steps = step_sizes(cfg)
-    q_target = np.asarray(q_target, float)
-    targets = np.atleast_2d(q_target)
+    targets = np.asarray(targets, float)
     size = len(targets)
     coords = np.array(np.broadcast_to(guess_coords, (size, 4)), float)
     B = np.full((size, cfg.limb_count, 3), math.nan)
@@ -193,24 +176,29 @@ def forward_refine(cfg: ManipulatorConfig, q_target: np.ndarray, guess_coords):
         status.refuse(np.isin(np.arange(size), active), NoForwardSolution,
                       lambda i: f"no convergence in {REFINE_MAX_ITER} iterations")
     coords[~status.ok] = math.nan
-    out = Refined(coords, status, B)
-    return out if q_target.ndim == 2 else out.one()
+    return Refined(coords, status, B)
 
 
-def brute_force_dhj(cfg: ManipulatorConfig, coords, plan=PRIMARY_PLAN):
-    """Differentiate the selected point-velocity combinations w.r.t. q_a: (f, f) per pose.
+def brute_force_dhj(cfg: ManipulatorConfig, coords, plan=PRIMARY_PLAN) -> np.ndarray:
+    """``_brute_force_dhj`` at one pose (y, z, theta, psi): its (f, f) value; raises its refusal.
+
+    The only one-pose entry here: it stays for the correctness checks of the benchmark harness
+    (``perfbench/workloads.py``) until ROADMAP item 1 moves them to the stacked oracles.
+    """
+    out = _brute_force_dhj(cfg, resolve_many(cfg, [coords]), plan)
+    out.status.check()
+    return out.value[0]
+
+
+def _brute_force_dhj(cfg: ManipulatorConfig, centers: PlatformPose, plan=PRIMARY_PLAN) -> Stacked:
+    """Differentiate the selected point-velocity combinations w.r.t. q_a: (N, f, f) at the
+    poses ``centers`` that ``resolve_many`` resolved.
 
     The selection weights are frozen at the center pose; each actuated joint
     is perturbed both ways, and the 2f poses of every pose are re-found
     together by one Newton forward refinement, whose accepting iteration
     gives their anchor points.
     """
-    out = _brute_force_dhj(cfg, resolve_many(cfg, coords), plan)
-    return out if np.ndim(coords) == 2 else out.one()
-
-
-def _brute_force_dhj(cfg: ManipulatorConfig, centers: PlatformPose, plan=PRIMARY_PLAN):
-    """``brute_force_dhj`` at the poses ``centers`` that ``resolve_many`` resolved."""
     n, f = len(centers.q), cfg.limb_count
     h_q = BRUTE_FORCE_STEP * max(cfg.base_radius, 1e-30)
     sel = build_selection_matrix(plan, centers.a)
@@ -274,13 +262,9 @@ def random_coords(cfg: ManipulatorConfig, n: int,
 
 
 def sample_poses(cfg: ManipulatorConfig, n: int, seed: int = DEFAULT_SEED):
-    """``random_coords`` split into the feasible poses and the refused ones with their codes."""
-    return _sample_poses(cfg, n, seed)[:2]
-
-
-def _sample_poses(cfg: ManipulatorConfig, n: int, seed: int):
-    """``sample_poses`` and the stack of the feasible poses, the rows of the one that
-    resolved every sampled pose (a row is the same in any stack)."""
+    """``random_coords`` split into the feasible poses, the refused ones with their codes,
+    and the stack of the feasible poses: the rows of the one that resolved every sampled
+    pose (a row is the same in any stack)."""
     coords = random_coords(cfg, n, seed)
     stack = resolve_many(cfg, coords)
     codes = stack.status.codes()
@@ -292,21 +276,23 @@ def _sample_poses(cfg: ManipulatorConfig, n: int, seed: int):
 def run_validation(cfg: ManipulatorConfig, seed: int = DEFAULT_SEED,
                    n_poses: int = 100, n_dhj: int = 50) -> dict:
     """Run every oracle; returns the JSON-serializable validation report (ConfigError for a
-    negative seed or no pose)."""
+    negative seed, or no pose to sample or to check against the brute-force oracle)."""
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
     if n_poses < 1:
         raise ConfigError(f"at least one pose is needed, got {n_poses}")
+    if n_dhj < 1:
+        raise ConfigError(f"at least one brute-force pose is needed, got {n_dhj}")
     # the sampled poses are resolved once, and the feasible rows of that stack are the
     # centers; each oracle and each judged chain is evaluated once, over that stack, and
     # read by every check; a check counts the poses before its first refusal
-    poses, failures, centers = _sample_poses(cfg, n_poses, seed)
+    poses, failures, centers = sample_poses(cfg, n_poses, seed)
     n = len(poses)
     coords = np.array(poses, float).reshape(n, 4)
     n_unit = min(25, n)
-    n_bf = len(poses[:n_dhj])
+    n_bf = min(n_dhj, n)
     checks: list[OracleReport] = []
-    tangent, fd_ik = _fd_oracles(cfg, centers)
+    tangent, fd_ik = fd_oracles(cfg, centers)
     T, FD = tangent.value, fd_ik.value
     G, fwd, _, V_ps, J_dh, _, k, rec = dhj._chain(centers, PRIMARY_PLAN)
     *_, V_ps_alt, _, _, k_alt, rec_alt = dhj._chain(centers, ALTERNATE_PLAN, (G, fwd))

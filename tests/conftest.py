@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from dhjac import verify
-from dhjac.model import LimbSpec, ManipulatorConfig, load_config
+from dhjac.model import LimbSpec, ManipulatorConfig, load_config, resolve_many
 
 REPO = Path(__file__).resolve().parents[1]
 REFERENCE_CONFIG = REPO / "configs" / "reference_4dof.json"
@@ -70,6 +70,23 @@ def checked(result):
     """
     result.status.check()
     return result
+
+
+def one(result):
+    """The value of a stage result at the pose of a stack of one; raises its refusal."""
+    return checked(result).value[0]
+
+
+def fd_at(cfg: ManipulatorConfig, coords, h: float = 1e-6):
+    """The FD tangent (6, 4) and actuation Jacobian (f, 4) at one pose: ``verify.fd_oracles``
+    over a stack of one, raising the tangent's refusal first."""
+    tangent, actuation = verify.fd_oracles(cfg, resolve_many(cfg, [coords]), h)
+    return one(tangent), one(actuation)
+
+
+def bf_at(cfg: ManipulatorConfig, coords):
+    """The brute-force J_dh (f, f) at one pose: the stacked oracle over a stack of one."""
+    return one(verify._brute_force_dhj(cfg, resolve_many(cfg, [coords])))
 
 
 def random_coords(cfg: ManipulatorConfig, n: int, seed: int,

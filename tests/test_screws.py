@@ -7,9 +7,8 @@ import pytest
 from dhjac.errors import SingularLimb
 from dhjac.model import resolve_pose
 from dhjac.screws import build_inverse_jacobian
-from dhjac.verify import fd_actuation_jacobian, fd_constraint_tangent
 
-from conftest import checked, random_coords, square_config
+from conftest import checked, fd_at, random_coords, square_config
 
 
 def pose_at(cfg, y, z, th_deg, ps_deg):
@@ -34,8 +33,7 @@ def test_pure_heave_rows_equal(reference):
 def test_actuation_rows_match_fd_ik_at_home(reference):
     coords = (0.0, 150.0, 0.0, 0.0)
     G = checked(build_inverse_jacobian(pose_at(reference, *coords)))
-    T = fd_constraint_tangent(reference, coords)
-    FD = fd_actuation_jacobian(reference, coords)
+    T, FD = fd_at(reference, coords)
     err = np.max(np.abs(G.G_a_T @ T - FD)) / np.max(np.abs(FD))
     assert err < 1e-6
 
@@ -45,7 +43,7 @@ def test_constraint_rows_annihilate_feasible_velocity(reference):
         G = checked(build_inverse_jacobian(pose_at(reference, 0.0, coords[1],
                                                    math.degrees(coords[2]),
                                                    math.degrees(coords[3]))))
-        T = fd_constraint_tangent(reference, coords)
+        T, _ = fd_at(reference, coords)
         assert np.max(np.abs(G.G_c_T @ T)) < 1e-8
 
 
@@ -99,8 +97,7 @@ def test_rejected_variants_fail_the_oracle(reference):
     # both disagree with the finite-difference IK Jacobian away from psi = 0;
     # this pins the adopted recipe (link rows, a x u moments)
     coords = (0.0, 150.0, math.radians(25.0), math.radians(35.0))
-    T = fd_constraint_tangent(reference, coords)
-    FD = fd_actuation_jacobian(reference, coords)
+    T, FD = fd_at(reference, coords)
     pose = resolve_pose(reference, *coords)
     scale = np.max(np.abs(FD))
 

@@ -7,19 +7,21 @@ import numpy as np
 import pytest
 
 from dhjac.dhj import dexterity_at, singular_values
-from dhjac.errors import KinematicsError, NoForwardSolution, StepTooLarge, Unreachable
+from dhjac.errors import ConfigError, KinematicsError, NoForwardSolution, StepTooLarge, Unreachable
 from dhjac.model import resolve_many, resolve_pose
 from dhjac.screws import build_inverse_jacobian
 from dhjac.selection import PRIMARY_PLAN, build_selection_matrix
-from dhjac.verify import (BRUTE_FORCE_STEP, REFINE_MAX_ITER, REFINE_TOL, brute_force_dhj,
-                          fd_actuation_jacobian, fd_constraint_tangent, forward_refine,
-                          run_validation, sample_poses)
+from dhjac.verify import (BRUTE_FORCE_STEP, REFINE_MAX_ITER, REFINE_TOL, _brute_force_dhj,
+                          brute_force_dhj, fd_oracles, forward_refine, run_validation,
+                          sample_poses)
 
-from conftest import checked, offset_prs_config, random_coords, square_config
+from conftest import (bf_at, checked, fd_at, offset_prs_config, one, random_coords,
+                      square_config)
 
 
 # Scalar references: the oracles written pose by pose, one resolve_pose per
-# perturbed pose.  The stacked oracles must reproduce them bit for bit.
+# perturbed pose.  The stacked oracles, over a stack of one, must reproduce
+# them bit for bit.
 
 def _scalar_steps(cfg, h=1e-6):
     return h * max(cfg.base_radius, 1e-30), h
@@ -135,16 +137,14 @@ ORACLE_LAYOUTS = {"reference": None, "offset": offset_prs_config}
 def test_stacked_oracles_equal_scalar_references(reference, layout):
     cfg = reference if ORACLE_LAYOUTS[layout] is None else ORACLE_LAYOUTS[layout]()
     for coords in random_coords(cfg, 6, seed=67):
-        np.testing.assert_array_equal(fd_actuation_jacobian(cfg, coords),
-                                      scalar_fd_actuation_jacobian(cfg, coords))
-        np.testing.assert_array_equal(fd_constraint_tangent(cfg, coords),
-                                      scalar_fd_constraint_tangent(cfg, coords))
+        T, FD = fd_at(cfg, coords)
+        np.testing.assert_array_equal(FD, scalar_fd_actuation_jacobian(cfg, coords))
+        np.testing.assert_array_equal(T, scalar_fd_constraint_tangent(cfg, coords))
         q = _scalar_q(cfg, coords) + np.array([0.3, -0.2, 0.1, 0.25])
-        np.testing.assert_array_equal(forward_refine(cfg, q, coords),
+        np.testing.assert_array_equal(one(forward_refine(cfg, q[None], coords)),
                                       scalar_forward_refine(cfg, q, coords))
     for coords in random_coords(cfg, 2, seed=71):
-        np.testing.assert_array_equal(brute_force_dhj(cfg, coords),
-                                      scalar_brute_force_dhj(cfg, coords))
+        np.testing.assert_array_equal(bf_at(cfg, coords), scalar_brute_force_dhj(cfg, coords))
 
 
 def test_forward_refine_stack_equals_one_target_at_a_time(reference):
@@ -154,7 +154,7 @@ def test_forward_refine_stack_equals_one_target_at_a_time(reference):
     refined = checked(forward_refine(reference, targets, coords)).value
     assert refined.shape == (3, 4)
     for t, row in zip(targets, refined):
-        np.testing.assert_array_equal(row, forward_refine(reference, t, coords))
+        np.testing.assert_array_equal(row, one(forward_refine(reference, t[None], coords)))
 
 
 def test_forward_refine_stack_raises_the_first_failed_targets_error(reference):
@@ -188,21 +188,21 @@ def test_forward_refine_singular_target_fails_only_itself(square):
     q_a = _scalar_q(square, a) + 1e-3
     q_b = _scalar_q(square, b) + 1e-3
     with pytest.raises(NoForwardSolution, match="singular forward Jacobian") as alone:
-        forward_refine(square, q_b, b)
+        one(forward_refine(square, q_b[None], b))
     stacked = forward_refine(square, np.stack([q_a, q_b]), np.array([a, b]))
     assert stacked.status.codes() == ["ok", "no_forward_solution"]
     assert str(stacked.status.error(1)) == str(alone.value)
-    np.testing.assert_array_equal(stacked.value[0], forward_refine(square, q_a, a))
+    np.testing.assert_array_equal(stacked.value[0], one(forward_refine(square, q_a[None], a)))
     np.testing.assert_array_equal(stacked.value[0], scalar_forward_refine(square, q_a, a))
 
 
 def assert_each_target_as_alone(cfg, targets, guesses):
     """``forward_refine`` over the stack gives each target the value, the error and the
-    anchor points that it gets alone; returns the stacked result."""
+    anchor points that it gets as a stack of one; returns the stacked result."""
     stacked = forward_refine(cfg, np.array(targets), np.array(guesses))
     for t, (q, guess) in enumerate(zip(targets, guesses)):
         try:
-            alone = forward_refine(cfg, q, guess)
+            alone = one(forward_refine(cfg, q[None], guess))
         except KinematicsError as exc:
             got = stacked.status.error(t)
             assert (type(got), str(got)) == (type(exc), str(exc))
@@ -275,19 +275,23 @@ def test_forward_refine_iterates_one_bit_apart_stay_apart(reference):
 
 @pytest.mark.parametrize("layout", sorted(ORACLE_LAYOUTS))
 def test_oracles_over_a_stack_equal_each_pose_alone(reference, layout):
-    # a stack gives every pose the value, or the error, that it gets alone
+    # each row of a stack has the value, or the error, of that pose as a stack of one
     cfg = reference if ORACLE_LAYOUTS[layout] is None else ORACLE_LAYOUTS[layout]()
     lim = math.radians(cfg.envelope_deg)
     coords = random_coords(cfg, 5, seed=73) + [
         (0.0, 150.0, lim + math.radians(0.5), 0.0),  # outside the envelope, inside its guard
         (0.0, 150.0, lim + math.radians(1.0) - 1e-7, 0.0),  # a perturbation is refused
         (1e3, 150.0, 0.0, 0.0)]  # out of reach
-    for oracle in (fd_actuation_jacobian, fd_constraint_tangent, brute_force_dhj):
-        stacked = oracle(cfg, coords)
+    oracles = (lambda centers: fd_oracles(cfg, centers)[1],  # the actuation Jacobian
+               lambda centers: fd_oracles(cfg, centers)[0],  # the tangent
+               lambda centers: _brute_force_dhj(cfg, centers))
+    centers = resolve_many(cfg, coords)
+    for oracle in oracles:
+        stacked = oracle(centers)
         assert stacked.value.shape[0] == len(coords)
         for i, c in enumerate(coords):
             try:
-                alone = oracle(cfg, c)
+                alone = one(oracle(resolve_many(cfg, [c])))
             except KinematicsError as exc:
                 got = stacked.status.error(i)
                 assert (type(got), str(got)) == (type(exc), str(exc))
@@ -296,16 +300,16 @@ def test_oracles_over_a_stack_equal_each_pose_alone(reference, layout):
                 assert stacked.status.error(i) is None
                 np.testing.assert_array_equal(stacked.value[i], alone)
     # the tangent resolves each center in the envelope; the actuation oracle only its steps
-    assert fd_constraint_tangent(cfg, coords).status.codes()[5:] == ["unreachable"] * 3
-    assert fd_actuation_jacobian(cfg, coords).status.codes() == \
-        ["ok"] * 6 + ["step_too_large"] * 2
+    tangent, actuation = fd_oracles(cfg, centers)
+    assert tangent.status.codes()[5:] == ["unreachable"] * 3
+    assert actuation.status.codes() == ["ok"] * 6 + ["step_too_large"] * 2
 
 
 def test_perturbation_past_the_guard_is_step_too_large(reference):
     # theta sits just inside envelope + 1 deg, so its +h perturbation is refused
     coords = (0.0, 150.0, math.radians(reference.envelope_deg + 1.0) - 1e-7, 0.0)
     with pytest.raises(StepTooLarge) as got:
-        fd_actuation_jacobian(reference, coords)
+        one(fd_oracles(reference, resolve_many(reference, [coords]))[1])
     with pytest.raises(StepTooLarge) as want:
         scalar_fd_actuation_jacobian(reference, coords)
     assert str(got.value) == str(want.value)
@@ -319,21 +323,21 @@ def test_offset_tangent_error_is_truncation():
     # is the truncation of the central difference, not an error of the constraint rows
     # (that would stay as h shrinks)
     cfg = dataclasses.replace(offset_prs_config(), envelope_deg=89.0)
-    poses, _ = sample_poses(cfg, 30, seed=42)
-    G = checked(build_inverse_jacobian(resolve_many(cfg, poses)))
-    err = np.abs(G.G_c_T @ checked(fd_constraint_tangent(cfg, poses)).value).max(axis=(-2, -1))
+    poses, _, centers = sample_poses(cfg, 30, seed=42)
+    G = checked(build_inverse_jacobian(centers))
+    err = np.abs(G.G_c_T @ checked(fd_oracles(cfg, centers)[0]).value).max(axis=(-2, -1))
     assert len(poses) == 23 and err.max() > 1e-7
     worst = int(err.argmax())
 
     def error(h):
-        return np.abs(G.G_c_T[worst] @ fd_constraint_tangent(cfg, poses[worst], h=h)).max()
+        return np.abs(G.G_c_T[worst] @ fd_at(cfg, poses[worst], h=h)[0]).max()
 
     assert 3.0 <= error(2e-6) / error(1e-6) <= 5.0
 
 
 def test_tangent_home_columns(reference):
     coords = (0.0, 150.0, 0.0, 0.0)
-    T = fd_constraint_tangent(reference, coords)
+    T, _ = fd_at(reference, coords)
     # y-perturbation moves the platform along y only (x, phi_z stay locked)
     np.testing.assert_allclose(T[:, 0], [0, 1, 0, 0, 0, 0], atol=1e-7)
     np.testing.assert_allclose(T[:, 1], [0, 0, 1, 0, 0, 0], atol=1e-7)
@@ -343,21 +347,20 @@ def test_tangent_home_columns(reference):
 
 def test_constraint_rows_annihilate_tangent(reference):
     for coords in random_coords(reference, 8, seed=41):
-        T = fd_constraint_tangent(reference, coords)
+        T, _ = fd_at(reference, coords)
         G = checked(build_inverse_jacobian(resolve_pose(reference, *coords)))
         assert np.max(np.abs(G.G_c_T @ T)) < 1e-7
 
 
 def test_actuation_fd_home_symmetry(reference):
-    FD = fd_actuation_jacobian(reference, (0.0, 150.0, 0.0, 0.0))
+    _, FD = fd_at(reference, (0.0, 150.0, 0.0, 0.0))
     # heave column: every limb rate equals the platform z rate
     np.testing.assert_allclose(FD[:, 1], np.ones(4), atol=1e-9)
 
 
 def test_actuation_fd_matches_rows(reference):
     for coords in random_coords(reference, 15, seed=43):
-        FD = fd_actuation_jacobian(reference, coords)
-        T = fd_constraint_tangent(reference, coords)
+        T, FD = fd_at(reference, coords)
         G = checked(build_inverse_jacobian(resolve_pose(reference, *coords)))
         err = np.max(np.abs(G.G_a_T @ T - FD)) / np.max(np.abs(FD))
         assert err < 1e-5
@@ -367,11 +370,10 @@ def test_fd_error_second_order_in_step(reference):
     # central differences: halving h divides the error by about four
     coords = (0.0, 150.0, math.radians(30.0), math.radians(35.0))
     G = checked(build_inverse_jacobian(resolve_pose(reference, *coords)))
-    T_ref = fd_constraint_tangent(reference, coords, h=1e-7)
+    T_ref, _ = fd_at(reference, coords, h=1e-7)
     analytic = G.G_a_T @ T_ref
     hs = [2e-3, 1e-3, 5e-4]
-    errs = [np.max(np.abs(fd_actuation_jacobian(reference, coords, h=h) - analytic))
-            for h in hs]
+    errs = [np.max(np.abs(fd_at(reference, coords, h=h)[1] - analytic)) for h in hs]
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
     assert slope >= 1.7
 
@@ -380,7 +382,7 @@ def test_forward_refine_round_trip(reference):
     for coords in random_coords(reference, 6, seed=47):
         q = resolve_pose(reference, *coords).q
         guess = (coords[0], coords[1] + 1.0, coords[2] + 0.01, coords[3] - 0.01)
-        refined = forward_refine(reference, q, guess)
+        refined = one(forward_refine(reference, q[None], guess))
         q_back = resolve_pose(reference, *refined).q
         np.testing.assert_allclose(q_back, q, atol=1e-8)
         np.testing.assert_allclose(refined, coords, atol=1e-8 * reference.base_radius)
@@ -388,14 +390,14 @@ def test_forward_refine_round_trip(reference):
 
 def test_forward_refine_unreachable_target(reference):
     with pytest.raises(NoForwardSolution):
-        forward_refine(reference, np.array([1e5, -1e5, 1e5, -1e5]),
-                       (0.0, 150.0, 0.0, 0.0))
+        one(forward_refine(reference, np.array([[1e5, -1e5, 1e5, -1e5]]),
+                           (0.0, 150.0, 0.0, 0.0)))
 
 
 def test_brute_force_dhj_matches_assembled(reference):
     for coords in random_coords(reference, 6, seed=53):
         rec = dexterity_at(reference, *coords)
-        BF = brute_force_dhj(reference, coords)
+        BF = bf_at(reference, coords)
         err = np.max(np.abs(BF - rec.J_dh)) / np.max(np.abs(rec.J_dh))
         assert err < 1e-5
 
@@ -404,7 +406,7 @@ def test_brute_force_dhj_metric_units(reference):
     metric = reference.scaled(0.001, unit="m")
     coords = (0.0, 0.150, math.radians(20.0), math.radians(-15.0))
     rec = dexterity_at(metric, *coords)
-    BF = brute_force_dhj(metric, coords)
+    BF = bf_at(metric, coords)
     assert np.max(np.abs(BF - rec.J_dh)) / np.max(np.abs(rec.J_dh)) < 1e-5
 
 
@@ -414,7 +416,7 @@ def test_oracle_and_analytic_blow_up_together():
     cfg = square_config()
     coords = (0.0, 150.0, 0.05, 0.2)
     rec = dexterity_at(cfg, *coords)
-    BF = brute_force_dhj(cfg, coords)
+    BF = bf_at(cfg, coords)
     k_oracle = float(singular_values(BF)[0] / singular_values(BF)[-1])
     assert rec.k > 50.0
     assert k_oracle > 50.0
@@ -422,8 +424,8 @@ def test_oracle_and_analytic_blow_up_together():
 
 
 def test_sample_poses_deterministic(reference):
-    a, fa = sample_poses(reference, 20, seed=9)
-    b, fb = sample_poses(reference, 20, seed=9)
+    a, fa, _ = sample_poses(reference, 20, seed=9)
+    b, fb, _ = sample_poses(reference, 20, seed=9)
     assert a == b and fa == fb
     assert len(a) == 20  # whole Table-1 envelope is reachable
 
@@ -441,8 +443,11 @@ SCREEN_LAYOUTS = {
 def test_sample_poses_equals_scalar_screen(reference, layout):
     # one stacked screen; refused poses keep resolve_pose's code, in order
     cfg = SCREEN_LAYOUTS[layout]() or reference
-    feasible, failures = sample_poses(cfg, 60, seed=13)
+    feasible, failures, centers = sample_poses(cfg, 60, seed=13)
     assert (feasible, failures) == scalar_sample_poses(cfg, 60, seed=13)
+    # the stack holds the feasible poses, in order, and refuses none
+    assert list(zip(*(c.tolist() for c in centers.coords))) == feasible
+    assert centers.status.codes() == ["ok"] * len(feasible)
     codes = {code for _, code in failures}
     expected = {"reference": set(), "offset": set(), "offset_wide": {"no_convergence"},
                 "square_short_link": {"unreachable"}, "square_unreachable": {"unreachable"}}
@@ -487,7 +492,7 @@ def test_run_validation_evaluates_each_oracle_once_per_run(reference, monkeypatc
         monkeypatch.setattr(module, name, counting)
 
     for name in ("forward_refine", "resolve_pose", "resolve_many", "brute_force_dhj",
-                 "_brute_force_dhj", "fd_oracles", "_fd_oracles"):
+                 "_brute_force_dhj", "fd_oracles", "sample_poses"):
         count(dhjac.verify, name)
     count(dhjac.dhj, "dexterity_at")
     count(dhjac.dhj, "resolve_pose")
@@ -503,9 +508,9 @@ def test_run_validation_evaluates_each_oracle_once_per_run(reference, monkeypatc
     # resolve_many and 1.5 n resolve_pose calls
     assert counts[0] == counts[1]
     assert counts[0]["forward_refine"] == counts[0]["_brute_force_dhj"] == 1
-    assert counts[0]["_fd_oracles"] == 1
-    # the oracles take the poses that run_validation resolved; the public forms resolve again
-    assert "brute_force_dhj" not in counts[0] and "fd_oracles" not in counts[0]
+    assert counts[0]["fd_oracles"] == counts[0]["sample_poses"] == 1
+    # the oracles take the poses that run_validation resolved; the one-pose form resolves again
+    assert "brute_force_dhj" not in counts[0]
     assert "resolve_pose" not in counts[0] and "dexterity_at" not in counts[0]
     # the feasible poses are rows of the stack that sorted the sampled ones
     assert counts[0]["resolve_many"] <= 8
@@ -513,6 +518,33 @@ def test_run_validation_evaluates_each_oracle_once_per_run(reference, monkeypatc
     # 5,688 here) in 10 calls; one row per distinct iterate, no perturbed rows for the
     # converged ones and the centers resolved once leave 100
     assert rows[0] <= 100 * 6 and rows[1] <= 100 * 24
+
+
+@pytest.mark.parametrize("n_dhj", [0, -3])
+def test_run_validation_refuses_no_brute_force_pose(reference, n_dhj):
+    # n_dhj < 1 leaves dhj_vs_brute_force no pose to count: on seed 1 and 10 poses, all
+    # feasible, -3 would slice off the last 3 and pass on 7, and 0 would report
+    # "no feasible poses"
+    with pytest.raises(ConfigError, match=f"at least one brute-force pose is needed, "
+                                          f"got {n_dhj}"):
+        run_validation(reference, seed=1, n_poses=10, n_dhj=n_dhj)
+    report = run_validation(reference, seed=1, n_poses=10, n_dhj=1)
+    bf = next(c for c in report["checks"] if c["name"] == "dhj_vs_brute_force")
+    assert (bf["poses_tested"], bf["passed"]) == (1, True)
+
+
+def test_brute_force_dhj_one_pose_form(reference):
+    # the correctness checks of the benchmark harness (perfbench/workloads.py) call this form
+    coords = (0.0, 150.0, 0.3, -0.2)
+    BF = brute_force_dhj(reference, coords)
+    assert type(BF) is np.ndarray and BF.shape == (4, 4)
+    stacked = _brute_force_dhj(reference, resolve_many(reference, [coords]))
+    assert BF.tobytes() == checked(stacked).value[0].tobytes()
+    far = (1e3, 150.0, 0.0, 0.0)
+    with pytest.raises(Unreachable) as info:
+        brute_force_dhj(reference, far)
+    refused = _brute_force_dhj(reference, resolve_many(reference, [far]))
+    assert str(info.value) == str(refused.status.error(0))
 
 
 def test_run_validation_deterministic(reference):
