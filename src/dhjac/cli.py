@@ -118,15 +118,16 @@ def cmd_pose(args) -> int:
     th, ps = math.radians(args.theta_deg), math.radians(args.psi_deg)
 
     rec = dhj.dexterity_at(cfg, y, z, th, ps, plan=plan)
-    pose = rec.pose
+    x, phi_z = rec.pose.x.item(), rec.pose.phi_z.item()
+    q, G_T, J_a = rec.pose.q[0], rec.G.stacked[0], rec.fwd.J_a[0]
 
     record = {
         "unit": cfg.unit,
         "coords": {"y": y, "z": z, "theta_deg": args.theta_deg, "psi_deg": args.psi_deg},
-        "dependent": {"x": pose.x, "phi_z_rad": pose.phi_z},
-        "q": pose.q.tolist(),
-        "G_T": rec.G.stacked.tolist(),
-        "J_a": rec.fwd.J_a.tolist(),
+        "dependent": {"x": x, "phi_z_rad": phi_z},
+        "q": q.tolist(),
+        "G_T": G_T.tolist(),
+        "J_a": J_a.tolist(),
         "S": rec.S.tolist(),
         "V_ps": rec.V_ps.tolist(),
         "J_dh": rec.J_dh.tolist(),
@@ -145,10 +146,10 @@ def cmd_pose(args) -> int:
         print(f"{name}:\n{body}")
 
     print(f"pose  y={y:g} z={z:g} {cfg.unit}, theta={args.theta_deg:g} deg, "
-          f"psi={args.psi_deg:g} deg  (x={pose.x:.3e}, phi_z={pose.phi_z:.3e} rad)")
-    print("q_a:", " ".join(f"{q:.6f}" for q in pose.q))
-    block("G^T", rec.G.stacked)
-    block("J_a", rec.fwd.J_a)
+          f"psi={args.psi_deg:g} deg  (x={x:.3e}, phi_z={phi_z:.3e} rad)")
+    print("q_a:", " ".join(f"{v:.6f}" for v in q))
+    block("G^T", G_T)
+    block("J_a", J_a)
     block("S", rec.S)
     block("V_ps", rec.V_ps)
     block("J_dh", rec.J_dh)

@@ -7,9 +7,8 @@ the singular values of J_dh = S V_p J_a.  Each stage that can refuse records
 in a ``Status`` the refusal a pose would raise alone, and a pose keeps the
 first, so every pose of a stack gets the outcome it gets alone.
 ``condition_numbers_at`` runs the chain on the N poses of a block of grid rows;
-``dexterity_at`` runs it on one pose (``resolve_pose`` is a stack of one),
-raises its refusal, and returns every intermediate that ``dhjac pose`` and
-the validation checks read.
+``dexterity_at`` runs it on the stack of one that ``resolve_pose`` returns,
+raises its refusal, and returns every intermediate that ``dhjac pose`` reads.
 
 Singular values come from LAPACK (``np.linalg.svd``); the test suite
 cross-checks them against an independent symmetric eigensolve of M^T M.
@@ -33,7 +32,7 @@ from .selection import PRIMARY_PLAN, SelectionPlan, build_selection_matrix, nomi
 
 
 def assemble_dhj(V_ps: np.ndarray, J_a: np.ndarray) -> np.ndarray:
-    """J_dh = V_ps J_a mapping actuated joint rates to nominal velocities.
+    """J_dh = V_ps J_a (N, f, f) mapping actuated joint rates to nominal velocities.
 
     Shapes that do not chain raise ValueError (from the product itself).
     """
@@ -42,15 +41,15 @@ def assemble_dhj(V_ps: np.ndarray, J_a: np.ndarray) -> np.ndarray:
 
 @dataclass
 class DexterityRecord:
-    """Everything dexterity-related evaluated at one pose, with its intermediates."""
+    """Everything dexterity-related at one pose; ``pose``, ``G`` and ``fwd`` are stacks of one."""
 
     pose: PlatformPose      # carries the IK: joints ``pose.q``, links ``pose.link``
     G: InverseJacobian      # G_a^T, G_c^T and the stacked G^T
     fwd: ForwardJacobian    # (G^T)^-1, J_a and cond(G^T)
-    S: np.ndarray           # extended selection matrix
-    V_ps: np.ndarray        # nominal map S V_p
-    J_dh: np.ndarray
-    sigmas: np.ndarray      # singular values of J_dh, descending
+    S: np.ndarray           # (f, 3f) extended selection matrix
+    V_ps: np.ndarray        # (f, 6) nominal map S V_p
+    J_dh: np.ndarray        # (f, f)
+    sigmas: np.ndarray      # (f,) singular values of J_dh, descending
     k: float                # cond(J_dh)
     unit: str
     plan: SelectionPlan
@@ -58,11 +57,11 @@ class DexterityRecord:
     @property
     def k_conventional(self) -> float:
         """cond of the stacked G^T."""
-        return self.fwd.cond_GT
+        return self.fwd.cond_GT[0]
 
 
 def _chain(pose: PlatformPose, plan: SelectionPlan, inverse=None):
-    """G^T -> J_dh at one resolved pose or a stack: ``(G, fwd, S, V_ps, J_dh, sigmas, k, status)``.
+    """G^T -> J_dh at N resolved poses: ``(G, fwd, S, V_ps, J_dh, sigmas, k, status)``, stacked.
 
     ``status`` holds each pose's first refusal from ``pose.status`` on; a
     cond(J_dh) over COND_LIMIT (the rule of ``invert_full``) is SingularSelection.
@@ -100,8 +99,8 @@ def dexterity_at(
     G, fwd, S, V_ps, J_dh, sv, k, status = _chain(pose, plan)
     status.check()
     return DexterityRecord(
-        pose=pose, G=G, fwd=fwd, S=S, V_ps=V_ps, J_dh=J_dh, sigmas=sv,
-        k=k, unit=cfg.unit, plan=plan,
+        pose=pose, G=G, fwd=fwd, S=S[0], V_ps=V_ps[0], J_dh=J_dh[0], sigmas=sv[0],
+        k=k[0], unit=cfg.unit, plan=plan,
     )
 
 

@@ -80,15 +80,6 @@ class NoForwardSolution(KinematicsError):
     code = "no_forward_solution"
 
 
-def any_true(mask) -> bool:
-    """Whether some entry of a boolean array, or a numpy bool, holds.
-
-    ``np.count_nonzero`` takes its slow path on a numpy scalar, as a pose
-    without a stack axis yields, so that one is tested directly.
-    """
-    return bool(mask) if mask.ndim == 0 else np.count_nonzero(mask) > 0
-
-
 @dataclass(frozen=True)
 class Refusal:
     """Why one pose was refused: the error it raises alone, and what its message prints."""
@@ -100,7 +91,7 @@ class Refusal:
 
 
 class Status:
-    """Per-pose outcome of a stage over a stack of poses (shape ``(N,)``) or one pose (``()``).
+    """Per-pose outcome of a stage over a stack of ``size`` poses, keyed by row.
 
     Every pose is "ok" until refused; a pose keeps the first refusal
     recorded for it, so stages that refuse in pipeline order leave each pose
@@ -108,29 +99,28 @@ class Status:
     built when read, from arrays that must not change after it is recorded.
     """
 
-    def __init__(self, shape: tuple = ()):
-        self.shape = tuple(shape)
-        self.refusals: dict[tuple, Refusal] = {}
+    def __init__(self, size: int):
+        self.size = size
+        self.refusals: dict[int, Refusal] = {}
 
-    def _new(self, bad):
-        """Indices where ``bad`` holds and the pose is not refused yet."""
-        if not any_true(bad):
+    def _new(self, bad) -> list[int]:
+        """Rows where ``bad`` (N,) holds and the pose is not refused yet."""
+        if not np.count_nonzero(bad):
             return []
-        return [i for i in (zip(*np.nonzero(bad)) if self.shape else [()])
-                if i not in self.refusals]
+        return [i for i in np.flatnonzero(bad).tolist() if i not in self.refusals]
 
     def refuse(self, bad, error, describe, value=math.nan) -> None:
-        """Refuse each pose where ``bad`` holds; ``describe(i)`` is its message."""
+        """Refuse each pose where ``bad`` (N,) holds; ``describe(i)`` is its message."""
         for i in self._new(bad):
             v = value[i] if np.ndim(value) else value
             self.refusals[i] = Refusal(error, partial(describe, i), value=float(v))
 
     def refuse_first(self, bad, error, describe, value) -> None:
-        """Refuse each pose where ``bad`` (..., m) holds for a limb or plan row, at the first.
+        """Refuse each pose where ``bad`` (N, m) holds for a limb or plan row, at the first.
 
         Entry ``k`` (0-based) of pose ``i`` has message ``describe(i, k)``, value ``value[i][k]``.
         """
-        if not any_true(bad):
+        if not np.count_nonzero(bad):
             return
         for i in self._new(bad.any(axis=-1)):
             k = int(bad[i].argmax())
@@ -142,11 +132,11 @@ class Status:
         Pose ``i`` belongs to pose ``owner[i]`` (to none when negative).  An owner
         keeps the refusal of its first refused pose, as ``wrap(i, refusal)`` when given.
         """
-        out = Status((size,))
-        for (i,), r in sorted(self.refusals.items()):
+        out = Status(size)
+        for i, r in sorted(self.refusals.items()):
             o = int(owner[i])
-            if o >= 0 and (o,) not in out.refusals:
-                out.refusals[(o,)] = r if wrap is None else wrap(i, r)
+            if o >= 0 and o not in out.refusals:
+                out.refusals[o] = r if wrap is None else wrap(i, r)
         return out
 
     def take(self, index, wrap=None) -> Status:
@@ -155,17 +145,17 @@ class Status:
 
         Unlike ``gather``, several poses may take the refusal of one.
         """
-        out = Status((len(index),))
+        out = Status(len(index))
         if self.refusals:
             for i, j in enumerate(np.asarray(index).tolist()):
-                r = self.refusals.get((j,)) if j >= 0 else None
+                r = self.refusals.get(j) if j >= 0 else None
                 if r is not None:
-                    out.refusals[(i,)] = r if wrap is None else wrap(r)
+                    out.refusals[i] = r if wrap is None else wrap(r)
         return out
 
     def then(self, *later: Status) -> Status:
         """These refusals, then those of each later stage in turn at the poses still ok."""
-        out = Status(self.shape)
+        out = Status(self.size)
         for stage in reversed(later):
             out.refusals.update(stage.refusals)
         out.refusals.update(self.refusals)
@@ -173,25 +163,24 @@ class Status:
 
     @property
     def ok(self) -> np.ndarray:
-        """Read-only mask of the poses not refused, built anew only when some pose is."""
+        """Read-only mask (N,) of the poses not refused, built anew only when some pose is."""
         if not self.refusals:
-            return _all_true(self.shape)
-        ok = np.ones(self.shape, bool)
-        for i in self.refusals:
-            ok[i] = False
+            return _all_true(self.size)
+        ok = np.ones(self.size, bool)
+        ok[list(self.refusals)] = False
         ok.flags.writeable = False
         return ok
 
     def codes(self) -> list[str]:
-        """"ok" or the ``KinematicsError.code`` of each pose of a stack."""
-        codes = ["ok"] * self.shape[0]
-        for (i,), r in self.refusals.items():
+        """"ok" or the ``KinematicsError.code`` of each pose."""
+        codes = ["ok"] * self.size
+        for i, r in self.refusals.items():
             codes[i] = r.error.code
         return codes
 
-    def error(self, i=()) -> KinematicsError | None:
-        """The error pose ``i`` raises alone (an index tuple or a row), or None if it is ok."""
-        r = self.refusals.get(i if isinstance(i, tuple) else (i,))
+    def error(self, i: int) -> KinematicsError | None:
+        """The error pose ``i`` raises alone, or None if it is ok."""
+        r = self.refusals.get(i)
         return None if r is None else r.error(r.message())
 
     def check(self) -> None:
@@ -201,9 +190,9 @@ class Status:
 
 
 @lru_cache(maxsize=16)
-def _all_true(shape: tuple) -> np.ndarray:
-    """The read-only all-True mask of ``shape``, shared by every ``Status`` with no refusal."""
-    ok = np.ones(shape, bool)
+def _all_true(size: int) -> np.ndarray:
+    """The read-only all-True mask (N,), shared by every ``Status`` of N poses with no refusal."""
+    ok = np.ones(size, bool)
     ok.flags.writeable = False
     return ok
 

@@ -21,11 +21,11 @@ re-exports both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlockSingular, SingularConfiguration, Stacked, Status, any_true
+from .errors import BlockSingular, SingularConfiguration, Stacked, Status
 from .screws import InverseJacobian
 
 COND_LIMIT = 1e12
@@ -38,53 +38,54 @@ _EYE6.flags.writeable = False
 
 
 def singular_values(M: np.ndarray) -> np.ndarray:
-    """Descending singular values (LAPACK) of a matrix or a stack; NaN for a non-finite matrix."""
+    """Descending singular values (N, k) (LAPACK) of matrices (N, m, n); NaN where not finite."""
     M = np.asarray(M, float)
     finite = np.isfinite(M)
     if np.count_nonzero(finite) == finite.size:
         return np.linalg.svd(M, compute_uv=False)
-    finite = finite.all(axis=(-2, -1))
-    sv = np.linalg.svd(np.where(finite[..., None, None], M, 0.0), compute_uv=False)
+    finite = finite.all(axis=(1, 2))
+    sv = np.linalg.svd(np.where(finite[:, None, None], M, 0.0), compute_uv=False)
     sv[~finite] = math.nan
     return sv
 
 
-def cond_from_sigmas(sv: np.ndarray):
-    """2-norm condition sigma_max / sigma_min of one set or a stack; infinite below SIGMA_FLOOR."""
-    lo = sv[..., -1]
+def cond_from_sigmas(sv: np.ndarray) -> np.ndarray:
+    """2-norm conditions sigma_max / sigma_min (N,) of singular values (N, k); infinite below
+    SIGMA_FLOOR."""
+    lo = sv[:, -1]
     tiny = lo < SIGMA_FLOOR
-    if not any_true(tiny):
-        return (sv[..., 0] / lo)[()]
-    return np.divide(sv[..., 0], lo, out=np.full(lo.shape, math.inf), where=~tiny)[()]
+    if not np.count_nonzero(tiny):
+        return sv[:, 0] / lo
+    return np.divide(sv[:, 0], lo, out=np.full(lo.shape, math.inf), where=~tiny)
 
 
 @dataclass
 class ForwardJacobian:
-    """J = (G^T)^-1 partitioned into actuated and constraint columns, for one pose or a stack."""
+    """J = (G^T)^-1 at a stack of N poses, partitioned into actuated and constraint columns."""
 
-    J: np.ndarray        # (..., 6, 6)
-    J_a: np.ndarray      # (..., 6, f)
-    J_c: np.ndarray      # (..., 6, 6 - f)
-    cond_GT: float       # 2-norm condition of the stacked G^T
-    status: Status = field(default_factory=Status)  # singular configurations
+    J: np.ndarray        # (N, 6, 6)
+    J_a: np.ndarray      # (N, 6, f)
+    J_c: np.ndarray      # (N, 6, 6 - f)
+    cond_GT: np.ndarray  # (N,) 2-norm condition of the stacked G^T
+    status: Status       # singular configurations
 
 
 def invert_full(G: InverseJacobian) -> ForwardJacobian:
-    """(G^T)^-1 by LAPACK gesv on the identity; cond(G^T) over COND_LIMIT is
+    """(G^T)^-1 (N, 6, 6) by LAPACK gesv on the identity; cond(G^T) over COND_LIMIT is
     SingularConfiguration (J NaN)."""
     GT = G.stacked
     cond = cond_from_sigmas(singular_values(GT))
     singular = ~(cond <= COND_LIMIT)
-    status = Status(singular.shape)
+    status = Status(len(singular))
     status.refuse(singular, SingularConfiguration,
                   lambda i: f"cond(G^T) = {cond[i]:.3e} exceeds {COND_LIMIT:.1e}", value=cond)
     if not status.refusals:
         J = np.linalg.inv(GT)
     else:
-        J = np.linalg.inv(np.where(singular[..., None, None], _EYE6, GT))
+        J = np.linalg.inv(np.where(singular[:, None, None], _EYE6, GT))
         J[singular] = math.nan
-    f = G.G_a_T.shape[-2]
-    return ForwardJacobian(J=J, J_a=J[..., :f], J_c=J[..., f:], cond_GT=cond, status=status)
+    f = G.G_a_T.shape[1]
+    return ForwardJacobian(J=J, J_a=J[:, :, :f], J_c=J[:, :, f:], cond_GT=cond, status=status)
 
 
 def block_Ja(G: InverseJacobian) -> Stacked:
@@ -103,7 +104,7 @@ def block_Ja(G: InverseJacobian) -> Stacked:
     M = Ga[finite] @ N
     sv = np.linalg.svd(M, compute_uv=False)
     singular = sv[:, -1] <= 1e-12 * sv[:, 0]
-    status = Status((len(Ga),))
+    status = Status(len(Ga))
     status.refuse(np.isin(np.arange(len(Ga)), finite[singular]), BlockSingular,
                   lambda i: "actuation map singular on the constraint kernel")
     J = np.full((len(Ga), Ga.shape[-1], f), math.nan)

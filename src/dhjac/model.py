@@ -210,13 +210,16 @@ def _known_keys(entry, known, where: str) -> None:
         raise ConfigError(f"unknown key {', '.join(map(repr, unknown))} in {where}")
 
 
-def _count(mob: dict, key: str) -> int:
-    """The mobility count ``key``: an integer, or a float of integral value; never a bool."""
-    v = mob.get(key, MOBILITY_DEFAULTS[key])
-    if isinstance(v, bool) or not (isinstance(v, int)
-                                   or isinstance(v, float) and v.is_integer()):
-        raise ConfigError(f"mobility count {key!r} must be an integer, got {v!r}")
-    return int(v)
+def _number(entry: dict, key: str, what: str = "", default=None, count: bool = False):
+    """The JSON number ``entry[key]`` (``default`` when absent and given), never a bool or a
+    string: a float, or for a ``count`` an int from an integer or an integral float.  A
+    refusal names the value and ``what`` it is (by default the key)."""
+    v = entry[key] if default is None else entry.get(key, default)
+    if isinstance(v, bool) or not (isinstance(v, int) or isinstance(v, float)
+                                   and (v.is_integer() or not count)):
+        raise ConfigError(f"{what or repr(key)} must be {'an integer' if count else 'a number'}, "
+                          f"got {v!r}")
+    return int(v) if count else float(v)
 
 
 def config_from_dict(raw: dict) -> ManipulatorConfig:
@@ -226,12 +229,13 @@ def config_from_dict(raw: dict) -> ManipulatorConfig:
             _known_keys(entry, LIMB_KEYS, f"limb {i + 1}")
         limbs = tuple(
             LimbSpec(
-                angle_deg=float(entry["angle_deg"]),
+                angle_deg=_number(entry, "angle_deg", f"'angle_deg' of limb {i + 1}"),
                 kind=str(entry["kind"]),
-                base_angle_deg=(float(entry["base_angle_deg"])
+                base_angle_deg=(_number(entry, "base_angle_deg",
+                                        f"'base_angle_deg' of limb {i + 1}")
                                 if "base_angle_deg" in entry else None),
             )
-            for entry in raw["limbs"]
+            for i, entry in enumerate(raw["limbs"])
         )
         actuator = raw.get("actuator", "linear")
         if actuator != "linear":
@@ -241,32 +245,29 @@ def config_from_dict(raw: dict) -> ManipulatorConfig:
         if not isinstance(mob, dict):
             raise ConfigError(f"mobility must be an object of counts, got {mob!r}")
         _known_keys(mob, frozenset(MOBILITY_DEFAULTS), "mobility")
-        mobility = MobilityInputs(
-            lam=_count(mob, "lambda"),
-            n=_count(mob, "n"),
-            j=_count(mob, "j"),
-            f_sum=_count(mob, "f_sum"),
-        )
+        mobility = MobilityInputs(*(
+            _number(mob, key, f"mobility count {key!r}", default, count=True)
+            for key, default in MOBILITY_DEFAULTS.items()))
         return ManipulatorConfig(
-            moving_plate_radius=float(raw["r_a"]),
-            base_radius=float(raw["r_b"]),
-            link_length=float(raw["l"]),
+            moving_plate_radius=_number(raw, "r_a"),
+            base_radius=_number(raw, "r_b"),
+            link_length=_number(raw, "l"),
             limbs=limbs,
             unit=str(raw.get("unit", "mm")),
-            envelope_deg=float(raw.get("envelope_deg", DEFAULT_ENVELOPE_DEG)),
+            envelope_deg=_number(raw, "envelope_deg", default=DEFAULT_ENVELOPE_DEG),
             mobility=mobility,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
 
 
 @dataclass
 class PlatformPose:
-    """Resolved platform placement with its IK: one pose, or a stack of N poses.
+    """Resolved platform placements with their IK, as a stack of N poses.
 
-    ``resolve_many`` returns a stack: every array field leads with an axis of
-    N, refused rows hold NaN and ``status`` records why.  ``resolve_pose``
-    returns one pose, row 0 of a stack of one.
+    Every array field leads with an axis of N, refused rows hold NaN (but
+    for their coordinates) and ``status`` records why.  ``resolve_pose``
+    returns a stack of one.
 
     The records of the chain (this one, ``InverseJacobian``, ``ForwardJacobian``,
     ``SelectionMatrix``, ``DexterityRecord``) are not frozen: a frozen dataclass
@@ -275,22 +276,22 @@ class PlatformPose:
     """
 
     cfg: ManipulatorConfig = field(repr=False)
-    y: float
-    z: float
-    theta: float
-    psi: float
-    x: float
-    phi_z: float
-    rotation: np.ndarray   # (..., 3, 3)
-    origin: np.ndarray     # (..., 3)
-    B: np.ndarray          # (..., f, 3) spherical joint centers
-    q: np.ndarray          # (..., f) actuated prismatic coordinates
-    a: np.ndarray          # (..., f, 3) platform origin -> B
-    link: np.ndarray       # (..., f, 3) C -> B with C = A + q z_hat, norm == link length
+    y: np.ndarray          # (N,)
+    z: np.ndarray          # (N,)
+    theta: np.ndarray      # (N,)
+    psi: np.ndarray        # (N,)
+    x: np.ndarray          # (N,)
+    phi_z: np.ndarray      # (N,)
+    rotation: np.ndarray   # (N, 3, 3)
+    origin: np.ndarray     # (N, 3)
+    B: np.ndarray          # (N, f, 3) spherical joint centers
+    q: np.ndarray          # (N, f) actuated prismatic coordinates
+    a: np.ndarray          # (N, f, 3) platform origin -> B
+    link: np.ndarray       # (N, f, 3) C -> B with C = A + q z_hat, norm == link length
     status: Status
 
     @property
-    def coords(self) -> tuple[float, float, float, float]:
+    def coords(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         return (self.y, self.z, self.theta, self.psi)
 
     def take(self, rows) -> PlatformPose:
@@ -420,27 +421,36 @@ def _resolve_dependent(cfg: ManipulatorConfig, psi: np.ndarray, status: Status):
     return x, phi
 
 
-def _all_refused(cfg: ManipulatorConfig, coords: np.ndarray, status: Status) -> tuple:
-    """``_resolve``'s result for a stack whose every pose is refused: all arrays NaN."""
+def _all_refused(cfg: ManipulatorConfig, coords: np.ndarray, status: Status) -> PlatformPose:
+    """``resolve_many``'s stack when every pose is refused: every array but the coordinates NaN."""
     n, f = len(coords), cfg.limb_count
-    out = [coords]
+    arrays = []
     for shape in ((n,), (n,), (n, 3, 3), (n, 3), (n, f, 3), (n, f), (n, f, 3), (n, f, 3)):
         v = np.empty(shape)
         v.fill(math.nan)
-        out.append(v)
-    return (*out, status)
+        arrays.append(v)
+    return PlatformPose(cfg, *coords.T, *arrays, status)
 
 
-def _resolve(cfg: ManipulatorConfig, coords, envelope_deg: float | None):
-    """``resolve_many``'s stack as ``(coords, x, phi, R, origin, B, q, a, link, status)``.
+def resolve_many(cfg: ManipulatorConfig, coords, envelope_deg: float | None = None
+                 ) -> PlatformPose:
+    """Resolve the M poses (y, z, theta, psi) of ``coords`` (M, 4) and their IK, as a stack.
 
-    Once every pose is refused, the stages left are skipped (``_all_refused``).
+    (x, phi_z) come from a damped Newton solve whose tolerance is RESOLVE_TOL
+    relative to r_b (so it is exactly equivariant under geometric scaling),
+    the joints from the closed-form prismatic IK, elbow-down (C below B).
+    ``status`` refuses a non-finite pose, one outside the ``envelope_deg``
+    envelope (by default the config's) or out of a limb's reach as
+    Unreachable, and a stalled solve as NoConvergence.  A row takes the same
+    operations in any stack, so it equals ``resolve_pose`` bit for bit; a
+    refused row is NaN but for its coordinates, and a stack whose every row
+    is refused stops at the stage that refuses the last (``_all_refused``).
     """
     coords = np.array(coords, float).reshape(-1, 4)  # a copy: the messages read it later
     n = len(coords)
     env = cfg.envelope_deg if envelope_deg is None else envelope_deg
     lim = math.radians(env) + ENVELOPE_SLACK
-    status = Status((n,))
+    status = Status(n)
     # a pose passes both guards when its coordinates are finite and (theta, psi) in the envelope
     if np.count_nonzero(np.abs(coords) <= (DBL_MAX, DBL_MAX, lim, lim)) < coords.size:
         status.refuse(~np.isfinite(coords).all(axis=1), Unreachable,
@@ -483,25 +493,8 @@ def _resolve(cfg: ManipulatorConfig, coords, envelope_deg: float | None):
             v[refused] = math.nan
     q = B[..., 2] - np.sqrt(disc)
     link = B - (A + q[..., None] * Z_HAT)
-    return coords, x, phi, R, origin, B, q, B - origin[:, None, :], link, status
-
-
-def resolve_many(cfg: ManipulatorConfig, coords, envelope_deg: float | None = None
-                 ) -> PlatformPose:
-    """Resolve the M poses (y, z, theta, psi) of ``coords`` (M, 4) and their IK, as a stack.
-
-    (x, phi_z) come from a damped Newton solve whose tolerance is RESOLVE_TOL
-    relative to r_b (so it is exactly equivariant under geometric scaling),
-    the joints from the closed-form prismatic IK, elbow-down (C below B).
-    ``status`` refuses a non-finite pose, one outside the ``envelope_deg``
-    envelope (by default the config's) or out of a limb's reach as
-    Unreachable, and a stalled solve as NoConvergence.  A row takes the same
-    operations in any stack, so it equals ``resolve_pose`` bit for bit; a
-    refused row is NaN but for its coordinates, and a stack whose every row
-    is refused stops at the stage that refuses the last.
-    """
-    coords, *fields = _resolve(cfg, coords, envelope_deg)
-    return PlatformPose(cfg, *coords.T, *fields)
+    return PlatformPose(cfg, *coords.T, x, phi, R, origin, B, q, B - origin[:, None, :], link,
+                        status)
 
 
 def resolve_pose(
@@ -512,15 +505,14 @@ def resolve_pose(
     psi: float,
     envelope_deg: float | None = None,
 ) -> PlatformPose:
-    """``resolve_many`` at one pose: a stack of one, whose refusal is raised.
+    """``resolve_many`` at one pose: the stack of one, whose refusal is raised.
 
     Raises Unreachable or NoConvergence as ``resolve_many`` records them.
-    The returned pose carries its IK, so callers never run IK on it again.
+    The returned stack carries its IK, so callers never run IK on it again.
     """
-    coords, x, phi, *arrays, status = _resolve(cfg, (y, z, theta, psi), envelope_deg)
-    status.check()
-    return PlatformPose(cfg, *coords[0].tolist(), x.item(), phi.item(),
-                        *(v[0] for v in arrays), Status())
+    pose = resolve_many(cfg, [(y, z, theta, psi)], envelope_deg)
+    pose.status.check()
+    return pose
 
 
 def tsai_mobility(mobility: MobilityInputs) -> int:

@@ -26,9 +26,10 @@ def skew(a: np.ndarray) -> np.ndarray:
 
 
 def build_Vp(points) -> np.ndarray:
-    """V_p (..., 3n, 6): the stacked [I, -skew(a_i)] blocks of the points (..., n, 3)."""
+    """V_p (N, 3n, 6): the stacked [I, -skew(a_i)] blocks of the N point sets (N, n, 3)."""
     pts = np.asarray(points, float)
-    V_p = np.empty(pts.shape + (6,))
+    N, n, _ = pts.shape
+    V_p = np.empty((N, n, 3, 6))
     V_p[..., :3] = _EYE3
     V_p[..., 3:] = -skew(pts)
-    return V_p.reshape(pts.shape[:-2] + (3 * pts.shape[-2], 6))
+    return V_p.reshape(N, 3 * n, 6)

@@ -19,7 +19,7 @@ the documented comparison in the validation report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,11 +35,11 @@ PUS_ROW_VARIANT = "link"
 
 @dataclass
 class InverseJacobian:
-    """Stacked [G_a^T; G_c^T], for one pose or a stack."""
+    """Stacked [G_a^T; G_c^T] at a stack of N poses."""
 
-    G_a_T: np.ndarray  # (..., f, 6), actuation rows
-    G_c_T: np.ndarray  # (..., 6 - f, 6), constraint rows
-    status: Status = field(default_factory=Status)  # limb singularities
+    G_a_T: np.ndarray  # (N, f, 6), actuation rows
+    G_c_T: np.ndarray  # (N, 6 - f, 6), constraint rows
+    status: Status     # limb singularities
 
     @property
     def stacked(self) -> np.ndarray:
@@ -61,7 +61,8 @@ def build_inverse_jacobian(
     variant: str = PUS_ROW_VARIANT,
     moment_sign: float = 1.0,
 ) -> InverseJacobian:
-    """Assemble G^T at one pose or a stack; a vanishing row denominator is SingularLimb.
+    """Assemble G^T (N, 6, 6) at the N poses of ``pose``; a vanishing row denominator is
+    SingularLimb.
 
     ``variant`` and ``moment_sign`` select the documented formula variants for
     oracle comparison; defaults are the adopted (oracle-passing) recipe.
@@ -76,7 +77,7 @@ def build_inverse_jacobian(
     den = u[..., 2:]  # u . s1 with s1 = z_hat
     size = np.abs(den[..., 0])
     singular = size < DENOMINATOR_THRESHOLD
-    status = Status(singular.shape[:-1])
+    status = Status(len(singular))
     status.refuse_first(singular, SingularLimb,
                         lambda i, k: f"limb {k + 1}: actuation screw reciprocal to rail "
                                      f"(|u.s1| = {size[i][k]:.3e})",

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,10 +65,12 @@ class SelectionPlan:
 
     @classmethod
     def from_pair_strings(cls, pairs) -> "SelectionPlan":
-        """Parse the CLI form [["1y", "2z"], ["2y", "3z"], ...]."""
+        """Parse the CLI form [["1y", "2z"], ["2y", "3z"], ...]; anything else is ConfigError."""
         parsed = []
         for entry in pairs:
-            if len(entry) != 2 or not entry[0].endswith("y") or not entry[1].endswith("z"):
+            if not (isinstance(entry, (list, tuple)) and len(entry) == 2
+                    and all(isinstance(s, str) for s in entry)
+                    and entry[0].endswith("y") and entry[1].endswith("z")):
                 raise ConfigError(f"bad plan pair {entry!r}; expected like ['1y', '2z']")
             parsed.append((int(entry[0][:-1]), int(entry[1][:-1])))
         return cls(pairs=tuple(parsed))
@@ -99,27 +101,30 @@ ALTERNATE_PLAN = SelectionPlan(ALTERNATE_PLAN_PAIRS)
 
 @dataclass
 class SelectionMatrix:
-    S: np.ndarray  # (..., f, 3f), dimensionless
+    """The extended selection matrices of a plan at a stack of N poses."""
+
+    S: np.ndarray  # (N, f, 3f), dimensionless
     plan: SelectionPlan
-    status: Status = field(default_factory=Status)  # degenerate pairs
+    status: Status  # degenerate pairs
 
 
 def build_selection_matrix(plan: SelectionPlan, points) -> SelectionMatrix:
-    """Solve the per-pair cancellation weights at the platform points (..., f, 3).
+    """Solve the per-pair cancellation weights at the N sets of platform points (N, f, 3).
 
     A pair whose x-coordinates coincide (relative to the largest |a_x| in the
     point set) is DegeneratePair.
     """
     pts = np.asarray(points, float)
-    plan.require_points(pts.shape[-2])
+    N, f, _ = pts.shape
+    plan.require_points(f)
     i, j, rows, col_i, col_j, col_z = plan._index
-    ax = pts[..., 0]
-    ax_i, ax_j = ax[..., i], ax[..., j]
-    scale = np.maximum(np.abs(ax).max(axis=-1), 1e-300)
+    ax = pts[:, :, 0]
+    ax_i, ax_j = ax[:, i], ax[:, j]
+    scale = np.maximum(np.abs(ax).max(axis=1), 1e-300)
     delta = ax_i - ax_j
     width = np.abs(delta)
-    degenerate = width <= PAIR_THRESHOLD * scale[..., None]
-    status = Status(scale.shape)
+    degenerate = width <= PAIR_THRESHOLD * scale[:, None]
+    status = Status(N)
     status.refuse_first(degenerate, DegeneratePair,
                         lambda n, r: f"pair (v_{i[r] + 1}y, v_{j[r] + 1}z): a_{i[r] + 1}x - "
                                      f"a_{j[r] + 1}x = {delta[n][r]:.3e} "
@@ -127,10 +132,10 @@ def build_selection_matrix(plan: SelectionPlan, points) -> SelectionMatrix:
                         value=delta)
     if status.refusals:
         width = np.where(degenerate, math.nan, width)
-    S = np.zeros(scale.shape + (plan.f, 3 * plan.f))
-    S[..., rows, col_i] = -ax_j / width
-    S[..., rows, col_j] = ax_i / width
-    S[..., rows, col_z] = 1.0
+    S = np.zeros((N, f, 3 * f))
+    S[:, rows, col_i] = -ax_j / width
+    S[:, rows, col_j] = ax_i / width
+    S[:, rows, col_z] = 1.0
     return SelectionMatrix(S=S, plan=plan, status=status)
 
 
@@ -141,7 +146,8 @@ CONSTRAINED_COLS = (0, 5)
 
 
 def nominal_map(sel: SelectionMatrix, V_p: np.ndarray) -> np.ndarray:
-    """V_ps = S V_p; its columns INDEPENDENT_COLS are the square restricted map.
+    """V_ps = S V_p (N, f, 6) at a stack of N poses; its columns INDEPENDENT_COLS are the
+    square restricted map.
 
     S and V_p are built from the same points, whose count
     ``build_selection_matrix`` has checked against the plan.

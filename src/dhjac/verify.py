@@ -124,7 +124,7 @@ def forward_refine(cfg: ManipulatorConfig, targets: np.ndarray, guess_coords) ->
     size = len(targets)
     coords = np.array(np.broadcast_to(guess_coords, (size, 4)), float)
     B = np.full((size, cfg.limb_count, 3), math.nan)
-    status = Status((size,))
+    status = Status(size)
     active = np.arange(size)
     for _ in range(REFINE_MAX_ITER):
         if not len(active):
@@ -391,7 +391,7 @@ def run_validation(cfg: ManipulatorConfig, seed: int = DEFAULT_SEED,
                     for name, (Gv, i) in measured.items()}
     opposite_status = "valid"
     if n:
-        exc = rec.error(0) or build_selection_matrix(OPPOSITE_PLAN, centers.a[0]).status.error()
+        exc = rec.error(0) or build_selection_matrix(OPPOSITE_PLAN, centers.a[:1]).status.error(0)
         if isinstance(exc, DegeneratePair):
             opposite_status = f"degenerate at this geometry: {exc}"
         elif exc is not None:

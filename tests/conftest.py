@@ -1,10 +1,14 @@
 import dataclasses
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from dhjac import verify
 from dhjac.model import LimbSpec, ManipulatorConfig, load_config, resolve_many
+from dhjac.pointmap import build_Vp
+from dhjac.selection import build_selection_matrix, nominal_map
 
 REPO = Path(__file__).resolve().parents[1]
 REFERENCE_CONFIG = REPO / "configs" / "reference_4dof.json"
@@ -75,6 +79,31 @@ def checked(result):
 def one(result):
     """The value of a stage result at the pose of a stack of one; raises its refusal."""
     return checked(result).value[0]
+
+
+def row(record, i: int = 0) -> SimpleNamespace:
+    """Pose ``i`` of a stage record over a stack (``PlatformPose``, ``InverseJacobian``, ...):
+    each array field at that row; the other fields but ``status`` as they are."""
+    fields = {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+    return SimpleNamespace(**{name: v[i] if isinstance(v, np.ndarray) else v
+                              for name, v in fields.items() if name != "status"})
+
+
+def S_at(plan, points):
+    """The selection matrix (f, 3f) of a plan at one point set (f, 3): row 0 of
+    ``build_selection_matrix`` over a stack of one; raises its refusal."""
+    return checked(build_selection_matrix(plan, [points])).S[0]
+
+
+def Vp_at(points):
+    """V_p (3n, 6) of one point set (n, 3): row 0 of ``build_Vp`` over a stack of one."""
+    return build_Vp([points])[0]
+
+
+def V_ps_at(plan, points):
+    """The nominal map S V_p (f, 6) of a plan at one point set (f, 3), as a stack of one;
+    raises the refusal of the selection."""
+    return nominal_map(checked(build_selection_matrix(plan, [points])), build_Vp([points]))[0]
 
 
 def fd_at(cfg: ManipulatorConfig, coords, h: float = 1e-6):

@@ -114,11 +114,11 @@ def test_criterion_4_dhj_oracle(reference, poses):
 def test_criterion_5_annihilation(reference, poses):
     worst = 0.0
     for coords in poses:
-        pts = resolve_pose(reference, *coords).a
+        pts = resolve_pose(reference, *coords).a  # the anchors of a stack of one
         V_p = build_Vp(pts)
         for plan in (PRIMARY_PLAN, ALTERNATE_PLAN):
             V_ps = nominal_map(checked(build_selection_matrix(plan, pts)), V_p)
-            worst = max(worst, np.max(np.abs(V_ps[:, list(CONSTRAINED_COLS)])))
+            worst = max(worst, np.max(np.abs(V_ps[:, :, list(CONSTRAINED_COLS)])))
     _report(5, "selection kills the constrained freedoms for both plans",
             worst < 1e-12, f"max column magnitude {worst:.3e}")
 

@@ -6,11 +6,13 @@ import dhjac
 from dhjac.errors import Stacked
 
 #: one-pose and duplicate entry points that the API leaves out: ``verify.fd_oracles``,
-#: ``verify.sample_poses`` and ``forward_map.cond_from_sigmas`` are the only forms
+#: ``verify.sample_poses`` and ``forward_map.cond_from_sigmas`` are the only forms, and
+#: ``errors.Status`` has no one-pose mode for ``any_true`` to serve
 DELETED = {
     "dhjac": ("condition_number", "fd_actuation_jacobian", "fd_constraint_tangent"),
     "dhjac.verify": ("fd_actuation_jacobian", "fd_constraint_tangent", "_fd_oracles",
                      "_sample_poses"),
+    "dhjac.errors": ("any_true",),
 }
 
 

@@ -121,9 +121,23 @@ def test_degenerate_plan_exit_2(capsys):
     assert "DegeneratePair" in capsys.readouterr().err
 
 
-def test_bad_plan_exit_3(capsys):
+#: plans whose pairs hold entries that are not strings: ints, null, an object
+NON_STRING_PLANS = ('[[1,2],[2,3],[3,4],[4,1]]',
+                    '[[null,"2z"],["2y","3z"],["3y","4z"],["4y","1z"]]',
+                    '[["1y",{}],["2y","3z"],["3y","4z"],["4y","1z"]]')
+
+
+def test_bad_plan_exit_3(tmp_path, capsys):
     assert main(["pose", "0", "150", "0", "0", "--config", CFG,
                  "--plan", "nonsense["]) == 3
+    # a pair entry that is not a string is a config error on every command that takes --plan
+    for plan in NON_STRING_PLANS:
+        for argv in (["pose", "0", "150", "10", "5"],
+                     ["sweep", "--grid", "3", "--out", str(tmp_path / "s.csv")],
+                     ["units", "--grid", "3", "--out", str(tmp_path / "u.json")]):
+            assert main([*argv, "--config", CFG, "--plan", plan]) == 3, (argv[0], plan)
+            assert "config error: bad plan pair" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_csv_contract(tmp_path, capsys):

@@ -19,27 +19,33 @@ from conftest import checked, offset_prs_config, random_coords, square_config
 from scalar_reference import scalar_condition_numbers
 
 
+def cond_of(M):
+    """cond(M) of one matrix, as a stack of one through ``singular_values`` and
+    ``cond_from_sigmas``."""
+    return cond_from_sigmas(singular_values(M[None]))[0]
+
+
 def test_assemble_identity_composition():
     V_ps = np.hstack([np.zeros((4, 1)), np.eye(4), np.zeros((4, 1))])
     J_a = np.vstack([np.zeros((1, 4)), np.eye(4), np.zeros((1, 4))])
-    np.testing.assert_array_equal(assemble_dhj(V_ps, J_a), np.eye(4))
+    np.testing.assert_array_equal(assemble_dhj(V_ps[None], J_a[None])[0], np.eye(4))
     with pytest.raises(ValueError):
-        assemble_dhj(np.zeros((4, 5)), np.zeros((6, 4)))
+        assemble_dhj(np.zeros((1, 4, 5)), np.zeros((1, 6, 4)))
 
 
 def test_condition_number_identity():
-    assert cond_from_sigmas(singular_values(np.eye(4))) == pytest.approx(1.0)
+    assert cond_of(np.eye(4)) == pytest.approx(1.0)
 
 
 def test_condition_number_diagonal_extremes():
     M = np.diag([2.0, 1.0, 1.0, 0.5])
-    assert cond_from_sigmas(singular_values(M)) == pytest.approx(4.0)
+    assert cond_of(M) == pytest.approx(4.0)
 
 
 def test_condition_number_singular_is_infinite():
     M = np.eye(4)
     M[2, 2] = 0.0
-    assert cond_from_sigmas(singular_values(M)) == math.inf
+    assert cond_of(M) == math.inf
 
 
 @given(M=arrays(np.float64, (4, 4),
@@ -48,7 +54,7 @@ def test_condition_number_singular_is_infinite():
 def test_condition_number_matches_eigensolve(M):
     # independent oracle: eigenvalues of M^T M from the symmetric eigensolver;
     # compared at the Gram level where the eigensolve is fully accurate
-    sv = singular_values(M)
+    sv = singular_values(M[None])[0]
     ev = np.clip(np.linalg.eigvalsh(M.T @ M)[::-1], 0.0, None)
     scale = max(ev[0], 1e-12)
     np.testing.assert_allclose(sv ** 2, ev, atol=1e-10 * scale)
@@ -56,15 +62,15 @@ def test_condition_number_matches_eigensolve(M):
     # the Gram-side oracle loses eps*cond^2 on sigma_min, so the direct
     # condition-number comparison is only meaningful while it is accurate
     if ref[-1] > 1e-3 * ref[0]:
-        assert cond_from_sigmas(sv) == pytest.approx(ref[0] / ref[-1], rel=1e-8)
+        assert cond_of(M) == pytest.approx(ref[0] / ref[-1], rel=1e-8)
 
 
 def test_singular_values_rectangular():
     rng = np.random.default_rng(3)
     M = rng.standard_normal((6, 4))
     ref = np.linalg.svd(M, compute_uv=False)
-    np.testing.assert_allclose(singular_values(M), ref, rtol=1e-10)
-    np.testing.assert_allclose(singular_values(M.T), ref, rtol=1e-10)
+    np.testing.assert_allclose(singular_values(M[None])[0], ref, rtol=1e-10)
+    np.testing.assert_allclose(singular_values(M.T[None])[0], ref, rtol=1e-10)
 
 
 def test_dexterity_record_contract(reference):
@@ -90,35 +96,39 @@ def test_joint_rates_consistent_through_dhj(reference):
     # q' recovered from the nominal velocity equals G_a^T xdot
     coords = (0.0, 150.0, math.radians(20.0), math.radians(10.0))
     rec = dexterity_at(reference, *coords)
-    np.testing.assert_array_equal(rec.J_dh, assemble_dhj(rec.V_ps, rec.fwd.J_a))
+    np.testing.assert_array_equal(rec.J_dh, assemble_dhj(rec.V_ps[None], rec.fwd.J_a)[0])
+    J_a, G_a_T = rec.fwd.J_a[0], rec.G.G_a_T[0]  # the stage records are a stack of one
 
     rng = np.random.default_rng(11)
     for _ in range(5):
         qdot = rng.standard_normal(4)
-        xdot = rec.fwd.J_a @ qdot
+        xdot = J_a @ qdot
         v_ps = rec.V_ps @ xdot
         qdot_back = np.linalg.solve(rec.J_dh, v_ps)
-        np.testing.assert_allclose(qdot_back, rec.G.G_a_T @ xdot, atol=1e-8)
+        np.testing.assert_allclose(qdot_back, G_a_T @ xdot, atol=1e-8)
         np.testing.assert_allclose(qdot_back, qdot, atol=1e-8)
 
 
 def test_dexterity_at_resolves_once(reference, monkeypatch):
     # one pose is a stack of one: a single pass of the stacked resolve resolves it and runs
     # its IK
+    import dhjac.dhj
     import dhjac.model
 
     calls = []
-    resolve = dhjac.model._resolve
+    resolve = dhjac.model.resolve_many
 
-    def counting_resolve(cfg, coords, envelope_deg):
+    def counting_resolve(cfg, coords, envelope_deg=None):
         calls.append(coords)
         return resolve(cfg, coords, envelope_deg)
 
-    monkeypatch.setattr(dhjac.model, "_resolve", counting_resolve)
+    for module in (dhjac.model, dhjac.dhj):
+        monkeypatch.setattr(module, "resolve_many", counting_resolve)
     coords = (0.0, 150.0, math.radians(20.0), math.radians(10.0))
     rec = dexterity_at(reference, *coords)
-    assert calls == [coords]
-    np.testing.assert_array_equal(rec.pose.q, dhjac.model.resolve_many(reference, coords).q[0])
+    assert calls == [[coords]]
+    assert rec.pose.q.shape == (1, 4)
+    np.testing.assert_array_equal(rec.pose.q, dhjac.model.resolve_many(reference, coords).q)
 
 
 def test_dexterity_at_lapack_calls(reference, monkeypatch):
@@ -234,7 +244,7 @@ def test_singular_selection_refused():
         assert info.value.code == "singular_selection"
         assert "exceeds" in str(info.value)
         pose = resolve_pose(cfg, 0.0, 150.0, 0.0, ps)
-        assert checked(invert_full(checked(build_inverse_jacobian(pose)))).cond_GT < 1e4
+        assert checked(invert_full(checked(build_inverse_jacobian(pose)))).cond_GT[0] < 1e4
 
 
 ANGLE = st.floats(min_value=-math.radians(50.0), max_value=math.radians(50.0))
@@ -258,7 +268,7 @@ def test_scaling_equivariance(reference, s, layout, y, z, theta, psi):
     assert rec_s.k == pytest.approx(rec.k, rel=1e-9, abs=0.0)
     np.testing.assert_allclose(rec_s.pose.q, rec.pose.q * s, rtol=1e-9, atol=0.0)
     # x is fixed only to the Newton tolerance, RESOLVE_TOL * r_b
-    assert abs(rec_s.pose.x - rec.pose.x * s) <= RESOLVE_TOL * scaled.base_radius
+    assert abs(rec_s.pose.x[0] - rec.pose.x[0] * s) <= RESOLVE_TOL * scaled.base_radius
 
 
 @given(y=st.floats(min_value=-100.0, max_value=100.0),

@@ -13,19 +13,19 @@ from dhjac.model import (RESOLVE_TOL, X_HAT, Z_HAT, LimbSpec, ManipulatorConfig,
                          MobilityInputs, _plane_residual, _start_residual, config_from_dict,
                          limb_axes, load_config, resolve_many, resolve_pose, tsai_mobility)
 
-from conftest import REFERENCE_CONFIG, offset_prs_config, random_coords, square_config
+from conftest import REFERENCE_CONFIG, offset_prs_config, random_coords, row, square_config
 from scalar_reference import scalar_resolve
 
 
 def test_home_pose_dependents_vanish(reference):
-    pose = resolve_pose(reference, 0.0, 150.0, 0.0, 0.0)
+    pose = row(resolve_pose(reference, 0.0, 150.0, 0.0, 0.0))
     assert pose.x == 0.0
     assert pose.phi_z == 0.0
 
 
 def test_resolved_pose_satisfies_plane_constraints(reference):
     # substitute the resolved pose back into the PRS plane residuals
-    pose = resolve_pose(reference, 0.0, 150.0, math.radians(10.0), 0.0)
+    pose = row(resolve_pose(reference, 0.0, 150.0, math.radians(10.0), 0.0))
     P = reference.platform_points()
     A = reference.base_points()
     for i in reference.prs_indices():
@@ -35,7 +35,7 @@ def test_resolved_pose_satisfies_plane_constraints(reference):
 
 @pytest.mark.parametrize("theta,psi", [(10.0, -35.0), (-49.0, 49.0), (0.0, 25.0)])
 def test_rotation_orthonormal(reference, theta, psi):
-    pose = resolve_pose(reference, 0.0, 150.0, math.radians(theta), math.radians(psi))
+    pose = row(resolve_pose(reference, 0.0, 150.0, math.radians(theta), math.radians(psi)))
     R = pose.rotation
     assert np.max(np.abs(R.T @ R - np.eye(3))) < 1e-12
     assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-12)
@@ -50,8 +50,8 @@ def test_outside_envelope_rejected(reference):
 
 
 def test_envelope_override_allows_wider_tilt(reference):
-    pose = resolve_pose(reference, 0.0, 150.0, math.radians(55.0), 0.0,
-                        envelope_deg=60.0)
+    pose = row(resolve_pose(reference, 0.0, 150.0, math.radians(55.0), 0.0,
+                            envelope_deg=60.0))
     assert pose.z == 150.0
 
 
@@ -61,7 +61,7 @@ def test_offset_rails_parasitic_twist_closed_form():
     a2x = cfg.base_points()[1][0]
     for psi_deg in (0.0, 20.0, -35.0):
         psi = math.radians(psi_deg)
-        pose = resolve_pose(cfg, 0.0, 150.0, 0.0, psi)
+        pose = row(resolve_pose(cfg, 0.0, 150.0, 0.0, psi))
         assert pose.x == pytest.approx(0.0, abs=1e-9)
         assert math.sin(pose.phi_z) == pytest.approx(-a2x / (200.0 * math.cos(psi)),
                                                      rel=1e-10)
@@ -82,13 +82,13 @@ def test_unsatisfiable_dependent_solve_raises():
 def test_square_home_joint_values_equal_closed_form():
     # same-angle layout: every limb sees the same lateral offset r_b - r_a
     cfg = square_config()
-    pose = resolve_pose(cfg, 0.0, 150.0, 0.0, 0.0)
+    pose = row(resolve_pose(cfg, 0.0, 150.0, 0.0, 0.0))
     expected = 150.0 - math.sqrt(687.0**2 - 250.0**2)
     assert pose.q.tolist() == pytest.approx([expected] * 4, rel=1e-12)
 
 
 def test_reference_home_joint_values_closed_form(reference):
-    q = resolve_pose(reference, 0.0, 150.0, 0.0, 0.0).q
+    q = row(resolve_pose(reference, 0.0, 150.0, 0.0, 0.0)).q
     P = reference.platform_points()
     A = reference.base_points()
     for i in range(4):
@@ -101,7 +101,7 @@ def test_reference_home_joint_values_closed_form(reference):
 
 def test_link_length_preserved_everywhere(reference):
     for coords in random_coords(reference, 25, seed=3):
-        pose = resolve_pose(reference, *coords)
+        pose = row(resolve_pose(reference, *coords))
         C = reference.base_points() + pose.q[:, None] * Z_HAT  # U/R joint centers
         for B, C_i, link in zip(pose.B, C, pose.link):
             assert np.linalg.norm(link) == pytest.approx(687.0, rel=1e-9)
@@ -111,7 +111,7 @@ def test_link_length_preserved_everywhere(reference):
 
 def test_limb_axes_unit_and_orthogonal(reference):
     # s1 = z_hat (rail), s2 = x_hat (R / slider-fixed U axis), s3 and n from the link
-    pose = resolve_pose(reference, 0.0, 150.0, math.radians(20.0), math.radians(-30.0))
+    pose = row(resolve_pose(reference, 0.0, 150.0, math.radians(20.0), math.radians(-30.0)))
     for s3, n in zip(*limb_axes(pose.link, reference.link_length)):
         for axis in (Z_HAT, X_HAT, s3):
             assert np.linalg.norm(axis) == pytest.approx(1.0, abs=1e-12)
@@ -125,7 +125,7 @@ def test_closed_form_axes_match_cross_products(reference, layout):
     cfg = {"reference": reference, "square": square_config(),
            "offset": offset_prs_config()}[layout]
     for coords in random_coords(cfg, 20, seed=17):
-        link = resolve_pose(cfg, *coords).link
+        link = row(resolve_pose(cfg, *coords)).link
         for link_i, s3, n in zip(link, *limb_axes(link, cfg.link_length)):
             cross = np.cross(X_HAT, link_i)
             np.testing.assert_array_equal(s3, cross / np.linalg.norm(cross))
@@ -134,7 +134,7 @@ def test_closed_form_axes_match_cross_products(reference, layout):
 
 def test_link_parallel_to_x_takes_the_fallback_axis():
     # limb 1's link laid flat along -x: l_y = l_z = 0 exactly
-    pose = resolve_pose(square_config(), 0.0, 150.0, 0.0, 0.0)
+    pose = row(resolve_pose(square_config(), 0.0, 150.0, 0.0, 0.0))
     link = pose.link.copy()
     link[0] = [-687.0, 0.0, 0.0]
     s3, n = limb_axes(link, 687.0)
@@ -167,7 +167,7 @@ def test_newton_solution_satisfies_plane_constraints_offset(theta_deg, psi_deg):
     # off-plane PRS rails: the Newton iterates (phi_z != 0); the residuals
     # recomputed from the assembled rotation stay below the solve tolerance
     cfg = offset_prs_config()
-    pose = resolve_pose(cfg, 0.0, 150.0, math.radians(theta_deg), math.radians(psi_deg))
+    pose = row(resolve_pose(cfg, 0.0, 150.0, math.radians(theta_deg), math.radians(psi_deg)))
     assert pose.phi_z != 0.0
     P, A = cfg.platform_points(), cfg.base_points()
     for i in cfg.prs_indices():
@@ -198,16 +198,17 @@ def _resolve_rows(cfg):
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
 @pytest.mark.parametrize("envelope_deg", [None, 45.0, 70.0])
 def test_resolve_many_equals_resolve_pose(layout, envelope_deg):
-    # a row of a stack is the pose resolved alone (a stack of one) bit for bit,
-    # with the same refusal, also on the offset layout where the damped Newton iterates
+    # resolve_pose returns the pose as a stack of one, equal to its row of a stack bit for
+    # bit, and raises the refusal the stack records there, also on the offset layout where
+    # the damped Newton iterates
     cfg = LAYOUTS[layout]()
     rows = _resolve_rows(cfg)
     poses = resolve_many(cfg, rows, envelope_deg=envelope_deg)
     assert poses.rotation.shape == (len(rows), 3, 3) and poses.B.shape == (len(rows), 4, 3)
     ok = poses.status.ok
-    for i, row in enumerate(rows):
+    for i, coords in enumerate(rows):
         try:
-            pose = resolve_pose(cfg, *row, envelope_deg=envelope_deg)
+            pose = resolve_pose(cfg, *coords, envelope_deg=envelope_deg)
         except KinematicsError as exc:
             assert not ok[i]
             refused = poses.status.error(i)
@@ -215,10 +216,11 @@ def test_resolve_many_equals_resolve_pose(layout, envelope_deg):
             for v in (poses.rotation, poses.origin, poses.B, poses.q, poses.a, poses.link):
                 assert np.isnan(v[i]).all()
             continue
-        assert ok[i]
-        for name in ("rotation", "origin", "B", "q", "a", "link"):
-            np.testing.assert_array_equal(getattr(poses, name)[i], getattr(pose, name))
-        assert (poses.x[i], poses.phi_z[i]) == (pose.x, pose.phi_z)
+        assert ok[i] and pose.status.size == 1 and pose.status.refusals == {}
+        for name in ("y", "z", "theta", "psi", *POSE_ARRAYS):
+            alone, stacked = getattr(pose, name), getattr(poses, name)[i:i + 1]
+            assert (alone.shape, alone.tobytes()) == (stacked.shape, stacked.tobytes()), name
+        assert (poses.x[i], poses.phi_z[i]) == (pose.x[0], pose.phi_z[0])
     assert ok.any() and not ok.all()
 
 
@@ -262,7 +264,7 @@ POSE_ARRAYS = ("x", "phi_z", "rotation", "origin", "B", "q", "a", "link")
 
 
 def _refusal(status, i):
-    r = status.refusals[(i,)]
+    r = status.refusals[i]
     return r.error, r.message(), r.limb, repr(r.value)
 
 
@@ -318,7 +320,7 @@ def test_discriminant_rounded_below_zero_counts_as_zero(reference):
     poses = resolve_many(reference, [edge, past, edge])
     assert poses.status.codes() == ["ok", "unreachable", "ok"]
     assert poses.q[0, 0] == poses.B[0, 0, 2] == 150.0
-    assert resolve_pose(reference, *edge).q.tobytes() == poses.q[2].tobytes()
+    assert row(resolve_pose(reference, *edge)).q.tobytes() == poses.q[2].tobytes()
     assert np.isnan(poses.q[1]).all()
 
 
@@ -342,8 +344,8 @@ def test_tsai_mobility_rejects_negative_counts():
 
 
 def test_resolve_deterministic_and_idempotent(reference):
-    a = resolve_pose(reference, 0.0, 150.0, 0.3, -0.4)
-    b = resolve_pose(reference, a.y, a.z, a.theta, a.psi)
+    a = row(resolve_pose(reference, 0.0, 150.0, 0.3, -0.4))
+    b = row(resolve_pose(reference, a.y, a.z, a.theta, a.psi))
     assert (a.x, a.phi_z) == (b.x, b.phi_z)
     assert np.array_equal(a.rotation, b.rotation)
     assert np.array_equal(a.origin, b.origin)
@@ -356,8 +358,8 @@ def test_scaling_homogeneity_power_of_two_exact(k):
     cfg = square_config()
     s = 2.0 ** k
     scaled = cfg.scaled(s)
-    pose = resolve_pose(cfg, 0.0, 150.0, 0.25, -0.35)
-    pose_s = resolve_pose(scaled, 0.0, 150.0 * s, 0.25, -0.35)
+    pose = row(resolve_pose(cfg, 0.0, 150.0, 0.25, -0.35))
+    pose_s = row(resolve_pose(scaled, 0.0, 150.0 * s, 0.25, -0.35))
     np.testing.assert_array_equal(pose_s.q, pose.q * s)
     for name in ("B", "a", "link"):
         np.testing.assert_array_equal(getattr(pose_s, name), getattr(pose, name) * s)
@@ -370,8 +372,8 @@ def test_scaling_homogeneity_power_of_two_exact(k):
 @settings(max_examples=25, deadline=None)
 def test_scaling_homogeneity_general(s, reference):
     scaled = reference.scaled(s)
-    pose = resolve_pose(reference, 0.0, 150.0, 0.2, 0.3)
-    pose_s = resolve_pose(scaled, 0.0, 150.0 * s, 0.2, 0.3)
+    pose = row(resolve_pose(reference, 0.0, 150.0, 0.2, 0.3))
+    pose_s = row(resolve_pose(scaled, 0.0, 150.0 * s, 0.2, 0.3))
     np.testing.assert_allclose(pose_s.q, pose.q * s, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(pose_s.link, pose.link * s, rtol=1e-12)
 
@@ -418,7 +420,18 @@ def test_config_validation_errors(tmp_path):
             ({"actuator": "mixed"}, 'actuator must be "linear" (the chain writes '
                                     "prismatic actuation rows), got 'mixed'"),
             ({"actuator": 1}, 'actuator must be "linear" (the chain writes '
-                              "prismatic actuation rows), got 1")):
+                              "prismatic actuation rows), got 1"),
+            # lengths and angles are JSON numbers: a bool or a numeric string is refused
+            ({"r_a": True}, "'r_a' must be a number, got True"),
+            ({"r_a": "200"}, "'r_a' must be a number, got '200'"),
+            ({"r_b": False}, "'r_b' must be a number, got False"),
+            ({"l": "687"}, "'l' must be a number, got '687'"),
+            ({"envelope_deg": True}, "'envelope_deg' must be a number, got True"),
+            ({"limbs": [dict(good["limbs"][0], angle_deg="0")] + good["limbs"][1:]},
+             "'angle_deg' of limb 1 must be a number, got '0'"),
+            ({"limbs": good["limbs"][:3] + [dict(good["limbs"][3], base_angle_deg=True)]},
+             "'base_angle_deg' of limb 4 must be a number, got True"),
+            ({"r_b": 10 ** 400}, "malformed config: int too large to convert to float")):
         with pytest.raises(ConfigError, match=re.escape(message)):
             config_from_dict({**good, **patch})
     # an integral float is a count; the shipped config carries no key outside the schema

@@ -2,7 +2,9 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dhjac.pointmap import build_Vp, skew
+from dhjac.pointmap import skew
+
+from conftest import Vp_at
 
 finite = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 vec3 = st.tuples(finite, finite, finite).map(np.array)
@@ -34,7 +36,7 @@ def test_single_point_block_signs():
     # rows [I, -skew(a)]: first row ends with (+a_z, -a_y), second row
     # carries (-a_z, 0, +a_x), third (+a_y, -a_x, 0)
     a = np.array([1.0, 2.0, 3.0])
-    V_p = build_Vp([a])
+    V_p = Vp_at([a])
     expected = np.array([
         [1.0, 0.0, 0.0, 0.0, 3.0, -2.0],
         [0.0, 1.0, 0.0, -3.0, 0.0, 1.0],
@@ -45,7 +47,7 @@ def test_single_point_block_signs():
 
 def test_four_symmetric_points_heave(reference):
     pts = reference.platform_points()
-    v = build_Vp(pts) @ np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
+    v = Vp_at(pts) @ np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
     np.testing.assert_array_equal(v.reshape(4, 3)[:, 2], np.ones(4))
     np.testing.assert_array_equal(v.reshape(4, 3)[:, :2], np.zeros((4, 2)))
 
@@ -56,7 +58,7 @@ def test_four_symmetric_points_heave(reference):
 @example(v=np.zeros(3), w=np.array([0.0, 36.90563100968123, 7.0]),
          pts=[np.zeros(3), np.zeros(3), np.array([0.0, 36.90563100968123, 7.0])])
 def test_stacked_map_equals_pointwise(v, w, pts):
-    stacked = build_Vp(pts) @ np.concatenate([v, w])
+    stacked = Vp_at(pts) @ np.concatenate([v, w])
     direct = np.concatenate([point_velocity(v, w, a) for a in pts])
     terms = 1 + np.max(np.abs(v)) + np.max(np.abs(w)) * np.max(np.abs(pts))
     np.testing.assert_allclose(stacked, direct, atol=1e-14 * terms)
@@ -72,8 +74,8 @@ def test_rigid_body_distance_preservation(v, w, a, b):
 
 def test_scaling_moves_only_skew_block(reference):
     pts = reference.platform_points()
-    V_p = build_Vp(pts)
-    V_p_s = build_Vp([p * 0.001 for p in pts])
+    V_p = Vp_at(pts)
+    V_p_s = Vp_at([p * 0.001 for p in pts])
     np.testing.assert_allclose(V_p_s[:, :3], V_p[:, :3], atol=0)
     np.testing.assert_allclose(V_p_s[:, 3:], 0.001 * V_p[:, 3:], rtol=1e-15)
 

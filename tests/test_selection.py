@@ -7,16 +7,16 @@ from hypothesis import strategies as st
 
 from dhjac.errors import ConfigError, DegeneratePair
 from dhjac.model import resolve_pose
-from dhjac.pointmap import build_Vp
 from dhjac.selection import (ALTERNATE_PLAN, CONSTRAINED_COLS, INDEPENDENT_COLS,
                              OPPOSITE_PLAN, PRIMARY_PLAN, SelectionPlan,
-                             build_selection_matrix, nominal_map)
+                             build_selection_matrix)
 
-from conftest import checked, random_coords
+from conftest import S_at, V_ps_at, random_coords
 
 
 def anchors_at(cfg, coords):
-    return resolve_pose(cfg, *coords).a
+    """The anchors a_i (f, 3) of one pose: row 0 of the stack of one ``resolve_pose`` returns."""
+    return resolve_pose(cfg, *coords).a[0]
 
 
 def test_named_plans():
@@ -46,7 +46,7 @@ def test_row_weights_worked_example():
     # a_1x = 1, a_2x = -1: weights 0.5 on v_1y, 1 on v_1z, 0.5 on v_2y
     pts = [np.array([1.0, 1.0, 0.0]), np.array([-1.0, 1.0, 0.0]),
            np.array([-0.3, -1.0, 0.0]), np.array([0.5, -1.0, 0.0])]
-    S = checked(build_selection_matrix(PRIMARY_PLAN, pts)).S
+    S = S_at(PRIMARY_PLAN, pts)
     assert S[0, 1] == pytest.approx(0.5)   # v_1y
     assert S[0, 2] == pytest.approx(1.0)   # v_1z
     assert S[0, 4] == pytest.approx(0.5)   # v_2y
@@ -58,7 +58,7 @@ def test_rows_match_signed_difference_weights_up_to_sign(reference):
     # wherever a_ix - a_jx > 0 and flips the y-part otherwise
     pts = anchors_at(reference, (0.0, 150.0, 0.25, -0.4))
     ax = [p[0] for p in pts]
-    S = checked(build_selection_matrix(PRIMARY_PLAN, pts)).S
+    S = S_at(PRIMARY_PLAN, pts)
     for r, (i, j) in enumerate(PRIMARY_PLAN.pairs):
         delta = ax[i - 1] - ax[j - 1]
         sign = math.copysign(1.0, delta)
@@ -73,7 +73,7 @@ def test_degenerate_pair_rejected():
     pts = [np.array([1.0, 0.0, 0.0]), np.array([1.0, 1.0, 0.0]),
            np.array([-1.0, 0.5, 0.0]), np.array([0.2, -1.0, 0.0])]
     with pytest.raises(DegeneratePair):
-        build_selection_matrix(SelectionPlan(((1, 2), (2, 3), (3, 4), (4, 1))), pts).status.check()
+        S_at(SelectionPlan(((1, 2), (2, 3), (3, 4), (4, 1))), pts)
 
 
 def test_degenerate_row_nan_only_on_the_refused_pose(reference):
@@ -82,9 +82,9 @@ def test_degenerate_row_nan_only_on_the_refused_pose(reference):
     degenerate = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [-1.0, 0.5, 0.0], [0.2, -1.0, 0.0]])
     sel = build_selection_matrix(PRIMARY_PLAN, np.stack([clean, degenerate, clean]))
     assert sel.status.codes() == ["ok", "degenerate_pair", "ok"]
-    assert sel.status.refusals[(1,)].limb == 1
+    assert sel.status.refusals[1].limb == 1
     assert np.isnan(sel.S[1]).any(axis=1).tolist() == [True, False, False, False]
-    alone = checked(build_selection_matrix(PRIMARY_PLAN, clean)).S
+    alone = S_at(PRIMARY_PLAN, clean)
     for i in (0, 2):
         assert sel.S[i].tobytes() == alone.tobytes()
 
@@ -96,14 +96,14 @@ def test_opposite_plan_degenerate_at_reference(reference):
     assert abs(pts[1][0]) < 1e-9
     assert abs(pts[3][0]) < 1e-9
     with pytest.raises(DegeneratePair):
-        build_selection_matrix(OPPOSITE_PLAN, pts).status.check()
+        S_at(OPPOSITE_PLAN, pts)
 
 
 @pytest.mark.parametrize("plan", [PRIMARY_PLAN, ALTERNATE_PLAN])
 def test_constrained_columns_annihilated(reference, plan):
     for coords in random_coords(reference, 10, seed=17):
         pts = anchors_at(reference, coords)
-        V_ps = nominal_map(checked(build_selection_matrix(plan, pts)), build_Vp(pts))
+        V_ps = V_ps_at(plan, pts)
         assert np.max(np.abs(V_ps[:, list(CONSTRAINED_COLS)])) < 1e-12
 
 
@@ -121,7 +121,7 @@ def test_annihilation_for_random_points(xs, other):
            > 1e-6 * spread)
     pts = [np.array([xs[k], other[2 * k], other[2 * k + 1]]) for k in range(4)]
     for plan in (PRIMARY_PLAN, OPPOSITE_PLAN):
-        V_ps = nominal_map(checked(build_selection_matrix(plan, pts)), build_Vp(pts))
+        V_ps = V_ps_at(plan, pts)
         assert np.max(np.abs(V_ps[:, list(CONSTRAINED_COLS)])) < 1e-10 * max(spread, 1.0)
 
 
@@ -131,7 +131,7 @@ def test_nominal_map_reference_columns(reference):
     # all-ones v_y column would be the documented rank-collapse)
     pts = anchors_at(reference, (0.0, 150.0, 0.3, -0.2))
     ax = [p[0] for p in pts]
-    V_ps = nominal_map(checked(build_selection_matrix(PRIMARY_PLAN, pts)), build_Vp(pts))
+    V_ps = V_ps_at(PRIMARY_PLAN, pts)
     restricted = V_ps[:, list(INDEPENDENT_COLS)]
     np.testing.assert_allclose(restricted[:, 1], np.ones(4), atol=1e-14)
     np.testing.assert_allclose(
@@ -146,13 +146,13 @@ def test_nominal_map_reference_columns(reference):
 def test_restricted_map_nonsingular_across_envelope(reference):
     for coords in random_coords(reference, 20, seed=23):
         pts = anchors_at(reference, coords)
-        V_ps = nominal_map(checked(build_selection_matrix(PRIMARY_PLAN, pts)), build_Vp(pts))
+        V_ps = V_ps_at(PRIMARY_PLAN, pts)
         restricted = V_ps[:, list(INDEPENDENT_COLS)]
         assert abs(np.linalg.det(restricted)) > 1e-3
 
 
 def test_selection_matrix_scale_invariant(reference):
     pts = anchors_at(reference, (0.0, 150.0, 0.2, 0.4))
-    S = checked(build_selection_matrix(PRIMARY_PLAN, pts)).S
-    S_scaled = checked(build_selection_matrix(PRIMARY_PLAN, [p * 0.001 for p in pts])).S
+    S = S_at(PRIMARY_PLAN, pts)
+    S_scaled = S_at(PRIMARY_PLAN, [p * 0.001 for p in pts])
     np.testing.assert_allclose(S_scaled, S, rtol=1e-12, atol=1e-15)

@@ -10,25 +10,25 @@ from dhjac.dhj import dexterity_at, singular_values
 from dhjac.errors import ConfigError, KinematicsError, NoForwardSolution, StepTooLarge, Unreachable
 from dhjac.model import resolve_many, resolve_pose
 from dhjac.screws import build_inverse_jacobian
-from dhjac.selection import PRIMARY_PLAN, build_selection_matrix
+from dhjac.selection import PRIMARY_PLAN
 from dhjac.verify import (BRUTE_FORCE_STEP, REFINE_MAX_ITER, REFINE_TOL, _brute_force_dhj,
                           brute_force_dhj, fd_oracles, forward_refine, run_validation,
                           sample_poses)
 
-from conftest import (bf_at, checked, fd_at, offset_prs_config, one, random_coords,
+from conftest import (S_at, bf_at, checked, fd_at, offset_prs_config, one, random_coords, row,
                       square_config)
 
 
-# Scalar references: the oracles written pose by pose, one resolve_pose per
-# perturbed pose.  The stacked oracles, over a stack of one, must reproduce
-# them bit for bit.
+# Scalar references: the oracles written pose by pose, one resolve_pose (a stack
+# of one, read at its row) per perturbed pose.  The stacked oracles, over a stack
+# of one, must reproduce them bit for bit.
 
 def _scalar_steps(cfg, h=1e-6):
     return h * max(cfg.base_radius, 1e-30), h
 
 
 def _scalar_q(cfg, coords, envelope_deg=None):
-    return resolve_pose(cfg, *coords, envelope_deg=envelope_deg).q
+    return resolve_pose(cfg, *coords, envelope_deg=envelope_deg).q[0]
 
 
 def _perturbed(coords, k, delta):
@@ -54,14 +54,14 @@ def scalar_fd_actuation_jacobian(cfg, coords, h=1e-6):
 
 def scalar_fd_constraint_tangent(cfg, coords, h=1e-6):
     h_len, h_ang = _scalar_steps(cfg, h)
-    R0 = resolve_pose(cfg, *coords).rotation
+    R0 = resolve_pose(cfg, *coords).rotation[0]
     T = np.zeros((6, 4))
     env = cfg.envelope_deg + 1.0
     for k in range(4):
         hk = h_len if k < 2 else h_ang
         try:
-            pp = resolve_pose(cfg, *_perturbed(coords, k, +hk), envelope_deg=env)
-            pm = resolve_pose(cfg, *_perturbed(coords, k, -hk), envelope_deg=env)
+            pp = row(resolve_pose(cfg, *_perturbed(coords, k, +hk), envelope_deg=env))
+            pm = row(resolve_pose(cfg, *_perturbed(coords, k, -hk), envelope_deg=env))
         except KinematicsError as exc:
             raise StepTooLarge(f"perturbed pose infeasible along coord {k}: {exc}") from exc
         T[:3, k] = (pp.origin - pm.origin) / (2.0 * hk)
@@ -96,18 +96,18 @@ def scalar_forward_refine(cfg, q_target, guess_coords):
 
 def scalar_brute_force_dhj(cfg, coords, plan=PRIMARY_PLAN):
     h_q = BRUTE_FORCE_STEP * max(cfg.base_radius, 1e-30)
-    pose0 = resolve_pose(cfg, *coords)
+    pose0 = row(resolve_pose(cfg, *coords))
     q0 = pose0.q
-    S = checked(build_selection_matrix(plan, pose0.a)).S
+    S = S_at(plan, pose0.a)
     out = np.zeros((cfg.limb_count, cfg.limb_count))
     for m in range(cfg.limb_count):
         qp, qm = q0.copy(), q0.copy()
         qp[m] += h_q
         qm[m] -= h_q
-        pp = resolve_pose(cfg, *scalar_forward_refine(cfg, qp, coords),
-                          envelope_deg=cfg.envelope_deg + 5.0)
-        pm = resolve_pose(cfg, *scalar_forward_refine(cfg, qm, coords),
-                          envelope_deg=cfg.envelope_deg + 5.0)
+        pp = row(resolve_pose(cfg, *scalar_forward_refine(cfg, qp, coords),
+                              envelope_deg=cfg.envelope_deg + 5.0))
+        pm = row(resolve_pose(cfg, *scalar_forward_refine(cfg, qm, coords),
+                              envelope_deg=cfg.envelope_deg + 5.0))
         bp = np.concatenate([pp.origin + pp.rotation @ p for p in cfg.platform_points()])
         bm = np.concatenate([pm.origin + pm.rotation @ p for p in cfg.platform_points()])
         out[:, m] = S @ (bp - bm) / (2.0 * h_q)
@@ -212,7 +212,7 @@ def assert_each_target_as_alone(cfg, targets, guesses):
             np.testing.assert_array_equal(stacked.value[t], alone)
             np.testing.assert_array_equal(stacked.value[t], scalar_forward_refine(cfg, q, guess))
             # the anchor points of the accepting iteration, which resolved exactly there
-            B = resolve_pose(cfg, *alone, envelope_deg=cfg.envelope_deg + 5.0).B
+            B = resolve_pose(cfg, *alone, envelope_deg=cfg.envelope_deg + 5.0).B[0]
             np.testing.assert_array_equal(stacked.B[t], B)
     return stacked
 
@@ -342,13 +342,13 @@ def test_tangent_home_columns(reference):
     np.testing.assert_allclose(T[:, 0], [0, 1, 0, 0, 0, 0], atol=1e-7)
     np.testing.assert_allclose(T[:, 1], [0, 0, 1, 0, 0, 0], atol=1e-7)
     # columns independent
-    assert singular_values(T)[-1] > 1e-6
+    assert singular_values(T[None])[0][-1] > 1e-6
 
 
 def test_constraint_rows_annihilate_tangent(reference):
     for coords in random_coords(reference, 8, seed=41):
         T, _ = fd_at(reference, coords)
-        G = checked(build_inverse_jacobian(resolve_pose(reference, *coords)))
+        G = row(checked(build_inverse_jacobian(resolve_pose(reference, *coords))))
         assert np.max(np.abs(G.G_c_T @ T)) < 1e-7
 
 
@@ -361,7 +361,7 @@ def test_actuation_fd_home_symmetry(reference):
 def test_actuation_fd_matches_rows(reference):
     for coords in random_coords(reference, 15, seed=43):
         T, FD = fd_at(reference, coords)
-        G = checked(build_inverse_jacobian(resolve_pose(reference, *coords)))
+        G = row(checked(build_inverse_jacobian(resolve_pose(reference, *coords))))
         err = np.max(np.abs(G.G_a_T @ T - FD)) / np.max(np.abs(FD))
         assert err < 1e-5
 
@@ -369,7 +369,7 @@ def test_actuation_fd_matches_rows(reference):
 def test_fd_error_second_order_in_step(reference):
     # central differences: halving h divides the error by about four
     coords = (0.0, 150.0, math.radians(30.0), math.radians(35.0))
-    G = checked(build_inverse_jacobian(resolve_pose(reference, *coords)))
+    G = row(checked(build_inverse_jacobian(resolve_pose(reference, *coords))))
     T_ref, _ = fd_at(reference, coords, h=1e-7)
     analytic = G.G_a_T @ T_ref
     hs = [2e-3, 1e-3, 5e-4]
@@ -380,10 +380,10 @@ def test_fd_error_second_order_in_step(reference):
 
 def test_forward_refine_round_trip(reference):
     for coords in random_coords(reference, 6, seed=47):
-        q = resolve_pose(reference, *coords).q
+        q = resolve_pose(reference, *coords).q[0]
         guess = (coords[0], coords[1] + 1.0, coords[2] + 0.01, coords[3] - 0.01)
         refined = one(forward_refine(reference, q[None], guess))
-        q_back = resolve_pose(reference, *refined).q
+        q_back = resolve_pose(reference, *refined).q[0]
         np.testing.assert_allclose(q_back, q, atol=1e-8)
         np.testing.assert_allclose(refined, coords, atol=1e-8 * reference.base_radius)
 
@@ -417,7 +417,8 @@ def test_oracle_and_analytic_blow_up_together():
     coords = (0.0, 150.0, 0.05, 0.2)
     rec = dexterity_at(cfg, *coords)
     BF = bf_at(cfg, coords)
-    k_oracle = float(singular_values(BF)[0] / singular_values(BF)[-1])
+    sv = singular_values(BF[None])[0]
+    k_oracle = float(sv[0] / sv[-1])
     assert rec.k > 50.0
     assert k_oracle > 50.0
     assert 0.1 < rec.k / k_oracle < 10.0
