@@ -45,6 +45,10 @@ ENVELOPE_SLACK = 1e-12
 IK_CLAMP = 16.0 * np.finfo(float).eps
 #: |v| <= DBL_MAX holds exactly for the finite v
 DBL_MAX = np.finfo(float).max
+#: the longest radius or link the loader admits: the chain squares sums of a few lengths
+#: (the reach of a link, the norms of the collinearity check), whose squares overflow from
+#: about 1e154 on; below this bound they stay under 1e300
+MAX_LENGTH = 1e150
 
 
 @dataclass(frozen=True)
@@ -88,8 +92,10 @@ class ManipulatorConfig:
 
     def __post_init__(self):
         lengths = (self.moving_plate_radius, self.base_radius, self.link_length)
-        if not all(math.isfinite(v) and v > 0 for v in lengths):
-            raise ConfigError("radii and link length must be finite and positive")
+        if not all(0.0 < v <= MAX_LENGTH for v in lengths):  # NaN fails every comparison
+            raise ConfigError(f"radii and link length must be positive and at most "
+                              f"{MAX_LENGTH:g}, got r_a = {lengths[0]!r}, r_b = "
+                              f"{lengths[1]!r}, l = {lengths[2]!r}")
         if not (math.isfinite(self.envelope_deg) and self.envelope_deg > 0):
             raise ConfigError(f"envelope_deg must be finite and positive, "
                               f"got {self.envelope_deg!r}")

@@ -104,7 +104,6 @@ class SelectionMatrix:
     """The extended selection matrices of a plan at a stack of N poses."""
 
     S: np.ndarray  # (N, f, 3f), dimensionless
-    plan: SelectionPlan
     status: Status  # degenerate pairs
 
 
@@ -136,7 +135,7 @@ def build_selection_matrix(plan: SelectionPlan, points) -> SelectionMatrix:
     S[:, rows, col_i] = -ax_j / width
     S[:, rows, col_j] = ax_i / width
     S[:, rows, col_z] = 1.0
-    return SelectionMatrix(S=S, plan=plan, status=status)
+    return SelectionMatrix(S=S, status=status)
 
 
 #: column indices of the independent freedoms (v_y, v_z, w_x, w_y) in a twist

@@ -10,11 +10,17 @@ Each oracle takes a stack of poses resolved by ``model.resolve_many`` and
 returns a ``Stacked`` whose status gives each pose the error it gets as a
 stack of one.  Each differencing step resolves all its perturbed poses in one
 ``resolve_many`` call, whose rows equal ``resolve_pose`` bit for bit, so a
-pose resolved once may stand for every equal one: the Newton refinement
-resolves each distinct iterate once per iteration, and the perturbed poses
-only of the iterates that still step.  ``run_validation`` resolves the
-sampled poses once, takes the feasible rows of that stack, and evaluates each
-oracle, and each chain of ``dhj`` it judges, once over them.
+pose resolved once may stand for every equal one.  Who resolves what:
+
+* ``fd_rows`` resolves the 8 central-difference rows of every pose; the FD
+  tangent and IK Jacobian of ``fd_oracles`` difference them, and so does the
+  first Newton step of the brute-force ``J_dh`` at each pose;
+* ``forward_refine`` resolves, per iteration, the brute force's iterates
+  from that step on, and the 8 perturbed poses only of those that still step.
+
+``run_validation`` resolves the sampled poses once, takes the feasible rows
+of that stack, resolves their central-difference rows once, and evaluates
+each oracle, and each chain of ``dhj`` it judges, once over them.
 """
 
 from __future__ import annotations
@@ -58,28 +64,45 @@ def _central_rows(center, steps) -> np.ndarray:
     return rows
 
 
-def fd_oracles(cfg: ManipulatorConfig, centers: PlatformPose,
-               h: float = 1e-6) -> tuple[Stacked, Stacked]:
+def fd_rows(cfg: ManipulatorConfig, centers: PlatformPose, h: float = 1e-6) -> PlatformPose:
+    """The 8 central-difference rows of every pose of ``centers`` (``_central_rows`` at
+    ``step_sizes(cfg, h)``), resolved in one ``resolve_many`` call at envelope + 1 deg: (8N,)."""
+    env = cfg.envelope_deg + 1.0  # perturbations of a feasible pose may graze the guard
+    coords = np.stack(centers.coords, axis=-1)
+    return resolve_many(cfg, _central_rows(coords, step_sizes(cfg, h)), env)
+
+
+def _fd_jacobian(rows: PlatformPose, steps, wrap=None) -> Stacked:
+    """The central-difference Jacobians (N, f, 4) of the joint values over the 8N ``rows``
+    that ``_central_rows`` laid out at ``steps``.  A pose takes the refusal of its first
+    refused row, as ``wrap(row, refusal)`` when given."""
+    n = len(rows.q) // 8
+    q = rows.q.reshape(n, 8, rows.cfg.limb_count)
+    J = ((q[:, 0::2] - q[:, 1::2]) / (2.0 * steps)[:, None]).swapaxes(-1, -2)
+    return Stacked(J, rows.status.gather(np.arange(8 * n) // 8, n, wrap))
+
+
+def fd_oracles(cfg: ManipulatorConfig, centers: PlatformPose, h: float = 1e-6,
+               rows: PlatformPose | None = None) -> tuple[Stacked, Stacked]:
     """The constraint tangents (N, 6, 4) and the actuation Jacobians (N, f, 4) at the poses
     ``centers`` that ``resolve_many`` resolved, by central differences over (y, z, theta, psi).
 
     The tangent is a basis of the feasible twist cone, from differencing the
     pose resolution; the actuation Jacobian differences the IK joint values.
-    Both difference the same 8 central-difference rows of every pose, resolved
-    in one call; a refused row is StepTooLarge for its pose.  The tangent also
-    takes the refusal of its center, whose rotation it differences against.
+    Both difference the same 8 central-difference rows of every pose,
+    ``fd_rows(cfg, centers, h)``, which the caller may pass when it has
+    resolved them; a refused row is StepTooLarge for its pose.  The tangent
+    also takes the refusal of its center, whose rotation it differences against.
     """
-    coords = np.stack(centers.coords, axis=-1)
-    n = len(coords)
+    n = len(centers.q)
     steps = step_sizes(cfg, h)
     two_h = 2.0 * steps
-    env = cfg.envelope_deg + 1.0  # perturbations of a feasible pose may graze the guard
-    rows = resolve_many(cfg, _central_rows(coords, steps), env)
-    stepped = rows.status.gather(np.arange(8 * n) // 8, n, lambda i, r: Refusal(
+    if rows is None:
+        rows = fd_rows(cfg, centers, h)
+    actuation = _fd_jacobian(rows, steps, lambda i, r: Refusal(
         StepTooLarge, lambda: f"perturbed pose infeasible along coord {i % 8 // 2}: "
                               f"{r.message()}"))
-    q = rows.q.reshape(n, 8, cfg.limb_count)
-    FD = ((q[:, 0::2] - q[:, 1::2]) / two_h[:, None]).swapaxes(-1, -2)
+    FD, stepped = actuation.value, actuation.status
     origin, R = rows.origin.reshape(n, 8, 3), rows.rotation.reshape(n, 8, 3, 3)
     T = np.empty((n, 6, 4))
     T[:, :3] = ((origin[:, 0::2] - origin[:, 1::2]) / two_h[:, None]).swapaxes(-1, -2)
@@ -105,17 +128,40 @@ class Refined(Stacked):
     B: np.ndarray
 
 
+def _newton_step(Jq: Stacked, r: np.ndarray) -> Stacked:
+    """The Newton steps (M, 4) that solve ``Jq @ step = r`` for the M iterates, from their
+    forward Jacobians ``Jq`` (M, f, 4) and IK residuals ``r`` (M, f).
+
+    An iterate keeps the refusal of its Jacobian; a singular Jacobian fails
+    its own iterate only, as NoForwardSolution.  A refused step is NaN.
+    """
+    status = Jq.status.then()
+    step = np.full((len(r), 4), math.nan)
+    s = np.flatnonzero(status.ok)
+    try:
+        step[s] = np.linalg.solve(Jq.value[s], r[s, :, None])[..., 0]
+    except np.linalg.LinAlgError:
+        for t in s.tolist():
+            try:
+                step[t] = np.linalg.solve(Jq.value[t], r[t, :, None])[:, 0]
+            except np.linalg.LinAlgError as exc:
+                status.refuse(np.arange(len(r)) == t, NoForwardSolution,
+                              lambda i, exc=exc: f"singular forward Jacobian: {exc}")
+    return Stacked(step, status)
+
+
 def forward_refine(cfg: ManipulatorConfig, targets: np.ndarray, guess_coords) -> Refined:
     """Newton-refine (y, z, theta, psi) until IK reproduces each of the ``targets`` (T, f).
 
     ``guess_coords`` broadcasts to (T, 4).  Each target iterates on its own
     and gets the result and error it gets as a stack of one.  An iteration
-    resolves the distinct iterates in one call (equal consecutive iterates, as
-    the targets of one pose in ``_brute_force_dhj`` start, share a row), tests
-    convergence on them, and resolves in a second call the 8 perturbed poses
-    of the distinct iterates that still step.  The finite-difference
-    coordinate Jacobian keeps the refinement independent of the analytic
-    screw rows.
+    resolves the iterates in one call, tests convergence on them, and
+    resolves in a second call the 8 perturbed poses of the iterates that
+    still step; ``_newton_step`` solves for their steps.  The
+    finite-difference coordinate Jacobian keeps the refinement independent
+    of the analytic screw rows.  ``_brute_force_dhj`` takes the first step
+    of its targets from the rows that ``fd_rows`` resolved, through the same
+    ``_newton_step``, and hands this function the stepped iterates.
     """
     tol = REFINE_TOL * max(cfg.base_radius, 1e-30)
     env = cfg.envelope_deg + 5.0  # refinement may step slightly past the envelope
@@ -129,49 +175,22 @@ def forward_refine(cfg: ManipulatorConfig, targets: np.ndarray, guess_coords) ->
     for _ in range(REFINE_MAX_ITER):
         if not len(active):
             break
-        # target active[i] iterates from the distinct iterate iterate[i]; equal means equal bits
-        now = coords[active]
-        bits = now.view(np.int64)
-        new = np.ones(len(active), bool)
-        new[1:] = (bits[1:] != bits[:-1]).any(axis=1)
-        iterate = np.cumsum(new) - 1
-        distinct = now[new]
-        centers = resolve_many(cfg, distinct, env)
-        r = centers.q[iterate] - targets[active]
-        resolved = centers.status.ok[iterate]
+        iterates = resolve_many(cfg, coords[active], env)
+        r = iterates.q - targets[active]
+        resolved = iterates.status.ok
         done = resolved & (np.abs(r).max(axis=1) < tol)
-        B[active[done]] = centers.B[iterate[done]]
-        stepping = resolved & ~done
-        refused = centers.status.take(np.where(resolved, -1, iterate), _iterate_failed)
-        if np.count_nonzero(stepping):
-            # row slot[u] of the perturbed iterates is distinct iterate u
-            perturb = np.zeros(len(distinct), bool)
-            perturb[iterate[stepping]] = True
-            slot = np.cumsum(perturb) - 1
-            rows = resolve_many(cfg, _central_rows(distinct[perturb], steps), env)
-            m = np.count_nonzero(perturb)
-            q = rows.q.reshape(m, 8, -1)
-            first = rows.status.gather(np.arange(8 * m) // 8, m)
-            refused = refused.then(first.take(np.where(stepping, slot[iterate], -1)))
-            del rows  # the rest of this iteration's poses would stay alive through the next
-        status = status.then(refused.gather(active, size))
-        s = np.flatnonzero(stepping & refused.ok)
+        B[active[done]] = iterates.B[done]
+        s = np.flatnonzero(resolved & ~done)
+        refused = iterates.status.take(np.arange(len(active)), _iterate_failed)
         if len(s):
-            Jq = ((q[:, 0::2] - q[:, 1::2]) / (2.0 * steps)[:, None]).transpose(0, 2, 1)
-            Jq = Jq[slot[iterate[s]]]
-            try:
-                step = np.linalg.solve(Jq, r[s, :, None])[..., 0]
-            except np.linalg.LinAlgError:
-                # a singular forward Jacobian fails its own target only
-                step = np.full((len(s), 4), math.nan)
-                for k, t in enumerate(s):
-                    try:
-                        step[k] = np.linalg.solve(Jq[k], r[t, :, None])[:, 0]
-                    except np.linalg.LinAlgError as exc:
-                        status.refuse(np.arange(size) == active[t], NoForwardSolution,
-                                      lambda i, exc=exc: f"singular forward Jacobian: {exc}")
-            coords[active[s]] -= step
-        active = active[s][status.ok[active[s]]]
+            rows = resolve_many(cfg, _central_rows(coords[active[s]], steps), env)
+            step = _newton_step(_fd_jacobian(rows, steps), r[s])
+            del rows  # the rest of this iteration's poses would stay alive through the next
+            refused = refused.then(step.status.gather(s, len(active)))
+            coords[active[s]] -= step.value
+            s = s[step.status.ok]
+        status = status.then(refused.gather(active, size))
+        active = active[s]
     else:
         status.refuse(np.isin(np.arange(size), active), NoForwardSolution,
                       lambda i: f"no convergence in {REFINE_MAX_ITER} iterations")
@@ -183,32 +202,55 @@ def brute_force_dhj(cfg: ManipulatorConfig, coords, plan=PRIMARY_PLAN) -> np.nda
     """``_brute_force_dhj`` at one pose (y, z, theta, psi): its (f, f) value; raises its refusal.
 
     The only one-pose entry here: it stays for the correctness checks of the benchmark harness
-    (``perfbench/workloads.py``) until ROADMAP item 1 moves them to the stacked oracles.
+    (``perfbench/workloads.py``) until ROADMAP item 1 moves them to the stacked oracles.  It
+    resolves the pose and, for the first Newton step, its 8 central-difference rows.
     """
     out = _brute_force_dhj(cfg, resolve_many(cfg, [coords]), plan)
     out.status.check()
     return out.value[0]
 
 
-def _brute_force_dhj(cfg: ManipulatorConfig, centers: PlatformPose, plan=PRIMARY_PLAN) -> Stacked:
+def _brute_force_dhj(cfg: ManipulatorConfig, centers: PlatformPose, plan=PRIMARY_PLAN,
+                     rows: PlatformPose | None = None) -> Stacked:
     """Differentiate the selected point-velocity combinations w.r.t. q_a: (N, f, f) at the
-    poses ``centers`` that ``resolve_many`` resolved.
+    poses ``centers`` that ``resolve_many`` resolved at the config's envelope (its default).
 
     The selection weights are frozen at the center pose; each actuated joint
     is perturbed both ways, and the 2f poses of every pose are re-found
-    together by one Newton forward refinement, whose accepting iteration
-    gives their anchor points.
+    together by Newton forward refinement, whose accepting iteration gives
+    their anchor points.
+
+    The first Newton step of each target is taken at its center, against the
+    actuation oracle's forward Jacobian: the central differences, at
+    ``step_sizes(cfg)``, of the rows ``fd_rows(cfg, centers)``, which the
+    caller passes when it has resolved them.  The residual there is the
+    joint step, far above REFINE_TOL, so no target converges at its center.
+    ``forward_refine`` then refines every target from its stepped iterate,
+    with its own budget of REFINE_MAX_ITER iterations.  ``fd_rows`` resolves
+    at envelope + 1 deg, ``forward_refine`` at + 5 deg; the two guards refuse
+    the same rows of a center inside the config's envelope, which a 1e-6 rad
+    step cannot leave by 1 deg, and a row's values do not depend on its
+    guard.  A refused row fails the targets of its pose with its own refusal.
     """
     n, f = len(centers.q), cfg.limb_count
     h_q = BRUTE_FORCE_STEP * max(cfg.base_radius, 1e-30)
     sel = build_selection_matrix(plan, centers.a)
     status = centers.status.then(sel.status)
     todo = np.flatnonzero(status.ok)
-    refined = forward_refine(cfg, _central_rows(centers.q[todo], h_q).reshape(-1, f),
-                             np.repeat(np.stack(centers.coords, axis=-1)[todo], 2 * f, axis=0))
-    status = status.then(refined.status.gather(np.repeat(todo, 2 * f), n))
+    # target t perturbs pose owner[t]; it is row t_row[t] of the (N * 2f) targets of the stack
+    t_row = (2 * f * todo[:, None] + np.arange(2 * f)).ravel()
+    owner = t_row // (2 * f)
+    targets = _central_rows(centers.q[todo], h_q).reshape(-1, f)
+    Jq = _fd_jacobian(fd_rows(cfg, centers) if rows is None else rows, step_sizes(cfg))
+    first = _newton_step(Stacked(Jq.value[owner], Jq.status.take(owner)),
+                         centers.q[owner] - targets)
+    go = np.flatnonzero(first.status.ok)
+    refined = forward_refine(cfg, targets[go],
+                             np.stack(centers.coords, axis=-1)[owner[go]] - first.value[go])
+    refusals = first.status.then(refined.status.gather(go, len(owner)))
+    status = status.then(refusals.gather(owner, n))
     B = np.full((n, 2 * f, f, 3), math.nan)
-    B[todo] = refined.B.reshape(-1, 2 * f, f, 3)
+    B.reshape(-1, f, 3)[t_row[go]] = refined.B
     d = (B[:, 0::2] - B[:, 1::2]).reshape(n, f, 3 * f)  # the f anchor points, concatenated
     # a matrix-vector product per column, as S @ (bp - bm) rounds it
     BF = ((sel.S[:, None] @ d[..., None])[..., 0] / (2.0 * h_q)).swapaxes(-1, -2)
@@ -292,7 +334,8 @@ def run_validation(cfg: ManipulatorConfig, seed: int = DEFAULT_SEED,
     n_unit = min(25, n)
     n_bf = min(n_dhj, n)
     checks: list[OracleReport] = []
-    tangent, fd_ik = fd_oracles(cfg, centers)
+    rows = fd_rows(cfg, centers)  # read by the FD oracles and the brute force's first step
+    tangent, fd_ik = fd_oracles(cfg, centers, rows=rows)
     T, FD = tangent.value, fd_ik.value
     G, fwd, _, V_ps, J_dh, _, k, rec = dhj._chain(centers, PRIMARY_PLAN)
     *_, V_ps_alt, _, _, k_alt, rec_alt = dhj._chain(centers, ALTERNATE_PLAN, (G, fwd))
@@ -300,7 +343,8 @@ def run_validation(cfg: ManipulatorConfig, seed: int = DEFAULT_SEED,
     cfg_m = cfg.scaled(scale, unit="m" if cfg.unit == "mm" else cfg.unit)
     *_, k_m, rec_m = dhj._chain(resolve_many(cfg_m, coords[:n_unit] * [scale, scale, 1, 1]),
                                 PRIMARY_PLAN)
-    bf = _brute_force_dhj(cfg, centers if n_bf == n else centers.take(range(n_bf)))
+    bf = _brute_force_dhj(cfg, centers, rows=rows) if n_bf == n else _brute_force_dhj(
+        cfg, centers.take(range(n_bf)), rows=rows.take(range(8 * n_bf)))
 
     def pose_check(name, threshold, statuses, errors, count=n, relative=True):
         """``errors(i)`` gives the per-pose (abs, rel) errors of the first i poses."""

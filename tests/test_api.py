@@ -1,9 +1,11 @@
+import dataclasses
 import importlib
 
 import pytest
 
 import dhjac
 from dhjac.errors import Stacked
+from dhjac.selection import SelectionMatrix
 
 #: one-pose and duplicate entry points that the API leaves out: ``verify.fd_oracles``,
 #: ``verify.sample_poses`` and ``forward_map.cond_from_sigmas`` are the only forms, and
@@ -31,3 +33,5 @@ def test_deleted_names_cannot_be_imported():
             with pytest.raises(ImportError):
                 exec(f"from {module} import {name}", {})
     assert not hasattr(Stacked, "one")
+    # the selection matrices do not keep their plan: no stage reads it back
+    assert [f.name for f in dataclasses.fields(SelectionMatrix)] == ["S", "status"]

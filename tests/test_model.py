@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dhjac.errors import ConfigError, KinematicsError, NoConvergence, Unreachable
-from dhjac.model import (RESOLVE_TOL, X_HAT, Z_HAT, LimbSpec, ManipulatorConfig,
+from dhjac.dhj import condition_numbers_at
+from dhjac.model import (MAX_LENGTH, RESOLVE_TOL, X_HAT, Z_HAT, LimbSpec, ManipulatorConfig,
                          MobilityInputs, _plane_residual, _start_residual, config_from_dict,
                          limb_axes, load_config, resolve_many, resolve_pose, tsai_mobility)
 
@@ -431,9 +432,30 @@ def test_config_validation_errors(tmp_path):
              "'angle_deg' of limb 1 must be a number, got '0'"),
             ({"limbs": good["limbs"][:3] + [dict(good["limbs"][3], base_angle_deg=True)]},
              "'base_angle_deg' of limb 4 must be a number, got True"),
-            ({"r_b": 10 ** 400}, "malformed config: int too large to convert to float")):
+            ({"r_b": 10 ** 400}, "malformed config: int too large to convert to float"),
+            # a length whose squares overflow in the chain is refused at load, not as
+            # collinear points or an invalid value inside resolve_many
+            *(({key: value}, f"radii and link length must be positive and at most 1e+150, "
+                             f"got r_a = {value if key == 'r_a' else 200.0!r}, "
+                             f"r_b = {value if key == 'r_b' else 450.0!r}, "
+                             f"l = {value if key == 'l' else 687.0!r}")
+              for key in ("r_a", "r_b", "l") for value in (1e200, 1e308))):
         with pytest.raises(ConfigError, match=re.escape(message)):
             config_from_dict({**good, **patch})
+    # the largest admitted lengths run the chain without an overflow (a RuntimeWarning,
+    # which the suite turns into an error)
+    s = MAX_LENGTH / good["l"]
+    big = config_from_dict({**good, "r_a": good["r_a"] * s, "r_b": good["r_b"] * s,
+                            "l": MAX_LENGTH})
+    poses = [(0.0, 150.0, 0.0, 0.0), (0.0, 150.0, 0.3, -0.2)]
+    resolved = resolve_many(big, [(y * s, z * s, th, ps) for y, z, th, ps in poses])
+    assert resolved.status.codes() == ["ok", "ok"]
+    np.testing.assert_allclose(resolved.q / s, resolve_many(config_from_dict(good), poses).q,
+                               rtol=1e-9)
+    # G^T mixes unit force rows with moment rows of a length: its condition number grows
+    # with the length scale (about 5e149 here), and the chain refuses both poses for it
+    codes, _, _ = condition_numbers_at(big, 0.0, 150.0 * s, [0.0, 0.3], [0.0, -0.2])
+    assert codes == ["singular_configuration"] * 2
     # an integral float is a count; the shipped config carries no key outside the schema
     assert config_from_dict({**good, "mobility": {"lambda": 6.0}}).mobility.lam == 6
     assert config_from_dict(good) == load_config(REFERENCE_CONFIG)

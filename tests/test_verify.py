@@ -13,7 +13,7 @@ from dhjac.screws import build_inverse_jacobian
 from dhjac.selection import PRIMARY_PLAN
 from dhjac.verify import (BRUTE_FORCE_STEP, REFINE_MAX_ITER, REFINE_TOL, _brute_force_dhj,
                           brute_force_dhj, fd_oracles, forward_refine, run_validation,
-                          sample_poses)
+                          sample_poses, step_sizes)
 
 from conftest import (S_at, bf_at, checked, fd_at, offset_prs_config, one, random_coords, row,
                       square_config)
@@ -218,8 +218,8 @@ def assert_each_target_as_alone(cfg, targets, guesses):
 
 
 def test_forward_refine_shared_iterate_outside_the_guard(reference):
-    # targets sharing a guess past envelope + 5 deg each fail on the one resolved iterate;
-    # the targets of another guess in between still refine
+    # targets with a common guess past envelope + 5 deg each fail there, as alone; the
+    # targets of another guess in between still refine
     inside = np.array([0.0, 150.0, 0.3, -0.2])
     outside = np.array([0.0, 150.0, math.radians(reference.envelope_deg + 6.0), 0.1])
     q = _scalar_q(reference, inside)
@@ -232,7 +232,7 @@ def test_forward_refine_shared_iterate_outside_the_guard(reference):
 
 
 def test_forward_refine_shared_iterate_with_a_refused_perturbation(reference):
-    # the iterate sits 1e-7 rad inside envelope + 5 deg, so its +theta perturbation is
+    # the common guess sits 1e-7 rad inside envelope + 5 deg, so its +theta perturbation is
     # refused: the targets that step from it fail with that refusal, the one it already
     # reproduces converges without perturbing it
     edge = np.array([0.0, 150.0, math.radians(reference.envelope_deg + 5.0) - 1e-7, 0.0])
@@ -249,7 +249,7 @@ def test_forward_refine_shared_iterate_with_a_refused_perturbation(reference):
 
 def test_forward_refine_shared_singular_iterate(square):
     # on the square layout the forward Jacobian is singular at theta = 0: every target that
-    # steps from that iterate fails alone, the one it reproduces does not
+    # steps from that common guess fails, as alone, the one it reproduces does not
     flat, tilted = np.array([0.0, 150.0, 0.0, 0.1]), np.array([0.0, 150.0, 0.3, 0.1])
     q_flat, q_tilted = _scalar_q(square, flat), _scalar_q(square, tilted)
     targets = [q_tilted + 1e-3, q_flat + 1e-3, q_flat, q_flat - 1e-3, q_tilted - 1e-3]
@@ -261,8 +261,7 @@ def test_forward_refine_shared_singular_iterate(square):
 
 
 def test_forward_refine_iterates_one_bit_apart_stay_apart(reference):
-    # equal iterates share one resolved row; iterates that differ in the last bit of one
-    # coordinate do not
+    # guesses that differ in the last bit of one coordinate refine apart, each as alone
     guess = np.array([0.0, 150.0, 0.3, -0.2])
     near = guess.copy()
     near[3] = np.nextafter(near[3], 1.0)
@@ -303,6 +302,39 @@ def test_oracles_over_a_stack_equal_each_pose_alone(reference, layout):
     tangent, actuation = fd_oracles(cfg, centers)
     assert tangent.status.codes()[5:] == ["unreachable"] * 3
     assert actuation.status.codes() == ["ok"] * 6 + ["step_too_large"] * 2
+
+
+def test_brute_force_keeps_the_refusal_of_a_step_out_of_reach(reference):
+    # a center inside the envelope and in reach, whose +y step is out of reach: the actuation
+    # oracle reads that row as StepTooLarge, the brute force, whose first Newton step
+    # differences the same rows, fails with the row's own Unreachable, as a pose refined
+    # one resolve_pose at a time does
+    h_len = step_sizes(reference)[0]
+    inside, outside = 0.0, 1e3
+    assert resolve_many(reference, [(outside, 150.0, 0.3, -0.2)]).status.codes() == \
+        ["unreachable"]
+    while outside - inside >= h_len / 2:
+        mid = 0.5 * (inside + outside)
+        if resolve_many(reference, [(mid, 150.0, 0.3, -0.2)]).status.refusals:
+            outside = mid
+        else:
+            inside = mid
+    edge = (inside, 150.0, 0.3, -0.2)
+    with pytest.raises(Unreachable) as want:
+        scalar_brute_force_dhj(reference, edge)
+    assert "exceeds link" in str(want.value)
+    with pytest.raises(StepTooLarge, match="along coord 0"):
+        fd_at(reference, edge)
+    with pytest.raises(Unreachable) as alone:
+        bf_at(reference, edge)
+    assert str(alone.value) == str(want.value)
+    coords = [(0.0, 150.0, 0.3, -0.2), edge, (0.0, 160.0, -0.1, 0.2)]
+    stacked = _brute_force_dhj(reference, resolve_many(reference, coords))
+    assert stacked.status.codes() == ["ok", "unreachable", "ok"]
+    assert str(stacked.status.error(1)) == str(want.value)
+    for i in (0, 2):
+        np.testing.assert_array_equal(stacked.value[i], scalar_brute_force_dhj(reference,
+                                                                               coords[i]))
 
 
 def test_perturbation_past_the_guard_is_step_too_large(reference):
@@ -493,7 +525,7 @@ def test_run_validation_evaluates_each_oracle_once_per_run(reference, monkeypatc
         monkeypatch.setattr(module, name, counting)
 
     for name in ("forward_refine", "resolve_pose", "resolve_many", "brute_force_dhj",
-                 "_brute_force_dhj", "fd_oracles", "sample_poses"):
+                 "_brute_force_dhj", "fd_oracles", "fd_rows", "sample_poses"):
         count(dhjac.verify, name)
     count(dhjac.dhj, "dexterity_at")
     count(dhjac.dhj, "resolve_pose")
@@ -510,15 +542,18 @@ def test_run_validation_evaluates_each_oracle_once_per_run(reference, monkeypatc
     assert counts[0] == counts[1]
     assert counts[0]["forward_refine"] == counts[0]["_brute_force_dhj"] == 1
     assert counts[0]["fd_oracles"] == counts[0]["sample_poses"] == 1
+    # the central-difference rows are resolved once, for the FD oracles and the brute
+    # force's first Newton step
+    assert counts[0]["fd_rows"] == 1
     # the oracles take the poses that run_validation resolved; the one-pose form resolves again
     assert "brute_force_dhj" not in counts[0]
     assert "resolve_pose" not in counts[0] and "dexterity_at" not in counts[0]
     # the feasible poses are rows of the stack that sorted the sampled ones
-    assert counts[0]["resolve_many"] <= 8
+    assert counts[0]["resolve_many"] <= 6
     # resolving every row of every Newton iteration made 237 rows per pose (1,422 and
-    # 5,688 here) in 10 calls; one row per distinct iterate, no perturbed rows for the
-    # converged ones and the centers resolved once leave 100
-    assert rows[0] <= 100 * 6 and rows[1] <= 100 * 24
+    # 5,688 here) in 10 calls; no perturbed rows for the converged targets, the centers
+    # resolved once and their central-difference rows resolved once leave 90
+    assert rows[0] <= 90 * 6 and rows[1] <= 90 * 24
 
 
 @pytest.mark.parametrize("n_dhj", [0, -3])
