@@ -41,13 +41,6 @@ NAMED_PLANS = {
 }
 
 
-def _sweep_line(th: float, ps: float, k_g, k_dh, status: str) -> str:
-    """One sweep CSV line, formatted in one operation."""
-    if status == "ok":
-        return "%.17g,%.17g,%.17g,%.17g,ok\n" % (th, ps, k_g, k_dh)
-    return "%.17g,%.17g,,,%s\n" % (th, ps, status)
-
-
 def _units_line(cell: dict) -> str:
     """One ``units`` CSV line of a report cell, formatted in one operation."""
     th, ps = math.degrees(cell["theta"]), math.degrees(cell["psi"])
@@ -160,23 +153,32 @@ def cmd_pose(args) -> int:
 
 
 def sweep_rows(cfg: ManipulatorConfig, spec: SweepSpec):
-    """Row-major (theta outer) condition-number rows for one grid.
+    """The sweep CSV lines of one grid, row-major (theta outer), one block at a time.
 
     The grid is evaluated in blocks of whole theta rows (``dhj.grid_blocks``),
-    one ``dhj.condition_numbers_at`` call per block, and a block's rows are
-    yielded as soon as it is evaluated.
+    one ``dhj.condition_numbers_at`` call per block, and each block is yielded
+    as soon as it is evaluated, as ``(text, k_g, k_dh)``: its lines in one
+    string, and its cond(G^T) and cond(J_dh), NaN where a cell is not "ok".
+    Every theta and psi label is formatted once per grid and found by its
+    position in the axis, not by its value: -0.0 == 0.0 prints differently.
     """
     y = _length_from_mm(spec.y_mm, cfg.unit)
     z = _length_from_mm(spec.z_mm, cfg.unit)
-    for th_deg, ps_deg in dhj.grid_blocks(*spec.grids()):
+    thetas, psis = spec.grids()
+    th_labels = ["%.17g" % v for v in thetas.tolist()]
+    ps_labels = ["%.17g" % v for v in psis.tolist()]
+    first = 0  # the first theta row of the block
+    for th_deg, ps_deg in dhj.grid_blocks(thetas, psis):
         status, k_g, k_dh = dhj.condition_numbers_at(cfg, y, z, np.radians(th_deg),
                                                      np.radians(ps_deg), plan=spec.plan)
-        for th, ps, code, kg, kd in zip(th_deg.tolist(), ps_deg.tolist(), status,
-                                        k_g.tolist(), k_dh.tolist()):
-            if code != "ok":
-                yield th, ps, None, None, code
-            else:
-                yield th, ps, kg, kd, "ok"
+        rows = len(th_deg) // len(psis)
+        th = [t for t in th_labels[first:first + rows] for _ in ps_labels]
+        first += rows
+        yield "".join([
+            "%s,%s,%.17g,%.17g,ok\n" % (t, p, kg, kd) if code == "ok"
+            else "%s,%s,,,%s\n" % (t, p, code)
+            for t, p, code, kg, kd in zip(th, ps_labels * rows, status, k_g.tolist(),
+                                          k_dh.tolist())]), k_g, k_dh
 
 
 @contextlib.contextmanager
@@ -201,8 +203,8 @@ def _replacing(path: str, newline: str | None = None):
 
 
 def _dump_json(obj, fh) -> None:
-    json.dump(obj, fh, indent=2, sort_keys=True)
-    fh.write("\n")
+    """``obj`` as indented JSON and a newline, in one write."""
+    fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 #: the ``units`` cells with the item separator ``json.dump(..., indent=2)`` puts
@@ -226,18 +228,20 @@ def _write_units_json(report: dict, fh) -> None:
     fh.write(text + "\n")
 
 
-def write_sweep_csv(path: str, rows) -> list:
-    """Stream rows into the sweep CSV (opened first, so a bad path fails fast).
+def write_sweep_csv(path: str, blocks) -> tuple[np.ndarray, np.ndarray]:
+    """Stream the ``sweep_rows`` blocks into the sweep CSV, one write per block (the
+    file is opened first, so a bad path fails fast).
 
-    Returns the rows written.
+    Returns cond(G^T) and cond(J_dh) of every cell written, NaN where it is not "ok".
     """
-    written = []
+    k_g, k_dh = [], []
     with _replacing(path, newline="") as fh:
         fh.write(SWEEP_HEADER + "\n")
-        for row in rows:
-            fh.write(_sweep_line(*row))
-            written.append(row)
-    return written
+        for text, block_g, block_dh in blocks:
+            fh.write(text)
+            k_g.append(block_g)
+            k_dh.append(block_dh)
+    return np.concatenate(k_g), np.concatenate(k_dh)
 
 
 def _spec_from_args(args, cfg) -> SweepSpec:
@@ -256,15 +260,16 @@ def _spec_from_args(args, cfg) -> SweepSpec:
 def cmd_sweep(args) -> int:
     cfg = _load(args)
     spec = _spec_from_args(args, cfg)
-    rows = write_sweep_csv(spec.out, sweep_rows(cfg, spec))
-    ok = [(k_g, k_dh) for _, _, k_g, k_dh, status in rows if status == "ok"]
-    print(f"{spec.out}: {len(rows)} cells ({len(rows) - len(ok)} skipped), unit {cfg.unit}")
-    if ok:
-        k_g, k_dh = np.array(ok).T
-        print(f"cond(G^T):  median {np.median(k_g):10.2f}   max {k_g.max():10.2f}")
-        print(f"cond(J_dh): median {np.median(k_dh):10.3f}   max {k_dh.max():10.3f}   "
+    k_g, k_dh = write_sweep_csv(spec.out, sweep_rows(cfg, spec))
+    ok = ~np.isnan(k_dh)  # condition_numbers_at puts NaN exactly at the cells not "ok"
+    cells, k_g, k_dh = len(ok), k_g[ok], k_dh[ok]
+    print(f"{spec.out}: {cells} cells ({cells - len(k_dh)} skipped), unit {cfg.unit}")
+    if len(k_dh):
+        med_g, med_dh = np.median(k_g), np.median(k_dh)
+        print(f"cond(G^T):  median {med_g:10.2f}   max {k_g.max():10.2f}")
+        print(f"cond(J_dh): median {med_dh:10.3f}   max {k_dh.max():10.3f}   "
               f"min {k_dh.min():.3f}")
-        print(f"band ratio (medians): {np.median(k_g) / np.median(k_dh):.1f}x")
+        print(f"band ratio (medians): {med_g / med_dh:.1f}x")
     return EXIT_OK
 
 

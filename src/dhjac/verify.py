@@ -203,7 +203,8 @@ def brute_force_dhj(cfg: ManipulatorConfig, coords, plan=PRIMARY_PLAN) -> np.nda
 
     The only one-pose entry here: it stays for the correctness checks of the benchmark harness
     (``perfbench/workloads.py``) until ROADMAP item 1 moves them to the stacked oracles.  It
-    resolves the pose and, for the first Newton step, its 8 central-difference rows.
+    resolves the pose and, for the first Newton step, its 8 central-difference rows if the
+    pose resolves and its selection matrix is regular.
     """
     out = _brute_force_dhj(cfg, resolve_many(cfg, [coords]), plan)
     out.status.check()
@@ -223,7 +224,9 @@ def _brute_force_dhj(cfg: ManipulatorConfig, centers: PlatformPose, plan=PRIMARY
     The first Newton step of each target is taken at its center, against the
     actuation oracle's forward Jacobian: the central differences, at
     ``step_sizes(cfg)``, of the rows ``fd_rows(cfg, centers)``, which the
-    caller passes when it has resolved them.  The residual there is the
+    caller passes when it has resolved them; otherwise only the rows of the
+    centers that resolution and selection leave "ok" are resolved, and none
+    if no center is left.  The residual there is the
     joint step, far above REFINE_TOL, so no target converges at its center.
     ``forward_refine`` then refines every target from its stepped iterate,
     with its own budget of REFINE_MAX_ITER iterations.  ``fd_rows`` resolves
@@ -237,13 +240,19 @@ def _brute_force_dhj(cfg: ManipulatorConfig, centers: PlatformPose, plan=PRIMARY
     sel = build_selection_matrix(plan, centers.a)
     status = centers.status.then(sel.status)
     todo = np.flatnonzero(status.ok)
+    if not len(todo):
+        return Stacked(np.full((n, f, f), math.nan), status)
     # target t perturbs pose owner[t]; it is row t_row[t] of the (N * 2f) targets of the stack
     t_row = (2 * f * todo[:, None] + np.arange(2 * f)).ravel()
     owner = t_row // (2 * f)
     targets = _central_rows(centers.q[todo], h_q).reshape(-1, f)
-    Jq = _fd_jacobian(fd_rows(cfg, centers) if rows is None else rows, step_sizes(cfg))
-    first = _newton_step(Stacked(Jq.value[owner], Jq.status.take(owner)),
-                         centers.q[owner] - targets)
+    # target t takes its first step from the Jacobian at[t] of the rows
+    if rows is None:  # resolved for the centers still ok only, center todo[i] as pose i
+        rows, at = fd_rows(cfg, centers.take(todo)), np.repeat(np.arange(len(todo)), 2 * f)
+    else:  # the caller's rows cover every center
+        at = owner
+    Jq = _fd_jacobian(rows, step_sizes(cfg))
+    first = _newton_step(Stacked(Jq.value[at], Jq.status.take(at)), centers.q[owner] - targets)
     go = np.flatnonzero(first.status.ok)
     refined = forward_refine(cfg, targets[go],
                              np.stack(centers.coords, axis=-1)[owner[go]] - first.value[go])

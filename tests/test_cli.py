@@ -305,25 +305,23 @@ def test_sweep_unwritable_exit_4(tmp_path, capsys, monkeypatch):
 
 
 def test_interrupted_sweep_keeps_previous_csv(tmp_path, monkeypatch):
-    import dhjac.cli
-
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", CFG, "--grid", "5", "--out", str(out)]) == 0
     before = out.read_bytes()
     calls = []
-    line = dhjac.cli._sweep_line
 
-    def interrupted(*row):
-        calls.append(row)
-        if len(calls) == 8:  # row 8 of 25
+    def interrupted(*args, **kwargs):
+        calls.append(len(args[3]))
+        if len(calls) == 2:  # the second block, after the first was written
             raise KeyboardInterrupt
-        return line(*row)
+        return condition_numbers_at(*args, **kwargs)
 
-    monkeypatch.setattr(dhjac.cli, "_sweep_line", interrupted)
+    monkeypatch.setattr(dhj, "GRID_BLOCK_POSES", 5)  # one theta row per block
+    monkeypatch.setattr(dhj, "condition_numbers_at", interrupted)
     with pytest.raises(KeyboardInterrupt):
         main(["sweep", "--config", CFG, "--grid", "5", "--range-deg", "40",
               "--out", str(out)])
-    assert len(calls) == 8
+    assert calls == [5, 5]
     assert out.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
 
@@ -481,14 +479,23 @@ def test_grid_blocks_equal_row_by_row(monkeypatch, rows_per_block, blocks):
 
     monkeypatch.setattr(dhj, "condition_numbers_at", counted)
 
-    want = [(t, p, None, None, code) if code != "ok" else (t, p, kg, kd, "ok")
+    want = ["%.17g,%.17g,,,%s\n" % (t, p, code) if code != "ok"
+            else "%.17g,%.17g,%.17g,%.17g,ok\n" % (t, p, kg, kd)
             for t, (status, k_g, k_dh) in zip(th_deg.tolist(), row_by_row)
             for p, code, kg, kd in zip(ps_deg.tolist(), status, k_g.tolist(), k_dh.tolist())]
-    assert list(sweep_rows(OFFSET_WIDE, OFFSET_SPEC)) == want
+    got = list(sweep_rows(OFFSET_WIDE, OFFSET_SPEC))
     assert calls == [len(ps) * min(rows_per_block, len(th) - i)
                      for i in range(0, len(th), rows_per_block)]
     assert len(calls) == blocks
-    assert {row[4] for row in want} == {"ok", "no_convergence", "singular_selection"}
+    # each block yields the lines of its whole theta rows as one string, and its conds
+    assert [text.count("\n") for text, _, _ in got] == calls
+    assert "".join(text for text, _, _ in got) == "".join(want)
+    for i, want_k in ((1, [k_g for _, k_g, _ in row_by_row]),
+                      (2, [k_dh for _, _, k_dh in row_by_row])):
+        np.testing.assert_array_equal(np.concatenate([block[i] for block in got]),
+                                      np.concatenate(want_k))
+    assert {line.rsplit(",", 1)[1] for line in want} == {
+        "ok\n", "no_convergence\n", "singular_selection\n"}
 
     calls.clear()
     cells = unit_scaling_experiment(OFFSET_WIDE, th, ps, y=0.0, z=150.0)["cells"]

@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dhjac import dhj
 from dhjac.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -172,6 +173,43 @@ def test_golden_output(tmp_path, capsys, case):
             assert got == want, name
         else:
             assert_close_text(got.decode(), want.decode())
+
+
+def run_sweep_case(case: str, directory: Path, capsys) -> tuple[bytes, str]:
+    """The CSV and stdout of a ``sweep`` case; stdout names the CSV by its golden file."""
+    capsys.readouterr()
+    run_case(case, directory)
+    out_path = directory / CASES[case][1][0]
+    return out_path.read_bytes(), capsys.readouterr().out.replace(str(out_path), out_path.name)
+
+
+def test_sweep_output_does_not_depend_on_the_block_size(tmp_path, capsys, monkeypatch):
+    # the offset grid, whose 11 rows hold ok, no_convergence and singular_selection cells,
+    # in blocks of one row, of one row and 3 poses (a cap that is not a whole number of
+    # rows), of two rows and 3 poses (a last block of one row) and of the default size
+    outputs = []
+    for block_poses in (11, 11 + 3, 2 * 11 + 3, dhj.GRID_BLOCK_POSES):
+        monkeypatch.setattr(dhj, "GRID_BLOCK_POSES", block_poses)
+        outputs.append(run_sweep_case("sweep_offset", tmp_path, capsys))
+    assert outputs[1:] == outputs[:1] * 3
+    csv, stdout = outputs[0]
+    statuses = [line.rsplit(b",", 1)[1] for line in csv.splitlines()[1:]]
+    assert {s: statuses.count(s) for s in set(statuses)} == {
+        b"ok": 97, b"no_convergence": 22, b"singular_selection": 2}
+    assert stdout.startswith("sweep_offset.csv: 121 cells (24 skipped), unit mm\n")
+
+
+#: stdout of ``sweep_y380``: the medians and extremes over its 99 ok cells
+SWEEP_Y380_STDOUT = """\
+sweep_y380.csv: 121 cells (22 skipped), unit mm
+cond(G^T):  median     406.16   max    1945.54
+cond(J_dh): median     11.842   max     57.857   min 4.789
+band ratio (medians): 34.3x
+"""
+
+
+def test_sweep_stdout_summary(tmp_path, capsys):
+    assert run_sweep_case("sweep_y380", tmp_path, capsys)[1] == SWEEP_Y380_STDOUT
 
 
 @pytest.mark.parametrize("case", POSE_CASES)

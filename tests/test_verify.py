@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from dhjac.dhj import dexterity_at, singular_values
-from dhjac.errors import ConfigError, KinematicsError, NoForwardSolution, StepTooLarge, Unreachable
+from dhjac.errors import (ConfigError, DegeneratePair, KinematicsError, NoForwardSolution,
+                          StepTooLarge, Unreachable)
 from dhjac.model import resolve_many, resolve_pose
 from dhjac.screws import build_inverse_jacobian
-from dhjac.selection import PRIMARY_PLAN
+from dhjac.selection import OPPOSITE_PLAN, PRIMARY_PLAN
 from dhjac.verify import (BRUTE_FORCE_STEP, REFINE_MAX_ITER, REFINE_TOL, _brute_force_dhj,
-                          brute_force_dhj, fd_oracles, forward_refine, run_validation,
+                          brute_force_dhj, fd_oracles, fd_rows, forward_refine, run_validation,
                           sample_poses, step_sizes)
 
 from conftest import (S_at, bf_at, checked, fd_at, offset_prs_config, one, random_coords, row,
@@ -581,6 +582,37 @@ def test_brute_force_dhj_one_pose_form(reference):
         brute_force_dhj(reference, far)
     refused = _brute_force_dhj(reference, resolve_many(reference, [far]))
     assert str(info.value) == str(refused.status.error(0))
+
+
+def test_brute_force_resolves_the_rows_of_ok_centers_only(reference, monkeypatch):
+    import dhjac.verify
+
+    resolved = []
+
+    def counted(cfg, coords, *args):
+        resolved.append(len(np.reshape(coords, (-1, 4))))
+        return resolve_many(cfg, coords, *args)
+
+    monkeypatch.setattr(dhjac.verify, "resolve_many", counted)
+    # a center refused at resolution, and one refused by its selection matrix: one
+    # resolve_many call each, for the center alone, and none for its 8 rows
+    far = (1e3, 150.0, 0.0, 0.0)
+    with pytest.raises(Unreachable):
+        brute_force_dhj(reference, far)
+    with pytest.raises(DegeneratePair):
+        brute_force_dhj(reference, (0.0, 150.0, math.radians(10.0), math.radians(5.0)),
+                        OPPOSITE_PLAN)
+    assert resolved == [1, 1]
+    # in a stack, the refused center's rows are left out, and the others' values equal,
+    # bit for bit, those from the rows of every center
+    coords = [(0.0, 150.0, 0.3, -0.2), far, (0.0, 160.0, -0.1, 0.2)]
+    centers = resolve_many(reference, coords)
+    resolved.clear()
+    own = _brute_force_dhj(reference, centers)
+    assert resolved[0] == 2 * 8
+    given = _brute_force_dhj(reference, centers, rows=fd_rows(reference, centers))
+    assert own.status.codes() == given.status.codes() == ["ok", "unreachable", "ok"]
+    assert own.value.tobytes() == given.value.tobytes()
 
 
 def test_run_validation_deterministic(reference):
