@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import math
 import os
@@ -41,13 +42,17 @@ NAMED_PLANS = {
 }
 
 
-def _units_line(cell: dict) -> str:
-    """One ``units`` CSV line of a report cell, formatted in one operation."""
-    th, ps = math.degrees(cell["theta"]), math.degrees(cell["psi"])
+def _labels(axis: np.ndarray) -> list[str]:
+    """The CSV label of every value of a grid axis in degrees, as the sweep prints it."""
+    return ["%.17g" % v for v in axis.tolist()]
+
+
+def _units_line(th: str, ps: str, cell: dict) -> str:
+    """One ``units`` CSV line of a report cell at the labels ``th``, ``ps``, in one operation."""
     if cell["status"] != "ok":
-        return "%.17g,%.17g,,,,,,%s\n" % (th, ps, cell["status"])
+        return "%s,%s,,,,,,%s\n" % (th, ps, cell["status"])
     base, scaled = cell["k_dh_base"], cell["k_dh_scaled"]
-    return "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,ok\n" % (
+    return "%s,%s,%.17g,%.17g,%.17g,%.17g,%.17g,ok\n" % (
         th, ps, cell["k_G_base"], cell["k_G_scaled"], base, scaled, abs(base - scaled) / base)
 
 
@@ -165,8 +170,7 @@ def sweep_rows(cfg: ManipulatorConfig, spec: SweepSpec):
     y = _length_from_mm(spec.y_mm, cfg.unit)
     z = _length_from_mm(spec.z_mm, cfg.unit)
     thetas, psis = spec.grids()
-    th_labels = ["%.17g" % v for v in thetas.tolist()]
-    ps_labels = ["%.17g" % v for v in psis.tolist()]
+    th_labels, ps_labels = _labels(thetas), _labels(psis)
     first = 0  # the first theta row of the block
     for th_deg, ps_deg in dhj.grid_blocks(thetas, psis):
         status, k_g, k_dh = dhj.condition_numbers_at(cfg, y, z, np.radians(th_deg),
@@ -293,8 +297,10 @@ def cmd_units(args) -> int:
         _write_units_json(report, fh_json)
         fh.write("theta_deg,psi_deg,cond_G_base,cond_G_scaled,"
                  "cond_Jdh_base,cond_Jdh_scaled,rel_dev_Jdh,status\n")
-        for cell in report["cells"]:
-            fh.write(_units_line(cell))
+        # labelled as the sweep labels them, from the degree axes; the cells are row-major
+        for (th, ps), cell in zip(itertools.product(_labels(th_deg), _labels(ps_deg)),
+                                  report["cells"]):
+            fh.write(_units_line(th, ps, cell))
     print(f"k_dh max rel deviation: {report['max_rel_dev_k_dh']:.3e} "
           f"(invariant: {report['k_dh_invariant']})")
     print(f"k_G  max rel deviation: {report['max_rel_dev_k_G']:.3e} "

@@ -29,7 +29,8 @@ from .model import X_HAT, PlatformPose, limb_axes, norms
 #: |l_hat . s1| below this is treated as a limb singularity (dimensionless)
 DENOMINATOR_THRESHOLD = 1e-12
 
-#: adopted actuation-row generator, recorded in validation reports
+#: adopted actuation-row generator; the validation report measures the rejected "normal"
+#: rows against the FD oracle and describes this one in its fixed ``adopted`` text
 PUS_ROW_VARIANT = "link"
 
 

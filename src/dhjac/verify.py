@@ -18,9 +18,9 @@ pose resolved once may stand for every equal one.  Who resolves what:
 * ``forward_refine`` resolves, per iteration, the brute force's iterates
   from that step on, and the 8 perturbed poses only of those that still step.
 
-``run_validation`` resolves the sampled poses once, takes the feasible rows
-of that stack, resolves their central-difference rows once, and evaluates
-each oracle, and each chain of ``dhj`` it judges, once over them.
+``run_validation`` resolves the sampled poses once, keeps the stack of the
+feasible ones (``sample_poses``), resolves their central-difference rows once,
+and evaluates each oracle, and each chain of ``dhj`` it judges, once over it.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ DEFAULT_SEED = 42
 REFINE_TOL = 1e-12  # forward_refine stops when IK reproduces q to this * r_b
 REFINE_MAX_ITER = 30
 BRUTE_FORCE_STEP = 1e-5  # actuated-joint step of _brute_force_dhj, as a fraction of r_b
+BRUTE_FORCE_POSES = 50  # run_validation checks J_dh against the brute force at the first 50
 
 
 def step_sizes(cfg: ManipulatorConfig, h: float = 1e-6) -> np.ndarray:
@@ -68,8 +69,7 @@ def fd_rows(cfg: ManipulatorConfig, centers: PlatformPose, h: float = 1e-6) -> P
     """The 8 central-difference rows of every pose of ``centers`` (``_central_rows`` at
     ``step_sizes(cfg, h)``), resolved in one ``resolve_many`` call at envelope + 1 deg: (8N,)."""
     env = cfg.envelope_deg + 1.0  # perturbations of a feasible pose may graze the guard
-    coords = np.stack(centers.coords, axis=-1)
-    return resolve_many(cfg, _central_rows(coords, step_sizes(cfg, h)), env)
+    return resolve_many(cfg, _central_rows(centers.coords, step_sizes(cfg, h)), env)
 
 
 def _fd_jacobian(rows: PlatformPose, steps, wrap=None) -> Stacked:
@@ -254,8 +254,7 @@ def _brute_force_dhj(cfg: ManipulatorConfig, centers: PlatformPose, plan=PRIMARY
     Jq = _fd_jacobian(rows, step_sizes(cfg))
     first = _newton_step(Stacked(Jq.value[at], Jq.status.take(at)), centers.q[owner] - targets)
     go = np.flatnonzero(first.status.ok)
-    refined = forward_refine(cfg, targets[go],
-                             np.stack(centers.coords, axis=-1)[owner[go]] - first.value[go])
+    refined = forward_refine(cfg, targets[go], centers.coords[owner[go]] - first.value[go])
     refusals = first.status.then(refined.status.gather(go, len(owner)))
     status = status.then(refusals.gather(owner, n))
     B = np.full((n, 2 * f, f, 3), math.nan)
@@ -313,35 +312,31 @@ def random_coords(cfg: ManipulatorConfig, n: int,
 
 
 def sample_poses(cfg: ManipulatorConfig, n: int, seed: int = DEFAULT_SEED):
-    """``random_coords`` split into the feasible poses, the refused ones with their codes,
-    and the stack of the feasible poses: the rows of the one that resolved every sampled
-    pose (a row is the same in any stack)."""
+    """``(centers, failures)``: the ``random_coords`` poses resolved in one stack, split into
+    the stack of the feasible ones (its rows, in order: a row is the same in any stack) and
+    the refused ones as ``(coords, code)`` tuples."""
     coords = random_coords(cfg, n, seed)
     stack = resolve_many(cfg, coords)
-    codes = stack.status.codes()
-    rows = [i for i, code in enumerate(codes) if code == "ok"]
-    failures = [(c, code) for c, code in zip(coords, codes) if code != "ok"]
-    return [coords[i] for i in rows], failures, stack.take(rows)
+    failures = [(c, code) for c, code in zip(coords, stack.status.codes()) if code != "ok"]
+    return stack.take(np.flatnonzero(stack.status.ok)), failures
 
 
 def run_validation(cfg: ManipulatorConfig, seed: int = DEFAULT_SEED,
-                   n_poses: int = 100, n_dhj: int = 50) -> dict:
-    """Run every oracle; returns the JSON-serializable validation report (ConfigError for a
-    negative seed, or no pose to sample or to check against the brute-force oracle)."""
+                   n_poses: int = 100) -> dict:
+    """Run every oracle over the stack of the feasible sampled poses (the brute force over
+    its first BRUTE_FORCE_POSES); returns the JSON-serializable validation report
+    (ConfigError for a negative seed or no pose to sample)."""
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
     if n_poses < 1:
         raise ConfigError(f"at least one pose is needed, got {n_poses}")
-    if n_dhj < 1:
-        raise ConfigError(f"at least one brute-force pose is needed, got {n_dhj}")
-    # the sampled poses are resolved once, and the feasible rows of that stack are the
-    # centers; each oracle and each judged chain is evaluated once, over that stack, and
-    # read by every check; a check counts the poses before its first refusal
-    poses, failures, centers = sample_poses(cfg, n_poses, seed)
-    n = len(poses)
-    coords = np.array(poses, float).reshape(n, 4)
+    # each oracle and each judged chain is evaluated once, over the stack of the feasible
+    # poses, and read by every check; a check counts the poses before its first refusal
+    centers, failures = sample_poses(cfg, n_poses, seed)
+    coords = centers.coords.tolist()  # Python floats, as the notes round them
+    n = len(coords)
     n_unit = min(25, n)
-    n_bf = min(n_dhj, n)
+    n_bf = min(BRUTE_FORCE_POSES, n)
     checks: list[OracleReport] = []
     rows = fd_rows(cfg, centers)  # read by the FD oracles and the brute force's first step
     tangent, fd_ik = fd_oracles(cfg, centers, rows=rows)
@@ -350,8 +345,8 @@ def run_validation(cfg: ManipulatorConfig, seed: int = DEFAULT_SEED,
     *_, V_ps_alt, _, _, k_alt, rec_alt = dhj._chain(centers, ALTERNATE_PLAN, (G, fwd))
     scale = 0.001
     cfg_m = cfg.scaled(scale, unit="m" if cfg.unit == "mm" else cfg.unit)
-    *_, k_m, rec_m = dhj._chain(resolve_many(cfg_m, coords[:n_unit] * [scale, scale, 1, 1]),
-                                PRIMARY_PLAN)
+    *_, k_m, rec_m = dhj._chain(
+        resolve_many(cfg_m, centers.coords[:n_unit] * [scale, scale, 1, 1]), PRIMARY_PLAN)
     bf = _brute_force_dhj(cfg, centers, rows=rows) if n_bf == n else _brute_force_dhj(
         cfg, centers.take(range(n_bf)), rows=rows.take(range(8 * n_bf)))
 
@@ -360,7 +355,7 @@ def run_validation(cfg: ManipulatorConfig, seed: int = DEFAULT_SEED,
         tested, exc = _first_refusal(statuses, count)
         note = ""
         if exc is not None:
-            note = f"{exc.code} at {tuple(round(c, 4) for c in poses[tested])}"
+            note = f"{exc.code} at {tuple(round(c, 4) for c in coords[tested])}"
             worst_abs = worst_rel = math.inf
         else:
             worst_abs, worst_rel = map(_worst, errors(tested))
@@ -402,10 +397,9 @@ def run_validation(cfg: ManipulatorConfig, seed: int = DEFAULT_SEED,
 
     # plan equivalence: measured and recorded; the discrepancy itself is the result
     plan_tested, exc = _first_refusal((rec, rec_alt), n_unit)
-    finite = np.isfinite(k[:plan_tested]) & np.isfinite(k_alt[:plan_tested])
-    k_p, k_a = k[:plan_tested][finite], k_alt[:plan_tested][finite]
-    plan_dev = _worst(np.abs(k_p - k_a) / k_p)
-    plan_tested = int(finite.sum())
+    # the chain refuses every k that is not <= COND_LIMIT, so each k before plan_tested is finite
+    k_p = k[:plan_tested]
+    plan_dev = _worst(np.abs(k_p - k_alt[:plan_tested]) / k_p)
     plans_equal = plan_dev < 1e-6
     if exc is not None:
         plan_note = exc.code
@@ -427,21 +421,16 @@ def run_validation(cfg: ManipulatorConfig, seed: int = DEFAULT_SEED,
         note=f"formula gives {mob} for f = {cfg.limb_count}",
     ))
 
-    # formula variants: measure the rejected ones on a few poses for the record; each
-    # pose is measured with one variant, then the other, up to the first refusal
-    n_var = min(10, n)
-    judged = (tangent.status, fd_ik.status, rec)
+    # formula variants: measure the rejected ones on a few poses for the record, both up to
+    # the first refusal of the oracles, the chain or the normal rows (the flipped moment
+    # block refuses the rows of the adopted recipe: its denominator test precedes the sign)
     G_normal = screws.build_inverse_jacobian(centers, variant="normal")
-    G_flipped = screws.build_inverse_jacobian(centers, moment_sign=-1.0)
-    stop_normal = _first_refusal((*judged, G_normal.status), n_var)[0]
-    stop_flipped = _first_refusal((*judged, G_flipped.status), n_var)[0]
-    measured = {
-        "pus_normal_rows": (G_normal, stop_flipped + 1 if stop_flipped < stop_normal
-                            else stop_normal),
-        "flipped_moment_block": (G_flipped, min(stop_normal, stop_flipped)),
-    }
-    variant_errs = {name: _worst(_errors(Gv.G_a_T[:i] @ T[:i] - FD[:i], FD[:i])[1])
-                    for name, (Gv, i) in measured.items()}
+    m, _ = _first_refusal((tangent.status, fd_ik.status, rec, G_normal.status), min(10, n))
+    variant_errs = {
+        name: _worst(_errors(Gv.G_a_T[:m] @ T[:m] - FD[:m], FD[:m])[1])
+        for name, Gv in (("pus_normal_rows", G_normal),
+                         ("flipped_moment_block",
+                          screws.build_inverse_jacobian(centers, moment_sign=-1.0)))}
     opposite_status = "valid"
     if n:
         exc = rec.error(0) or build_selection_matrix(OPPOSITE_PLAN, centers.a[:1]).status.error(0)
@@ -478,7 +467,7 @@ def run_validation(cfg: ManipulatorConfig, seed: int = DEFAULT_SEED,
         "seed": seed,
         "unit": cfg.unit,
         "poses_requested": n_poses,
-        "poses_feasible": len(poses),
+        "poses_feasible": n,
         "pose_failures": [{"coords": list(c), "code": code} for c, code in failures[:10]],
         "checks": [vars(c).copy() for c in checks],  # the fields, in order, as asdict gives
         "variants": variants,

@@ -38,9 +38,9 @@ def _report(num, desc, passed, detail=""):
 
 @pytest.fixture(scope="session")
 def poses(reference):
-    feasible, failures, _ = sample_poses(reference, 100, seed=SEED)
+    centers, failures = sample_poses(reference, 100, seed=SEED)
     assert not failures
-    return feasible
+    return centers.coords.tolist()
 
 
 @pytest.fixture(scope="session")
@@ -68,7 +68,7 @@ def unit_sweep(reference):
 
 @pytest.fixture(scope="session")
 def validation_report(reference):
-    return run_validation(reference, seed=SEED, n_poses=40, n_dhj=10)
+    return run_validation(reference, seed=SEED, n_poses=40)
 
 
 def test_criterion_1_actuation_oracle(oracle_rows):

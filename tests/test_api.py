@@ -1,11 +1,14 @@
 import dataclasses
 import importlib
+import inspect
 
 import pytest
 
 import dhjac
 from dhjac.errors import Stacked
+from dhjac.model import PlatformPose
 from dhjac.selection import SelectionMatrix
+from dhjac.verify import run_validation, sample_poses
 
 #: one-pose and duplicate entry points that the API leaves out: ``verify.fd_oracles``,
 #: ``verify.sample_poses`` and ``forward_map.cond_from_sigmas`` are the only forms, and
@@ -35,3 +38,14 @@ def test_deleted_names_cannot_be_imported():
     assert not hasattr(Stacked, "one")
     # the selection matrices do not keep their plan: no stage reads it back
     assert [f.name for f in dataclasses.fields(SelectionMatrix)] == ["S", "status"]
+
+
+def test_a_set_of_poses_has_one_form(reference):
+    # a stack carries its poses as one (N, 4) ``coords`` field, not four coordinate arrays
+    assert not {"y", "z", "theta", "psi"} & {f.name for f in dataclasses.fields(PlatformPose)}
+    # validation checks J_dh against the brute force at a fixed count of poses
+    assert "n_dhj" not in inspect.signature(run_validation).parameters
+    # the feasible poses are the stack, with no list of tuples beside it
+    result = sample_poses(reference, 3)
+    assert len(result) == 2 and isinstance(result[0], PlatformPose)
+    assert result[0].coords.shape == (3, 4)

@@ -333,7 +333,7 @@ def test_interrupted_units_keeps_previous_pair(tmp_path, monkeypatch):
     assert main(["units", "--config", CFG, "--grid", "3", "--out", str(out)]) == 0
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
 
-    def interrupted(cell):
+    def interrupted(th, ps, cell):
         raise KeyboardInterrupt
 
     # fails on the first CSV row, after the JSON report is written
@@ -353,6 +353,22 @@ def test_units_command(tmp_path, capsys):
     csv_lines = (tmp_path / "units.csv").read_text().splitlines()
     assert csv_lines[0].startswith("theta_deg,psi_deg,cond_G_base")
     assert len(csv_lines) == 1 + 25
+
+
+def test_units_csv_labels_equal_the_sweep_labels(tmp_path):
+    # both label the cells from the same degree axis: at grid 21 the round trip through
+    # radians printed -29.999999999999996 and 14.999999999999998 for -30 and 15
+    assert main(["units", "--config", CFG, "--grid", "21", "--out",
+                 str(tmp_path / "units.json")]) == 0
+    assert main(["sweep", "--config", CFG, "--grid", "21", "--out",
+                 str(tmp_path / "sweep.csv")]) == 0
+
+    def labels(name):
+        return [line.split(",")[:2] for line in (tmp_path / name).read_text().splitlines()]
+
+    units, sweep = labels("units.csv"), labels("sweep.csv")
+    assert len(units) == 1 + 21 * 21 and units == sweep
+    assert ["-30", "15"] in units
 
 
 def test_units_noop_scale(tmp_path):

@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dhjac.dhj import (assemble_dhj, cond_from_sigmas, condition_numbers_at, dexterity_at,
-                       singular_values, unit_scaling_experiment)
+from dhjac.dhj import (_chain, assemble_dhj, cond_from_sigmas, condition_numbers_at,
+                       dexterity_at, singular_values, unit_scaling_experiment)
 from dhjac.errors import KinematicsError, SingularSelection
-from dhjac.forward_map import invert_full
-from dhjac.model import RESOLVE_TOL, resolve_pose
+from dhjac.forward_map import COND_LIMIT, invert_full
+from dhjac.model import RESOLVE_TOL, resolve_many, resolve_pose
 from dhjac.screws import build_inverse_jacobian
 from dhjac.selection import ALTERNATE_PLAN, OPPOSITE_PLAN, PRIMARY_PLAN
 
@@ -232,6 +232,23 @@ def test_stack_rows_equal_dexterity_at(reference, layout, poses):
         else:
             assert status[i] == "ok"
             assert (k_G[i], k_dh[i]) == (rec.k_conventional, rec.k)
+
+
+def test_chain_ok_rows_have_finite_cond():
+    # the chain refuses every cond(J_dh) that is not <= COND_LIMIT, so the plan-equivalence
+    # check of run_validation reads finite values only: on the offset layout's +/-85 deg
+    # grid, with its singular_selection cells, under both plans it compares
+    cfg = dataclasses.replace(offset_prs_config(), envelope_deg=89.0)
+    axis = np.radians(np.linspace(-85.0, 85.0, 21))
+    th, ps = np.meshgrid(axis, axis, indexing="ij")
+    pose = resolve_many(cfg, np.stack([np.zeros(th.size), np.full(th.size, 150.0),
+                                       th.ravel(), ps.ravel()], axis=1))
+    G, fwd, *_, k, status = _chain(pose, PRIMARY_PLAN)
+    *_, k_alt, status_alt = _chain(pose, ALTERNATE_PLAN, (G, fwd))
+    assert "singular_selection" in status.codes()
+    for cond, stat in ((k, status), (k_alt, status_alt)):
+        ok = cond[stat.ok]
+        assert len(ok) and np.isfinite(ok).all() and (ok <= COND_LIMIT).all()
 
 
 def test_singular_selection_refused():

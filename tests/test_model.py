@@ -53,7 +53,7 @@ def test_outside_envelope_rejected(reference):
 def test_envelope_override_allows_wider_tilt(reference):
     pose = row(resolve_pose(reference, 0.0, 150.0, math.radians(55.0), 0.0,
                             envelope_deg=60.0))
-    assert pose.z == 150.0
+    assert pose.coords[1] == 150.0
 
 
 def test_offset_rails_parasitic_twist_closed_form():
@@ -218,7 +218,7 @@ def test_resolve_many_equals_resolve_pose(layout, envelope_deg):
                 assert np.isnan(v[i]).all()
             continue
         assert ok[i] and pose.status.size == 1 and pose.status.refusals == {}
-        for name in ("y", "z", "theta", "psi", *POSE_ARRAYS):
+        for name in ("coords", *POSE_ARRAYS):
             alone, stacked = getattr(pose, name), getattr(poses, name)[i:i + 1]
             assert (alone.shape, alone.tobytes()) == (stacked.shape, stacked.tobytes()), name
         assert (poses.x[i], poses.phi_z[i]) == (pose.x[0], pose.phi_z[0])
@@ -281,7 +281,7 @@ def test_fully_refused_stack_is_all_nan(reference, case):
     for name in POSE_ARRAYS:
         value = getattr(alone, name)
         assert value.shape == getattr(mixed, name)[1:].shape and np.isnan(value).all()
-    assert np.array_equal(np.stack(alone.coords, axis=-1), [pose], equal_nan=True)
+    assert np.array_equal(alone.coords, [pose], equal_nan=True)
     with pytest.raises(Unreachable, match=re.escape(_refusal(mixed.status, 1)[1])):
         resolve_pose(reference, *pose)
 
@@ -346,7 +346,7 @@ def test_tsai_mobility_rejects_negative_counts():
 
 def test_resolve_deterministic_and_idempotent(reference):
     a = row(resolve_pose(reference, 0.0, 150.0, 0.3, -0.4))
-    b = row(resolve_pose(reference, a.y, a.z, a.theta, a.psi))
+    b = row(resolve_pose(reference, *a.coords))
     assert (a.x, a.phi_z) == (b.x, b.phi_z)
     assert np.array_equal(a.rotation, b.rotation)
     assert np.array_equal(a.origin, b.origin)

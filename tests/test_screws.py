@@ -83,12 +83,17 @@ def test_singular_limb_raised_at_horizontal_link():
     assert (G.status.refusals[0].limb, G.status.refusals[0].value) == (1, 0.0)
 
 
-def test_singular_limb_nan_only_on_the_refused_pose(reference):
-    # a stack of a reference pose, a pose whose four links are horizontal, and the first again
+def horizontal_link_stack(reference):
+    """A stack of a reference pose, a pose whose four links are horizontal, and the first
+    again, with the reference pose as a stack of one."""
     ok = resolve_pose(reference, 0.0, 150.0, 0.1, 0.2)
     bad = resolve_pose(square_config(link_length=250.0), 0.0, 150.0, 0.0, 0.0)
-    stack = dataclasses.replace(ok, a=np.concatenate([ok.a, bad.a, ok.a]),
-                                link=np.concatenate([ok.link, bad.link, ok.link]))
+    return dataclasses.replace(ok, a=np.concatenate([ok.a, bad.a, ok.a]),
+                               link=np.concatenate([ok.link, bad.link, ok.link])), ok
+
+
+def test_singular_limb_nan_only_on_the_refused_pose(reference):
+    stack, ok = horizontal_link_stack(reference)
     G = build_inverse_jacobian(stack)
     assert G.status.codes() == ["ok", "singular_limb", "ok"]
     assert G.status.refusals[1].limb == 1
@@ -96,6 +101,18 @@ def test_singular_limb_nan_only_on_the_refused_pose(reference):
     alone = G_at(ok)[2]
     for i in (0, 2):
         assert G.stacked[i].tobytes() == alone.tobytes()
+
+
+def test_flipped_moment_block_refuses_the_adopted_rows(reference):
+    # the denominator test comes before the sign is applied, so the flipped variant refuses
+    # exactly the rows the adopted recipe refuses; run_validation measures it up to the
+    # chain's first refusal on that ground
+    stack, _ = horizontal_link_stack(reference)
+    adopted = build_inverse_jacobian(stack)
+    flipped = build_inverse_jacobian(stack, moment_sign=-1.0)
+    assert flipped.status.codes() == adopted.status.codes() == ["ok", "singular_limb", "ok"]
+    assert [str(flipped.status.error(i)) for i in range(3)] == \
+        [str(adopted.status.error(i)) for i in range(3)]
 
 
 def test_rejected_variants_fail_the_oracle(reference):

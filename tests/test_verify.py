@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from dhjac.dhj import dexterity_at, singular_values
-from dhjac.errors import (ConfigError, DegeneratePair, KinematicsError, NoForwardSolution,
-                          StepTooLarge, Unreachable)
+from dhjac.errors import (DegeneratePair, KinematicsError, NoForwardSolution, StepTooLarge,
+                          Unreachable)
 from dhjac.model import resolve_many, resolve_pose
 from dhjac.screws import build_inverse_jacobian
 from dhjac.selection import OPPOSITE_PLAN, PRIMARY_PLAN
@@ -356,14 +356,14 @@ def test_offset_tangent_error_is_truncation():
     # is the truncation of the central difference, not an error of the constraint rows
     # (that would stay as h shrinks)
     cfg = dataclasses.replace(offset_prs_config(), envelope_deg=89.0)
-    poses, _, centers = sample_poses(cfg, 30, seed=42)
+    centers, _ = sample_poses(cfg, 30, seed=42)
     G = checked(build_inverse_jacobian(centers))
     err = np.abs(G.G_c_T @ checked(fd_oracles(cfg, centers)[0]).value).max(axis=(-2, -1))
-    assert len(poses) == 23 and err.max() > 1e-7
+    assert len(centers.coords) == 23 and err.max() > 1e-7
     worst = int(err.argmax())
 
     def error(h):
-        return np.abs(G.G_c_T[worst] @ fd_at(cfg, poses[worst], h=h)[0]).max()
+        return np.abs(G.G_c_T[worst] @ fd_at(cfg, centers.coords[worst], h=h)[0]).max()
 
     assert 3.0 <= error(2e-6) / error(1e-6) <= 5.0
 
@@ -458,10 +458,10 @@ def test_oracle_and_analytic_blow_up_together():
 
 
 def test_sample_poses_deterministic(reference):
-    a, fa, _ = sample_poses(reference, 20, seed=9)
-    b, fb, _ = sample_poses(reference, 20, seed=9)
-    assert a == b and fa == fb
-    assert len(a) == 20  # whole Table-1 envelope is reachable
+    a, fa = sample_poses(reference, 20, seed=9)
+    b, fb = sample_poses(reference, 20, seed=9)
+    assert a.coords.tobytes() == b.coords.tobytes() and fa == fb
+    assert a.coords.shape == (20, 4)  # whole Table-1 envelope is reachable
 
 
 SCREEN_LAYOUTS = {
@@ -477,10 +477,11 @@ SCREEN_LAYOUTS = {
 def test_sample_poses_equals_scalar_screen(reference, layout):
     # one stacked screen; refused poses keep resolve_pose's code, in order
     cfg = SCREEN_LAYOUTS[layout]() or reference
-    feasible, failures, centers = sample_poses(cfg, 60, seed=13)
-    assert (feasible, failures) == scalar_sample_poses(cfg, 60, seed=13)
+    centers, failures = sample_poses(cfg, 60, seed=13)
+    feasible = [tuple(c) for c in centers.coords.tolist()]
     # the stack holds the feasible poses, in order, and refuses none
-    assert list(zip(*(c.tolist() for c in centers.coords))) == feasible
+    assert (feasible, failures) == scalar_sample_poses(cfg, 60, seed=13)
+    assert centers.coords.shape == (len(feasible), 4)
     assert centers.status.codes() == ["ok"] * len(feasible)
     codes = {code for _, code in failures}
     expected = {"reference": set(), "offset": set(), "offset_wide": {"no_convergence"},
@@ -490,7 +491,7 @@ def test_sample_poses_equals_scalar_screen(reference, layout):
 
 
 def test_run_validation_reference(reference):
-    report = run_validation(reference, seed=7, n_poses=12, n_dhj=4)
+    report = run_validation(reference, seed=7, n_poses=12)
     assert report["all_passed"] is True
     assert report["poses_feasible"] == 12
     names = {c["name"] for c in report["checks"]}
@@ -534,7 +535,7 @@ def test_run_validation_evaluates_each_oracle_once_per_run(reference, monkeypatc
     for n_poses in (6, 24):
         calls.clear()
         rows.append(0)
-        report = run_validation(reference, seed=7, n_poses=n_poses, n_dhj=n_poses)
+        report = run_validation(reference, seed=7, n_poses=n_poses)
         assert report["poses_feasible"] == n_poses and report["all_passed"] is True
         counts.append(dict(calls))
     # each oracle and each judged chain runs once over the stack of all poses, so the
@@ -555,19 +556,6 @@ def test_run_validation_evaluates_each_oracle_once_per_run(reference, monkeypatc
     # 5,688 here) in 10 calls; no perturbed rows for the converged targets, the centers
     # resolved once and their central-difference rows resolved once leave 90
     assert rows[0] <= 90 * 6 and rows[1] <= 90 * 24
-
-
-@pytest.mark.parametrize("n_dhj", [0, -3])
-def test_run_validation_refuses_no_brute_force_pose(reference, n_dhj):
-    # n_dhj < 1 leaves dhj_vs_brute_force no pose to count: on seed 1 and 10 poses, all
-    # feasible, -3 would slice off the last 3 and pass on 7, and 0 would report
-    # "no feasible poses"
-    with pytest.raises(ConfigError, match=f"at least one brute-force pose is needed, "
-                                          f"got {n_dhj}"):
-        run_validation(reference, seed=1, n_poses=10, n_dhj=n_dhj)
-    report = run_validation(reference, seed=1, n_poses=10, n_dhj=1)
-    bf = next(c for c in report["checks"] if c["name"] == "dhj_vs_brute_force")
-    assert (bf["poses_tested"], bf["passed"]) == (1, True)
 
 
 def test_brute_force_dhj_one_pose_form(reference):
@@ -616,14 +604,13 @@ def test_brute_force_resolves_the_rows_of_ok_centers_only(reference, monkeypatch
 
 
 def test_run_validation_deterministic(reference):
-    a = run_validation(reference, seed=5, n_poses=6, n_dhj=2)
-    b = run_validation(reference, seed=5, n_poses=6, n_dhj=2)
+    a = run_validation(reference, seed=5, n_poses=6)
+    b = run_validation(reference, seed=5, n_poses=6)
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
 def test_run_validation_unreachable_geometry():
-    report = run_validation(square_config(link_length=100.0), seed=3,
-                            n_poses=5, n_dhj=2)
+    report = run_validation(square_config(link_length=100.0), seed=3, n_poses=5)
     assert report["all_passed"] is False
     assert report["poses_feasible"] == 0
     assert report["pose_failures"]
