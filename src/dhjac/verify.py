@@ -14,9 +14,11 @@ pose resolved once may stand for every equal one.  Who resolves what:
 
 * ``fd_rows`` resolves the 8 central-difference rows of every pose; the FD
   tangent and IK Jacobian of ``fd_oracles`` difference them, and so does the
-  first Newton step of the brute-force ``J_dh`` at each pose;
+  brute-force ``J_dh``, whose Newton steps at each pose all solve against
+  that one forward Jacobian (chord Newton);
 * ``forward_refine`` resolves, per iteration, the brute force's iterates
-  from that step on, and the 8 perturbed poses only of those that still step.
+  from its first step on, and no perturbed pose: it differences a Jacobian
+  itself only for a target whose caller passed none.
 
 ``run_validation`` resolves the sampled poses once, keeps the stack of the
 feasible ones (``sample_poses``), resolves their central-difference rows once,
@@ -150,18 +152,23 @@ def _newton_step(Jq: Stacked, r: np.ndarray) -> Stacked:
     return Stacked(step, status)
 
 
-def forward_refine(cfg: ManipulatorConfig, targets: np.ndarray, guess_coords) -> Refined:
+def forward_refine(cfg: ManipulatorConfig, targets: np.ndarray, guess_coords,
+                   jacobian: np.ndarray | None = None) -> Refined:
     """Newton-refine (y, z, theta, psi) until IK reproduces each of the ``targets`` (T, f).
 
     ``guess_coords`` broadcasts to (T, 4).  Each target iterates on its own
-    and gets the result and error it gets as a stack of one.  An iteration
-    resolves the iterates in one call, tests convergence on them, and
-    resolves in a second call the 8 perturbed poses of the iterates that
-    still step; ``_newton_step`` solves for their steps.  The
-    finite-difference coordinate Jacobian keeps the refinement independent
-    of the analytic screw rows.  ``_brute_force_dhj`` takes the first step
-    of its targets from the rows that ``fd_rows`` resolved, through the same
-    ``_newton_step``, and hands this function the stepped iterates.
+    and gets the result and error it gets as a stack of one.  This is the
+    chord (simplified) Newton method: every step of a target solves against
+    one forward Jacobian, the caller's ``jacobian`` (T, f, 4) when given, else
+    the central differences at ``step_sizes(cfg)`` around its guess, where a
+    target that steps at all takes its first step.  An iteration resolves the
+    iterates in one call and tests convergence on them; only the first
+    iteration without a given Jacobian resolves, in a second call, the 8
+    perturbed poses of the guesses that step, so a target whose guess
+    converges is never perturbed.  ``_newton_step`` solves for the steps.
+    The finite-difference Jacobian keeps the refinement independent of the
+    analytic screw rows; each accepted pose is certified by its own
+    resolution alone, ``|q - target| < REFINE_TOL * r_b``.
     """
     tol = REFINE_TOL * max(cfg.base_radius, 1e-30)
     env = cfg.envelope_deg + 5.0  # refinement may step slightly past the envelope
@@ -169,10 +176,11 @@ def forward_refine(cfg: ManipulatorConfig, targets: np.ndarray, guess_coords) ->
     targets = np.asarray(targets, float)
     size = len(targets)
     coords = np.array(np.broadcast_to(guess_coords, (size, 4)), float)
+    Jq = np.empty((size, cfg.limb_count, 4)) if jacobian is None else jacobian
     B = np.full((size, cfg.limb_count, 3), math.nan)
     status = Status(size)
     active = np.arange(size)
-    for _ in range(REFINE_MAX_ITER):
+    for iteration in range(REFINE_MAX_ITER):
         if not len(active):
             break
         iterates = resolve_many(cfg, coords[active], env)
@@ -183,9 +191,13 @@ def forward_refine(cfg: ManipulatorConfig, targets: np.ndarray, guess_coords) ->
         s = np.flatnonzero(resolved & ~done)
         refused = iterates.status.take(np.arange(len(active)), _iterate_failed)
         if len(s):
-            rows = resolve_many(cfg, _central_rows(coords[active[s]], steps), env)
-            step = _newton_step(_fd_jacobian(rows, steps), r[s])
-            del rows  # the rest of this iteration's poses would stay alive through the next
+            if iteration or jacobian is not None:
+                J = Stacked(Jq[active[s]], Status(len(s)))
+            else:
+                J = _fd_jacobian(resolve_many(cfg, _central_rows(coords[active[s]], steps), env),
+                                 steps)
+                Jq[active[s]] = J.value
+            step = _newton_step(J, r[s])
             refused = refused.then(step.status.gather(s, len(active)))
             coords[active[s]] -= step.value
             s = s[step.status.ok]
@@ -203,8 +215,8 @@ def brute_force_dhj(cfg: ManipulatorConfig, coords, plan=PRIMARY_PLAN) -> np.nda
 
     The only one-pose entry here: it stays for the correctness checks of the benchmark harness
     (``perfbench/workloads.py``) until ROADMAP item 1 moves them to the stacked oracles.  It
-    resolves the pose and, for the first Newton step, its 8 central-difference rows if the
-    pose resolves and its selection matrix is regular.
+    resolves the pose and, for the forward Jacobian that every Newton step solves against, its
+    8 central-difference rows if the pose resolves and its selection matrix is regular.
     """
     out = _brute_force_dhj(cfg, resolve_many(cfg, [coords]), plan)
     out.status.check()
@@ -221,15 +233,18 @@ def _brute_force_dhj(cfg: ManipulatorConfig, centers: PlatformPose, plan=PRIMARY
     together by Newton forward refinement, whose accepting iteration gives
     their anchor points.
 
-    The first Newton step of each target is taken at its center, against the
-    actuation oracle's forward Jacobian: the central differences, at
+    Every Newton step of a target solves against one forward Jacobian, the
+    actuation oracle's at its center: the central differences, at
     ``step_sizes(cfg)``, of the rows ``fd_rows(cfg, centers)``, which the
     caller passes when it has resolved them; otherwise only the rows of the
     centers that resolution and selection leave "ok" are resolved, and none
-    if no center is left.  The residual there is the
-    joint step, far above REFINE_TOL, so no target converges at its center.
-    ``forward_refine`` then refines every target from its stepped iterate,
-    with its own budget of REFINE_MAX_ITER iterations.  ``fd_rows`` resolves
+    if no center is left.  The first step is taken at the center, where the
+    residual is the joint step, far above REFINE_TOL, so no target converges
+    there.  ``forward_refine`` then refines every target from its stepped
+    iterate against the same Jacobian (chord Newton), resolving only the
+    iterates, with its own budget of REFINE_MAX_ITER iterations; each refined
+    pose is accepted only where its own IK reproduces the target to
+    REFINE_TOL * r_b.  ``fd_rows`` resolves
     at envelope + 1 deg, ``forward_refine`` at + 5 deg; the two guards refuse
     the same rows of a center inside the config's envelope, which a 1e-6 rad
     step cannot leave by 1 deg, and a row's values do not depend on its
@@ -254,7 +269,8 @@ def _brute_force_dhj(cfg: ManipulatorConfig, centers: PlatformPose, plan=PRIMARY
     Jq = _fd_jacobian(rows, step_sizes(cfg))
     first = _newton_step(Stacked(Jq.value[at], Jq.status.take(at)), centers.q[owner] - targets)
     go = np.flatnonzero(first.status.ok)
-    refined = forward_refine(cfg, targets[go], centers.coords[owner[go]] - first.value[go])
+    refined = forward_refine(cfg, targets[go], centers.coords[owner[go]] - first.value[go],
+                             Jq.value[at[go]])
     refusals = first.status.then(refined.status.gather(go, len(owner)))
     status = status.then(refusals.gather(owner, n))
     B = np.full((n, 2 * f, f, 3), math.nan)

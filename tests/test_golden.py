@@ -7,9 +7,13 @@ report to another.  On the numpy, BLAS and machine recorded in
 ``tests/golden/platform.json`` the files must be equal byte for byte;
 elsewhere every status and every other word must be equal and every number
 equal to 1e-12 relative, except where a case says otherwise.  To write the
-golden files from the current tree:
+golden files from the current tree, of every case or of the cases named:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [case ...]
+
+``platform.json`` is written only with every case; naming a case that does
+not exist, or naming cases on another platform than the recorded one, is
+refused.
 """
 
 import contextlib
@@ -18,6 +22,7 @@ import json
 import math
 import platform
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -257,14 +262,46 @@ def test_number_pattern_splits_every_field():
         assert_close_text(line, "-50,1.5e-05,12.0000000001,,no_convergence")
 
 
-if __name__ == "__main__":
-    for case in CASES:
-        run_case(case, GOLDEN)
-    for case in POSE_CASES:
-        (GOLDEN / f"{case}.txt").write_text(run_pose_case(case))
+def regenerate(names, directory: Path = GOLDEN) -> None:
+    """Write the golden files of the cases ``names`` (every case when empty) into
+    ``directory`` from the current tree; ``platform.json`` only when writing every case.
+
+    A named case that is not a case is refused, and so is a subset on another platform
+    than the recorded one, which would mix the files of two platforms."""
+    everything = [*CASES, *POSE_CASES, *VALIDATE_CASES]
+    unknown = [case for case in names if case not in everything]
+    if unknown:
+        raise SystemExit(f"unknown golden case: {', '.join(unknown)}")
+    recorded = directory / "platform.json"
+    if names and json.loads(recorded.read_text()) != current_platform():
+        raise SystemExit(f"{recorded} records another platform: regenerate every case")
     with tempfile.TemporaryDirectory() as scratch:
-        for case in VALIDATE_CASES:
-            text, report = run_validate_case(case, Path(scratch))
-            (GOLDEN / f"{case}.txt").write_text(text)
-            (GOLDEN / f"{case}.json").write_text(report)
-    (GOLDEN / "platform.json").write_text(json.dumps(current_platform(), indent=2) + "\n")
+        for case in names or everything:
+            if case in CASES:
+                run_case(case, directory)
+            elif case in POSE_CASES:
+                (directory / f"{case}.txt").write_text(run_pose_case(case))
+            else:
+                text, report = run_validate_case(case, Path(scratch))
+                (directory / f"{case}.txt").write_text(text)
+                (directory / f"{case}.json").write_text(report)
+    if not names:
+        recorded.write_text(json.dumps(current_platform(), indent=2) + "\n")
+
+
+def test_regenerate_writes_only_the_named_cases(tmp_path, capsys):
+    (tmp_path / "platform.json").write_text(json.dumps(current_platform()))
+    regenerate(["pose_home", "sweep_y0_z150"], tmp_path)
+    capsys.readouterr()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "platform.json", "pose_home.txt", "sweep_y0_z150.csv"]
+    assert (tmp_path / "platform.json").read_text() == json.dumps(current_platform())
+    with pytest.raises(SystemExit, match="unknown golden case: pose_nowhere"):
+        regenerate(["pose_home", "pose_nowhere"], tmp_path)
+    (tmp_path / "platform.json").write_text(json.dumps({"numpy": "0"}))
+    with pytest.raises(SystemExit, match="another platform"):
+        regenerate(["pose_home"], tmp_path)
+
+
+if __name__ == "__main__":
+    regenerate(sys.argv[1:])

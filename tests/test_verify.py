@@ -5,19 +5,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dhjac.dhj import dexterity_at, singular_values
 from dhjac.errors import (DegeneratePair, KinematicsError, NoForwardSolution, StepTooLarge,
                           Unreachable)
-from dhjac.model import resolve_many, resolve_pose
+from dhjac.model import load_config, resolve_many, resolve_pose
 from dhjac.screws import build_inverse_jacobian
 from dhjac.selection import OPPOSITE_PLAN, PRIMARY_PLAN
 from dhjac.verify import (BRUTE_FORCE_STEP, REFINE_MAX_ITER, REFINE_TOL, _brute_force_dhj,
                           brute_force_dhj, fd_oracles, fd_rows, forward_refine, run_validation,
                           sample_poses, step_sizes)
 
-from conftest import (S_at, bf_at, checked, fd_at, offset_prs_config, one, random_coords, row,
-                      square_config)
+from conftest import (REFERENCE_CONFIG, S_at, bf_at, checked, fd_at, offset_prs_config, one,
+                      random_coords, row, square_config)
 
 
 # Scalar references: the oracles written pose by pose, one resolve_pose (a stack
@@ -74,9 +76,12 @@ def scalar_fd_constraint_tangent(cfg, coords, h=1e-6):
 
 
 def scalar_forward_refine(cfg, q_target, guess_coords):
+    # chord Newton: the forward Jacobian is differenced at the first iterate that steps,
+    # and every later step solves against it
     tol = REFINE_TOL * max(cfg.base_radius, 1e-30)
     env = cfg.envelope_deg + 5.0
     coords = np.array(guess_coords, float)
+    Jq = None
     for _ in range(REFINE_MAX_ITER):
         try:
             r = _scalar_q(cfg, coords, env) - q_target
@@ -84,13 +89,14 @@ def scalar_forward_refine(cfg, q_target, guess_coords):
             raise NoForwardSolution(f"iterate left the workspace: {exc}") from exc
         if np.max(np.abs(r)) < tol:
             return coords
-        h_len, h_ang = _scalar_steps(cfg)
-        Jq = np.zeros((4, 4))
-        for k in range(4):
-            hk = h_len if k < 2 else h_ang
-            qp = _scalar_q(cfg, _perturbed(coords, k, +hk), env)
-            qm = _scalar_q(cfg, _perturbed(coords, k, -hk), env)
-            Jq[:, k] = (qp - qm) / (2.0 * hk)
+        if Jq is None:
+            h_len, h_ang = _scalar_steps(cfg)
+            Jq = np.zeros((4, 4))
+            for k in range(4):
+                hk = h_len if k < 2 else h_ang
+                qp = _scalar_q(cfg, _perturbed(coords, k, +hk), env)
+                qm = _scalar_q(cfg, _perturbed(coords, k, -hk), env)
+                Jq[:, k] = (qp - qm) / (2.0 * hk)
         coords = coords - np.linalg.solve(Jq, r)
     raise NoForwardSolution(f"no convergence in {REFINE_MAX_ITER} iterations")
 
@@ -427,6 +433,35 @@ def test_forward_refine_unreachable_target(reference):
                            (0.0, 150.0, 0.0, 0.0)))
 
 
+CERTIFY_LAYOUTS = {"reference": lambda: load_config(REFERENCE_CONFIG), "square": square_config,
+                   "offset": offset_prs_config}
+
+
+@given(layout=st.sampled_from(sorted(CERTIFY_LAYOUTS)), unit=st.sampled_from(["mm", "m"]),
+       pose=st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 1.0), st.floats(-1.0, 1.0),
+                      st.floats(-1.0, 1.0)))
+@settings(max_examples=60, deadline=None)
+def test_refined_targets_are_certified_by_their_own_resolution(layout, unit, pose):
+    # every step solves against the Jacobian at the first iterate, so nothing but the
+    # convergence test vouches for a refined pose: each accepted one of the brute force's
+    # targets q +/- h_q e_j, refined from its center, resolves again at envelope + 5 deg to
+    # IK within REFINE_TOL * r_b of its target, at the anchor points that came with it
+    cfg = CERTIFY_LAYOUTS[layout]().in_unit(unit)
+    size = cfg.base_radius / 450.0
+    y, z, theta, psi = pose
+    lim = math.radians(cfg.envelope_deg)
+    center = resolve_many(cfg, [(100.0 * size * y, (100.0 + 100.0 * z) * size, lim * theta,
+                                 lim * psi)])
+    assume(center.status.ok[0])
+    h_q = BRUTE_FORCE_STEP * cfg.base_radius
+    targets = np.concatenate([center.q + h_q * np.eye(4), center.q - h_q * np.eye(4)])
+    refined = forward_refine(cfg, targets, center.coords[0])
+    ok = refined.status.ok
+    again = checked(resolve_many(cfg, refined.value[ok], cfg.envelope_deg + 5.0))
+    assert (np.abs(again.q - targets[ok]).max(axis=1) < REFINE_TOL * cfg.base_radius).all()
+    assert again.B.tobytes() == refined.B[ok].tobytes()
+
+
 def test_brute_force_dhj_matches_assembled(reference):
     for coords in random_coords(reference, 6, seed=53):
         rec = dexterity_at(reference, *coords)
@@ -550,12 +585,45 @@ def test_run_validation_evaluates_each_oracle_once_per_run(reference, monkeypatc
     # the oracles take the poses that run_validation resolved; the one-pose form resolves again
     assert "brute_force_dhj" not in counts[0]
     assert "resolve_pose" not in counts[0] and "dexterity_at" not in counts[0]
-    # the feasible poses are rows of the stack that sorted the sampled ones
-    assert counts[0]["resolve_many"] <= 6
+    # the feasible poses are rows of the stack that sorted the sampled ones: the sampled
+    # poses, their central-difference rows, the poses in meters, and the brute force's two
+    # Newton iterations after its first step, which reuse the centers' Jacobians
+    assert counts[0]["resolve_many"] == 5
     # resolving every row of every Newton iteration made 237 rows per pose (1,422 and
-    # 5,688 here) in 10 calls; no perturbed rows for the converged targets, the centers
-    # resolved once and their central-difference rows resolved once leave 90
-    assert rows[0] <= 90 * 6 and rows[1] <= 90 * 24
+    # 5,688 here) in 10 calls; differencing the forward Jacobian again at every iterate
+    # made 90 in 6; now each pose costs 1 + 8 + 1 rows, and 8 per brute-force iteration
+    assert rows == [26 * 6, 26 * 24]
+
+
+def test_brute_force_targets_that_fail_cost_their_iterates_only(square, monkeypatch):
+    # on the square layout, whose forward Jacobian is singular at theta = 0, the first
+    # target to fail keeps no_forward_solution at the pose of the golden report; every
+    # Newton iteration is one resolve_many call over the iterates that are left, and none
+    # resolves perturbed poses, also for the targets that never converge
+    import dhjac.verify
+
+    rows = []
+
+    def counted(cfg, coords, *args):
+        rows.append(len(np.reshape(coords, (-1, 4))))
+        return resolve_many(cfg, coords, *args)
+
+    monkeypatch.setattr(dhjac.verify, "resolve_many", counted)
+    stops = {11: (0, 0), 17: (4, 5), 26: (3, 4)}  # seed -> (poses tested, never converge)
+    for seed, (tested, stuck) in stops.items():
+        rows.clear()
+        report = run_validation(square, seed=seed, n_poses=10)
+        check = next(c for c in report["checks"] if c["name"] == "dhj_vs_brute_force")
+        assert check["note"].startswith("no_forward_solution at")
+        assert check["poses_tested"] == tested
+        # the sampled poses, their central-difference rows, the poses in meters
+        assert rows[:3] == [10, 80, 10]
+        refine = rows[3:]
+        assert refine[0] == 8 * 10 and refine == sorted(refine, reverse=True)
+        if stuck:  # the last iterations resolve the iterates of those targets alone
+            assert len(refine) == REFINE_MAX_ITER and refine[-1] == stuck
+        else:  # the 8 targets of the pose next to theta = 0 leave the workspace
+            assert refine == [80, 80, 72, 22]
 
 
 def test_brute_force_dhj_one_pose_form(reference):
