@@ -211,24 +211,37 @@ def _dump_json(obj, fh) -> None:
     fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-#: the ``units`` cells with the item separator ``json.dump(..., indent=2)`` puts
-#: between the fields of a cell, two levels deep
-_CELLS_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+#: one ``units`` cell as ``json.dump(report, indent=2, sort_keys=True)`` lays it out, two
+#: levels deep: an "ok" cell (its four conds, psi, theta) and a refused one (psi, status, theta)
+_UNITS_OK_CELL = ('    {\n      "k_G_base": %r,\n      "k_G_scaled": %r,\n'
+                  '      "k_dh_base": %r,\n      "k_dh_scaled": %r,\n      "psi": %s,\n'
+                  '      "status": "ok",\n      "theta": %s\n    }')
+_UNITS_REFUSED_CELL = '    {\n      "psi": %s,\n      "status": "%s",\n      "theta": %s\n    }'
 
 
-def _write_units_json(report: dict, fh) -> None:
-    """``_dump_json(report, fh)`` byte for byte, with the cells in one C-encoder call.
+def _write_units_json(report: dict, fh, thetas, psis) -> None:
+    """``_dump_json(report, fh)`` byte for byte, each cell through one ``%``-template.
 
-    ``indent`` turns the C encoder off, so only the header goes through it.
-    The cells are flat dicts and the encoder escapes every newline inside a
-    string, so the only "},<newline>" in their text is the separator between
-    two cells, which is then given its indent=2 layout.
+    ``thetas`` and ``psis`` are the radian axes of the experiment, whose cells
+    are row-major (theta outer). Each axis value is formatted once (``repr``, as
+    the JSON encoder formats a finite float) and cell ``i`` takes the theta at
+    ``i // len(psis)`` and the psi at ``i % len(psis)``: by position, not by
+    value, since ``-0.0 == 0.0`` prints differently. The conds of an "ok" cell
+    are finite and a status is a reason code, which JSON prints as it is. The
+    header goes through ``json.dumps``, so a NaN summary prints ``NaN``.
     """
+    cells = report["cells"]
+    if len(cells) != len(thetas) * len(psis):
+        raise ValueError(f"{len(cells)} cells on a {len(thetas)} x {len(psis)} grid")
     text = json.dumps(dict(report, cells=[]), indent=2, sort_keys=True)
-    if report["cells"]:
-        cells = _CELLS_ENCODER.encode(report["cells"])[2:-2].replace(
-            "},\n      {", "\n    },\n    {\n      ")
-        text = text.replace('"cells": []', f'"cells": [\n    {{\n      {cells}\n    }}\n  ]', 1)
+    if cells:
+        body = ",\n".join([
+            _UNITS_OK_CELL % (c["k_G_base"], c["k_G_scaled"], c["k_dh_base"],
+                              c["k_dh_scaled"], ps, th) if c["status"] == "ok"
+            else _UNITS_REFUSED_CELL % (ps, c["status"], th)
+            for (th, ps), c in zip(itertools.product([repr(float(t)) for t in thetas],
+                                                     [repr(float(p)) for p in psis]), cells)])
+        text = text.replace('"cells": []', f'"cells": [\n{body}\n  ]', 1)
     fh.write(text + "\n")
 
 
@@ -281,10 +294,11 @@ def cmd_units(args) -> int:
     cfg = _load(args)
     spec = _spec_from_args(args, cfg)
     th_deg, ps_deg = spec.grids()
+    thetas, psis = [math.radians(t) for t in th_deg], [math.radians(p) for p in ps_deg]
     report = dhj.unit_scaling_experiment(
         cfg,
-        [math.radians(t) for t in th_deg],
-        [math.radians(p) for p in ps_deg],
+        thetas,
+        psis,
         y=_length_from_mm(spec.y_mm, cfg.unit),
         z=_length_from_mm(spec.z_mm, cfg.unit),
         scale=args.scale,
@@ -294,7 +308,7 @@ def cmd_units(args) -> int:
     out_csv = out_json[:-5] + ".csv" if out_json.endswith(".json") else out_json + ".csv"
     # neither file is replaced unless both were written in full
     with _replacing(out_json) as fh_json, _replacing(out_csv, newline="") as fh:
-        _write_units_json(report, fh_json)
+        _write_units_json(report, fh_json, thetas, psis)
         fh.write("theta_deg,psi_deg,cond_G_base,cond_G_scaled,"
                  "cond_Jdh_base,cond_Jdh_scaled,rel_dev_Jdh,status\n")
         # labelled as the sweep labels them, from the degree axes; the cells are row-major

@@ -49,6 +49,9 @@ DBL_MAX = np.finfo(float).max
 #: (the reach of a link, the norms of the collinearity check), whose squares overflow from
 #: about 1e154 on; below this bound they stay under 1e300
 MAX_LENGTH = 1e150
+#: the shortest radius or link the loader admits: from this bound on those squares stay above
+#: 1e-300, in the normal range of a double (from about 2.2e-308), where they keep their digits
+MIN_LENGTH = 1e-150
 
 
 @dataclass(frozen=True)
@@ -92,9 +95,9 @@ class ManipulatorConfig:
 
     def __post_init__(self):
         lengths = (self.moving_plate_radius, self.base_radius, self.link_length)
-        if not all(0.0 < v <= MAX_LENGTH for v in lengths):  # NaN fails every comparison
-            raise ConfigError(f"radii and link length must be positive and at most "
-                              f"{MAX_LENGTH:g}, got r_a = {lengths[0]!r}, r_b = "
+        if not all(MIN_LENGTH <= v <= MAX_LENGTH for v in lengths):  # NaN fails both
+            raise ConfigError(f"radii and link length must be at least {MIN_LENGTH:g} and at "
+                              f"most {MAX_LENGTH:g}, got r_a = {lengths[0]!r}, r_b = "
                               f"{lengths[1]!r}, l = {lengths[2]!r}")
         if not (math.isfinite(self.envelope_deg) and self.envelope_deg > 0):
             raise ConfigError(f"envelope_deg must be finite and positive, "
@@ -158,8 +161,8 @@ class ManipulatorConfig:
 
     def scaled(self, s: float, unit: str | None = None) -> "ManipulatorConfig":
         """Copy with every length multiplied by s (pure geometric scaling)."""
-        if s <= 0:
-            raise ConfigError("scale must be positive")
+        if not (math.isfinite(s) and s > 0):
+            raise ConfigError(f"scale must be finite and positive, got {s!r}")
         return replace(
             self,
             moving_plate_radius=self.moving_plate_radius * s,
@@ -189,7 +192,7 @@ def _ring(r: float, angles_deg) -> np.ndarray:
 def collinear(points: np.ndarray) -> bool:
     """True when the points (n, 3) span less than a plane (rank tolerance 1e-9 relative)."""
     d = points - points[0]
-    scale = max(np.linalg.norm(d, axis=1).max(), 1e-30)
+    scale = np.linalg.norm(d, axis=1).max()  # 0 for coincident points, which are refused
     return bool((np.linalg.svd(d, compute_uv=False) > 1e-9 * scale).sum() < 2)
 
 

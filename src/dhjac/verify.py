@@ -50,7 +50,7 @@ BRUTE_FORCE_POSES = 50  # run_validation checks J_dh against the brute force at 
 
 def step_sizes(cfg: ManipulatorConfig, h: float = 1e-6) -> np.ndarray:
     """Steps along (y, z, theta, psi): h * r_b for the lengths, h rad for the angles."""
-    h_len = h * max(cfg.base_radius, 1e-30)
+    h_len = h * cfg.base_radius
     return np.array([h_len, h_len, h, h])
 
 
@@ -170,7 +170,7 @@ def forward_refine(cfg: ManipulatorConfig, targets: np.ndarray, guess_coords,
     analytic screw rows; each accepted pose is certified by its own
     resolution alone, ``|q - target| < REFINE_TOL * r_b``.
     """
-    tol = REFINE_TOL * max(cfg.base_radius, 1e-30)
+    tol = REFINE_TOL * cfg.base_radius
     env = cfg.envelope_deg + 5.0  # refinement may step slightly past the envelope
     steps = step_sizes(cfg)
     targets = np.asarray(targets, float)
@@ -251,7 +251,7 @@ def _brute_force_dhj(cfg: ManipulatorConfig, centers: PlatformPose, plan=PRIMARY
     guard.  A refused row fails the targets of its pose with its own refusal.
     """
     n, f = len(centers.q), cfg.limb_count
-    h_q = BRUTE_FORCE_STEP * max(cfg.base_radius, 1e-30)
+    h_q = BRUTE_FORCE_STEP * cfg.base_radius
     sel = build_selection_matrix(plan, centers.a)
     status = centers.status.then(sel.status)
     todo = np.flatnonzero(status.ok)

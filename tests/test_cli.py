@@ -1,14 +1,18 @@
 import dataclasses
 import io
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dhjac import cli, dhj
 from dhjac.cli import SWEEP_HEADER, SweepSpec, main, sweep_rows
 from dhjac.dhj import condition_numbers_at, dexterity_at, unit_scaling_experiment
+from dhjac.errors import KinematicsError
 from dhjac.model import load_config
 from dhjac.selection import PRIMARY_PLAN
 
@@ -371,16 +375,23 @@ def test_units_csv_labels_equal_the_sweep_labels(tmp_path):
     assert ["-30", "15"] in units
 
 
-def test_units_noop_scale(tmp_path):
+def test_units_noop_scale(tmp_path, capsys):
     out = tmp_path / "noop.json"
     assert main(["units", "--config", CFG, "--grid", "3", "--scale", "1.0",
                  "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["max_rel_dev_k_dh"] == 0.0
     assert report["max_rel_dev_k_G"] == 0.0
-    for bad in ("-1", "nan"):
+    capsys.readouterr()
+    # a bad scale is refused by name; one that takes a length out of bounds names the bound
+    for bad, message in (("-1", "scale must be finite and positive, got -1.0"),
+                         ("nan", "scale must be finite and positive, got nan"),
+                         ("inf", "scale must be finite and positive, got inf"),
+                         ("1e-320", "radii and link length must be at least 1e-150 and at "
+                                    "most 1e+150, got r_a = 1.99998e-318")):
         assert main(["units", "--config", CFG, "--grid", "3", "--scale", bad,
                      "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
 
 
 def test_validate_reference(tmp_path, capsys):
@@ -531,28 +542,81 @@ def test_grid_blocks_equal_row_by_row(monkeypatch, rows_per_block, blocks):
 
 
 GRID5 = np.radians(np.linspace(-50.0, 50.0, 5))
-# report -> (experiment on the reference config, what makes the report a case)
+# report -> (theta axis, psi axis, experiment on the reference config at those axes,
+# what makes the report a case)
 WRITER_REPORTS = {
     # y = 380 mm: the links reach only part of the grid
-    "mixed": (lambda ref: unit_scaling_experiment(ref, GRID5, GRID5, y=380.0),
+    "mixed": (GRID5, GRID5, lambda ref, th, ps: unit_scaling_experiment(ref, th, ps, y=380.0),
               lambda r: {c["status"] for c in r["cells"]} == {"ok", "unreachable"}),
-    "all_skipped": (lambda ref: unit_scaling_experiment(
-        dataclasses.replace(ref, link_length=100.0), GRID5, GRID5),
+    "all_skipped": (GRID5, GRID5, lambda ref, th, ps: unit_scaling_experiment(
+        dataclasses.replace(ref, link_length=100.0), th, ps),
         lambda r: r["skipped"] == 25 and math.isnan(r["max_rel_dev_k_dh"])),
-    "no_cells": (lambda ref: unit_scaling_experiment(ref, [], GRID5),
-                 lambda r: r["cells"] == []),
-    "scaled_label": (lambda ref: unit_scaling_experiment(ref, GRID5[:2], GRID5[:3], scale=0.5),
+    "no_cells": (GRID5[:0], GRID5, unit_scaling_experiment, lambda r: r["cells"] == []),
+    "scaled_label": (GRID5[:2], GRID5[:3],
+                     lambda ref, th, ps: unit_scaling_experiment(ref, th, ps, scale=0.5),
                      lambda r: r["unit_scaled"] == "mmx0.5"),
 }
 
 
 @pytest.mark.parametrize("name", WRITER_REPORTS)
 def test_units_writer_equals_json_dump(reference, name):
-    experiment, is_case = WRITER_REPORTS[name]
-    report = experiment(reference)
+    thetas, psis, experiment, is_case = WRITER_REPORTS[name]
+    report = experiment(reference, thetas, psis)
     assert is_case(report)
     want = io.StringIO()
     json.dump(report, want, indent=2, sort_keys=True)
     got = io.StringIO()
-    cli._write_units_json(report, got)
+    cli._write_units_json(report, got, thetas.tolist(), psis.tolist())
     assert got.getvalue() == want.getvalue() + "\n"
+
+
+#: radian axis values: signed zeros and values whose repr has an exponent among them
+AXIS_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1e-05, -1e-05, 1e+16, 0.1]),
+                        st.floats(min_value=-math.pi, max_value=math.pi))
+#: every reason code a cell can carry
+REFUSAL_CODES = sorted(cls.code for cls in KinematicsError.__subclasses__())
+#: the conds of an "ok" cell are finite (both are capped at COND_LIMIT)
+CONDS = st.floats(min_value=1.0, max_value=1e12)
+SUMMARIES = st.one_of(st.just(math.nan), st.floats(min_value=0.0, max_value=1.0))
+
+
+@st.composite
+def units_reports(draw):
+    """A theta axis, a psi axis and a report shaped as ``unit_scaling_experiment``'s."""
+    thetas = draw(st.lists(AXIS_VALUES, max_size=4))
+    psis = draw(st.lists(AXIS_VALUES, max_size=4))
+    cells = []
+    for t, p in itertools.product(thetas, psis):
+        status = draw(st.sampled_from(["ok", *REFUSAL_CODES]))
+        cell = {"theta": t, "psi": p, "status": status}
+        if status == "ok":
+            cell.update(zip(("k_G_base", "k_G_scaled", "k_dh_base", "k_dh_scaled"),
+                            draw(st.lists(CONDS, min_size=4, max_size=4))))
+        cells.append(cell)
+    evaluated = sum(c["status"] == "ok" for c in cells)
+    report = {"unit_base": "mm", "unit_scaled": draw(st.sampled_from(["m", "mmx0.5"])),
+              "scale": draw(st.sampled_from([0.001, 0.5, 1e-05])),
+              "plan": PRIMARY_PLAN.pair_strings(), "cells": cells, "evaluated": evaluated,
+              "skipped": len(cells) - evaluated, "max_rel_dev_k_dh": draw(SUMMARIES),
+              "max_rel_dev_k_G": draw(SUMMARIES), "k_dh_invariant": draw(st.booleans()),
+              "k_G_unit_sensitive": draw(st.booleans())}
+    return thetas, psis, report
+
+
+@given(case=units_reports())
+@settings(max_examples=150, deadline=None)
+def test_units_writer_equals_json_dump_on_any_report(case):
+    # no chain run: the templates against the encoder on reports of every shape
+    thetas, psis, report = case
+    want = io.StringIO()
+    json.dump(report, want, indent=2, sort_keys=True)
+    got = io.StringIO()
+    cli._write_units_json(report, got, thetas, psis)
+    assert got.getvalue() == want.getvalue() + "\n"
+    # an axis that does not span the cells is refused, before anything is written
+    for th, ps in ((thetas + [0.5], psis), (thetas, psis[1:])):
+        if len(th) * len(ps) != len(report["cells"]):
+            got = io.StringIO()
+            with pytest.raises(ValueError, match="cells on a"):
+                cli._write_units_json(report, got, th, ps)
+            assert got.getvalue() == ""

@@ -51,6 +51,9 @@ CASES = {
                       "--range-deg", "74.375"], ["sweep_offset.csv"]),
     "units_grid7": (["units", "--config", REFERENCE, "--grid", "7"],
                     ["units_grid7.json", "units_grid7.csv"]),
+    # ok cells and, past the reach of the links, unreachable ones
+    "units_y380": (["units", "--config", REFERENCE, "--grid", "11", "--y", "380"],
+                   ["units_y380.json", "units_y380.csv"]),
 }
 
 # case -> argv of a ``pose`` request, whose output goes to <case>.txt

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from dhjac.errors import ConfigError, KinematicsError, NoConvergence, Unreachable
 from dhjac.dhj import condition_numbers_at
-from dhjac.model import (MAX_LENGTH, RESOLVE_TOL, X_HAT, Z_HAT, LimbSpec, ManipulatorConfig,
-                         MobilityInputs, _plane_residual, _start_residual, config_from_dict,
-                         limb_axes, load_config, resolve_many, resolve_pose, tsai_mobility)
+from dhjac.model import (MAX_LENGTH, MIN_LENGTH, RESOLVE_TOL, X_HAT, Z_HAT, LimbSpec,
+                         ManipulatorConfig, MobilityInputs, _plane_residual, _start_residual,
+                         config_from_dict, limb_axes, load_config, resolve_many, resolve_pose,
+                         tsai_mobility)
 
 from conftest import REFERENCE_CONFIG, offset_prs_config, random_coords, row, square_config
 from scalar_reference import scalar_resolve
@@ -379,6 +380,23 @@ def test_scaling_homogeneity_general(s, reference):
     np.testing.assert_allclose(pose_s.link, pose.link * s, rtol=1e-12)
 
 
+@given(k=st.integers(min_value=-140, max_value=140))
+@settings(max_examples=40, deadline=None)
+def test_reference_layout_loads_at_every_decade(k):
+    # lengths from MIN_LENGTH to MAX_LENGTH load: tiny anchors are not read as collinear,
+    # and the chain's squares stay in the normal range (a RuntimeWarning fails the suite)
+    good = json.loads(REFERENCE_CONFIG.read_text())
+    s = 10.0 ** k
+    cfg = config_from_dict({**good, "r_a": good["r_a"] * s, "r_b": good["r_b"] * s,
+                            "l": good["l"] * s})
+    assert cfg.base_radius == good["r_b"] * s
+    resolved = resolve_many(cfg, [(0.0, 150.0 * s, 0.2, 0.3)])
+    assert resolved.status.codes() == ["ok"]
+    np.testing.assert_allclose(resolved.q / s,
+                               resolve_many(config_from_dict(good), [(0.0, 150.0, 0.2, 0.3)]).q,
+                               rtol=1e-9)
+
+
 def test_load_reference_config(reference):
     assert reference.unit == "mm"
     assert reference.limb_count == 4
@@ -433,13 +451,14 @@ def test_config_validation_errors(tmp_path):
             ({"limbs": good["limbs"][:3] + [dict(good["limbs"][3], base_angle_deg=True)]},
              "'base_angle_deg' of limb 4 must be a number, got True"),
             ({"r_b": 10 ** 400}, "malformed config: int too large to convert to float"),
-            # a length whose squares overflow in the chain is refused at load, not as
-            # collinear points or an invalid value inside resolve_many
-            *(({key: value}, f"radii and link length must be positive and at most 1e+150, "
-                             f"got r_a = {value if key == 'r_a' else 200.0!r}, "
+            # a length whose squares overflow or leave the normal range in the chain is
+            # refused at load, not as collinear points or an invalid value inside resolve_many
+            *(({key: value}, f"radii and link length must be at least 1e-150 and at most "
+                             f"1e+150, got r_a = {value if key == 'r_a' else 200.0!r}, "
                              f"r_b = {value if key == 'r_b' else 450.0!r}, "
                              f"l = {value if key == 'l' else 687.0!r}")
-              for key in ("r_a", "r_b", "l") for value in (1e200, 1e308))):
+              for key in ("r_a", "r_b", "l")
+              for value in (1e200, 1e308, 1e-160, 5e-324, 0.0, -1.0))):
         with pytest.raises(ConfigError, match=re.escape(message)):
             config_from_dict({**good, **patch})
     # the largest admitted lengths run the chain without an overflow (a RuntimeWarning,
@@ -456,6 +475,8 @@ def test_config_validation_errors(tmp_path):
     # with the length scale (about 5e149 here), and the chain refuses both poses for it
     codes, _, _ = condition_numbers_at(big, 0.0, 150.0 * s, [0.0, 0.3], [0.0, -0.2])
     assert codes == ["singular_configuration"] * 2
+    # the shortest admitted length loads
+    assert config_from_dict({**good, "r_a": MIN_LENGTH}).moving_plate_radius == MIN_LENGTH
     # an integral float is a count; the shipped config carries no key outside the schema
     assert config_from_dict({**good, "mobility": {"lambda": 6.0}}).mobility.lam == 6
     assert config_from_dict(good) == load_config(REFERENCE_CONFIG)
@@ -473,6 +494,12 @@ def test_config_validation_errors(tmp_path):
             limbs=(LimbSpec(0.0, "PUS"), LimbSpec(0.0, "PRS"), LimbSpec(180.0, "PUS"),
                    LimbSpec(180.0, "PRS")),
         )  # collinear anchors
+    with pytest.raises(ConfigError, match="platform anchor points are collinear"):
+        ManipulatorConfig(
+            moving_plate_radius=200.0, base_radius=450.0, link_length=687.0,
+            limbs=(LimbSpec(0.0, "PUS"), LimbSpec(0.0, "PRS"), LimbSpec(0.0, "PUS"),
+                   LimbSpec(0.0, "PRS")),
+        )  # coincident anchors: every singular value is exactly 0
 
 
 def test_unit_round_trip(reference):

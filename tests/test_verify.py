@@ -27,7 +27,7 @@ from conftest import (REFERENCE_CONFIG, S_at, bf_at, checked, fd_at, offset_prs_
 # of one, must reproduce them bit for bit.
 
 def _scalar_steps(cfg, h=1e-6):
-    return h * max(cfg.base_radius, 1e-30), h
+    return h * cfg.base_radius, h
 
 
 def _scalar_q(cfg, coords, envelope_deg=None):
@@ -78,7 +78,7 @@ def scalar_fd_constraint_tangent(cfg, coords, h=1e-6):
 def scalar_forward_refine(cfg, q_target, guess_coords):
     # chord Newton: the forward Jacobian is differenced at the first iterate that steps,
     # and every later step solves against it
-    tol = REFINE_TOL * max(cfg.base_radius, 1e-30)
+    tol = REFINE_TOL * cfg.base_radius
     env = cfg.envelope_deg + 5.0
     coords = np.array(guess_coords, float)
     Jq = None
@@ -102,7 +102,7 @@ def scalar_forward_refine(cfg, q_target, guess_coords):
 
 
 def scalar_brute_force_dhj(cfg, coords, plan=PRIMARY_PLAN):
-    h_q = BRUTE_FORCE_STEP * max(cfg.base_radius, 1e-30)
+    h_q = BRUTE_FORCE_STEP * cfg.base_radius
     pose0 = row(resolve_pose(cfg, *coords))
     q0 = pose0.q
     S = S_at(plan, pose0.a)
