@@ -206,11 +206,6 @@ def _replacing(path: str, newline: str | None = None):
             os.remove(tmp)
 
 
-def _dump_json(obj, fh) -> None:
-    """``obj`` as indented JSON and a newline, in one write."""
-    fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
 #: one ``units`` cell as ``json.dump(report, indent=2, sort_keys=True)`` lays it out, two
 #: levels deep: an "ok" cell (its four conds, psi, theta) and a refused one (psi, status, theta)
 _UNITS_OK_CELL = ('    {\n      "k_G_base": %r,\n      "k_G_scaled": %r,\n'
@@ -219,8 +214,18 @@ _UNITS_OK_CELL = ('    {\n      "k_G_base": %r,\n      "k_G_scaled": %r,\n'
 _UNITS_REFUSED_CELL = '    {\n      "psi": %s,\n      "status": "%s",\n      "theta": %s\n    }'
 
 
+def _write_json(report: dict, key: str, records: list[str], fh) -> None:
+    """``json.dumps(report, indent=2, sort_keys=True)`` and a newline in one write, the list
+    ``report[key]`` written as ``records``, the texts that call gives its entries.  No key that
+    sorts before ``key`` may hold its text, whose first match the records replace."""
+    text = json.dumps(dict(report, **{key: []}), indent=2, sort_keys=True)
+    if records:
+        text = text.replace(f'"{key}": []', f'"{key}": [\n' + ",\n".join(records) + "\n  ]", 1)
+    fh.write(text + "\n")
+
+
 def _write_units_json(report: dict, fh, thetas, psis) -> None:
-    """``_dump_json(report, fh)`` byte for byte, each cell through one ``%``-template.
+    """``_write_json`` of the ``units`` report, each cell through one ``%``-template.
 
     ``thetas`` and ``psis`` are the radian axes of the experiment, whose cells
     are row-major (theta outer). Each axis value is formatted once (``repr``, as
@@ -233,16 +238,33 @@ def _write_units_json(report: dict, fh, thetas, psis) -> None:
     cells = report["cells"]
     if len(cells) != len(thetas) * len(psis):
         raise ValueError(f"{len(cells)} cells on a {len(thetas)} x {len(psis)} grid")
-    text = json.dumps(dict(report, cells=[]), indent=2, sort_keys=True)
-    if cells:
-        body = ",\n".join([
-            _UNITS_OK_CELL % (c["k_G_base"], c["k_G_scaled"], c["k_dh_base"],
-                              c["k_dh_scaled"], ps, th) if c["status"] == "ok"
-            else _UNITS_REFUSED_CELL % (ps, c["status"], th)
-            for (th, ps), c in zip(itertools.product([repr(float(t)) for t in thetas],
-                                                     [repr(float(p)) for p in psis]), cells)])
-        text = text.replace('"cells": []', f'"cells": [\n{body}\n  ]', 1)
-    fh.write(text + "\n")
+    _write_json(report, "cells", [
+        _UNITS_OK_CELL % (c["k_G_base"], c["k_G_scaled"], c["k_dh_base"],
+                          c["k_dh_scaled"], ps, th) if c["status"] == "ok"
+        else _UNITS_REFUSED_CELL % (ps, c["status"], th)
+        for (th, ps), c in zip(itertools.product([repr(float(t)) for t in thetas],
+                                                 [repr(float(p)) for p in psis]), cells)], fh)
+
+
+#: one ``validate`` check record as ``json.dumps(report, indent=2, sort_keys=True)`` lays it
+#: out, two levels deep; its floats and strings go in encoded as JSON
+_CHECK_RECORD = ('    {\n      "max_abs_err": %s,\n      "max_rel_err": %s,\n      "name": %s,\n'
+                 '      "note": %s,\n      "passed": %s,\n      "poses_tested": %d,\n'
+                 '      "threshold": %s\n    }')
+
+
+def _json_float(v: float) -> str:
+    """``v`` as the JSON encoder writes a float: its ``repr``, or NaN, Infinity, -Infinity."""
+    return repr(v) if math.isfinite(v) else json.dumps(v)
+
+
+def _write_validation_json(report: dict, fh) -> None:
+    """``_write_json`` of the ``validate`` report, each check record (the ``OracleReport``
+    fields: three floats, finite or not, two strings, a bool and an int) through one template."""
+    _write_json(report, "checks", [_CHECK_RECORD % (
+        _json_float(c["max_abs_err"]), _json_float(c["max_rel_err"]), json.dumps(c["name"]),
+        json.dumps(c["note"]), "true" if c["passed"] else "false", c["poses_tested"],
+        _json_float(c["threshold"])) for c in report["checks"]], fh)
 
 
 def write_sweep_csv(path: str, blocks) -> tuple[np.ndarray, np.ndarray]:
@@ -326,7 +348,7 @@ def cmd_validate(args) -> int:
     cfg = _load(args)
     report = verify.run_validation(cfg, seed=args.seed, n_poses=args.poses)
     with _replacing(args.out) as fh:
-        _dump_json(report, fh)
+        _write_validation_json(report, fh)
     for check in report["checks"]:
         status = "PASS" if check["passed"] else "FAIL"
         print(f"{status}  {check['name']}: max_rel_err={check['max_rel_err']:.3e} "

@@ -60,27 +60,28 @@ class DexterityRecord:
         return self.fwd.cond_GT[0]
 
 
-def _chain(pose: PlatformPose, plan: SelectionPlan, inverse=None):
-    """G^T -> J_dh at N resolved poses: ``(G, fwd, S, V_ps, J_dh, sigmas, k, status)``, stacked.
+def _chain(pose: PlatformPose, plan: SelectionPlan, shared=None):
+    """G^T -> J_dh at N resolved poses: ``(shared, sel, V_ps, J_dh, sigmas, k, status)``, stacked.
 
+    ``shared`` is ``(G, fwd, V_p)``: G^T, its inverse and the point map, which
+    depend on the pose only, so a chain at the same poses under another plan
+    takes them from an earlier one; ``sel`` is the plan's ``SelectionMatrix``.
     ``status`` holds each pose's first refusal from ``pose.status`` on; a
     cond(J_dh) over COND_LIMIT (the rule of ``invert_full``) is SingularSelection.
-    ``inverse`` is the ``(G, fwd)`` of an earlier chain at the same poses under
-    another plan: G^T and its inverse depend on the pose only.
     """
     sel = build_selection_matrix(plan, pose.a)  # a plan of the wrong length raises here
-    if inverse is None:
+    if shared is None:
         G = screws.build_inverse_jacobian(pose)
-        inverse = G, invert_full(G)
-    G, fwd = inverse
-    V_ps = nominal_map(sel, build_Vp(pose.a))
+        shared = G, invert_full(G), build_Vp(pose.a)
+    G, fwd, V_p = shared
+    V_ps = nominal_map(sel, V_p)
     J_dh = assemble_dhj(V_ps, fwd.J_a)
     sv = singular_values(J_dh)
     k = cond_from_sigmas(sv)
     status = pose.status.then(G.status, fwd.status, sel.status)
     status.refuse(~(k <= COND_LIMIT), SingularSelection,
                   lambda i: f"cond(J_dh) = {k[i]:.3e} exceeds {COND_LIMIT:.1e}", value=k)
-    return G, fwd, sel.S, V_ps, J_dh, sv, k, status
+    return shared, sel, V_ps, J_dh, sv, k, status
 
 
 def dexterity_at(
@@ -96,10 +97,10 @@ def dexterity_at(
     Raises the typed refusal of the first failing stage.
     """
     pose = resolve_pose(cfg, y, z, theta, psi)
-    G, fwd, S, V_ps, J_dh, sv, k, status = _chain(pose, plan)
+    (G, fwd, _), sel, V_ps, J_dh, sv, k, status = _chain(pose, plan)
     status.check()
     return DexterityRecord(
-        pose=pose, G=G, fwd=fwd, S=S[0], V_ps=V_ps[0], J_dh=J_dh[0], sigmas=sv[0],
+        pose=pose, G=G, fwd=fwd, S=sel.S[0], V_ps=V_ps[0], J_dh=J_dh[0], sigmas=sv[0],
         k=k[0], unit=cfg.unit, plan=plan,
     )
 
@@ -122,7 +123,7 @@ def condition_numbers_at(
     """
     coords = np.stack(np.broadcast_arrays(
         *(np.atleast_1d(np.asarray(v, float)) for v in (y, z, theta, psi))), axis=1)
-    _, fwd, _, _, _, _, k, status = _chain(resolve_many(cfg, coords), plan)
+    (_, fwd, _), *_, k, status = _chain(resolve_many(cfg, coords), plan)
     ok = status.ok
     return status.codes(), np.where(ok, fwd.cond_GT, math.nan), np.where(ok, k, math.nan)
 

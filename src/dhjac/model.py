@@ -104,20 +104,7 @@ class ManipulatorConfig:
                               f"got {self.envelope_deg!r}")
         if self.unit not in UNIT_SCALES:
             raise ConfigError(f"unknown unit {self.unit!r} (expected mm or m)")
-        for limb in self.limbs:
-            if limb.kind not in ("PUS", "PRS"):
-                raise ConfigError(f"unknown limb kind {limb.kind!r}")
-            if not (math.isfinite(limb.angle_deg) and math.isfinite(limb.base_deg)):
-                raise ConfigError("limb angles must be finite")
-        # two PRS planes fix (x, phi_z); with their two constraint rows, G^T is square
-        # only for four actuation rows
-        if self.limb_count != 4 or len(self.prs_indices()) != 2:
-            raise ConfigError(f"the pipeline supports four limbs, two of them PRS; got "
-                              f"{self.limb_count} limbs, {len(self.prs_indices())} PRS")
-        if collinear(self.platform_points()):
-            raise ConfigError("platform anchor points are collinear")
-        if collinear(self.base_points()):
-            raise ConfigError("base points are collinear")
+        _check_layout(self.limbs)
 
     @property
     def limb_count(self) -> int:
@@ -179,6 +166,27 @@ class ManipulatorConfig:
             return self
         s = UNIT_SCALES[unit] / UNIT_SCALES[self.unit]
         return self.scaled(s, unit=unit)
+
+
+@functools.lru_cache(maxsize=64)
+def _check_layout(limbs: tuple[LimbSpec, ...]) -> None:
+    """Refuse as ConfigError a limb layout the chain cannot take.  Scale-free (collinearity is
+    judged on unit rings), so judged once per distinct ``limbs``, a refused one each time."""
+    for limb in limbs:
+        if limb.kind not in ("PUS", "PRS"):
+            raise ConfigError(f"unknown limb kind {limb.kind!r}")
+        if not (math.isfinite(limb.angle_deg) and math.isfinite(limb.base_deg)):
+            raise ConfigError("limb angles must be finite")
+    # two PRS planes fix (x, phi_z); with their two constraint rows, G^T is square
+    # only for four actuation rows
+    prs = sum(limb.kind == "PRS" for limb in limbs)
+    if len(limbs) != 4 or prs != 2:
+        raise ConfigError(f"the pipeline supports four limbs, two of them PRS; got "
+                          f"{len(limbs)} limbs, {prs} PRS")
+    if collinear(_ring(1.0, [s.angle_deg for s in limbs])):
+        raise ConfigError("platform anchor points are collinear")
+    if collinear(_ring(1.0, [s.base_deg for s in limbs])):
+        raise ConfigError("base points are collinear")
 
 
 def _ring(r: float, angles_deg) -> np.ndarray:

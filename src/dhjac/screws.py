@@ -13,7 +13,9 @@ Row recipe (validated against the finite-difference oracle in ``verify``):
 
 Moment blocks use a_i x u (power balance with the shifting property); the
 variant with the flipped moment block fails the oracle and is kept only for
-the documented comparison in the validation report.
+the documented comparison in the validation report.  It is the adopted G^T
+with both moment blocks negated (``flip_moment_blocks``): bit for bit the
+flipped rows built on their own, as (-m) / d = -(m / d), refusing the same poses.
 """
 
 from __future__ import annotations
@@ -57,16 +59,12 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             - a.take(_LAST, axis=-1) * b.take(_NEXT, axis=-1))
 
 
-def build_inverse_jacobian(
-    pose: PlatformPose,
-    variant: str = PUS_ROW_VARIANT,
-    moment_sign: float = 1.0,
-) -> InverseJacobian:
+def build_inverse_jacobian(pose: PlatformPose, variant: str = PUS_ROW_VARIANT) -> InverseJacobian:
     """Assemble G^T (N, 6, 6) at the N poses of ``pose``; a vanishing row denominator is
     SingularLimb.
 
-    ``variant`` and ``moment_sign`` select the documented formula variants for
-    oracle comparison; defaults are the adopted (oracle-passing) recipe.
+    ``variant`` selects the documented actuation rows for oracle comparison;
+    the default is the adopted (oracle-passing) recipe.
     """
     u = pose.link / norms(pose.link)[..., None]
     if variant == "normal":
@@ -90,8 +88,11 @@ def build_inverse_jacobian(
     Gc = np.empty(a.shape[:-1] + (6,))
     Gc[..., :3] = X_HAT  # s2
     Gc[..., 3:] = _cross(a, X_HAT)
-    if moment_sign != 1.0:  # a product by 1.0 is exact, so the adopted recipe skips it
-        Ga[..., 3:] *= moment_sign
-        Gc[..., 3:] *= moment_sign
     Ga /= den
     return InverseJacobian(G_a_T=Ga, G_c_T=Gc, status=status)
+
+
+def flip_moment_blocks(G: InverseJacobian) -> InverseJacobian:
+    """The rejected variant of ``G``: both moment blocks negated, with the refusals of ``G``."""
+    sign = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])  # a product by +-1.0 is exact
+    return InverseJacobian(G_a_T=G.G_a_T * sign, G_c_T=G.G_c_T * sign, status=G.status)

@@ -23,6 +23,11 @@ pose resolved once may stand for every equal one.  Who resolves what:
 ``run_validation`` resolves the sampled poses once, keeps the stack of the
 feasible ones (``sample_poses``), resolves their central-difference rows once,
 and evaluates each oracle, and each chain of ``dhj`` it judges, once over it.
+Who builds what: the primary chain builds G^T, its inverse, V_p and S; the
+alternate plan's chain takes the first three and builds its own S, the brute
+force takes the primary S, the flipped moment block negates the primary G^T,
+and the chain in meters builds its own; only the PUS-normal rows and the
+opposite plan's S at the first pose are built apart.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from .errors import (ConfigError, DegeneratePair, NoForwardSolution, Refusal, St
 from .model import ManipulatorConfig, PlatformPose, resolve_many, tsai_mobility
 from .model import resolve_pose  # noqa: F401  (perfbench's tracer test reads verify.resolve_pose)
 from .selection import (ALTERNATE_PLAN, CONSTRAINED_COLS, OPPOSITE_PLAN,
-                        PRIMARY_PLAN, build_selection_matrix)
+                        PRIMARY_PLAN, SelectionMatrix, build_selection_matrix)
 
 DEFAULT_SEED = 42
 
@@ -215,20 +220,22 @@ def brute_force_dhj(cfg: ManipulatorConfig, coords, plan=PRIMARY_PLAN) -> np.nda
 
     The only one-pose entry here: it stays for the correctness checks of the benchmark harness
     (``perfbench/workloads.py``) until ROADMAP item 1 moves them to the stacked oracles.  It
-    resolves the pose and, for the forward Jacobian that every Newton step solves against, its
-    8 central-difference rows if the pose resolves and its selection matrix is regular.
+    resolves the pose and its selection matrix under ``plan`` and, for the forward Jacobian that
+    every Newton step solves against, its 8 central-difference rows if both leave it "ok".
     """
-    out = _brute_force_dhj(cfg, resolve_many(cfg, [coords]), plan)
+    centers = resolve_many(cfg, [coords])
+    out = _brute_force_dhj(cfg, centers, build_selection_matrix(plan, centers.a))
     out.status.check()
     return out.value[0]
 
 
-def _brute_force_dhj(cfg: ManipulatorConfig, centers: PlatformPose, plan=PRIMARY_PLAN,
+def _brute_force_dhj(cfg: ManipulatorConfig, centers: PlatformPose, sel: SelectionMatrix,
                      rows: PlatformPose | None = None) -> Stacked:
     """Differentiate the selected point-velocity combinations w.r.t. q_a: (N, f, f) at the
     poses ``centers`` that ``resolve_many`` resolved at the config's envelope (its default).
 
-    The selection weights are frozen at the center pose; each actuated joint
+    The weights of ``sel``, the chain's selection matrices of the centers, are
+    frozen at the center pose; each actuated joint
     is perturbed both ways, and the 2f poses of every pose are re-found
     together by Newton forward refinement, whose accepting iteration gives
     their anchor points.
@@ -252,7 +259,6 @@ def _brute_force_dhj(cfg: ManipulatorConfig, centers: PlatformPose, plan=PRIMARY
     """
     n, f = len(centers.q), cfg.limb_count
     h_q = BRUTE_FORCE_STEP * cfg.base_radius
-    sel = build_selection_matrix(plan, centers.a)
     status = centers.status.then(sel.status)
     todo = np.flatnonzero(status.ok)
     if not len(todo):
@@ -308,6 +314,8 @@ def _worst(values) -> float:
 def _first_refusal(statuses, count: int):
     """``(i, error)``: the first of the first ``count`` poses that one of ``statuses`` refuses,
     and the error of the first of them that does; ``(count, None)`` if none does."""
+    if not any(s.refusals for s in statuses):
+        return count, None
     ok = np.logical_and.reduce([s.ok[:count] for s in statuses])
     if ok.all():
         return count, None
@@ -357,14 +365,17 @@ def run_validation(cfg: ManipulatorConfig, seed: int = DEFAULT_SEED,
     rows = fd_rows(cfg, centers)  # read by the FD oracles and the brute force's first step
     tangent, fd_ik = fd_oracles(cfg, centers, rows=rows)
     T, FD = tangent.value, fd_ik.value
-    G, fwd, _, V_ps, J_dh, _, k, rec = dhj._chain(centers, PRIMARY_PLAN)
-    *_, V_ps_alt, _, _, k_alt, rec_alt = dhj._chain(centers, ALTERNATE_PLAN, (G, fwd))
+    shared, sel, V_ps, J_dh, _, k, rec = dhj._chain(centers, PRIMARY_PLAN)
+    G, fwd, _ = shared
+    _, _, V_ps_alt, _, _, k_alt, rec_alt = dhj._chain(centers, ALTERNATE_PLAN, shared)
     scale = 0.001
     cfg_m = cfg.scaled(scale, unit="m" if cfg.unit == "mm" else cfg.unit)
     *_, k_m, rec_m = dhj._chain(
         resolve_many(cfg_m, centers.coords[:n_unit] * [scale, scale, 1, 1]), PRIMARY_PLAN)
-    bf = _brute_force_dhj(cfg, centers, rows=rows) if n_bf == n else _brute_force_dhj(
-        cfg, centers.take(range(n_bf)), rows=rows.take(range(8 * n_bf)))
+    first = range(n_bf)
+    bf = _brute_force_dhj(cfg, centers, sel, rows) if n_bf == n else _brute_force_dhj(
+        cfg, centers.take(first), SelectionMatrix(sel.S[:n_bf], sel.status.take(first)),
+        rows.take(range(8 * n_bf)))
 
     def pose_check(name, threshold, statuses, errors, count=n, relative=True):
         """``errors(i)`` gives the per-pose (abs, rel) errors of the first i poses."""
@@ -439,14 +450,13 @@ def run_validation(cfg: ManipulatorConfig, seed: int = DEFAULT_SEED,
 
     # formula variants: measure the rejected ones on a few poses for the record, both up to
     # the first refusal of the oracles, the chain or the normal rows (the flipped moment
-    # block refuses the rows of the adopted recipe: its denominator test precedes the sign)
+    # block is the adopted G^T with its moment blocks negated, and refuses what it refuses)
     G_normal = screws.build_inverse_jacobian(centers, variant="normal")
     m, _ = _first_refusal((tangent.status, fd_ik.status, rec, G_normal.status), min(10, n))
     variant_errs = {
         name: _worst(_errors(Gv.G_a_T[:m] @ T[:m] - FD[:m], FD[:m])[1])
         for name, Gv in (("pus_normal_rows", G_normal),
-                         ("flipped_moment_block",
-                          screws.build_inverse_jacobian(centers, moment_sign=-1.0)))}
+                         ("flipped_moment_block", screws.flip_moment_blocks(G)))}
     opposite_status = "valid"
     if n:
         exc = rec.error(0) or build_selection_matrix(OPPOSITE_PLAN, centers.a[:1]).status.error(0)

@@ -8,7 +8,7 @@ import pytest
 from dhjac import verify
 from dhjac.model import LimbSpec, ManipulatorConfig, load_config, resolve_many
 from dhjac.pointmap import build_Vp
-from dhjac.selection import build_selection_matrix, nominal_map
+from dhjac.selection import PRIMARY_PLAN, build_selection_matrix, nominal_map
 
 REPO = Path(__file__).resolve().parents[1]
 REFERENCE_CONFIG = REPO / "configs" / "reference_4dof.json"
@@ -113,9 +113,16 @@ def fd_at(cfg: ManipulatorConfig, coords, h: float = 1e-6):
     return one(tangent), one(actuation)
 
 
+def bf_over(cfg: ManipulatorConfig, centers, rows=None):
+    """``verify._brute_force_dhj`` at a resolved stack under the primary plan, whose selection
+    matrix of the centers it builds as the chain does."""
+    return verify._brute_force_dhj(cfg, centers, build_selection_matrix(PRIMARY_PLAN, centers.a),
+                                   rows)
+
+
 def bf_at(cfg: ManipulatorConfig, coords):
     """The brute-force J_dh (f, f) at one pose: the stacked oracle over a stack of one."""
-    return one(verify._brute_force_dhj(cfg, resolve_many(cfg, [coords])))
+    return one(bf_over(cfg, resolve_many(cfg, [coords])))
 
 
 def random_coords(cfg: ManipulatorConfig, n: int, seed: int,

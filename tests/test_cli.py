@@ -603,6 +603,48 @@ def units_reports(draw):
     return thetas, psis, report
 
 
+#: error figures of a check record: the non-finite values run_validation writes, signed
+#: zeros, a subnormal-adjacent value and any other float
+ERRORS = st.one_of(st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -0.0, 1e-300, 1e-05]),
+                   st.floats())
+#: notes and names with what JSON escapes: quotes, backslashes, newlines, non-ASCII text
+TEXTS = st.one_of(st.sampled_from(["", 'a "quoted" note', "back\\slash", "two\nlines",
+                                   "caf\u00e9 \u03c8 \u2264 1e-5 \U0001f600",
+                                   "no_forward_solution at (0.0, 150.0, 0.1, -0.2)"]),
+                  st.text(max_size=12))
+COORDS = st.floats(min_value=-1e3, max_value=1e3)
+
+
+@st.composite
+def validation_reports(draw):
+    """A report shaped as ``verify.run_validation``'s, with its check records in field order."""
+    checks = [{"name": draw(TEXTS), "max_abs_err": draw(ERRORS), "max_rel_err": draw(ERRORS),
+               "threshold": draw(ERRORS), "passed": draw(st.booleans()),
+               "poses_tested": draw(st.integers(0, 100)), "note": draw(TEXTS)}
+              for _ in range(draw(st.integers(0, 9)))]
+    failures = [{"coords": draw(st.lists(COORDS, min_size=4, max_size=4)),
+                 "code": draw(st.sampled_from(REFUSAL_CODES))}
+                for _ in range(draw(st.integers(0, 10)))]
+    return {"seed": draw(st.integers(0, 2 ** 32)), "unit": draw(st.sampled_from(["mm", "m"])),
+            "poses_requested": draw(st.integers(1, 200)),
+            "poses_feasible": draw(st.integers(0, 200)), "pose_failures": failures,
+            "checks": checks,
+            "variants": {"moment_block": {"adopted": draw(TEXTS),
+                                          "rejected_u_x_a_max_rel_err": draw(ERRORS)},
+                         "opposite_pair_plan": {"pairs": PRIMARY_PLAN.pair_strings(),
+                                                "status": draw(TEXTS)}},
+            "all_passed": draw(st.booleans())}
+
+
+@given(report=validation_reports())
+@settings(max_examples=100, deadline=None)
+def test_validation_writer_equals_json_dumps_on_any_report(report):
+    # no oracle run: the check template against the encoder on reports of every shape
+    got = io.StringIO()
+    cli._write_validation_json(report, got)
+    assert got.getvalue() == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
 @given(case=units_reports())
 @settings(max_examples=150, deadline=None)
 def test_units_writer_equals_json_dump_on_any_report(case):

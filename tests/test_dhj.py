@@ -243,8 +243,8 @@ def test_chain_ok_rows_have_finite_cond():
     th, ps = np.meshgrid(axis, axis, indexing="ij")
     pose = resolve_many(cfg, np.stack([np.zeros(th.size), np.full(th.size, 150.0),
                                        th.ravel(), ps.ravel()], axis=1))
-    G, fwd, *_, k, status = _chain(pose, PRIMARY_PLAN)
-    *_, k_alt, status_alt = _chain(pose, ALTERNATE_PLAN, (G, fwd))
+    shared, *_, k, status = _chain(pose, PRIMARY_PLAN)
+    *_, k_alt, status_alt = _chain(pose, ALTERNATE_PLAN, shared)
     assert "singular_selection" in status.codes()
     for cond, stat in ((k, status), (k_alt, status_alt)):
         ok = cond[stat.ok]

@@ -397,6 +397,89 @@ def test_reference_layout_loads_at_every_decade(k):
                                rtol=1e-9)
 
 
+def parent_ring(r, angles_deg):
+    """The points at radius ``r`` and the angles, as ``model._ring`` places them."""
+    return np.array([[r * math.cos(math.radians(d)), r * math.sin(math.radians(d)), 0.0]
+                     for d in angles_deg])
+
+
+def parent_rank_test(points):
+    """The rank test of ``model.collinear``: its second singular value and its tolerance."""
+    d = points - points[0]
+    scale = np.linalg.norm(d, axis=1).max()
+    return np.linalg.svd(d, compute_uv=False)[1], 1e-9 * scale
+
+
+def parent_collinear(points):
+    """``model.collinear``: fewer than 2 singular values above 1e-9 relative to the spread."""
+    sigma, tol = parent_rank_test(points)
+    return not sigma > tol
+
+
+def parent_layout_refusal(r_a, r_b, limbs):
+    """The collinearity refusal of a config, judged at its own radii as the loader once judged
+    it on every config: the message, or None."""
+    if parent_collinear(parent_ring(r_a, [s.angle_deg for s in limbs])):
+        return "platform anchor points are collinear"
+    if parent_collinear(parent_ring(r_b, [s.base_deg for s in limbs])):
+        return "base points are collinear"
+    return None
+
+
+#: a bound on the rounding of the rank test of a ring of anchors at any radius, scaled to the
+#: unit ring: each coordinate rounds within eps r, and LAPACK's singular values carry an
+#: absolute error of a few eps times the largest (a search over 26,000 layouts at radii
+#: 1e-140 to 1e140 found every radius-dependent verdict within 0.82 eps of the tolerance)
+ROUNDING = 64 * np.finfo(float).eps
+
+#: offsets that put an angle next to another one: equal, an ulp or a few apart, near the
+#: rank tolerance (1e-9 relative to the spread), or anywhere
+NEAR = st.one_of(st.sampled_from([0.0, 5e-324, 1e-15, 1e-13, 1e-11, 1e-9, 5e-8, 1e-6]),
+                 st.floats(min_value=-1e-6, max_value=1e-6), st.floats(-360.0, 360.0))
+
+
+@st.composite
+def ring_angles(draw):
+    """Four angles in degrees around one to three centers, near-coincident ones included."""
+    centers = draw(st.lists(st.one_of(st.sampled_from([0.0, 90.0, 180.0, -90.0, 45.0]),
+                                      st.floats(-360.0, 360.0)), min_size=1, max_size=3))
+    angles = []
+    for _ in range(4):
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        angles.append(draw(st.sampled_from(centers)) + sign * draw(NEAR))
+    return angles
+
+
+@given(platform=ring_angles(), base=st.one_of(st.none(), ring_angles()),
+       prs=st.sampled_from([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+       decades=st.lists(st.tuples(st.integers(-140, 140), st.integers(-140, 140)),
+                        min_size=1, max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_layout_check_refuses_what_each_radius_refused(platform, base, prs, decades):
+    # the layout is judged once, on unit rings; at every radius from 1e-140 to 1e140 that
+    # refuses exactly what the rule at the config's own radii refused, with its message,
+    # wherever the rule's verdict does not rest on rounding.  Where the unit ring's second
+    # singular value lies within ROUNDING of its tolerance (four anchors within about 1e-6
+    # of the radius, whose rank the rule reads from rounding, or two clusters at the
+    # tolerance), the rule at the config's radii gave different verdicts at different
+    # radii, and the config now takes the unit ring's
+    limbs = tuple(LimbSpec(a, "PRS" if i in prs else "PUS", None if base is None else base[i])
+                  for i, a in enumerate(platform))
+    rings = ([s.angle_deg for s in limbs], [s.base_deg for s in limbs])
+    rounding = any(abs(sigma - tol) <= ROUNDING for sigma, tol in (
+        parent_rank_test(parent_ring(1.0, angles)) for angles in rings))
+    for k_a, k_b in decades:
+        r_a, r_b = 10.0 ** k_a, 10.0 ** k_b
+        want = parent_layout_refusal(*((1.0, 1.0) if rounding else (r_a, r_b)), limbs)
+        try:
+            ManipulatorConfig(moving_plate_radius=r_a, base_radius=r_b, link_length=r_b,
+                              limbs=limbs)
+            got = None
+        except ConfigError as exc:
+            got = str(exc)
+        assert got == want
+
+
 def test_load_reference_config(reference):
     assert reference.unit == "mm"
     assert reference.limb_count == 4

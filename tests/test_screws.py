@@ -3,12 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dhjac.errors import SingularLimb
-from dhjac.model import resolve_pose
-from dhjac.screws import build_inverse_jacobian
+from dhjac.model import X_HAT, norms, resolve_many, resolve_pose
+from dhjac.screws import (DENOMINATOR_THRESHOLD, _cross, build_inverse_jacobian,
+                          flip_moment_blocks)
 
-from conftest import checked, fd_at, random_coords, square_config
+from conftest import checked, fd_at, offset_prs_config, random_coords, square_config
 
 
 def pose_at(cfg, y, z, th_deg, ps_deg):
@@ -103,16 +106,77 @@ def test_singular_limb_nan_only_on_the_refused_pose(reference):
         assert G.stacked[i].tobytes() == alone.tobytes()
 
 
+def built_flipped(pose):
+    """The flipped moment block built on its own, as ``build_inverse_jacobian`` did with a
+    ``moment_sign`` of -1.0: the adopted link rows, both moment blocks multiplied by -1.0
+    before the division by the denominator.  ``(G_a^T, G_c^T, refused)``, refused rows NaN."""
+    u = pose.link / norms(pose.link)[..., None]
+    den = u[..., 2:]
+    refused = np.abs(den[..., 0]) < DENOMINATOR_THRESHOLD
+    if refused.any():
+        den = np.where(refused[..., None], math.nan, den)
+    Ga = np.concatenate([u, _cross(pose.a, u)], axis=-1)
+    a = pose.a.take(pose.cfg.prs_indices(), axis=-2)
+    Gc = np.empty(a.shape[:-1] + (6,))
+    Gc[..., :3] = X_HAT
+    Gc[..., 3:] = _cross(a, X_HAT)
+    Ga[..., 3:] *= -1.0
+    Gc[..., 3:] *= -1.0
+    Ga /= den
+    return Ga, Gc, refused.any(axis=-1)
+
+
+def assert_same_bits(got, want):
+    """Equal bit for bit where ``want`` is not NaN, and NaN at the same places."""
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def assert_flipped_as_built(pose):
+    G = build_inverse_jacobian(pose)
+    flipped = flip_moment_blocks(G)
+    Ga, Gc, refused = built_flipped(pose)
+    assert_same_bits(flipped.G_a_T, Ga)
+    assert_same_bits(flipped.G_c_T, Gc)
+    np.testing.assert_array_equal(~flipped.status.ok, refused)
+    assert flipped.status.codes() == G.status.codes()
+    return G, flipped
+
+
 def test_flipped_moment_block_refuses_the_adopted_rows(reference):
-    # the denominator test comes before the sign is applied, so the flipped variant refuses
-    # exactly the rows the adopted recipe refuses; run_validation measures it up to the
-    # chain's first refusal on that ground
+    # the denominator test comes before any sign, so the flipped variant refuses exactly the
+    # rows the adopted recipe refuses; run_validation measures it up to the chain's first
+    # refusal on that ground, and derives it from the adopted rows: (-m) / d = -(m / d)
     stack, _ = horizontal_link_stack(reference)
-    adopted = build_inverse_jacobian(stack)
-    flipped = build_inverse_jacobian(stack, moment_sign=-1.0)
+    adopted, flipped = assert_flipped_as_built(stack)
     assert flipped.status.codes() == adopted.status.codes() == ["ok", "singular_limb", "ok"]
     assert [str(flipped.status.error(i)) for i in range(3)] == \
         [str(adopted.status.error(i)) for i in range(3)]
+    assert np.isnan(flipped.G_a_T[1]).all()
+
+
+FLIP_LAYOUTS = {"offset": offset_prs_config, "square": square_config}
+ANGLE = st.floats(min_value=-math.radians(50.0), max_value=math.radians(50.0))
+
+
+@given(layout=st.sampled_from([None, *FLIP_LAYOUTS]),
+       coords=st.lists(st.tuples(st.floats(-60.0, 60.0), st.floats(80.0, 220.0), ANGLE, ANGLE),
+                       min_size=1, max_size=6),
+       singular_at=st.one_of(st.none(), st.integers(0, 6)))
+@settings(max_examples=60, deadline=None)
+def test_flipped_rows_equal_the_built_variant_bit_for_bit(reference, layout, coords,
+                                                          singular_at):
+    # the derived flipped rows against the variant built on its own, on any stack: refused
+    # poses (unreachable, or a horizontal link spliced in) included
+    cfg = reference if layout is None else FLIP_LAYOUTS[layout]()
+    pose = resolve_many(cfg, coords)
+    if singular_at is not None:
+        i = min(singular_at, len(coords))
+        bad = resolve_pose(square_config(link_length=250.0), 0.0, 150.0, 0.0, 0.0)
+        pose = dataclasses.replace(pose, a=np.insert(pose.a, i, bad.a[0], axis=0),
+                                   link=np.insert(pose.link, i, bad.link[0], axis=0))
+    assert_flipped_as_built(pose)
 
 
 def test_rejected_variants_fail_the_oracle(reference):
@@ -130,6 +194,6 @@ def test_rejected_variants_fail_the_oracle(reference):
     n_rows = G_at(pose, variant="normal")[0]
     assert np.max(np.abs(n_rows @ T - FD)) / scale > 1e-3
 
-    flipped = G_at(pose, moment_sign=-1.0)[0]
+    flipped = flip_moment_blocks(build_inverse_jacobian(pose)).G_a_T[0]
     assert np.max(np.abs(flipped @ T - FD)) / scale > 1e-3
 

@@ -14,12 +14,12 @@ from dhjac.errors import (DegeneratePair, KinematicsError, NoForwardSolution, St
 from dhjac.model import load_config, resolve_many, resolve_pose
 from dhjac.screws import build_inverse_jacobian
 from dhjac.selection import OPPOSITE_PLAN, PRIMARY_PLAN
-from dhjac.verify import (BRUTE_FORCE_STEP, REFINE_MAX_ITER, REFINE_TOL, _brute_force_dhj,
-                          brute_force_dhj, fd_oracles, fd_rows, forward_refine, run_validation,
-                          sample_poses, step_sizes)
+from dhjac.verify import (BRUTE_FORCE_STEP, REFINE_MAX_ITER, REFINE_TOL, brute_force_dhj,
+                          fd_oracles, fd_rows, forward_refine, run_validation, sample_poses,
+                          step_sizes)
 
-from conftest import (REFERENCE_CONFIG, S_at, bf_at, checked, fd_at, offset_prs_config, one,
-                      random_coords, row, square_config)
+from conftest import (REFERENCE_CONFIG, S_at, bf_at, bf_over, checked, fd_at, offset_prs_config,
+                      one, random_coords, row, square_config)
 
 
 # Scalar references: the oracles written pose by pose, one resolve_pose (a stack
@@ -290,7 +290,7 @@ def test_oracles_over_a_stack_equal_each_pose_alone(reference, layout):
         (1e3, 150.0, 0.0, 0.0)]  # out of reach
     oracles = (lambda centers: fd_oracles(cfg, centers)[1],  # the actuation Jacobian
                lambda centers: fd_oracles(cfg, centers)[0],  # the tangent
-               lambda centers: _brute_force_dhj(cfg, centers))
+               lambda centers: bf_over(cfg, centers))
     centers = resolve_many(cfg, coords)
     for oracle in oracles:
         stacked = oracle(centers)
@@ -336,7 +336,7 @@ def test_brute_force_keeps_the_refusal_of_a_step_out_of_reach(reference):
         bf_at(reference, edge)
     assert str(alone.value) == str(want.value)
     coords = [(0.0, 150.0, 0.3, -0.2), edge, (0.0, 160.0, -0.1, 0.2)]
-    stacked = _brute_force_dhj(reference, resolve_many(reference, coords))
+    stacked = bf_over(reference, resolve_many(reference, coords))
     assert stacked.status.codes() == ["ok", "unreachable", "ok"]
     assert str(stacked.status.error(1)) == str(want.value)
     for i in (0, 2):
@@ -545,6 +545,8 @@ def test_run_validation_reference(reference):
 
 def test_run_validation_evaluates_each_oracle_once_per_run(reference, monkeypatch):
     import dhjac.dhj
+    import dhjac.model
+    import dhjac.screws
     import dhjac.verify
 
     calls = collections.Counter()
@@ -561,11 +563,20 @@ def test_run_validation_evaluates_each_oracle_once_per_run(reference, monkeypatc
 
         monkeypatch.setattr(module, name, counting)
 
+    # the layout memo holds 64 layouts, and other tests judge more: a copy of the reference
+    # config puts its layout back, as loading it does
+    reference.scaled(1.0)
     for name in ("forward_refine", "resolve_pose", "resolve_many", "brute_force_dhj",
                  "_brute_force_dhj", "fd_oracles", "fd_rows", "sample_poses"):
         count(dhjac.verify, name)
     count(dhjac.dhj, "dexterity_at")
     count(dhjac.dhj, "resolve_pose")
+    # the builders of what the checks judge, in every namespace that binds them
+    for module, name in ((dhjac.dhj, "build_selection_matrix"),
+                         (dhjac.verify, "build_selection_matrix"),
+                         (dhjac.screws, "build_inverse_jacobian"), (dhjac.dhj, "build_Vp"),
+                         (dhjac.model, "collinear")):
+        count(module, name)
     counts = []
     for n_poses in (6, 24):
         calls.clear()
@@ -589,6 +600,13 @@ def test_run_validation_evaluates_each_oracle_once_per_run(reference, monkeypatc
     # poses, their central-difference rows, the poses in meters, and the brute force's two
     # Newton iterations after its first step, which reuse the centers' Jacobians
     assert counts[0]["resolve_many"] == 5
+    # each input is built once: the selection matrices of the primary, alternate and meter
+    # chains and of the opposite plan at the first pose (the brute force takes the primary
+    # one), G^T of the primary and meter chains and the rejected PUS-normal rows (the
+    # flipped moment block negates the primary's), V_p of the primary and meter chains (the
+    # alternate plan takes the primary's); the meter copy's layout was judged at load
+    assert (counts[0]["build_selection_matrix"], counts[0]["build_inverse_jacobian"],
+            counts[0]["build_Vp"], counts[0].get("collinear", 0)) == (4, 3, 2, 0)
     # resolving every row of every Newton iteration made 237 rows per pose (1,422 and
     # 5,688 here) in 10 calls; differencing the forward Jacobian again at every iterate
     # made 90 in 6; now each pose costs 1 + 8 + 1 rows, and 8 per brute-force iteration
@@ -631,12 +649,12 @@ def test_brute_force_dhj_one_pose_form(reference):
     coords = (0.0, 150.0, 0.3, -0.2)
     BF = brute_force_dhj(reference, coords)
     assert type(BF) is np.ndarray and BF.shape == (4, 4)
-    stacked = _brute_force_dhj(reference, resolve_many(reference, [coords]))
+    stacked = bf_over(reference, resolve_many(reference, [coords]))
     assert BF.tobytes() == checked(stacked).value[0].tobytes()
     far = (1e3, 150.0, 0.0, 0.0)
     with pytest.raises(Unreachable) as info:
         brute_force_dhj(reference, far)
-    refused = _brute_force_dhj(reference, resolve_many(reference, [far]))
+    refused = bf_over(reference, resolve_many(reference, [far]))
     assert str(info.value) == str(refused.status.error(0))
 
 
@@ -664,9 +682,9 @@ def test_brute_force_resolves_the_rows_of_ok_centers_only(reference, monkeypatch
     coords = [(0.0, 150.0, 0.3, -0.2), far, (0.0, 160.0, -0.1, 0.2)]
     centers = resolve_many(reference, coords)
     resolved.clear()
-    own = _brute_force_dhj(reference, centers)
+    own = bf_over(reference, centers)
     assert resolved[0] == 2 * 8
-    given = _brute_force_dhj(reference, centers, rows=fd_rows(reference, centers))
+    given = bf_over(reference, centers, fd_rows(reference, centers))
     assert own.status.codes() == given.status.codes() == ["ok", "unreachable", "ok"]
     assert own.value.tobytes() == given.value.tobytes()
 
