@@ -104,7 +104,7 @@ class ManipulatorConfig:
                               f"got {self.envelope_deg!r}")
         if self.unit not in UNIT_SCALES:
             raise ConfigError(f"unknown unit {self.unit!r} (expected mm or m)")
-        _check_layout(self.limbs)
+        _check_layout(tuple(self.limbs))  # a list of limbs is a layout too
 
     @property
     def limb_count(self) -> int:
