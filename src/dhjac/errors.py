@@ -27,15 +27,10 @@ class ConfigError(KinematicsError):
 
 
 class Unreachable(KinematicsError):
-    """Pose outside the rotational envelope or IK discriminant negative."""
+    """Pose outside the rotational envelope or the psi limit of the PRS rail planes, or IK
+    discriminant negative."""
 
     code = "unreachable"
-
-
-class NoConvergence(KinematicsError):
-    """Dependent-coordinate Newton solve exhausted its iteration budget."""
-
-    code = "no_convergence"
 
 
 class SingularLimb(KinematicsError):

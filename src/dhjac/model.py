@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, NoConvergence, Status, Unreachable
+from .errors import ConfigError, Status, Unreachable
 
 X_HAT = np.array([1.0, 0.0, 0.0])
 Y_HAT = np.array([0.0, 1.0, 0.0])
@@ -33,12 +33,6 @@ Z_HAT = np.array([0.0, 0.0, 1.0])
 DEFAULT_ENVELOPE_DEG = 50.0
 UNIT_SCALES = {"mm": 1.0, "m": 0.001}
 
-RESOLVE_TOL = 1e-12  # dependent-coordinate Newton tolerance, relative to r_b
-RESOLVE_MAX_ITER = 50
-#: the 2x2 Newton system is singular when |det| < RESOLVE_DET_RTOL * max|jac|^2
-RESOLVE_DET_RTOL = 1e-14
-#: step halvings of the line search before the damped Newton gives up
-RESOLVE_HALVINGS = 25
 #: slack (rad) on the rotational envelope, so grid edges at +/-envelope stay inside
 ENVELOPE_SLACK = 1e-12
 #: IK discriminants down to -IK_CLAMP * l^2 count as 0 (boundary poses land eps-negative)
@@ -105,6 +99,11 @@ class ManipulatorConfig:
         if self.unit not in UNIT_SCALES:
             raise ConfigError(f"unknown unit {self.unit!r} (expected mm or m)")
         _check_layout(tuple(self.limbs))  # a list of limbs is a layout too
+        dA, rho = self._prs_planes[:2]
+        if not abs(dA) < rho:
+            raise ConfigError(f"the PRS rail planes lie {abs(dA):.6g} {self.unit} apart, not "
+                              f"closer than the {rho:.6g} {self.unit} between their platform "
+                              f"anchors: no pose keeps both anchors in their planes")
 
     @property
     def limb_count(self) -> int:
@@ -141,10 +140,22 @@ class ManipulatorConfig:
         return prs
 
     @functools.cached_property
-    def _prs_anchors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(P_x, P_y, A_x) of the PRS limbs: their platform anchors and rail feet."""
-        prs = self.prs_indices()
-        return (*self.platform_points()[prs, :2].T, self.base_points()[prs, 0])
+    def _prs_planes(self) -> tuple[float, float, float, float]:
+        """``(dA, rho, delta, A_1x)``: the plane constraint of the two PRS limbs in closed form.
+
+        Row 0 of Rx(theta) Ry(psi) Rz(phi) is (cos psi cos phi, -cos psi sin phi,
+        sin psi) and the anchors lie in z = 0, so PRS anchor P_k stays in its rail
+        plane when x + cos psi (cos phi P_kx - sin phi P_ky) = A_kx.  With dP = P_1 - P_2
+        and dA = A_1x - A_2x, both signed so that dP_y >= 0, the difference of the two
+        reads cos psi rho sin(delta - phi) = dA, where rho = |dP| and
+        delta = atan2(dP_x, dP_y).
+        """
+        (p1x, p1y), (p2x, p2y) = self.platform_points()[self.prs_indices(), :2].tolist()
+        a1x, a2x = self.base_points()[self.prs_indices(), 0].tolist()
+        sign = -1.0 if p1y < p2y else 1.0
+        dx, dy, dA = sign * (p1x - p2x), sign * (p1y - p2y), sign * (a1x - a2x)
+        rho = math.hypot(dx, dy)
+        return dA, rho, math.atan2(dx, dy), a1x
 
     def scaled(self, s: float, unit: str | None = None) -> "ManipulatorConfig":
         """Copy with every length multiplied by s (pure geometric scaling)."""
@@ -351,84 +362,27 @@ def _rotations(angles: np.ndarray) -> np.ndarray:
     return R.reshape(angles.shape + (3, 3))
 
 
-def _plane_residual(cp, Px, Py, Ax, x, phi):
-    """The PRS plane residuals (N, 2) at (x, phi) (N,), their slopes in phi, and max |r| (N,).
+def _phi_z(cfg: ManipulatorConfig, psi: np.ndarray, status: Status) -> np.ndarray:
+    """phi_z (N,) at N poses from the two PRS plane equations in closed form.
 
-    Row 0 of Rx(theta) Ry(psi) Rz(phi) is (cos psi cos phi, -cos psi sin phi,
-    sin psi) and the anchors lie in z = 0, so theta drops out:
-    r_k = x + cos psi (cos phi P_x - sin phi P_y) - A_x, with dr_k/dx = 1 and
-    dr_k/dphi = -cos psi (sin phi P_x + cos phi P_y); ``cp`` is cos psi (N, 1).
+    ``cfg._prs_planes`` reduces them to sin(delta - phi_z) = k / cos psi with
+    k = dA / rho.  Its two solutions mirror about delta -/+ pi/2, and delta lies in
+    [-pi/2, pi/2], so 0 and delta - arcsin(k / cos psi) lie on one side: that is
+    the branch nearest 0, and it takes no difference of near-equal angles.  A
+    pose with |k / cos psi| > 1 lies past the planes' psi limit acos |k| and is
+    refused in ``status`` as Unreachable.
     """
-    cc, cs = cp * np.cos(phi)[:, None], cp * np.sin(phi)[:, None]
-    res = x[:, None] + (cc * Px - cs * Py) - Ax
-    dres = -(cs * Px) - cc * Py
-    return res, dres, np.abs(res).max(axis=1)
-
-
-def _start_residual(cp, Px, Py, Ax):
-    """``_plane_residual`` at the start (x, phi) = (0, 0), in closed form.
-
-    cos 0 = 1 and sin 0 = 0 exactly, so the residual is cp P_x - A_x and the
-    slope -(cp P_y): bit for bit the general form, signed zeros included, for
-    every P_x != 0 (``_ring`` never places an anchor at P_x = 0) except at a
-    PRS limb angle of -0.0 (P_y = -0.0) with cos psi < 0, past a 90 deg
-    envelope.  There the zero slope is -0.0 instead of +0.0, which the step
-    solve carries into neither x nor phi.
-    """
-    res = cp * Px - Ax
-    return res, -(cp * Py), np.abs(res).max(axis=1)
-
-
-def _resolve_dependent(cfg: ManipulatorConfig, psi: np.ndarray, status: Status):
-    """(x, phi_z) at N poses by damped Newton on the PRS plane residuals, one mask per pose.
-
-    The residuals are ``_plane_residual``'s.  Started at (0, 0), where they
-    take their closed form; a stalled solve is refused in ``status`` as
-    NoConvergence.
-    """
-    Px, Py, Ax = cfg._prs_anchors
-    cp = np.cos(psi)[:, None]
-    tol = RESOLVE_TOL * cfg.base_radius
-    n = len(psi)
-    x, phi = np.zeros(n), np.zeros(n)
-    res, dres, norm = _start_residual(cp, Px, Py, Ax)
-    for _ in range(RESOLVE_MAX_ITER):
-        active = ~(norm < tol)
-        if status.refusals:
-            active &= status.ok  # refused poses leave the solve
-        if not np.count_nonzero(active):
-            break
-        # jac = [[1, dres_0], [1, dres_1]]
-        det = dres[:, 1] - dres[:, 0]
-        big = np.maximum(1.0, np.abs(dres).max(axis=1))
-        singular = active & ~(np.abs(det) >= RESOLVE_DET_RTOL * big ** 2)
-        status.refuse(singular, NoConvergence, lambda i: "dependent-coordinate system singular")
-        rows = np.flatnonzero(active & ~singular)
-        jac = np.ones((len(rows), 2, 2))
-        jac[:, :, 1] = dres[rows]
-        # one LAPACK 2x2 solve per pose, whatever the stack
-        step = np.linalg.solve(jac, -res[rows, :, None])[..., 0]
-        lam = 1.0  # the poses still searching have all been halved equally often
-        for _ in range(RESOLVE_HALVINGS):
-            x_t, phi_t = x[rows] + lam * step[:, 0], phi[rows] + lam * step[:, 1]
-            res_t, dres_t, norm_t = _plane_residual(cp[rows], Px, Py, Ax, x_t, phi_t)
-            take = (norm_t < norm[rows]) | (norm_t < tol)
-            t = rows[take]
-            x[t], phi[t] = x_t[take], phi_t[take]
-            res[t], dres[t], norm[t] = res_t[take], dres_t[take], norm_t[take]
-            rows, step = rows[~take], step[~take]
-            if not len(rows):
-                break
-            lam *= 0.5
-        stalled = np.zeros(n, bool)
-        stalled[rows] = True
-        status.refuse(stalled, NoConvergence, lambda i: "damped Newton made no progress")
-    else:
-        # these took the last allowed step without reaching the tolerance
-        status.refuse(active, NoConvergence,
-                      lambda i: f"residual {norm[i]:.3e} after {RESOLVE_MAX_ITER} "
-                                f"iterations (tol {tol:.1e})", value=norm)
-    return x, phi
+    dA, rho, delta, _ = cfg._prs_planes
+    k = dA / rho
+    s = k / np.cos(psi)
+    past = ~(np.abs(s) <= 1.0)
+    if np.count_nonzero(past):
+        limit = math.degrees(math.acos(abs(k)))
+        status.refuse(past, Unreachable,
+                      lambda i: f"psi = {math.degrees(psi[i]):.2f} deg outside the "
+                                f"+/-{limit:.2f} deg limit of the PRS rail planes")
+        s[past] = 0.0
+    return delta - np.arcsin(s)
 
 
 def _all_refused(cfg: ManipulatorConfig, coords: np.ndarray, status: Status) -> PlatformPose:
@@ -446,12 +400,11 @@ def resolve_many(cfg: ManipulatorConfig, coords, envelope_deg: float | None = No
                  ) -> PlatformPose:
     """Resolve the M poses (y, z, theta, psi) of ``coords`` (M, 4) and their IK, as a stack.
 
-    (x, phi_z) come from a damped Newton solve whose tolerance is RESOLVE_TOL
-    relative to r_b (so it is exactly equivariant under geometric scaling),
+    (x, phi_z) come from the PRS plane equations in closed form (``_phi_z``),
     the joints from the closed-form prismatic IK, elbow-down (C below B).
-    ``status`` refuses a non-finite pose, one outside the ``envelope_deg``
-    envelope (by default the config's) or out of a limb's reach as
-    Unreachable, and a stalled solve as NoConvergence.  A row takes the same
+    ``status`` refuses as Unreachable a non-finite pose, one outside the
+    ``envelope_deg`` envelope (by default the config's), one past the psi limit
+    of the PRS rail planes, and one out of a limb's reach.  A row takes the same
     operations in any stack, so it equals ``resolve_pose`` bit for bit; a
     refused row is NaN but for its coordinates, and a stack whose every row
     is refused stops at the stage that refuses the last (``_all_refused``).
@@ -473,16 +426,19 @@ def resolve_many(cfg: ManipulatorConfig, coords, envelope_deg: float | None = No
             return _all_refused(cfg, coords, status)
     # refused rows ride along at (0, 0, 0, 0) and are blanked at the end
     y, z, th, ps = (np.where(status.ok[:, None], coords, 0.0) if status.refusals else coords).T
-    x, phi = _resolve_dependent(cfg, ps, status)
+    phi = _phi_z(cfg, ps, status)
     if len(status.refusals) == n:
         return _all_refused(cfg, coords, status)
 
     Rx, Ry, Rz = _rotations(np.array((th, ps, phi)))
     R = Rx @ Ry @ Rz
+    # one matrix-vector product per anchor, which rounds as ``rotation @ P[i]``
+    RP = (R[:, None] @ cfg.platform_points()[:, :, None])[..., 0]
+    # x puts the first PRS anchor in its plane: x + (R P_1)_x = A_1x
+    x = cfg._prs_planes[3] - RP[:, cfg.prs_indices()[0], 0]
     origin = np.empty((n, 3))
     origin[:, 0], origin[:, 1], origin[:, 2] = x, y, z
-    # one matrix-vector product per anchor, which rounds as ``rotation @ P[i]``
-    B = origin[:, None, :] + (R[:, None] @ cfg.platform_points()[:, :, None])[..., 0]
+    B = origin[:, None, :] + RP
     A, L = cfg.base_points(), cfg.link_length
     d = B[..., :2] - A[:, :2]
     dx, dy = d[..., 0], d[..., 1]
@@ -517,7 +473,7 @@ def resolve_pose(
 ) -> PlatformPose:
     """``resolve_many`` at one pose: the stack of one, whose refusal is raised.
 
-    Raises Unreachable or NoConvergence as ``resolve_many`` records them.
+    Raises the Unreachable that ``resolve_many`` records.
     The returned stack carries its IK, so callers never run IK on it again.
     """
     pose = resolve_many(cfg, [(y, z, theta, psi)], envelope_deg)

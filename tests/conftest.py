@@ -47,9 +47,9 @@ def square() -> ManipulatorConfig:
 def offset_prs_config() -> ManipulatorConfig:
     """PRS rails shifted off the platform anchor planes.
 
-    The dependent solve then carries a genuine parasitic twist phi_z(psi)
-    (closed form: sin(phi_z) = -A_2x / (r_a cos(psi))), which exercises the
-    damped Newton iteration and its failure mode at large psi.
+    The dependent coordinates then carry a genuine parasitic twist phi_z(psi)
+    (sin(phi_z) = -A_2x / (r_a cos(psi))), which has no solution past the
+    psi limit acos(A_2x / r_a) = 67.0 deg of the PRS rail planes.
     """
     return ManipulatorConfig(
         moving_plate_radius=200.0,

@@ -2,24 +2,31 @@
 
 A second writing of what ``dhjac.dhj`` computes over stacks of poses, kept
 as the reference the stacked chain is compared against: a damped Newton on
-Python floats for the dependent coordinates, loops over the limbs for the IK
-and the rows of G^T, and one matrix per pose for every product.  It shares
-only the constants with the package.
+Python floats for the dependent coordinates (where the package solves them in
+closed form), loops over the limbs for the IK and the rows of G^T, and one
+matrix per pose for every product.  It shares only the constants with the
+package, and keeps those of its Newton to itself.
 """
 
 import math
 
 import numpy as np
 
-from dhjac.errors import (DegeneratePair, NoConvergence, SingularConfiguration, SingularLimb,
-                          SingularSelection, Unreachable)
+from dhjac.errors import (DegeneratePair, SingularConfiguration, SingularLimb, SingularSelection,
+                          Unreachable)
 from dhjac.forward_map import COND_LIMIT, SIGMA_FLOOR
-from dhjac.model import (ENVELOPE_SLACK, IK_CLAMP, RESOLVE_DET_RTOL, RESOLVE_HALVINGS,
-                         RESOLVE_MAX_ITER, RESOLVE_TOL)
+from dhjac.model import ENVELOPE_SLACK, IK_CLAMP
 from dhjac.screws import DENOMINATOR_THRESHOLD
 from dhjac.selection import PAIR_THRESHOLD
 
 X_HAT = np.array([1.0, 0.0, 0.0])
+
+RESOLVE_TOL = 1e-12  # Newton tolerance on the plane residuals, relative to r_b
+RESOLVE_MAX_ITER = 50
+#: the 2x2 Newton system is singular when |det| < RESOLVE_DET_RTOL * max|jac|^2
+RESOLVE_DET_RTOL = 1e-14
+#: step halvings of the line search before the damped Newton gives up
+RESOLVE_HALVINGS = 25
 
 
 def _rotation(theta, psi, phi):
@@ -41,7 +48,7 @@ def _plane_residuals(cfg, cos_psi, x, phi):
 
 
 def scalar_resolve(cfg, y, z, theta, psi):
-    """(rotation, origin) of one pose; raises Unreachable or NoConvergence."""
+    """(rotation, origin) of one pose; raises Unreachable, also where the Newton fails."""
     if not all(map(math.isfinite, (y, z, theta, psi))):
         raise Unreachable("coordinates not finite")
     lim = math.radians(cfg.envelope_deg) + ENVELOPE_SLACK
@@ -57,7 +64,7 @@ def scalar_resolve(cfg, y, z, theta, psi):
             break
         det = dres[1] - dres[0]
         if abs(det) < RESOLVE_DET_RTOL * max(1.0, abs(dres[0]), abs(dres[1])) ** 2:
-            raise NoConvergence("singular")
+            raise Unreachable("dependent-coordinate system singular")
         dx, dphi = np.linalg.solve([[1.0, dres[0]], [1.0, dres[1]]], [-res[0], -res[1]])
         lam = 1.0
         for _ in range(RESOLVE_HALVINGS):
@@ -67,11 +74,11 @@ def scalar_resolve(cfg, y, z, theta, psi):
                 break
             lam *= 0.5
         else:
-            raise NoConvergence("no progress")
+            raise Unreachable("damped Newton made no progress")
         x, phi = x + lam * dx, phi + lam * dphi
         res, dres, norm = res_t, dres_t, norm_t
     else:
-        raise NoConvergence("iterations exhausted")
+        raise Unreachable("dependent-coordinate Newton exhausted its iterations")
     return _rotation(theta, psi, phi), np.array([x, y, z])
 
 

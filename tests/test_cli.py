@@ -60,18 +60,19 @@ POSE_REFUSALS = {
                  "Unreachable: (theta, psi) = (60.00, 0.00) deg outside the +/-50 deg envelope"),
     "ik": (None, ["450", "150", "0", "0"],
            "Unreachable: limb 4: lateral offset 700 exceeds link 687"),
-    "no_convergence": (offset_prs_config, ["0", "150", "0", "70", "--envelope-deg", "75"],
-                       "NoConvergence: damped Newton made no progress"),
+    "plane_limit": (offset_prs_config, ["0", "150", "0", "70", "--envelope-deg", "75"],
+                    "Unreachable: psi = 70.00 deg outside the +/-67.00 deg limit of the PRS "
+                    "rail planes"),
     "singular_limb": (lambda: square_config(link_length=250.0), ["0", "150", "0", "0"],
                       "SingularLimb: limb 1: actuation screw reciprocal to rail "
                       "(|u.s1| = 0.000e+00)"),
     "singular_configuration": (square_config, ["0", "150", "0", "10"],
-                               "SingularConfiguration: cond(G^T) = 6.990e+18 exceeds 1.0e+12"),
+                               "SingularConfiguration: cond(G^T) = 4.100e+16 exceeds 1.0e+12"),
     "degenerate_pair": (None, ["0", "150", "10", "5", "--plan", "opposite"],
-                        "DegeneratePair: pair (v_2y, v_4z): a_2x - a_4x = 4.880e-14 "
+                        "DegeneratePair: pair (v_2y, v_4z): a_2x - a_4x = 1.102e-13 "
                         "(threshold 1.992e-07)"),
     "singular_selection": (offset_prs_config, ["0", "150", "0", "59.5", "--envelope-deg", "89"],
-                           "SingularSelection: cond(J_dh) = 1.358e+16 exceeds 1.0e+12"),
+                           "SingularSelection: cond(J_dh) = 7.890e+16 exceeds 1.0e+12"),
 }
 
 
@@ -480,7 +481,7 @@ def test_reused_parser_answers_like_a_fresh_one(tmp_path, capsys):
     assert json.loads(in_turn[0][1])["cond_Jdh"] > 1.0 and "q_a:" in in_turn[2][1]
 
 
-# offset PRS rails over +/-85 deg: ok, no_convergence and singular_selection cells
+# offset PRS rails over +/-85 deg: ok, unreachable and singular_selection cells
 OFFSET_WIDE = dataclasses.replace(offset_prs_config(), envelope_deg=89.0)
 OFFSET_SPEC = SweepSpec(range_deg=85.0, steps=21, y_mm=0.0, z_mm=150.0, plan=PRIMARY_PLAN,
                         out="unused.csv")
@@ -522,7 +523,7 @@ def test_grid_blocks_equal_row_by_row(monkeypatch, rows_per_block, blocks):
         np.testing.assert_array_equal(np.concatenate([block[i] for block in got]),
                                       np.concatenate(want_k))
     assert {line.rsplit(",", 1)[1] for line in want} == {
-        "ok\n", "no_convergence\n", "singular_selection\n"}
+        "ok\n", "unreachable\n", "singular_selection\n"}
 
     calls.clear()
     cells = unit_scaling_experiment(OFFSET_WIDE, th, ps, y=0.0, z=150.0)["cells"]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dhjac.errors import NoConvergence, SingularLimb, Status, Unreachable
+from dhjac.errors import SingularConfiguration, SingularLimb, Status, Unreachable
 
 
 def test_refusal_after_reading_ok_shows_in_next_read():
@@ -46,10 +46,10 @@ def test_clean_masks_refuse_nothing():
 def test_then_keeps_the_first_refusal_in_stage_order():
     stages = [Status(3) for _ in range(3)]
     stages[0].refuse(np.array([True, False, False]), Unreachable, lambda i: "first")
-    stages[1].refuse(np.array([True, True, False]), NoConvergence, lambda i: "second")
+    stages[1].refuse(np.array([True, True, False]), SingularConfiguration, lambda i: "second")
     stages[2].refuse(np.array([False, True, True]), SingularLimb, lambda i: "third")
     status = stages[0].then(stages[1], stages[2])
-    assert status.codes() == ["unreachable", "no_convergence", "singular_limb"]
+    assert status.codes() == ["unreachable", "singular_configuration", "singular_limb"]
     assert status.codes() == stages[0].then(stages[1]).then(stages[2]).codes()
     assert stages[0].codes() == ["unreachable", "ok", "ok"]  # the stages are left as they were
     with pytest.raises(Unreachable, match="first"):

@@ -46,7 +46,8 @@ CASES = {
     # 22 cells past the reach of the links: unreachable
     "sweep_y380": (["sweep", "--config", REFERENCE, "--grid", "11", "--y", "380"],
                    ["sweep_y380.csv"]),
-    # across theta = 0: ok, no_convergence, and singular_selection at psi = +/-59.5 deg
+    # across theta = 0: ok, unreachable past the +/-67 deg psi limit of the PRS rail planes,
+    # and singular_selection at psi = +/-59.5 deg
     "sweep_offset": (["sweep", "--config", OFFSET, "--grid", "11", "--envelope-deg", "89",
                       "--range-deg", "74.375"], ["sweep_offset.csv"]),
     "units_grid7": (["units", "--config", REFERENCE, "--grid", "7"],
@@ -70,8 +71,8 @@ POSE_CASES = {
                              "0", "150", "10", "5"],
     "pose_singular_selection": ["pose", "--config", OFFSET, "--envelope-deg", "89",
                                 "0", "150", "0", "59.5"],
-    "pose_no_convergence": ["pose", "--config", OFFSET, "--envelope-deg", "89",
-                            "0", "150", "-74.375", "-74.375"],
+    "pose_unreachable_plane": ["pose", "--config", OFFSET, "--envelope-deg", "89",
+                               "0", "150", "-74.375", "-74.375"],
     "pose_singular_configuration": ["pose", "--config", SQUARE, "0", "150", "0", "10"],
 }
 #: cases whose message prints the condition number of a singular matrix, which is
@@ -192,7 +193,7 @@ def run_sweep_case(case: str, directory: Path, capsys) -> tuple[bytes, str]:
 
 
 def test_sweep_output_does_not_depend_on_the_block_size(tmp_path, capsys, monkeypatch):
-    # the offset grid, whose 11 rows hold ok, no_convergence and singular_selection cells,
+    # the offset grid, whose 11 rows hold ok, unreachable and singular_selection cells,
     # in blocks of one row, of one row and 3 poses (a cap that is not a whole number of
     # rows), of two rows and 3 poses (a last block of one row) and of the default size
     outputs = []
@@ -203,7 +204,7 @@ def test_sweep_output_does_not_depend_on_the_block_size(tmp_path, capsys, monkey
     csv, stdout = outputs[0]
     statuses = [line.rsplit(b",", 1)[1] for line in csv.splitlines()[1:]]
     assert {s: statuses.count(s) for s in set(statuses)} == {
-        b"ok": 97, b"no_convergence": 22, b"singular_selection": 2}
+        b"ok": 97, b"unreachable": 22, b"singular_selection": 2}
     assert stdout.startswith("sweep_offset.csv: 121 cells (24 skipped), unit mm\n")
 
 
@@ -256,13 +257,13 @@ def test_golden_validate(tmp_path, case):
 
 
 def test_number_pattern_splits_every_field():
-    line = "-50,1.5e-05,12.000000000000002,,no_convergence"
+    line = "-50,1.5e-05,12.000000000000002,,unreachable"
     assert NUMBER.findall(line) == ["-50", "1.5e-05", "12.000000000000002"]
-    assert_close_text(line, "-50,1.5000000000000001e-05,12.000000000000002,,no_convergence")
+    assert_close_text(line, "-50,1.5000000000000001e-05,12.000000000000002,,unreachable")
     with pytest.raises(AssertionError):
         assert_close_text(line, "-50,1.5e-05,12.000000000000002,,ok")
     with pytest.raises(AssertionError):
-        assert_close_text(line, "-50,1.5e-05,12.0000000001,,no_convergence")
+        assert_close_text(line, "-50,1.5e-05,12.0000000001,,unreachable")
 
 
 def regenerate(names, directory: Path = GOLDEN) -> None:

@@ -5,24 +5,27 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dhjac.errors import ConfigError, KinematicsError, NoConvergence, Unreachable
+from dhjac.errors import ConfigError, KinematicsError, Unreachable
 from dhjac.dhj import condition_numbers_at
-from dhjac.model import (MAX_LENGTH, MIN_LENGTH, RESOLVE_TOL, X_HAT, Z_HAT, LimbSpec,
-                         ManipulatorConfig, MobilityInputs, _plane_residual, _start_residual,
-                         config_from_dict, limb_axes, load_config, resolve_many, resolve_pose,
-                         tsai_mobility)
+from dhjac.model import (MAX_LENGTH, MIN_LENGTH, X_HAT, Z_HAT, LimbSpec, ManipulatorConfig,
+                         MobilityInputs, config_from_dict, limb_axes, load_config, resolve_many,
+                         resolve_pose, tsai_mobility)
 
 from conftest import REFERENCE_CONFIG, offset_prs_config, random_coords, row, square_config
 from scalar_reference import scalar_resolve
 
+EPS = np.finfo(float).eps
+
 
 def test_home_pose_dependents_vanish(reference):
+    # the rails lie in the anchor planes up to the rounding of cos 90 deg (about 6e-17 of
+    # each radius), so x and phi_z vanish to that rounding
     pose = row(resolve_pose(reference, 0.0, 150.0, 0.0, 0.0))
-    assert pose.x == 0.0
-    assert pose.phi_z == 0.0
+    assert abs(pose.x) <= 4 * EPS * reference.base_radius
+    assert abs(pose.phi_z) <= 4 * EPS
 
 
 def test_resolved_pose_satisfies_plane_constraints(reference):
@@ -75,10 +78,14 @@ def test_offset_rails_parasitic_twist_closed_form():
 
 
 def test_unsatisfiable_dependent_solve_raises():
-    # beyond cos(psi) = A_2x / r_a the required parasitic twist has |sin| > 1
+    # beyond cos(psi) = A_2x / r_a the required parasitic twist has |sin| > 1: the pose lies
+    # past the psi limit acos(156.28 / 400) = 67.0 deg of the PRS rail planes
     cfg = offset_prs_config()
-    with pytest.raises(NoConvergence):
+    message = "psi = 70.00 deg outside the +/-67.00 deg limit of the PRS rail planes"
+    with pytest.raises(Unreachable, match=re.escape(message)):
         resolve_pose(cfg, 0.0, 150.0, 0.0, math.radians(70.0), envelope_deg=75.0)
+    for psi in (66.9, -66.9):
+        resolve_pose(cfg, 0.0, 150.0, 0.0, math.radians(psi), envelope_deg=75.0)
 
 
 def test_square_home_joint_values_equal_closed_form():
@@ -166,21 +173,21 @@ def test_anchors_cached_read_only_and_fresh_per_instance(reference):
 @pytest.mark.parametrize("theta_deg", [-50.0, 0.0, 50.0])
 @pytest.mark.parametrize("psi_deg", [-50.0, 50.0])
 def test_newton_solution_satisfies_plane_constraints_offset(theta_deg, psi_deg):
-    # off-plane PRS rails: the Newton iterates (phi_z != 0); the residuals
-    # recomputed from the assembled rotation stay below the solve tolerance
+    # off-plane PRS rails (phi_z != 0): the residuals recomputed from the assembled rotation
+    # stay at rounding level
     cfg = offset_prs_config()
     pose = row(resolve_pose(cfg, 0.0, 150.0, math.radians(theta_deg), math.radians(psi_deg)))
     assert pose.phi_z != 0.0
     P, A = cfg.platform_points(), cfg.base_points()
     for i in cfg.prs_indices():
         B = pose.origin + pose.rotation @ P[i]
-        assert abs(B[0] - A[i, 0]) < RESOLVE_TOL * cfg.base_radius
+        assert abs(B[0] - A[i, 0]) <= 16 * EPS * cfg.base_radius
 
 
 LAYOUTS = {
     "reference": lambda: load_config(REFERENCE_CONFIG),
     "square": square_config,
-    "offset": offset_prs_config,  # the Newton iterates here (phi_z != 0)
+    "offset": offset_prs_config,  # phi_z != 0 here, and past 67 deg psi no phi_z exists
     "square_short_link": lambda: square_config(link_length=300.0),  # partly unreachable
 }
 
@@ -202,7 +209,7 @@ def _resolve_rows(cfg):
 def test_resolve_many_equals_resolve_pose(layout, envelope_deg):
     # resolve_pose returns the pose as a stack of one, equal to its row of a stack bit for
     # bit, and raises the refusal the stack records there, also on the offset layout where
-    # the damped Newton iterates
+    # phi_z != 0 and the widest envelope passes the psi limit of the PRS rail planes
     cfg = LAYOUTS[layout]()
     rows = _resolve_rows(cfg)
     poses = resolve_many(cfg, rows, envelope_deg=envelope_deg)
@@ -226,34 +233,126 @@ def test_resolve_many_equals_resolve_pose(layout, envelope_deg):
     assert ok.any() and not ok.all()
 
 
-def test_resolve_many_empty_and_no_convergence():
+def test_resolve_many_empty_and_plane_limit():
     cfg = offset_prs_config()
     poses = resolve_many(cfg, np.zeros((0, 4)))
     assert poses.rotation.shape == (0, 3, 3) and poses.q.shape == (0, 4)
     assert poses.status.codes() == []
-    # the unsatisfiable dependent solve of test_unsatisfiable_dependent_solve_raises
+    # the unsatisfiable plane constraint of test_unsatisfiable_dependent_solve_raises, in a
+    # stack and alone, where the stack stops at it
     rows = [(0.0, 150.0, 0.0, math.radians(70.0)), (0.0, 150.0, 0.0, 0.1)]
-    status = resolve_many(cfg, rows, envelope_deg=75.0).status
-    assert status.codes() == ["no_convergence", "ok"]
+    mixed = resolve_many(cfg, rows, envelope_deg=75.0)
+    alone = resolve_many(cfg, rows[:1], envelope_deg=75.0)
+    assert mixed.status.codes() == ["unreachable", "ok"]
+    assert _refusal(alone.status, 0) == _refusal(mixed.status, 0)
+    for name in POSE_ARRAYS:
+        assert np.isnan(getattr(alone, name)).all() and np.isnan(getattr(mixed, name)[0]).all()
 
 
-@given(layout=st.sampled_from(["reference", "square", "offset"]),
-       unit=st.sampled_from(["mm", "m"]),
-       psi=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=8))
-@settings(max_examples=80, deadline=None)
-def test_closed_form_newton_start_is_the_general_residual(layout, unit, psi):
-    # at (x, phi) = (0, 0) the closed form gives the residual, slope and norm of the general
-    # form bit for bit, signed zeros included, across the envelope
-    cfg = LAYOUTS[layout]().in_unit(unit)
-    cp = np.cos(math.radians(cfg.envelope_deg) * np.array(psi))[:, None]
-    zero = np.zeros(len(psi))
-    start = _start_residual(cp, *cfg._prs_anchors)
-    general = _plane_residual(cp, *cfg._prs_anchors, zero, zero)
-    for closed, full in zip(start, general):
-        assert closed.shape == full.shape and closed.tobytes() == full.tobytes()
-    # the rails of the offset layout lie off the anchor planes: the solve iterates from
-    # the start there, and stops at it on the other two
-    assert (start[2] >= RESOLVE_TOL * cfg.base_radius).all() == (layout == "offset")
+def test_coincident_prs_anchors_refused_at_load():
+    # two PRS limbs at one angle put both anchors in one place: rho = 0, so no phi_z moves
+    # them into rails whose planes coincide, and no pose can resolve
+    limbs = (LimbSpec(0.0, "PUS"), LimbSpec(90.0, "PRS"), LimbSpec(180.0, "PUS"),
+             LimbSpec(90.0, "PRS"))
+    with pytest.raises(ConfigError, match=re.escape(
+            "the PRS rail planes lie 0 mm apart, not closer than the 0 mm between their "
+            "platform anchors")):
+        ManipulatorConfig(moving_plate_radius=200.0, base_radius=450.0, link_length=687.0,
+                          limbs=limbs)
+
+
+def test_prs_planes_farther_apart_than_their_anchors_refused_at_load():
+    # the offset layout's PRS rails turned 30 deg further off the anchor planes: their planes
+    # lie 2 * 450 cos 50 deg = 578.5 mm apart, past the 400 mm between the anchors
+    limbs = tuple(dataclasses.replace(s, base_angle_deg=s.base_deg - 30.0) if s.kind == "PRS"
+                  else s for s in offset_prs_config().limbs)
+    with pytest.raises(ConfigError, match=re.escape(
+            "the PRS rail planes lie 578.509 mm apart, not closer than the 400 mm between "
+            "their platform anchors")):
+        dataclasses.replace(offset_prs_config(), limbs=limbs)
+    assert "578.509 mm" in plane_refusal(200.0, 450.0, limbs)
+
+
+#: the layouts of the ROADMAP measurements: r_a 50-400, r_b 100-800 mm, four anchors at
+#: uniform angles, two PRS limbs among them, base angles within 50 deg of the anchors
+@st.composite
+def random_layouts(draw):
+    """A layout the loader admits, on a +/-89 deg envelope, whose link (4 (r_a + r_b)) reaches
+    every pose of the drawn (y, z): the plane constraint alone refuses a pose."""
+    r_a, r_b = draw(st.floats(50.0, 400.0)), draw(st.floats(100.0, 800.0))
+    prs = draw(st.sampled_from([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]))
+    limbs = tuple(LimbSpec(a, "PRS" if i in prs else "PUS", a + draw(st.floats(-50.0, 50.0)))
+                  for i, a in enumerate(draw(st.lists(st.floats(0.0, 360.0), min_size=4,
+                                                      max_size=4))))
+    try:
+        return ManipulatorConfig(moving_plate_radius=r_a, base_radius=r_b,
+                                 link_length=4 * (r_a + r_b), limbs=limbs, envelope_deg=89.0)
+    except ConfigError:
+        assume(False)
+
+
+PLANE_POSES = st.lists(st.tuples(st.floats(-50.0, 50.0), st.floats(100.0, 200.0),
+                                 st.floats(-1.55, 1.55), st.floats(-1.55, 1.55)),
+                       min_size=1, max_size=12)
+
+
+@given(cfg=random_layouts(), poses=PLANE_POSES)
+@settings(max_examples=40, deadline=None)
+def test_closed_form_solves_where_the_newton_does(cfg, poses):
+    # a pose the closed form solves satisfies both plane equations to rounding level, 1e-12
+    # r_b at most, and one it refuses has none: cos psi |P_1 - P_2| < |A_1x - A_2x|, up to
+    # the rounding of k / cos psi
+    P, A = cfg.platform_points(), cfg.base_points()
+    (p1, p2), (a1, a2) = P[cfg.prs_indices(), :2], A[cfg.prs_indices(), 0]
+    dA, rho, delta, _ = cfg._prs_planes
+    tol = 1e-12 * cfg.base_radius
+    resolved = resolve_many(cfg, poses)
+    for i, coords in enumerate(poses):
+        ok, phi, cp = resolved.status.ok[i], resolved.phi_z[i], math.cos(coords[3])
+        if ok:
+            for k in cfg.prs_indices():
+                B = resolved.origin[i] + resolved.rotation[i] @ P[k]
+                assert abs(B[0] - A[k, 0]) <= tol
+        else:
+            assert abs(cp) * math.hypot(*(p1 - p2)) < abs(a1 - a2) * (1 + 4 * EPS)
+        # the independent damped Newton of scalar_reference solves no pose the closed form
+        # refuses.  It may fail where the closed form solves: from its start at phi_z = 0 it
+        # stalls where the PRS anchors lie on the x axis (both slopes vanish there), and its
+        # 2x2 system is singular for anchors 1e-38 mm apart
+        try:
+            R, origin = scalar_resolve(cfg, *coords)
+        except Unreachable:
+            continue
+        assert ok
+        # it stops once both residuals are below tol, so it fixes sin(delta - phi_z) =
+        # k / cos psi only to eps = 2 tol / (rho |cos psi|): its phi_z lies within the arcsin
+        # of that interval, and its x within tol + r_a |d phi_z|, or, where its path crossed
+        # to the other solution 2 delta - pi - phi_z (PRS anchors nearly opposite on the x
+        # axis), it lies there, and no nearer to 0
+        s, eps = dA / rho / cp, 2 * tol / (rho * abs(cp))
+        d_phi = max(abs(math.asin(min(max(s + e, -1.0), 1.0)) - math.asin(s))
+                    for e in (-eps, eps)) + 1e-13
+        # row 0 of R is (cos psi cos phi_z, -cos psi sin phi_z, sin psi)
+        phi_newton = math.atan2(-R[0, 1], R[0, 0])
+        if abs(math.remainder(phi_newton - phi, 2 * math.pi)) <= d_phi:
+            assert abs(origin[0] - resolved.x[i]) <= tol + cfg.moving_plate_radius * d_phi
+        else:
+            mirror = 2 * delta - math.pi - phi
+            assert abs(math.remainder(phi_newton - mirror, 2 * math.pi)) <= d_phi
+            assert abs(phi) <= abs(phi_newton) + d_phi
+
+
+@given(cfg=random_layouts(), poses=PLANE_POSES, k=st.integers(-60, 60))
+@settings(max_examples=40, deadline=None)
+def test_power_of_two_scale_reproduces_the_dependent_coordinates(cfg, poses, k):
+    # each length of a config scaled by 2^k rounds as its scaled self, atan2 and the ratio
+    # k = dA / rho do not see the scale, so x scales and phi_z stays bit for bit
+    s = 2.0 ** k
+    pose = resolve_many(cfg, poses)
+    scaled = resolve_many(cfg.scaled(s), [(y * s, z * s, th, ps) for y, z, th, ps in poses])
+    assert scaled.status.codes() == pose.status.codes()
+    np.testing.assert_array_equal(scaled.phi_z, pose.phi_z)
+    np.testing.assert_array_equal(scaled.x, pose.x * s)
 
 
 #: one pose refused by each stage that can refuse a pose alone before the IK ends
@@ -377,7 +476,10 @@ def test_scaling_homogeneity_general(s, reference):
     pose = row(resolve_pose(reference, 0.0, 150.0, 0.2, 0.3))
     pose_s = row(resolve_pose(scaled, 0.0, 150.0 * s, 0.2, 0.3))
     np.testing.assert_allclose(pose_s.q, pose.q * s, rtol=1e-12, atol=0.0)
-    np.testing.assert_allclose(pose_s.link, pose.link * s, rtol=1e-12)
+    # the x-parts of the PRS links vanish to the rounding of the plane residuals (1.3e-29 mm
+    # for limb 4): they carry no relative digits, and are compared to the link length
+    np.testing.assert_allclose(pose_s.link, pose.link * s, rtol=1e-12,
+                               atol=1e-12 * scaled.link_length)
 
 
 @given(k=st.integers(min_value=-140, max_value=140))
@@ -426,6 +528,20 @@ def parent_layout_refusal(r_a, r_b, limbs):
     return None
 
 
+def plane_refusal(r_a, r_b, limbs, unit="mm"):
+    """The refusal of a layout whose PRS rail planes lie at least as far apart as the two PRS
+    anchors: no (x, phi_z) keeps both anchors in their planes.  The message, or None."""
+    prs = [i for i, s in enumerate(limbs) if s.kind == "PRS"]
+    P = parent_ring(r_a, [limbs[i].angle_deg for i in prs])
+    gap = abs(parent_ring(r_b, [limbs[i].base_deg for i in prs])[:, 0] @ [1.0, -1.0])
+    spacing = math.hypot(*(P[0, :2] - P[1, :2]))
+    if gap < spacing:
+        return None
+    return (f"the PRS rail planes lie {gap:.6g} {unit} apart, not closer than the "
+            f"{spacing:.6g} {unit} between their platform anchors: no pose keeps both "
+            f"anchors in their planes")
+
+
 #: a bound on the rounding of the rank test of a ring of anchors at any radius, scaled to the
 #: unit ring: each coordinate rounds within eps r, and LAPACK's singular values carry an
 #: absolute error of a few eps times the largest (a search over 26,000 layouts at radii
@@ -462,7 +578,8 @@ def test_layout_check_refuses_what_each_radius_refused(platform, base, prs, deca
     # singular value lies within ROUNDING of its tolerance (four anchors within about 1e-6
     # of the radius, whose rank the rule reads from rounding, or two clusters at the
     # tolerance), the rule at the config's radii gave different verdicts at different
-    # radii, and the config now takes the unit ring's
+    # radii, and the config now takes the unit ring's.  A layout that passes is then judged
+    # on its PRS rail planes at its own radii
     limbs = tuple(LimbSpec(a, "PRS" if i in prs else "PUS", None if base is None else base[i])
                   for i, a in enumerate(platform))
     rings = ([s.angle_deg for s in limbs], [s.base_deg for s in limbs])
@@ -470,7 +587,8 @@ def test_layout_check_refuses_what_each_radius_refused(platform, base, prs, deca
         parent_rank_test(parent_ring(1.0, angles)) for angles in rings))
     for k_a, k_b in decades:
         r_a, r_b = 10.0 ** k_a, 10.0 ** k_b
-        want = parent_layout_refusal(*((1.0, 1.0) if rounding else (r_a, r_b)), limbs)
+        want = (parent_layout_refusal(*((1.0, 1.0) if rounding else (r_a, r_b)), limbs)
+                or plane_refusal(r_a, r_b, limbs))
         try:
             ManipulatorConfig(moving_plate_radius=r_a, base_radius=r_b, link_length=r_b,
                               limbs=limbs)
@@ -558,8 +676,9 @@ def test_config_validation_errors(tmp_path):
     # with the length scale (about 5e149 here), and the chain refuses both poses for it
     codes, _, _ = condition_numbers_at(big, 0.0, 150.0 * s, [0.0, 0.3], [0.0, -0.2])
     assert codes == ["singular_configuration"] * 2
-    # the shortest admitted length loads
-    assert config_from_dict({**good, "r_a": MIN_LENGTH}).moving_plate_radius == MIN_LENGTH
+    # the shortest admitted length loads (a plate radius that short is refused for the PRS
+    # rail planes, which the rounding of cos 90 deg r_b puts 1.1e-13 apart)
+    assert config_from_dict({**good, "l": MIN_LENGTH}).link_length == MIN_LENGTH
     # an integral float is a count; the shipped config carries no key outside the schema
     assert config_from_dict({**good, "mobility": {"lambda": 6.0}}).mobility.lam == 6
     assert config_from_dict(good) == load_config(REFERENCE_CONFIG)

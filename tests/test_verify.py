@@ -519,7 +519,7 @@ def test_sample_poses_equals_scalar_screen(reference, layout):
     assert centers.coords.shape == (len(feasible), 4)
     assert centers.status.codes() == ["ok"] * len(feasible)
     codes = {code for _, code in failures}
-    expected = {"reference": set(), "offset": set(), "offset_wide": {"no_convergence"},
+    expected = {"reference": set(), "offset": set(), "offset_wide": {"unreachable"},
                 "square_short_link": {"unreachable"}, "square_unreachable": {"unreachable"}}
     assert codes == expected[layout]
     assert (len(feasible) == 0) == (layout == "square_unreachable")
