@@ -46,6 +46,11 @@ MAX_LENGTH = 1e150
 #: the shortest radius or link the loader admits: from this bound on those squares stay above
 #: 1e-300, in the normal range of a double (from about 2.2e-308), where they keep their digits
 MIN_LENGTH = 1e-150
+#: a gap between the two PRS rail planes within RAIL_ROUNDING r_b is rounding, and counts as 0:
+#: each rail foot r_b cos b rounds within 1.5 eps r_b (1 + |b|), b in radians, so two feet at
+#: base angles within +/-360 deg round apart by at most 22 eps r_b.  The band does not grow
+#: with |b|: a real gap written at a base angle many turns out is never taken for rounding
+RAIL_ROUNDING = 32.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -148,14 +153,18 @@ class ManipulatorConfig:
         plane when x + cos psi (cos phi P_kx - sin phi P_ky) = A_kx.  With dP = P_1 - P_2
         and dA = A_1x - A_2x, both signed so that dP_y >= 0, the difference of the two
         reads cos psi rho sin(delta - phi) = dA, where rho = |dP| and
-        delta = atan2(dP_x, dP_y).
+        delta = atan2(dP_x, dP_y).  A dA within the rounding of the rail feet is 0:
+        the rounding of cos 90 deg puts rails at 90 and 270 deg 2.4e-16 r_b apart,
+        which k = dA / rho would turn into a twist of a small plate.
         """
-        (p1x, p1y), (p2x, p2y) = self.platform_points()[self.prs_indices(), :2].tolist()
-        a1x, a2x = self.base_points()[self.prs_indices(), 0].tolist()
+        prs = self.prs_indices()
+        (p1x, p1y), (p2x, p2y) = self.platform_points()[prs, :2].tolist()
+        a1x, a2x = self.base_points()[prs, 0].tolist()
         sign = -1.0 if p1y < p2y else 1.0
         dx, dy, dA = sign * (p1x - p2x), sign * (p1y - p2y), sign * (a1x - a2x)
-        rho = math.hypot(dx, dy)
-        return dA, rho, math.atan2(dx, dy), a1x
+        if abs(dA) <= RAIL_ROUNDING * self.base_radius:
+            dA = 0.0
+        return dA, math.hypot(dx, dy), math.atan2(dx, dy), a1x
 
     def scaled(self, s: float, unit: str | None = None) -> "ManipulatorConfig":
         """Copy with every length multiplied by s (pure geometric scaling)."""

@@ -64,12 +64,12 @@ POSE_REFUSALS = {
                     "Unreachable: psi = 70.00 deg outside the +/-67.00 deg limit of the PRS "
                     "rail planes"),
     "singular_limb": (lambda: square_config(link_length=250.0), ["0", "150", "0", "0"],
-                      "SingularLimb: limb 1: actuation screw reciprocal to rail "
+                      "SingularLimb: limb 2: actuation screw reciprocal to rail "
                       "(|u.s1| = 0.000e+00)"),
     "singular_configuration": (square_config, ["0", "150", "0", "10"],
-                               "SingularConfiguration: cond(G^T) = 4.100e+16 exceeds 1.0e+12"),
+                               "SingularConfiguration: cond(G^T) = 2.807e+16 exceeds 1.0e+12"),
     "degenerate_pair": (None, ["0", "150", "10", "5", "--plan", "opposite"],
-                        "DegeneratePair: pair (v_2y, v_4z): a_2x - a_4x = 1.102e-13 "
+                        "DegeneratePair: pair (v_2y, v_4z): a_2x - a_4x = -3.155e-30 "
                         "(threshold 1.992e-07)"),
     "singular_selection": (offset_prs_config, ["0", "150", "0", "59.5", "--envelope-deg", "89"],
                            "SingularSelection: cond(J_dh) = 7.890e+16 exceeds 1.0e+12"),

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from dhjac.errors import ConfigError, KinematicsError, Unreachable
 from dhjac.dhj import condition_numbers_at
-from dhjac.model import (MAX_LENGTH, MIN_LENGTH, X_HAT, Z_HAT, LimbSpec, ManipulatorConfig,
-                         MobilityInputs, config_from_dict, limb_axes, load_config, resolve_many,
-                         resolve_pose, tsai_mobility)
+from dhjac.model import (MAX_LENGTH, MIN_LENGTH, RAIL_ROUNDING, X_HAT, Z_HAT, LimbSpec,
+                         ManipulatorConfig, MobilityInputs, config_from_dict, limb_axes,
+                         load_config, resolve_many, resolve_pose, tsai_mobility)
 
 from conftest import REFERENCE_CONFIG, offset_prs_config, random_coords, row, square_config
 from scalar_reference import scalar_resolve
@@ -271,6 +271,55 @@ def test_prs_planes_farther_apart_than_their_anchors_refused_at_load():
             "their platform anchors")):
         dataclasses.replace(offset_prs_config(), limbs=limbs)
     assert "578.509 mm" in plane_refusal(200.0, 450.0, limbs)
+
+
+@pytest.mark.parametrize("r_a", [MIN_LENGTH, 1e-13, 1e-10, 1e-6, 200.0])
+def test_rails_in_the_anchor_planes_up_to_rounding_leave_no_twist(r_a):
+    # the reference rails at 90 and 270 deg lie in the anchor planes, and the rounding of
+    # cos 90 deg puts their feet 1.1e-13 mm apart, inside RAIL_ROUNDING: a plate of any
+    # admitted radius loads and resolves with x and phi_z at rounding level.  Read as a gap,
+    # k = dA / rho refused r_a = 1e-150 mm at load and twisted r_a = 1e-13 mm by 0.58 rad
+    good = json.loads(REFERENCE_CONFIG.read_text())
+    cfg = config_from_dict({**good, "r_a": r_a})
+    gap = abs(np.subtract(*cfg.base_points()[cfg.prs_indices(), 0]))
+    assert 0.0 < gap <= RAIL_ROUNDING * cfg.base_radius
+    pose = resolve_many(cfg, [(0.0, 150.0, 0.0, 0.0), (10.0, 150.0, 0.5, 0.7)])
+    assert pose.status.codes() == ["ok", "ok"]
+    assert (np.abs(pose.phi_z) <= 4 * EPS).all()
+    assert (np.abs(pose.x) <= 4 * EPS * cfg.base_radius).all()
+
+
+def test_rail_gap_past_the_rounding_counts():
+    # rail 4 turned 1e-9 deg off its anchor plane: a gap of 7.9e-9 mm, far past the
+    # rounding of the rail feet (3.2e-12 mm here), twists the plate by asin(gap / 400 mm)
+    # and refuses a plate whose PRS anchors lie closer together than that
+    limbs = tuple(dataclasses.replace(s, base_angle_deg=270.0 + 1e-9) if s.angle_deg == 270.0
+                  else s for s in load_config(REFERENCE_CONFIG).limbs)
+    cfg = dataclasses.replace(load_config(REFERENCE_CONFIG), limbs=limbs)
+    a2x, a4x = cfg.base_points()[cfg.prs_indices(), 0]
+    gap = a4x - a2x  # 450 sin(1e-9 deg) up to the rounding of 270 + 1e-9
+    assert gap == pytest.approx(7.854e-9, rel=1e-4)
+    phi = row(resolve_pose(cfg, 0.0, 150.0, 0.0, 0.0)).phi_z
+    assert phi == pytest.approx(math.asin(gap / 400.0), rel=1e-9)
+    with pytest.raises(ConfigError, match=re.escape(
+            f"the PRS rail planes lie {gap:.6g} mm apart, not closer than the 2e-09 mm")):
+        dataclasses.replace(cfg, moving_plate_radius=1e-9)
+
+
+def test_rail_gap_written_many_turns_out_counts():
+    # rail 4 turned 30 deg off its anchor plane and written 1e15 turns further on: its foot
+    # rounds far past the band, and the 326 mm gap is geometry.  A band that grew with the
+    # base angle took that gap for rounding and left anchor 4 off its plane by the full gap
+    ref = load_config(REFERENCE_CONFIG)
+    limbs = tuple(dataclasses.replace(s, base_angle_deg=300.0 + 360.0 * 1e15)
+                  if s.angle_deg == 270.0 else s for s in ref.limbs)
+    cfg = dataclasses.replace(ref, limbs=limbs)
+    P, A = cfg.platform_points(), cfg.base_points()
+    assert abs(A[1, 0] - A[3, 0]) > 300.0
+    pose = row(resolve_pose(cfg, 0.0, 150.0, 0.0, 0.3))
+    for i in cfg.prs_indices():
+        B = pose.origin + pose.rotation @ P[i]
+        assert abs(B[0] - A[i, 0]) <= 16 * EPS * cfg.base_radius
 
 
 #: the layouts of the ROADMAP measurements: r_a 50-400, r_b 100-800 mm, four anchors at
@@ -534,6 +583,8 @@ def plane_refusal(r_a, r_b, limbs, unit="mm"):
     prs = [i for i, s in enumerate(limbs) if s.kind == "PRS"]
     P = parent_ring(r_a, [limbs[i].angle_deg for i in prs])
     gap = abs(parent_ring(r_b, [limbs[i].base_deg for i in prs])[:, 0] @ [1.0, -1.0])
+    if gap <= RAIL_ROUNDING * r_b:  # rounding of the rail feet: no gap
+        gap = 0.0
     spacing = math.hypot(*(P[0, :2] - P[1, :2]))
     if gap < spacing:
         return None
@@ -676,9 +727,8 @@ def test_config_validation_errors(tmp_path):
     # with the length scale (about 5e149 here), and the chain refuses both poses for it
     codes, _, _ = condition_numbers_at(big, 0.0, 150.0 * s, [0.0, 0.3], [0.0, -0.2])
     assert codes == ["singular_configuration"] * 2
-    # the shortest admitted length loads (a plate radius that short is refused for the PRS
-    # rail planes, which the rounding of cos 90 deg r_b puts 1.1e-13 apart)
-    assert config_from_dict({**good, "l": MIN_LENGTH}).link_length == MIN_LENGTH
+    # the shortest admitted length loads
+    assert config_from_dict({**good, "r_a": MIN_LENGTH}).moving_plate_radius == MIN_LENGTH
     # an integral float is a count; the shipped config carries no key outside the schema
     assert config_from_dict({**good, "mobility": {"lambda": 6.0}}).mobility.lam == 6
     assert config_from_dict(good) == load_config(REFERENCE_CONFIG)

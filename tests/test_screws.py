@@ -77,13 +77,15 @@ def test_global_scaling_moves_only_moment_blocks(reference):
 
 
 def test_singular_limb_raised_at_horizontal_link():
-    # link length equal to the lateral offset leaves the rail reciprocal
+    # link length equal to the lateral offset leaves the rail reciprocal.  Limbs 2 and 4 reach
+    # their rails along y and lie flat for any rounding of x; limbs 1 and 3 reach theirs along
+    # x, and the rounding of x (4e-14 mm) leaves limb 1 3.8e-6 mm inside its reach
     cfg = square_config(link_length=250.0)
     G = build_inverse_jacobian(resolve_pose(cfg, 0.0, 150.0, 0.0, 0.0))
     with pytest.raises(SingularLimb) as info:
         G.status.check()
-    assert str(info.value) == "limb 1: actuation screw reciprocal to rail (|u.s1| = 0.000e+00)"
-    assert (G.status.refusals[0].limb, G.status.refusals[0].value) == (1, 0.0)
+    assert str(info.value) == "limb 2: actuation screw reciprocal to rail (|u.s1| = 0.000e+00)"
+    assert (G.status.refusals[0].limb, G.status.refusals[0].value) == (2, 0.0)
 
 
 def horizontal_link_stack(reference):
