@@ -190,20 +190,21 @@ def _replacing(path: str, newline: str | None = None):
     """Write beside ``path``; the file replaces ``path`` only if the block completes.
 
     A temporary file that cannot be created is reported under ``path``, the
-    name the caller asked for.
+    name the caller asked for; one left by a failed block or move is removed.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        try:
-            fh = open(tmp, "w", newline=newline)
-        except OSError as exc:
-            raise OSError(exc.errno, exc.strerror, path) from exc
+        fh = open(tmp, "w", newline=newline)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
+    try:
         with fh:
             yield fh
         os.replace(tmp, path)
-    finally:
+    except BaseException:  # an interrupt too
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
+        raise
 
 
 #: one ``units`` cell as ``json.dump(report, indent=2, sort_keys=True)`` lays it out, two

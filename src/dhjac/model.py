@@ -51,6 +51,9 @@ MIN_LENGTH = 1e-150
 #: base angles within +/-360 deg round apart by at most 22 eps r_b.  The band does not grow
 #: with |b|: a real gap written at a base angle many turns out is never taken for rounding
 RAIL_ROUNDING = 32.0 * np.finfo(float).eps
+#: points whose spread lies within LAYOUT_TOL of their size coincide: the rank tolerance of
+#: ``collinear``, and the least distance between the PRS anchors as a fraction of r_a
+LAYOUT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -109,6 +112,10 @@ class ManipulatorConfig:
             raise ConfigError(f"the PRS rail planes lie {abs(dA):.6g} {self.unit} apart, not "
                               f"closer than the {rho:.6g} {self.unit} between their platform "
                               f"anchors: no pose keeps both anchors in their planes")
+        if rho <= LAYOUT_TOL * self.moving_plate_radius:  # scale-free: rho / r_a
+            raise ConfigError(f"the PRS platform anchors lie {rho:.6g} {self.unit} apart, "
+                              f"within {LAYOUT_TOL:g} of r_a = {self.moving_plate_radius:.6g} "
+                              f"{self.unit}: their rail planes cannot fix the twist phi_z")
 
     @property
     def limb_count(self) -> int:
@@ -218,10 +225,10 @@ def _ring(r: float, angles_deg) -> np.ndarray:
 
 
 def collinear(points: np.ndarray) -> bool:
-    """True when the points (n, 3) span less than a plane (rank tolerance 1e-9 relative)."""
+    """True when the points (n, 3) span less than a plane (rank tolerance LAYOUT_TOL relative)."""
     d = points - points[0]
     scale = np.linalg.norm(d, axis=1).max()  # 0 for coincident points, which are refused
-    return bool((np.linalg.svd(d, compute_uv=False) > 1e-9 * scale).sum() < 2)
+    return bool((np.linalg.svd(d, compute_uv=False) > LAYOUT_TOL * scale).sum() < 2)
 
 
 def load_config(path: str | Path) -> ManipulatorConfig:

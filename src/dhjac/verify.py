@@ -20,9 +20,9 @@ pose resolved once may stand for every equal one.  Who resolves what:
   from its first step on, and no perturbed pose: it differences a Jacobian
   itself only for a target whose caller passed none.
 
-``run_validation`` resolves the sampled poses once, keeps the stack of the
-feasible ones (``sample_poses``), resolves their central-difference rows once,
-and evaluates each oracle, and each chain of ``dhj`` it judges, once over it.
+``run_validation`` keeps the stack of the feasible sampled poses (``sample_poses``);
+``check_table`` resolves their central-difference rows once, evaluates each oracle,
+and each chain of ``dhj`` it judges, once over it, and ``summarize`` reads the errors.
 Who builds what: the primary chain builds G^T, its inverse, V_p and S; the
 alternate plan's chain takes the first three and builds its own S, the brute
 force takes the primary S, the flipped moment block negates the primary G^T,
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -299,16 +300,27 @@ class OracleReport:
     note: str = ""
 
 
+@dataclass(frozen=True)
+class CheckRow:
+    """One pose-wise record of the validation report over the N poses of ``check_table``:
+    the errors of each pose (N,), NaN past ``count`` or where one of ``statuses`` refuses it
+    (an absolute record gives its error as both).  A check (``note`` None) fails at its
+    first refusal; a measurement reports the poses before it, its ``note`` the worst."""
+
+    name: str
+    threshold: float
+    abs_err: np.ndarray
+    rel_err: np.ndarray
+    statuses: tuple[Status, ...]
+    count: int  # the leading poses the record may test
+    note: Callable[[float], str] | None = None
+
+
 def _errors(diff, ref):
     """Per pose: max |diff|, and that relative to max |ref| (infinite where ref is 0)."""
     err = np.abs(diff).max(axis=(-2, -1))
     size = np.abs(ref).max(axis=(-2, -1))
     return err, np.divide(err, size, out=np.full(err.shape, math.inf), where=size > 0)
-
-
-def _worst(values) -> float:
-    """The largest of ``values`` and 0, as a running ``max`` from 0 finds it."""
-    return max([0.0, *np.asarray(values, float).tolist()])
 
 
 def _first_refusal(statuses, count: int):
@@ -345,6 +357,95 @@ def sample_poses(cfg: ManipulatorConfig, n: int, seed: int = DEFAULT_SEED):
     return stack.take(np.flatnonzero(stack.status.ok)), failures
 
 
+def check_table(cfg: ManipulatorConfig, centers: PlatformPose):
+    """``(rows, opposite)``: the ``CheckRow`` of each pose-wise record at the poses ``centers``
+    that ``resolve_many`` resolved, and the opposite plan's refusal at the first pose or None.
+    A row computes errors only at the poses it leaves "ok": the seven checks, plan equivalence
+    at the first 25 and the rejected variants at the first 10, both up to the first refusal of
+    the oracles, the chain or the PUS-normal rows (the flipped block refuses what G^T does)."""
+    n = len(centers.q)
+    n_unit, n_bf = min(25, n), min(BRUTE_FORCE_POSES, n)
+    rows = fd_rows(cfg, centers)  # read by the FD oracles and the brute force's first step
+    tangent, fd_ik = fd_oracles(cfg, centers, rows=rows)
+    T, FD = tangent.value, fd_ik.value
+    (G, fwd, V_p), sel, V_ps, J_dh, _, k, rec = dhj._chain(centers, PRIMARY_PLAN)
+    _, _, V_ps_alt, _, _, k_alt, rec_alt = dhj._chain(centers, ALTERNATE_PLAN, (G, fwd, V_p))
+    scale = 0.001
+    cfg_m = cfg.scaled(scale, unit="m" if cfg.unit == "mm" else cfg.unit)
+    *_, k_m, rec_m = dhj._chain(
+        resolve_many(cfg_m, centers.coords[:n_unit] * [scale, scale, 1, 1]), PRIMARY_PLAN)
+    first = range(n_bf)
+    bf = _brute_force_dhj(cfg, centers, sel, rows) if n_bf == n else _brute_force_dhj(
+        cfg, centers.take(first), SelectionMatrix(sel.S[:n_bf], sel.status.take(first)),
+        rows.take(range(8 * n_bf)))
+    block = forward_map.block_Ja(G)
+    # where the block route is BlockSingular, the documented fallback is direct inversion
+    J_b = np.where(block.status.ok[:, None, None], block.value, fwd.J_a)
+    cols = list(CONSTRAINED_COLS)
+    G_normal = screws.build_inverse_jacobian(centers, variant="normal")
+    table = []
+
+    def row(name, threshold, statuses, errors, count=n, note=None):
+        """``errors(i)``: the (abs, rel) errors, or the absolute one, at the poses ``i``."""
+        i = slice(count) if not any(s.refusals for s in statuses) else np.flatnonzero(
+            np.logical_and.reduce([s.ok[:count] for s in statuses]))
+        err = errors(i)
+        abs_err, rel_err = np.full(n, math.nan), np.full(n, math.nan)
+        abs_err[i], rel_err[i] = err if isinstance(err, tuple) else (err, err)
+        table.append(CheckRow(name, threshold, abs_err, rel_err, statuses, count, note))
+
+    row("actuation_rows_vs_fd_ik", 1e-5, (tangent.status, fd_ik.status, rec),
+        lambda i: _errors(G.G_a_T[i] @ T[i] - FD[i], FD[i]))
+    row("constraint_rows_annihilate_tangent", 1e-7, (tangent.status, rec),
+        lambda i: np.abs(G.G_c_T[i] @ T[i]).max(axis=(-2, -1)))
+    row("inversion_residual", 1e-10, (rec,),
+        lambda i: np.abs(G.stacked[i] @ fwd.J[i] - np.eye(6)).max(axis=(-2, -1)))
+    row("block_formula_vs_direct_inversion", 1e-9, (rec,),
+        lambda i: _errors(J_b[i] - fwd.J_a[i], fwd.J_a[i]))
+    row("selection_annihilates_constrained_freedoms", 1e-12, (rec, rec_alt),
+        lambda i: np.maximum(np.abs(V_ps[i][..., cols]).max(axis=(-2, -1)),
+                             np.abs(V_ps_alt[i][..., cols]).max(axis=(-2, -1))))
+    row("dhj_vs_brute_force", 1e-5, (rec, bf.status),
+        lambda i: _errors(bf.value[i] - J_dh[i], J_dh[i]), count=n_bf)
+    row("cond_dhj_unit_invariance", 1e-9, (rec, rec_m),
+        lambda i: np.abs(k[i] - k_m[i]) / k[i], count=n_unit)
+    # measured and recorded: the discrepancy itself is the result (k is finite where ok)
+    row("plan_equivalence_cond_dhj", math.inf, (rec, rec_alt),
+        lambda i: np.abs(k[i] - k_alt[i]) / k[i], count=n_unit,
+        note=lambda dev: "plans agree to 1e-6" if dev < 1e-6 else (
+            f"measured discrepancy {dev:.6g} between primary and alternate plans "
+            f"(documented, not an equality failure)"))
+    for name, Gv in (("pus_normal_rows", G_normal),
+                     ("flipped_moment_block", screws.flip_moment_blocks(G))):
+        row(name, math.inf, (tangent.status, fd_ik.status, rec, G_normal.status),
+            lambda i, Gv=Gv: _errors(Gv.G_a_T[i] @ T[i] - FD[i], FD[i]), count=min(10, n),
+            note=lambda err: "rejected formula variant")
+    return table, (rec.error(0) or build_selection_matrix(
+        OPPOSITE_PLAN, centers.a[:1]).status.error(0)) if n else None
+
+
+def summarize(rows, coords) -> dict[str, OracleReport]:
+    """Each ``check_table`` row's ``OracleReport``, by name; ``coords`` are the poses.  A check
+    refused among its first ``count`` poses reports infinite errors and that pose's code and
+    coords; a measurement, and a check with no refusal, the worst errors before the first."""
+    reports = {}
+    for r in rows:
+        tested, exc = _first_refusal(r.statuses, r.count)
+        # the largest error and 0, as a running max from 0 finds it
+        worst_abs, worst_rel = (max([0.0, *e[:tested].tolist()]) for e in (r.abs_err, r.rel_err))
+        if r.note is not None:
+            note, passed = exc.code if exc is not None else r.note(worst_rel), tested > 0
+        elif exc is not None:
+            worst_abs = worst_rel = math.inf
+            note, passed = f"{exc.code} at {tuple(round(c, 4) for c in coords[tested])}", False
+        else:
+            note = "" if tested else "no feasible poses"
+            passed = tested > 0 and worst_rel < r.threshold
+        reports[r.name] = OracleReport(r.name, worst_abs, worst_rel, r.threshold, passed,
+                                       tested, note)
+    return reports
+
+
 def run_validation(cfg: ManipulatorConfig, seed: int = DEFAULT_SEED,
                    n_poses: int = 100) -> dict:
     """Run every oracle over the stack of the feasible sampled poses (the brute force over
@@ -354,127 +455,19 @@ def run_validation(cfg: ManipulatorConfig, seed: int = DEFAULT_SEED,
         raise ConfigError(f"seed must be non-negative, got {seed}")
     if n_poses < 1:
         raise ConfigError(f"at least one pose is needed, got {n_poses}")
-    # each oracle and each judged chain is evaluated once, over the stack of the feasible
-    # poses, and read by every check; a check counts the poses before its first refusal
     centers, failures = sample_poses(cfg, n_poses, seed)
-    coords = centers.coords.tolist()  # Python floats, as the notes round them
-    n = len(coords)
-    n_unit = min(25, n)
-    n_bf = min(BRUTE_FORCE_POSES, n)
-    checks: list[OracleReport] = []
-    rows = fd_rows(cfg, centers)  # read by the FD oracles and the brute force's first step
-    tangent, fd_ik = fd_oracles(cfg, centers, rows=rows)
-    T, FD = tangent.value, fd_ik.value
-    shared, sel, V_ps, J_dh, _, k, rec = dhj._chain(centers, PRIMARY_PLAN)
-    G, fwd, _ = shared
-    _, _, V_ps_alt, _, _, k_alt, rec_alt = dhj._chain(centers, ALTERNATE_PLAN, shared)
-    scale = 0.001
-    cfg_m = cfg.scaled(scale, unit="m" if cfg.unit == "mm" else cfg.unit)
-    *_, k_m, rec_m = dhj._chain(
-        resolve_many(cfg_m, centers.coords[:n_unit] * [scale, scale, 1, 1]), PRIMARY_PLAN)
-    first = range(n_bf)
-    bf = _brute_force_dhj(cfg, centers, sel, rows) if n_bf == n else _brute_force_dhj(
-        cfg, centers.take(first), SelectionMatrix(sel.S[:n_bf], sel.status.take(first)),
-        rows.take(range(8 * n_bf)))
-
-    def pose_check(name, threshold, statuses, errors, count=n, relative=True):
-        """``errors(i)`` gives the per-pose (abs, rel) errors of the first i poses."""
-        tested, exc = _first_refusal(statuses, count)
-        note = ""
-        if exc is not None:
-            note = f"{exc.code} at {tuple(round(c, 4) for c in coords[tested])}"
-            worst_abs = worst_rel = math.inf
-        else:
-            worst_abs, worst_rel = map(_worst, errors(tested))
-            if tested == 0:
-                note = "no feasible poses"
-        metric = worst_rel if relative else worst_abs
-        checks.append(OracleReport(
-            name=name, max_abs_err=worst_abs, max_rel_err=worst_rel,
-            threshold=threshold, passed=bool(tested > 0 and metric < threshold),
-            poses_tested=tested, note=note,
-        ))
-
-    def same(err):
-        return err, err
-
-    pose_check("actuation_rows_vs_fd_ik", 1e-5, (tangent.status, fd_ik.status, rec),
-               lambda i: _errors(G.G_a_T[:i] @ T[:i] - FD[:i], FD[:i]))
-    pose_check("constraint_rows_annihilate_tangent", 1e-7, (tangent.status, rec),
-               lambda i: same(np.abs(G.G_c_T[:i] @ T[:i]).max(axis=(-2, -1))), relative=False)
-    pose_check("inversion_residual", 1e-10, (rec,),
-               lambda i: same(np.abs(G.stacked[:i] @ fwd.J[:i] - np.eye(6)).max(axis=(-2, -1))),
-               relative=False)
-
-    block = forward_map.block_Ja(G)
-    # where the block route is BlockSingular, the documented fallback is direct inversion
-    J_b = np.where(block.status.ok[:, None, None], block.value, fwd.J_a)
-    pose_check("block_formula_vs_direct_inversion", 1e-9, (rec,),
-               lambda i: _errors(J_b[:i] - fwd.J_a[:i], fwd.J_a[:i]))
-
-    cols = list(CONSTRAINED_COLS)
-    pose_check("selection_annihilates_constrained_freedoms", 1e-12, (rec, rec_alt),
-               lambda i: same(np.maximum(np.abs(V_ps[:i, :, cols]).max(axis=(-2, -1)),
-                                         np.abs(V_ps_alt[:i, :, cols]).max(axis=(-2, -1)))),
-               relative=False)
-    pose_check("dhj_vs_brute_force", 1e-5, (rec, bf.status),
-               lambda i: _errors(bf.value[:i] - J_dh[:i], J_dh[:i]), count=n_bf)
-    pose_check("cond_dhj_unit_invariance", 1e-9, (rec, rec_m),
-               lambda i: same(np.abs(k[:i] - k_m[:i]) / k[:i]), count=n_unit, relative=False)
-
-    # plan equivalence: measured and recorded; the discrepancy itself is the result
-    plan_tested, exc = _first_refusal((rec, rec_alt), n_unit)
-    # the chain refuses every k that is not <= COND_LIMIT, so each k before plan_tested is finite
-    k_p = k[:plan_tested]
-    plan_dev = _worst(np.abs(k_p - k_alt[:plan_tested]) / k_p)
-    plans_equal = plan_dev < 1e-6
-    if exc is not None:
-        plan_note = exc.code
-    else:
-        plan_note = ("plans agree to 1e-6" if plans_equal else
-                     f"measured discrepancy {plan_dev:.6g} between primary and "
-                     f"alternate plans (documented, not an equality failure)")
-    checks.append(OracleReport(
-        name="plan_equivalence_cond_dhj", max_abs_err=plan_dev, max_rel_err=plan_dev,
-        threshold=math.inf, passed=plan_tested > 0, poses_tested=plan_tested,
-        note=plan_note,
-    ))
-
-    mob = tsai_mobility(cfg.mobility)
-    checks.append(OracleReport(
-        name="tsai_mobility_matches_limb_count", max_abs_err=float(abs(mob - cfg.limb_count)),
-        max_rel_err=float(abs(mob - cfg.limb_count)), threshold=1.0,
-        passed=mob == cfg.limb_count, poses_tested=0,
-        note=f"formula gives {mob} for f = {cfg.limb_count}",
-    ))
-
-    # formula variants: measure the rejected ones on a few poses for the record, both up to
-    # the first refusal of the oracles, the chain or the normal rows (the flipped moment
-    # block is the adopted G^T with its moment blocks negated, and refuses what it refuses)
-    G_normal = screws.build_inverse_jacobian(centers, variant="normal")
-    m, _ = _first_refusal((tangent.status, fd_ik.status, rec, G_normal.status), min(10, n))
-    variant_errs = {
-        name: _worst(_errors(Gv.G_a_T[:m] @ T[:m] - FD[:m], FD[:m])[1])
-        for name, Gv in (("pus_normal_rows", G_normal),
-                         ("flipped_moment_block", screws.flip_moment_blocks(G)))}
-    opposite_status = "valid"
-    if n:
-        exc = rec.error(0) or build_selection_matrix(OPPOSITE_PLAN, centers.a[:1]).status.error(0)
-        if isinstance(exc, DegeneratePair):
-            opposite_status = f"degenerate at this geometry: {exc}"
-        elif exc is not None:
-            opposite_status = exc.code
-
+    rows, opposite = check_table(cfg, centers)
+    reports = summarize(rows, centers.coords.tolist())  # Python floats, as the notes round them
     variants = {
         "actuation_rows": {
             "adopted": "unit link-direction force rows for all limbs (for PRS "
                        "limbs this is also the reciprocal-screw row, the link "
                        "being perpendicular to the revolute axis)",
-            "rejected_pus_normal_rows_max_rel_err": variant_errs["pus_normal_rows"],
+            "rejected_pus_normal_rows_max_rel_err": reports.pop("pus_normal_rows").max_rel_err,
         },
         "moment_block": {
             "adopted": "a_i x u_i (power balance with the shifting property)",
-            "rejected_u_x_a_max_rel_err": variant_errs["flipped_moment_block"],
+            "rejected_u_x_a_max_rel_err": reports.pop("flipped_moment_block").max_rel_err,
         },
         "selection_normalization": {
             "adopted": "y-pair weights divided by |a_ix - a_jx|; the signed "
@@ -484,16 +477,21 @@ def run_validation(cfg: ManipulatorConfig, seed: int = DEFAULT_SEED,
         },
         "opposite_pair_plan": {
             "pairs": OPPOSITE_PLAN.pair_strings(),
-            "status": opposite_status,
+            "status": "valid" if opposite is None else (
+                f"degenerate at this geometry: {opposite}"
+                if isinstance(opposite, DegeneratePair) else opposite.code),
             "substitute_used": ALTERNATE_PLAN.pair_strings(),
         },
     }
-
+    mob, f = tsai_mobility(cfg.mobility), cfg.limb_count
+    checks = [*reports.values(), OracleReport(  # the records left once the variants are taken
+        "tsai_mobility_matches_limb_count", float(abs(mob - f)), float(abs(mob - f)), 1.0,
+        mob == f, 0, f"formula gives {mob} for f = {f}")]
     return {
         "seed": seed,
         "unit": cfg.unit,
         "poses_requested": n_poses,
-        "poses_feasible": n,
+        "poses_feasible": len(centers.q),
         "pose_failures": [{"coords": list(c), "code": code} for c, code in failures[:10]],
         "checks": [vars(c).copy() for c in checks],  # the fields, in order, as asdict gives
         "variants": variants,

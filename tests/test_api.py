@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import math
 import re
 import textwrap
 import types
@@ -99,3 +100,18 @@ def test_readme_lists_the_codes_a_grid_can_write():
     assert all(issubclass(e, KinematicsError) for e in errors)
     assert sorted(documented) == sorted(e.code for e in errors)
     assert "unreachable" in documented and "singular_selection" in documented
+
+
+def test_readme_lists_the_records_validate_reports(reference):
+    # README's table of validation records names the checks run_validation reports, in order,
+    # with their thresholds, and a measurement exactly where the threshold is infinite: a
+    # record added, removed, renamed or moved fails here until its README row follows
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("## Validation report", 1)[1].split("| --- |", 1)[1].split("\n\n", 1)[0]
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in table.strip().splitlines()[1:]]
+    report = run_validation(reference, seed=7, n_poses=6)["checks"]
+    assert [row[0] for row in rows] == [f"`{check['name']}`" for check in report]
+    assert [float(row[1]) for row in rows] == [check["threshold"] for check in report]
+    assert [row[4] for row in rows] == [
+        "measurement" if math.isinf(check["threshold"]) else "check" for check in report]

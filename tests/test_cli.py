@@ -348,6 +348,39 @@ def test_interrupted_units_keeps_previous_pair(tmp_path, monkeypatch):
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+def test_completed_writes_remove_nothing(tmp_path, monkeypatch, capsys):
+    # os.replace moved each temporary file into place, so nothing is left to remove; where
+    # the move fails, the temporary file is removed and the run exits 4
+    import os
+
+    removed = []
+
+    def counted(path, *args, **kwargs):
+        removed.append(os.path.basename(path))
+        return remove(path, *args, **kwargs)
+
+    remove = os.remove
+    monkeypatch.setattr(os, "remove", counted)
+    for cmd, out in ((["sweep", "--grid", "5"], "sweep.csv"),
+                     (["units", "--grid", "3"], "units.json"),
+                     (["validate", "--poses", "2"], "validate.json")):
+        assert main([*cmd, "--config", CFG, "--out", str(tmp_path / out)]) in (0, 1)
+    assert removed == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "sweep.csv", "units.csv", "units.json", "validate.json"]
+
+    def refused(src, dst):
+        raise PermissionError(13, "Permission denied", dst)
+
+    monkeypatch.setattr(os, "replace", refused)
+    out = tmp_path / "moved" / "sweep.csv"
+    out.parent.mkdir()
+    assert main(["sweep", "--config", CFG, "--grid", "5", "--out", str(out)]) == 4
+    assert removed == [f"sweep.csv.{os.getpid()}.tmp"]
+    assert list(out.parent.iterdir()) == []
+    capsys.readouterr()
+
+
 def test_units_command(tmp_path, capsys):
     out = tmp_path / "units.json"
     assert main(["units", "--config", CFG, "--grid", "5", "--out", str(out)]) == 0

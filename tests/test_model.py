@@ -261,6 +261,42 @@ def test_coincident_prs_anchors_refused_at_load():
                           limbs=limbs)
 
 
+def near_prs_layout(degrees):
+    """PRS limbs at 0 deg and ``degrees``, PUS limbs at 90 and 270 deg, rails under the
+    anchors: the PRS anchors lie 2 r_a sin(degrees / 2) apart and their rail planes agree."""
+    return (LimbSpec(0.0, "PRS"), LimbSpec(degrees, "PRS"), LimbSpec(90.0, "PUS"),
+            LimbSpec(270.0, "PUS"))
+
+
+@pytest.mark.parametrize("degrees, rho", [(1e-9, "3.49066e-09"), (1.2e-38, "4.18879e-38")])
+def test_near_coincident_prs_anchors_refused_at_load(degrees, rho):
+    # anchors within 1e-9 r_a of each other loaded, and the chain then refused every cell
+    # of a +/-50 deg grid as singular_configuration.  The rule reads rho / r_a, so a copy in
+    # meters is refused too
+    for r_a, unit, scale in ((200.0, "mm", 1.0), (0.2, "m", 1e-3)):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"the PRS platform anchors lie {float(rho) * scale:.6g} {unit} apart, within "
+                f"1e-09 of r_a = {r_a:g} {unit}: their rail planes cannot fix the twist phi_z")):
+            ManipulatorConfig(moving_plate_radius=r_a, base_radius=450.0 * scale,
+                              link_length=687.0 * scale, limbs=near_prs_layout(degrees),
+                              unit=unit)
+
+
+def test_prs_anchors_1e6_deg_apart_load_and_refuse_pose_by_pose():
+    # 1e-6 deg puts the PRS anchors 1.7e-8 r_a apart, past the load rule: the layout loads,
+    # in meters too, and its poses are refused one by one.  Recorded, not a verdict on the
+    # rule: the selection pairs see the anchors' x-coordinates coincide at most poses
+    cfg = ManipulatorConfig(moving_plate_radius=200.0, base_radius=450.0, link_length=687.0,
+                            limbs=near_prs_layout(1e-6))
+    assert cfg._prs_planes[1] / cfg.moving_plate_radius == pytest.approx(1.745e-8, rel=1e-3)
+    assert cfg.in_unit("m")._prs_planes[1] == pytest.approx(cfg._prs_planes[1] * 1e-3)
+    axis = np.radians(np.linspace(-50.0, 50.0, 11))
+    theta, psi = (a.ravel() for a in np.meshgrid(axis, axis, indexing="ij"))
+    codes = condition_numbers_at(cfg, 0.0, 150.0, theta, psi)[0]
+    assert {c: codes.count(c) for c in set(codes)} == {
+        "degenerate_pair": 107, "singular_configuration": 14}
+
+
 def test_prs_planes_farther_apart_than_their_anchors_refused_at_load():
     # the offset layout's PRS rails turned 30 deg further off the anchor planes: their planes
     # lie 2 * 450 cos 50 deg = 578.5 mm apart, past the 400 mm between the anchors
@@ -366,8 +402,7 @@ def test_closed_form_solves_where_the_newton_does(cfg, poses):
             assert abs(cp) * math.hypot(*(p1 - p2)) < abs(a1 - a2) * (1 + 4 * EPS)
         # the independent damped Newton of scalar_reference solves no pose the closed form
         # refuses.  It may fail where the closed form solves: from its start at phi_z = 0 it
-        # stalls where the PRS anchors lie on the x axis (both slopes vanish there), and its
-        # 2x2 system is singular for anchors 1e-38 mm apart
+        # stalls where the PRS anchors lie on the x axis (both slopes vanish there)
         try:
             R, origin = scalar_resolve(cfg, *coords)
         except Unreachable:
@@ -579,18 +614,22 @@ def parent_layout_refusal(r_a, r_b, limbs):
 
 def plane_refusal(r_a, r_b, limbs, unit="mm"):
     """The refusal of a layout whose PRS rail planes lie at least as far apart as the two PRS
-    anchors: no (x, phi_z) keeps both anchors in their planes.  The message, or None."""
+    anchors, where no (x, phi_z) keeps both anchors in their planes, or whose two PRS anchors
+    lie within 1e-9 r_a of each other.  The message, or None."""
     prs = [i for i, s in enumerate(limbs) if s.kind == "PRS"]
     P = parent_ring(r_a, [limbs[i].angle_deg for i in prs])
     gap = abs(parent_ring(r_b, [limbs[i].base_deg for i in prs])[:, 0] @ [1.0, -1.0])
     if gap <= RAIL_ROUNDING * r_b:  # rounding of the rail feet: no gap
         gap = 0.0
     spacing = math.hypot(*(P[0, :2] - P[1, :2]))
-    if gap < spacing:
-        return None
-    return (f"the PRS rail planes lie {gap:.6g} {unit} apart, not closer than the "
-            f"{spacing:.6g} {unit} between their platform anchors: no pose keeps both "
-            f"anchors in their planes")
+    if not gap < spacing:
+        return (f"the PRS rail planes lie {gap:.6g} {unit} apart, not closer than the "
+                f"{spacing:.6g} {unit} between their platform anchors: no pose keeps both "
+                f"anchors in their planes")
+    if spacing <= 1e-9 * r_a:  # anchors that coincide up to the rank tolerance
+        return (f"the PRS platform anchors lie {spacing:.6g} {unit} apart, within 1e-09 of "
+                f"r_a = {r_a:.6g} {unit}: their rail planes cannot fix the twist phi_z")
+    return None
 
 
 #: a bound on the rounding of the rank test of a ring of anchors at any radius, scaled to the

@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from dhjac.model import load_config, resolve_many, resolve_pose
 from dhjac.screws import build_inverse_jacobian
 from dhjac.selection import OPPOSITE_PLAN, PRIMARY_PLAN
 from dhjac.verify import (BRUTE_FORCE_STEP, REFINE_MAX_ITER, REFINE_TOL, brute_force_dhj,
-                          fd_oracles, fd_rows, forward_refine, run_validation, sample_poses,
-                          step_sizes)
+                          check_table, fd_oracles, fd_rows, forward_refine, run_validation,
+                          sample_poses, step_sizes, summarize)
 
 from conftest import (REFERENCE_CONFIG, S_at, bf_at, bf_over, checked, fd_at, offset_prs_config,
                       one, random_coords, row, square_config)
@@ -523,6 +524,67 @@ def test_sample_poses_equals_scalar_screen(reference, layout):
                 "square_short_link": {"unreachable"}, "square_unreachable": {"unreachable"}}
     assert codes == expected[layout]
     assert (len(feasible) == 0) == (layout == "square_unreachable")
+
+
+#: poses no stage can take: past the reach of the links, and on the square layout's
+#: singular plane theta = 0
+UNREACHABLE, ON_THETA_0 = (1e3, 150.0, 0.0, 0.0), (0.0, 150.0, 0.0, 0.3)
+TABLE_STACKS = {"reference": (7, [UNREACHABLE]), "square": (17, [UNREACHABLE, ON_THETA_0]),
+                "offset": (42, [UNREACHABLE])}  # layout -> (seed, refused poses)
+
+
+def _ok(row, i):
+    return all(s.ok[i] for s in row.statuses)
+
+
+@pytest.mark.parametrize("layout", TABLE_STACKS)
+def test_check_table_rows_equal_those_of_each_pose_alone(layout):
+    # every row of a stack gives each pose it may test the errors and the refusal that pose
+    # gets as a stack of one, bit for bit; a refused pose holds NaN, and nothing computed at
+    # one raises a RuntimeWarning.  On the square layout seed 17 also stops the brute force
+    cfg = {"reference": load_config(REFERENCE_CONFIG), "square": square_config(),
+           "offset": offset_prs_config()}[layout]
+    seed, refused = TABLE_STACKS[layout]
+    centers = resolve_many(cfg, random_coords(cfg, 10, seed) + refused)
+    n = len(centers.q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rows, _ = check_table(cfg, centers)
+        alone = [check_table(cfg, centers.take([i]))[0] for i in range(n)]
+    assert [r.name for r in rows] == [r.name for r in alone[0]]
+    assert not all(_ok(r, i) for r in rows for i in range(r.count))
+    for k, r in enumerate(rows):
+        assert r.abs_err.shape == r.rel_err.shape == (n,)
+        assert np.isnan(r.abs_err[r.count:]).all() and np.isnan(r.rel_err[r.count:]).all()
+        for i in range(r.count):
+            one = alone[i][k]
+            assert _ok(r, i) == _ok(one, 0)
+            for got, want in ((r.abs_err, one.abs_err), (r.rel_err, one.rel_err)):
+                assert got[i:i + 1].tobytes() == want.tobytes()
+                assert np.isnan(got[i]) != _ok(r, i)
+
+
+def test_moving_a_refusal_moves_poses_tested(reference):
+    # an unreachable pose at j, then at j + 1, among poses that pass every record: each record
+    # tests the poses before it, a check notes its code and coordinates, a measurement its code
+    feasible = random_coords(reference, 6, 7)
+    for j in (2, 3):
+        coords = feasible[:j] + [UNREACHABLE] + feasible[j:]
+        centers = resolve_many(reference, coords)
+        reports = summarize(check_table(reference, centers)[0], coords)
+        assert len(reports) == 10
+        for report in reports.values():
+            assert report.poses_tested == j
+            if math.isinf(report.threshold):
+                assert report.note == "unreachable" and report.passed
+                assert math.isfinite(report.max_rel_err)
+            else:
+                assert report.note == f"unreachable at {UNREACHABLE}" and not report.passed
+                assert report.max_abs_err == report.max_rel_err == math.inf
+    # without it every record passes, over every pose it may test
+    reports = summarize(check_table(reference, resolve_many(reference, feasible))[0], feasible)
+    assert all(r.passed and r.poses_tested == 6 and "unreachable" not in r.note
+               for r in reports.values())
 
 
 def test_run_validation_reference(reference):
