@@ -25,7 +25,7 @@ from . import screws
 from .errors import SingularSelection
 from .forward_map import (COND_LIMIT, ForwardJacobian, cond_from_sigmas, invert_full,
                           singular_values)
-from .model import UNIT_SCALES, ManipulatorConfig, PlatformPose, resolve_many, resolve_pose
+from .model import ManipulatorConfig, PlatformPose, resolve_many, resolve_pose
 from .pointmap import build_Vp
 from .screws import InverseJacobian
 from .selection import PRIMARY_PLAN, SelectionPlan, build_selection_matrix, nominal_map
@@ -169,10 +169,7 @@ def unit_scaling_experiment(
     excluded from the deviation statistics.  A scale that is not finite and
     positive raises ConfigError.
     """
-    # a supported unit names the scaled run only when the scale lands on it
-    target = UNIT_SCALES[cfg.unit] * scale
-    scaled_unit = next((u for u, f in UNIT_SCALES.items() if f == target), None)
-    cfg_b = cfg.scaled(scale, unit=scaled_unit)
+    cfg_b = cfg.scaled(scale)
     cells = []
     devs_dh, devs_G = [], []
     for th, ps in grid_blocks(thetas, psis):
@@ -196,7 +193,10 @@ def unit_scaling_experiment(
     max_dev_G = max(devs_G, default=math.nan)
     return {
         "unit_base": cfg.unit,
-        "unit_scaled": scaled_unit or f"{cfg.unit}x{scale:g}",
+        # a supported unit names the scaled run only when the scale lands on it; a unit
+        # lands on itself at a scale of 1 only
+        "unit_scaled": cfg_b.unit if cfg_b.unit != cfg.unit or scale == 1.0
+        else f"{cfg.unit}x{scale:g}",
         "scale": scale,
         "plan": plan.pair_strings(),
         "cells": cells,

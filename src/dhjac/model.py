@@ -173,16 +173,22 @@ class ManipulatorConfig:
             dA = 0.0
         return dA, math.hypot(dx, dy), math.atan2(dx, dy), a1x
 
-    def scaled(self, s: float, unit: str | None = None) -> "ManipulatorConfig":
-        """Copy with every length multiplied by s (pure geometric scaling)."""
+    def scaled(self, s: float) -> "ManipulatorConfig":
+        """Copy with every length multiplied by s (pure geometric scaling).
+
+        The copy's unit is the supported unit whose factor in ``UNIT_SCALES``
+        equals ``UNIT_SCALES[self.unit] * s`` (``mm`` scaled by 0.001 is ``m``),
+        or else this config's own unit.
+        """
         if not (math.isfinite(s) and s > 0):
             raise ConfigError(f"scale must be finite and positive, got {s!r}")
+        target = UNIT_SCALES[self.unit] * s
         return replace(
             self,
             moving_plate_radius=self.moving_plate_radius * s,
             base_radius=self.base_radius * s,
             link_length=self.link_length * s,
-            unit=unit if unit is not None else self.unit,
+            unit=next((u for u, f in UNIT_SCALES.items() if f == target), self.unit),
         )
 
     def in_unit(self, unit: str) -> "ManipulatorConfig":
@@ -191,8 +197,7 @@ class ManipulatorConfig:
             raise ConfigError(f"unknown unit {unit!r}")
         if unit == self.unit:
             return self
-        s = UNIT_SCALES[unit] / UNIT_SCALES[self.unit]
-        return self.scaled(s, unit=unit)
+        return self.scaled(UNIT_SCALES[unit] / UNIT_SCALES[self.unit])
 
 
 @functools.lru_cache(maxsize=64)

@@ -7,7 +7,8 @@ Row recipe (validated against the finite-difference oracle in ``verify``):
   link is structurally perpendicular to the revolute axis, so this coincides
   with the reciprocal-screw row built from n_i = s3 x s2; for PUS limbs the
   link force is the unique wrench reciprocal to both universal axes and the
-  spherical joint.
+  spherical joint.  The PUS rows along n_i fail the oracle and are kept only
+  for the validation report (``pus_normal_rows``).
 * constraint rows (PRS limbs): a unit force along the revolute axis through
   the spherical joint, [s2, a_i x s2] . (v, w) = 0.
 
@@ -30,10 +31,6 @@ from .model import X_HAT, PlatformPose, limb_axes, norms
 
 #: |l_hat . s1| below this is treated as a limb singularity (dimensionless)
 DENOMINATOR_THRESHOLD = 1e-12
-
-#: adopted actuation-row generator; the validation report measures the rejected "normal"
-#: rows against the FD oracle and describes this one in its fixed ``adopted`` text
-PUS_ROW_VARIANT = "link"
 
 
 @dataclass
@@ -59,20 +56,9 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             - a.take(_LAST, axis=-1) * b.take(_NEXT, axis=-1))
 
 
-def build_inverse_jacobian(pose: PlatformPose, variant: str = PUS_ROW_VARIANT) -> InverseJacobian:
-    """Assemble G^T (N, 6, 6) at the N poses of ``pose``; a vanishing row denominator is
-    SingularLimb.
-
-    ``variant`` selects the documented actuation rows for oracle comparison;
-    the default is the adopted (oracle-passing) recipe.
-    """
-    u = pose.link / norms(pose.link)[..., None]
-    if variant == "normal":
-        # n_i rows for the PUS limbs: kept for oracle comparison only
-        pus = [spec.kind == "PUS" for spec in pose.cfg.limbs]
-        u[..., pus, :] = limb_axes(pose.link[..., pus, :], pose.cfg.link_length)[1]
-    elif variant != "link":
-        raise ValueError(f"unknown row variant {variant!r}")
+def _assemble(pose: PlatformPose, u: np.ndarray) -> InverseJacobian:
+    """G^T (N, 6, 6) at the N poses of ``pose`` with actuation row i a unit force along
+    ``u`` (N, f, 3) through a_i; a vanishing row denominator is SingularLimb."""
     den = u[..., 2:]  # u . s1 with s1 = z_hat
     size = np.abs(den[..., 0])
     singular = size < DENOMINATOR_THRESHOLD
@@ -90,6 +76,21 @@ def build_inverse_jacobian(pose: PlatformPose, variant: str = PUS_ROW_VARIANT) -
     Gc[..., 3:] = _cross(a, X_HAT)
     Ga /= den
     return InverseJacobian(G_a_T=Ga, G_c_T=Gc, status=status)
+
+
+def build_inverse_jacobian(pose: PlatformPose) -> InverseJacobian:
+    """Assemble the adopted G^T (N, 6, 6) at the N poses of ``pose``: every actuation row
+    along its link; a vanishing row denominator is SingularLimb."""
+    return _assemble(pose, pose.link / norms(pose.link)[..., None])
+
+
+def pus_normal_rows(pose: PlatformPose) -> InverseJacobian:
+    """The rejected variant of G^T at ``pose``: the PUS actuation rows along n_i in place of
+    their links, kept for the validation report's comparison with the FD oracle only."""
+    u = pose.link / norms(pose.link)[..., None]
+    pus = [spec.kind == "PUS" for spec in pose.cfg.limbs]
+    u[..., pus, :] = limb_axes(pose.link[..., pus, :], pose.cfg.link_length)[1]
+    return _assemble(pose, u)
 
 
 def flip_moment_blocks(G: InverseJacobian) -> InverseJacobian:

@@ -14,11 +14,12 @@ pose resolved once may stand for every equal one.  Who resolves what:
 
 * ``fd_rows`` resolves the 8 central-difference rows of every pose; the FD
   tangent and IK Jacobian of ``fd_oracles`` difference them, and so does the
-  brute-force ``J_dh``, whose Newton steps at each pose all solve against
-  that one forward Jacobian (chord Newton);
+  brute-force ``J_dh``, which takes them from its caller and whose Newton
+  steps at each pose all solve against that one forward Jacobian (chord
+  Newton);
 * ``forward_refine`` resolves, per iteration, the brute force's iterates
-  from its first step on, and no perturbed pose: it differences a Jacobian
-  itself only for a target whose caller passed none.
+  from its first step on, and no perturbed pose: its caller passes the
+  forward Jacobian.
 
 ``run_validation`` keeps the stack of the feasible sampled poses (``sample_poses``);
 ``check_table`` resolves their central-difference rows once, evaluates each oracle,
@@ -90,23 +91,21 @@ def _fd_jacobian(rows: PlatformPose, steps, wrap=None) -> Stacked:
     return Stacked(J, rows.status.gather(np.arange(8 * n) // 8, n, wrap))
 
 
-def fd_oracles(cfg: ManipulatorConfig, centers: PlatformPose, h: float = 1e-6,
-               rows: PlatformPose | None = None) -> tuple[Stacked, Stacked]:
+def fd_oracles(cfg: ManipulatorConfig, centers: PlatformPose, rows: PlatformPose,
+               h: float = 1e-6) -> tuple[Stacked, Stacked]:
     """The constraint tangents (N, 6, 4) and the actuation Jacobians (N, f, 4) at the poses
     ``centers`` that ``resolve_many`` resolved, by central differences over (y, z, theta, psi).
 
     The tangent is a basis of the feasible twist cone, from differencing the
     pose resolution; the actuation Jacobian differences the IK joint values.
-    Both difference the same 8 central-difference rows of every pose,
-    ``fd_rows(cfg, centers, h)``, which the caller may pass when it has
-    resolved them; a refused row is StepTooLarge for its pose.  The tangent
-    also takes the refusal of its center, whose rotation it differences against.
+    Both difference the caller's ``rows``, the 8 central-difference rows of
+    every pose, ``fd_rows(cfg, centers, h)``; a refused row is StepTooLarge
+    for its pose.  The tangent also takes the refusal of its center, whose
+    rotation it differences against.
     """
     n = len(centers.q)
     steps = step_sizes(cfg, h)
     two_h = 2.0 * steps
-    if rows is None:
-        rows = fd_rows(cfg, centers, h)
     actuation = _fd_jacobian(rows, steps, lambda i, r: Refusal(
         StepTooLarge, lambda: f"perturbed pose infeasible along coord {i % 8 // 2}: "
                               f"{r.message()}"))
@@ -159,34 +158,28 @@ def _newton_step(Jq: Stacked, r: np.ndarray) -> Stacked:
 
 
 def forward_refine(cfg: ManipulatorConfig, targets: np.ndarray, guess_coords,
-                   jacobian: np.ndarray | None = None) -> Refined:
+                   jacobian: np.ndarray) -> Refined:
     """Newton-refine (y, z, theta, psi) until IK reproduces each of the ``targets`` (T, f).
 
     ``guess_coords`` broadcasts to (T, 4).  Each target iterates on its own
     and gets the result and error it gets as a stack of one.  This is the
     chord (simplified) Newton method: every step of a target solves against
-    one forward Jacobian, the caller's ``jacobian`` (T, f, 4) when given, else
-    the central differences at ``step_sizes(cfg)`` around its guess, where a
-    target that steps at all takes its first step.  An iteration resolves the
-    iterates in one call and tests convergence on them; only the first
-    iteration without a given Jacobian resolves, in a second call, the 8
-    perturbed poses of the guesses that step, so a target whose guess
-    converges is never perturbed.  ``_newton_step`` solves for the steps.
-    The finite-difference Jacobian keeps the refinement independent of the
-    analytic screw rows; each accepted pose is certified by its own
-    resolution alone, ``|q - target| < REFINE_TOL * r_b``.
+    one forward Jacobian, the caller's ``jacobian`` (T, f, 4).  An iteration
+    resolves the iterates in one call and tests convergence on them, and
+    ``_newton_step`` solves for the steps.  A finite-difference Jacobian
+    keeps the refinement independent of the analytic screw rows; each
+    accepted pose is certified by its own resolution alone,
+    ``|q - target| < REFINE_TOL * r_b``.
     """
     tol = REFINE_TOL * cfg.base_radius
     env = cfg.envelope_deg + 5.0  # refinement may step slightly past the envelope
-    steps = step_sizes(cfg)
     targets = np.asarray(targets, float)
     size = len(targets)
     coords = np.array(np.broadcast_to(guess_coords, (size, 4)), float)
-    Jq = np.empty((size, cfg.limb_count, 4)) if jacobian is None else jacobian
     B = np.full((size, cfg.limb_count, 3), math.nan)
     status = Status(size)
     active = np.arange(size)
-    for iteration in range(REFINE_MAX_ITER):
+    for _ in range(REFINE_MAX_ITER):
         if not len(active):
             break
         iterates = resolve_many(cfg, coords[active], env)
@@ -197,13 +190,7 @@ def forward_refine(cfg: ManipulatorConfig, targets: np.ndarray, guess_coords,
         s = np.flatnonzero(resolved & ~done)
         refused = iterates.status.take(np.arange(len(active)), _iterate_failed)
         if len(s):
-            if iteration or jacobian is not None:
-                J = Stacked(Jq[active[s]], Status(len(s)))
-            else:
-                J = _fd_jacobian(resolve_many(cfg, _central_rows(coords[active[s]], steps), env),
-                                 steps)
-                Jq[active[s]] = J.value
-            step = _newton_step(J, r[s])
+            step = _newton_step(Stacked(jacobian[active[s]], Status(len(s))), r[s])
             refused = refused.then(step.status.gather(s, len(active)))
             coords[active[s]] -= step.value
             s = s[step.status.ok]
@@ -221,17 +208,19 @@ def brute_force_dhj(cfg: ManipulatorConfig, coords, plan=PRIMARY_PLAN) -> np.nda
 
     The only one-pose entry here: it stays for the correctness checks of the benchmark harness
     (``perfbench/workloads.py``) until ROADMAP item 1 moves them to the stacked oracles.  It
-    resolves the pose and its selection matrix under ``plan`` and, for the forward Jacobian that
-    every Newton step solves against, its 8 central-difference rows if both leave it "ok".
+    resolves the pose and its selection matrix under ``plan``, raises the refusal of either,
+    and only then resolves the pose's 8 central-difference rows (``fd_rows``).
     """
     centers = resolve_many(cfg, [coords])
-    out = _brute_force_dhj(cfg, centers, build_selection_matrix(plan, centers.a))
+    sel = build_selection_matrix(plan, centers.a)
+    centers.status.then(sel.status).check()
+    out = _brute_force_dhj(cfg, centers, sel, fd_rows(cfg, centers))
     out.status.check()
     return out.value[0]
 
 
 def _brute_force_dhj(cfg: ManipulatorConfig, centers: PlatformPose, sel: SelectionMatrix,
-                     rows: PlatformPose | None = None) -> Stacked:
+                     rows: PlatformPose) -> Stacked:
     """Differentiate the selected point-velocity combinations w.r.t. q_a: (N, f, f) at the
     poses ``centers`` that ``resolve_many`` resolved at the config's envelope (its default).
 
@@ -243,10 +232,8 @@ def _brute_force_dhj(cfg: ManipulatorConfig, centers: PlatformPose, sel: Selecti
 
     Every Newton step of a target solves against one forward Jacobian, the
     actuation oracle's at its center: the central differences, at
-    ``step_sizes(cfg)``, of the rows ``fd_rows(cfg, centers)``, which the
-    caller passes when it has resolved them; otherwise only the rows of the
-    centers that resolution and selection leave "ok" are resolved, and none
-    if no center is left.  The first step is taken at the center, where the
+    ``step_sizes(cfg)``, of the caller's ``rows``, ``fd_rows(cfg, centers)``.
+    The first step is taken at the center, where the
     residual is the joint step, far above REFINE_TOL, so no target converges
     there.  ``forward_refine`` then refines every target from its stepped
     iterate against the same Jacobian (chord Newton), resolving only the
@@ -268,16 +255,12 @@ def _brute_force_dhj(cfg: ManipulatorConfig, centers: PlatformPose, sel: Selecti
     t_row = (2 * f * todo[:, None] + np.arange(2 * f)).ravel()
     owner = t_row // (2 * f)
     targets = _central_rows(centers.q[todo], h_q).reshape(-1, f)
-    # target t takes its first step from the Jacobian at[t] of the rows
-    if rows is None:  # resolved for the centers still ok only, center todo[i] as pose i
-        rows, at = fd_rows(cfg, centers.take(todo)), np.repeat(np.arange(len(todo)), 2 * f)
-    else:  # the caller's rows cover every center
-        at = owner
     Jq = _fd_jacobian(rows, step_sizes(cfg))
-    first = _newton_step(Stacked(Jq.value[at], Jq.status.take(at)), centers.q[owner] - targets)
+    first = _newton_step(Stacked(Jq.value[owner], Jq.status.take(owner)),
+                         centers.q[owner] - targets)
     go = np.flatnonzero(first.status.ok)
     refined = forward_refine(cfg, targets[go], centers.coords[owner[go]] - first.value[go],
-                             Jq.value[at[go]])
+                             Jq.value[owner[go]])
     refusals = first.status.then(refined.status.gather(go, len(owner)))
     status = status.then(refusals.gather(owner, n))
     B = np.full((n, 2 * f, f, 3), math.nan)
@@ -366,12 +349,12 @@ def check_table(cfg: ManipulatorConfig, centers: PlatformPose):
     n = len(centers.q)
     n_unit, n_bf = min(25, n), min(BRUTE_FORCE_POSES, n)
     rows = fd_rows(cfg, centers)  # read by the FD oracles and the brute force's first step
-    tangent, fd_ik = fd_oracles(cfg, centers, rows=rows)
+    tangent, fd_ik = fd_oracles(cfg, centers, rows)
     T, FD = tangent.value, fd_ik.value
     (G, fwd, V_p), sel, V_ps, J_dh, _, k, rec = dhj._chain(centers, PRIMARY_PLAN)
     _, _, V_ps_alt, _, _, k_alt, rec_alt = dhj._chain(centers, ALTERNATE_PLAN, (G, fwd, V_p))
     scale = 0.001
-    cfg_m = cfg.scaled(scale, unit="m" if cfg.unit == "mm" else cfg.unit)
+    cfg_m = cfg.scaled(scale)
     *_, k_m, rec_m = dhj._chain(
         resolve_many(cfg_m, centers.coords[:n_unit] * [scale, scale, 1, 1]), PRIMARY_PLAN)
     first = range(n_bf)
@@ -382,7 +365,7 @@ def check_table(cfg: ManipulatorConfig, centers: PlatformPose):
     # where the block route is BlockSingular, the documented fallback is direct inversion
     J_b = np.where(block.status.ok[:, None, None], block.value, fwd.J_a)
     cols = list(CONSTRAINED_COLS)
-    G_normal = screws.build_inverse_jacobian(centers, variant="normal")
+    G_normal = screws.pus_normal_rows(centers)
     table = []
 
     def row(name, threshold, statuses, errors, count=n, note=None):

@@ -109,15 +109,16 @@ def V_ps_at(plan, points):
 def fd_at(cfg: ManipulatorConfig, coords, h: float = 1e-6):
     """The FD tangent (6, 4) and actuation Jacobian (f, 4) at one pose: ``verify.fd_oracles``
     over a stack of one, raising the tangent's refusal first."""
-    tangent, actuation = verify.fd_oracles(cfg, resolve_many(cfg, [coords]), h)
+    centers = resolve_many(cfg, [coords])
+    tangent, actuation = verify.fd_oracles(cfg, centers, verify.fd_rows(cfg, centers, h), h)
     return one(tangent), one(actuation)
 
 
-def bf_over(cfg: ManipulatorConfig, centers, rows=None):
+def bf_over(cfg: ManipulatorConfig, centers):
     """``verify._brute_force_dhj`` at a resolved stack under the primary plan, whose selection
-    matrix of the centers it builds as the chain does."""
+    matrix and central-difference rows of the centers it builds as ``check_table`` does."""
     return verify._brute_force_dhj(cfg, centers, build_selection_matrix(PRIMARY_PLAN, centers.a),
-                                   rows)
+                                   verify.fd_rows(cfg, centers))
 
 
 def bf_at(cfg: ManipulatorConfig, coords):

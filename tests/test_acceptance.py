@@ -19,7 +19,7 @@ from dhjac.pointmap import build_Vp
 from dhjac.screws import build_inverse_jacobian
 from dhjac.selection import (ALTERNATE_PLAN, CONSTRAINED_COLS, PRIMARY_PLAN,
                              build_selection_matrix, nominal_map)
-from dhjac.verify import fd_oracles, run_validation, sample_poses
+from dhjac.verify import fd_oracles, fd_rows, run_validation, sample_poses
 
 from conftest import REFERENCE_CONFIG, bf_at, checked, one
 
@@ -50,7 +50,8 @@ def oracle_rows(reference, poses):
     t0 = time.perf_counter()
     for coords in poses:
         centers = resolve_many(reference, [coords])
-        T, FD = (one(oracle) for oracle in fd_oracles(reference, centers))
+        T, FD = (one(oracle) for oracle in fd_oracles(reference, centers,
+                                                      fd_rows(reference, centers)))
         G = checked(build_inverse_jacobian(centers))
         rows.append((coords, T, FD, G))
     return rows, time.perf_counter() - t0

@@ -11,9 +11,11 @@ from pathlib import Path
 import pytest
 
 import dhjac
+from dhjac import verify
 from dhjac.dhj import condition_numbers_at
 from dhjac.errors import KinematicsError, Stacked
-from dhjac.model import PlatformPose
+from dhjac.model import ManipulatorConfig, PlatformPose
+from dhjac.screws import build_inverse_jacobian
 from dhjac.selection import SelectionMatrix
 from dhjac.verify import run_validation, sample_poses
 
@@ -21,7 +23,8 @@ from dhjac.verify import run_validation, sample_poses
 #: ``verify.sample_poses`` and ``forward_map.cond_from_sigmas`` are the only forms, and
 #: ``errors.Status`` has no one-pose mode for ``any_true`` to serve.  The dependent
 #: coordinates have a closed form (``model._phi_z``), so no damped Newton, its constants or
-#: its ``NoConvergence`` refusal remain
+#: its ``NoConvergence`` refusal remain.  The rejected PUS-normal rows have their own builder,
+#: ``screws.pus_normal_rows``, so no row-variant name selects them
 DELETED = {
     "dhjac": ("condition_number", "fd_actuation_jacobian", "fd_constraint_tangent"),
     "dhjac.verify": ("fd_actuation_jacobian", "fd_constraint_tangent", "_fd_oracles",
@@ -29,6 +32,7 @@ DELETED = {
     "dhjac.errors": ("any_true", "NoConvergence"),
     "dhjac.model": ("_resolve_dependent", "_plane_residual", "_start_residual", "RESOLVE_TOL",
                     "RESOLVE_MAX_ITER", "RESOLVE_DET_RTOL", "RESOLVE_HALVINGS"),
+    "dhjac.screws": ("PUS_ROW_VARIANT",),
 }
 
 
@@ -60,6 +64,17 @@ def test_a_set_of_poses_has_one_form(reference):
     result = sample_poses(reference, 3)
     assert len(result) == 2 and isinstance(result[0], PlatformPose)
     assert result[0].coords.shape == (3, 4)
+
+
+def test_each_oracle_has_one_form():
+    # the oracles take the chord Jacobian and the central-difference rows their caller
+    # resolved, with no default that would resolve them a second way; the unit a scale
+    # lands on is decided by ``scaled`` alone, and G^T has one builder per row recipe
+    for fn, name in ((verify.forward_refine, "jacobian"), (verify._brute_force_dhj, "rows"),
+                     (verify.fd_oracles, "rows")):
+        assert inspect.signature(fn).parameters[name].default is inspect.Parameter.empty
+    for fn in (ManipulatorConfig.scaled, build_inverse_jacobian):
+        assert not {"unit", "variant"} & inspect.signature(fn).parameters.keys()
 
 
 def refused_errors(fn, seen=None) -> set:

@@ -527,7 +527,7 @@ def test_grid_blocks_equal_row_by_row(monkeypatch, rows_per_block, blocks):
     th, ps = np.radians(th_deg), np.radians(ps_deg)
     row_by_row = [condition_numbers_at(OFFSET_WIDE, 0.0, 150.0, t, ps)
                   for t in th.tolist()]
-    cfg_m = OFFSET_WIDE.scaled(0.001, unit="m")
+    cfg_m = OFFSET_WIDE.scaled(0.001)
     row_by_row_m = [condition_numbers_at(cfg_m, 0.0, 150.0 * 0.001, t, ps)
                     for t in th.tolist()]
     # a cap that is not a whole number of rows

@@ -89,7 +89,7 @@ def test_dexterity_record_contract(reference):
 def test_dhj_entries_unit_invariant(reference):
     coords = (0.0, 150.0, math.radians(15.0), math.radians(25.0))
     rec = dexterity_at(reference, *coords)
-    metric = reference.scaled(0.001, unit="m")
+    metric = reference.scaled(0.001)
     rec_m = dexterity_at(metric, 0.0, 0.150, coords[2], coords[3])
     np.testing.assert_allclose(rec_m.J_dh, rec.J_dh, rtol=1e-9)
     assert rec_m.k == pytest.approx(rec.k, rel=1e-9)
@@ -338,7 +338,7 @@ def test_unit_scaling_noop_is_bit_identical(reference):
 
 def test_pose_ranking_identical_across_units(reference):
     coords = random_coords(reference, 12, seed=29)
-    metric = reference.scaled(0.001, unit="m")
+    metric = reference.scaled(0.001)
     k_mm = [dexterity_at(reference, *c).k for c in coords]
     k_m = [dexterity_at(metric, c[0] * 0.001, c[1] * 0.001, c[2], c[3]).k
            for c in coords]

@@ -161,7 +161,7 @@ def test_forward_blocks_scale_as_case1(reference):
     s = 0.001
     coords = (0.0, 150.0, math.radians(18.0), math.radians(-9.0))
     fwd = fwd_at(G_at(reference, coords))
-    scaled = reference.scaled(s, unit="m")
+    scaled = reference.scaled(s)
     fwd_s = fwd_at(G_at(scaled, (0.0, 0.150, coords[2], coords[3])))
     np.testing.assert_allclose(fwd_s.J_a[:3], fwd.J_a[:3], rtol=1e-9, atol=1e-14)
     np.testing.assert_allclose(fwd_s.J_a[3:], fwd.J_a[3:] / s, rtol=1e-9, atol=1e-14)
