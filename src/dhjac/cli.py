@@ -158,24 +158,25 @@ def cmd_pose(args) -> int:
 
 
 def sweep_rows(cfg: ManipulatorConfig, spec: SweepSpec):
-    """The sweep CSV lines of one grid, row-major (theta outer), one block at a time.
+    """The sweep CSV lines of one grid, row-major (theta outer), block by block.
 
-    The grid is evaluated in blocks of whole theta rows (``dhj.grid_blocks``),
-    one ``dhj.condition_numbers_at`` call per block, and each block is yielded
-    as soon as it is evaluated, as ``(text, k_g, k_dh)``: its lines in one
-    string, and its cond(G^T) and cond(J_dh), NaN where a cell is not "ok".
-    Every theta and psi label is formatted once per grid and found by its
-    position in the axis, not by its value: -0.0 == 0.0 prints differently.
+    The grid is evaluated by ``dhj.grid_conditions`` in blocks of whole theta
+    rows, one ``dhj.condition_numbers_at`` call per block, two blocks in flight
+    where there is a second CPU.  Each block is yielded in order as soon as it
+    and the blocks ahead of it are evaluated, as ``(text, k_g, k_dh)``: its
+    lines in one string, and its cond(G^T) and cond(J_dh), NaN where a cell is
+    not "ok".  Every theta and psi label is formatted once per grid and found
+    by its position in the axis, not by its value: -0.0 == 0.0 prints
+    differently.
     """
     y = _length_from_mm(spec.y_mm, cfg.unit)
     z = _length_from_mm(spec.z_mm, cfg.unit)
     thetas, psis = spec.grids()
     th_labels, ps_labels = _labels(thetas), _labels(psis)
     first = 0  # the first theta row of the block
-    for th_deg, ps_deg in dhj.grid_blocks(thetas, psis):
-        status, k_g, k_dh = dhj.condition_numbers_at(cfg, y, z, np.radians(th_deg),
-                                                     np.radians(ps_deg), plan=spec.plan)
-        rows = len(th_deg) // len(psis)
+    for th_rad, _, [(status, k_g, k_dh)] in dhj.grid_conditions(
+            [(cfg, y, z)], np.radians(thetas), np.radians(psis), spec.plan):
+        rows = len(th_rad) // len(psis)
         th = [t for t in th_labels[first:first + rows] for _ in ps_labels]
         first += rows
         yield "".join([

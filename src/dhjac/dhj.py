@@ -6,7 +6,9 @@ it (``forward_map``), build S and V_p (``selection``, ``pointmap``) and read
 the singular values of J_dh = S V_p J_a.  Each stage that can refuse records
 in a ``Status`` the refusal a pose would raise alone, and a pose keeps the
 first, so every pose of a stack gets the outcome it gets alone.
-``condition_numbers_at`` runs the chain on the N poses of a block of grid rows;
+``condition_numbers_at`` runs the chain on the N poses of a block of grid rows,
+and ``grid_conditions`` runs it over whole grids, a block at a time, on a
+second CPU where there is one;
 ``dexterity_at`` runs it on the stack of one that ``resolve_pose`` returns,
 raises its refusal, and returns every intermediate that ``dhjac pose`` reads.
 
@@ -16,7 +18,9 @@ cross-checks them against an independent symmetric eigensolve of M^T M.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,21 +133,78 @@ def condition_numbers_at(
 
 
 #: poses per ``condition_numbers_at`` call when a grid is evaluated; the
-#: chain's working arrays for a block of that many poses peak near 5 MB
+#: chain's working arrays for a block of that many poses peak near 5 MB, and
+#: ``grid_conditions`` keeps two blocks in flight, about 10 MB
 GRID_BLOCK_POSES = 2048
 
 
-def grid_blocks(thetas, psis):
+def grid_blocks(thetas, psis, runs: int = 1):
     """The (theta, psi) grid, theta outer, in blocks of whole theta rows.
 
     Yields the ``(theta, psi)`` of every pose of a block as two flat arrays;
     a block holds at most GRID_BLOCK_POSES poses, or one row if a row is longer.
+    A grid that a single run would evaluate in one block of several rows is
+    split into two, the first holding the odd row, so that it makes two jobs.
     """
     thetas, psis = np.asarray(thetas, float), np.asarray(psis, float)
     step = max(1, GRID_BLOCK_POSES // max(len(psis), 1))
+    if runs == 1 and 1 < len(thetas) <= step:
+        step = (len(thetas) + 1) // 2
     for start in range(0, len(thetas), step):
         rows = thetas[start:start + step]
         yield np.repeat(rows, len(psis)), np.tile(psis, len(rows))
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity is not None else os.cpu_count() or 1
+
+
+def grid_conditions(runs, thetas, psis, plan: SelectionPlan = PRIMARY_PLAN):
+    """``condition_numbers_at`` of each run over a grid, one block of whole theta rows at a time.
+
+    ``runs`` holds ``(cfg, y, z)`` triples; ``thetas`` and ``psis`` are the
+    radian axes.  Yields ``(theta, psi, results)`` per block of ``grid_blocks``,
+    in order, with one ``(status, cond_G, cond_Jdh)`` per run.  The jobs are
+    the blocks times the runs, row-major: the caller runs the even ones, and
+    one worker thread the odd ones, each submitted just before the caller
+    starts the job ahead of it and run in the caller's ``contextvars``
+    context (numpy's ``errstate`` lives there).  A pose's arithmetic does not
+    depend on its stack or its thread, so the results are those of a serial
+    loop.  A job's exception surfaces at its place in the order, after the
+    blocks ahead of it, and the worker is joined before the call returns or
+    raises.  On one CPU every job runs in the caller; no thread starts there,
+    nor for a grid of one job.
+    """
+    blocks = list(grid_blocks(thetas, psis, len(runs)))
+    jobs = len(blocks) * len(runs)
+
+    def job(i):
+        th, ps = blocks[i // len(runs)]
+        cfg, y, z = runs[i % len(runs)]
+        return condition_numbers_at(cfg, y, z, th, ps, plan=plan)
+
+    def evaluate(submit):
+        # submit(i) starts job i and returns the call that gives its result
+        results, ahead = [], None
+        for i in range(jobs):
+            if i % 2:
+                results.append(ahead())
+            else:
+                ahead = submit(i + 1) if i + 1 < jobs else None
+                results.append(job(i))
+            if len(results) == len(runs):
+                yield (*blocks[i // len(runs)], results)
+                results = []
+
+    if _cpus() < 2:
+        yield from evaluate(lambda i: functools.partial(job, i))
+        return
+    import contextvars
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(1) as pool:
+        yield from evaluate(lambda i: pool.submit(contextvars.copy_context().run, job, i).result)
 
 
 #: invariance gate on cond(J_dh) between unit systems
@@ -172,11 +233,9 @@ def unit_scaling_experiment(
     cfg_b = cfg.scaled(scale)
     cells = []
     devs_dh, devs_G = [], []
-    for th, ps in grid_blocks(thetas, psis):
-        # one call per block of whole theta rows and unit system
-        st_a, kG_a, kdh_a = condition_numbers_at(cfg, y, z, th, ps, plan=plan)
-        st_b, kG_b, kdh_b = condition_numbers_at(cfg_b, y * scale, z * scale, th, ps,
-                                                 plan=plan)
+    runs = [(cfg, y, z), (cfg_b, y * scale, z * scale)]
+    for th, ps, ((st_a, kG_a, kdh_a), (st_b, kG_b, kdh_b)) in grid_conditions(
+            runs, thetas, psis, plan):
         for t, p, s_a, s_b, k_G_a, k_G_b, k_dh_a, k_dh_b in zip(
                 th.tolist(), ps.tolist(), st_a, st_b, kG_a.tolist(), kG_b.tolist(),
                 kdh_a.tolist(), kdh_b.tolist()):

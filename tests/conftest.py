@@ -1,4 +1,5 @@
 import dataclasses
+import os
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -17,6 +18,14 @@ REFERENCE_CONFIG = REPO / "configs" / "reference_4dof.json"
 @pytest.fixture(scope="session")
 def reference() -> ManipulatorConfig:
     return load_config(REFERENCE_CONFIG)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """``cpus(n)`` makes ``dhj.grid_conditions`` see n CPUs; ``cpus(1)`` forces its serial loop."""
+    def use(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    return use
 
 
 def square_config(link_length: float = 687.0) -> ManipulatorConfig:

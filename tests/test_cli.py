@@ -3,13 +3,19 @@ import io
 import itertools
 import json
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dhjac import cli, dhj
+from dhjac import cli, dhj, verify
 from dhjac.cli import SWEEP_HEADER, SweepSpec, main, sweep_rows
 from dhjac.dhj import condition_numbers_at, dexterity_at, unit_scaling_experiment
 from dhjac.errors import KinematicsError
@@ -309,24 +315,26 @@ def test_sweep_unwritable_exit_4(tmp_path, capsys, monkeypatch):
         assert ".tmp" not in err
 
 
-def test_interrupted_sweep_keeps_previous_csv(tmp_path, monkeypatch):
+def test_interrupted_sweep_keeps_previous_csv(tmp_path, monkeypatch, cpus):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", CFG, "--grid", "5", "--out", str(out)]) == 0
     before = out.read_bytes()
+    rows = np.radians(np.linspace(-40.0, 40.0, 5))
     calls = []
 
     def interrupted(*args, **kwargs):
-        calls.append(len(args[3]))
-        if len(calls) == 2:  # the second block, after the first was written
+        calls.append(args[3][0])
+        if args[3][0] == rows[1]:  # the second row, the worker's job, after the first was written
             raise KeyboardInterrupt
         return condition_numbers_at(*args, **kwargs)
 
+    cpus(2)
     monkeypatch.setattr(dhj, "GRID_BLOCK_POSES", 5)  # one theta row per block
     monkeypatch.setattr(dhj, "condition_numbers_at", interrupted)
     with pytest.raises(KeyboardInterrupt):
         main(["sweep", "--config", CFG, "--grid", "5", "--range-deg", "40",
               "--out", str(out)])
-    assert calls == [5, 5]
+    assert sorted(calls) == rows[:2].tolist()
     assert out.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
 
@@ -522,7 +530,9 @@ OFFSET_SPEC = SweepSpec(range_deg=85.0, steps=21, y_mm=0.0, z_mm=150.0, plan=PRI
 
 @pytest.mark.parametrize("rows_per_block, blocks", [(4, 6), (21, 1)])
 def test_grid_blocks_equal_row_by_row(monkeypatch, rows_per_block, blocks):
-    # 21 rows in blocks of 4 leave a last block of one row; 21 rows fit the cap whole
+    # 21 rows in blocks of 4 leave a last block of one row; 21 rows fit the cap whole, which
+    # makes one block of the two unit systems of ``units``, and two blocks of the one ``sweep``
+    # run (11 + 10 rows)
     th_deg, ps_deg = OFFSET_SPEC.grids()
     th, ps = np.radians(th_deg), np.radians(ps_deg)
     row_by_row = [condition_numbers_at(OFFSET_WIDE, 0.0, 150.0, t, ps)
@@ -535,8 +545,11 @@ def test_grid_blocks_equal_row_by_row(monkeypatch, rows_per_block, blocks):
     calls = []
 
     def counted(cfg, y, z, theta, psi, **kwargs):
-        calls.append(len(theta))
+        calls.append((theta[0], len(theta)))  # the calls of two threads arrive in any order
         return condition_numbers_at(cfg, y, z, theta, psi, **kwargs)
+
+    def block_calls(step):
+        return [(th[i], len(ps) * min(step, len(th) - i)) for i in range(0, len(th), step)]
 
     monkeypatch.setattr(dhj, "condition_numbers_at", counted)
 
@@ -545,11 +558,11 @@ def test_grid_blocks_equal_row_by_row(monkeypatch, rows_per_block, blocks):
             for t, (status, k_g, k_dh) in zip(th_deg.tolist(), row_by_row)
             for p, code, kg, kd in zip(ps_deg.tolist(), status, k_g.tolist(), k_dh.tolist())]
     got = list(sweep_rows(OFFSET_WIDE, OFFSET_SPEC))
-    assert calls == [len(ps) * min(rows_per_block, len(th) - i)
-                     for i in range(0, len(th), rows_per_block)]
-    assert len(calls) == blocks
+    sweep_calls = block_calls(rows_per_block if blocks > 1 else (len(th) + 1) // 2)
+    assert sorted(calls) == sweep_calls
+    assert len(calls) == max(blocks, 2)
     # each block yields the lines of its whole theta rows as one string, and its conds
-    assert [text.count("\n") for text, _, _ in got] == calls
+    assert [text.count("\n") for text, _, _ in got] == [n for _, n in sweep_calls]
     assert "".join(text for text, _, _ in got) == "".join(want)
     for i, want_k in ((1, [k_g for _, k_g, _ in row_by_row]),
                       (2, [k_dh for _, _, k_dh in row_by_row])):
@@ -560,6 +573,7 @@ def test_grid_blocks_equal_row_by_row(monkeypatch, rows_per_block, blocks):
 
     calls.clear()
     cells = unit_scaling_experiment(OFFSET_WIDE, th, ps, y=0.0, z=150.0)["cells"]
+    assert sorted(calls) == sorted(2 * block_calls(rows_per_block))
     assert len(calls) == 2 * blocks
     want = []
     for t, (st_a, kG_a, kdh_a), (st_b, kG_b, kdh_b) in zip(th.tolist(), row_by_row,
@@ -696,3 +710,184 @@ def test_units_writer_equals_json_dump_on_any_report(case):
             with pytest.raises(ValueError, match="cells on a"):
                 cli._write_units_json(report, got, th, ps)
             assert got.getvalue() == ""
+
+
+def _on_two_cpus_and_one(monkeypatch, cpus, run):
+    """``run()`` with two CPUs, then with one (the serial loop): the two results.
+
+    Checks that the first run evaluated blocks on the caller and on workers, each driver
+    call's own, and the second on the caller alone.
+    """
+    on_caller = []
+
+    def spied(*args, **kwargs):
+        on_caller.append(threading.current_thread() is threading.main_thread())
+        return condition_numbers_at(*args, **kwargs)
+
+    monkeypatch.setattr(dhj, "condition_numbers_at", spied)
+    results = []
+    for n, where in ((2, {True, False}), (1, {True})):
+        cpus(n)
+        on_caller.clear()
+        results.append(run())
+        assert set(on_caller) == where
+    return results
+
+
+@pytest.mark.parametrize("layout", ["offset", "reference"])
+def test_grid_files_do_not_depend_on_the_worker(tmp_path, monkeypatch, capsys, cpus, layout):
+    # the offset grid holds ok, unreachable and singular_selection cells; the reference grid
+    # at 101 steps makes six blocks per unit system
+    if layout == "offset":
+        config = _config_file(tmp_path, OFFSET_WIDE)
+        grid = ["--grid", "21", "--range-deg", "85", "--envelope-deg", "89"]
+    else:
+        config, grid = CFG, ["--grid", "101"]
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+
+    def run():
+        codes = [main([cmd, "--config", config, *grid, "--out", str(out_dir / out)])
+                 for cmd, out in (("sweep", "sweep.csv"), ("units", "units.json"))]
+        files = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        return codes, capsys.readouterr(), files
+
+    threaded, serial = _on_two_cpus_and_one(monkeypatch, cpus, run)
+    assert threaded == serial
+    assert threaded[0] == [0, 0]
+    assert sorted(threaded[2]) == ["sweep.csv", "units.csv", "units.json"]
+    statuses = {line.rsplit(b",", 1)[1] for line in threaded[2]["sweep.csv"].splitlines()[1:]}
+    assert statuses == ({b"ok", b"unreachable", b"singular_selection"} if layout == "offset"
+                        else {b"ok"})
+
+
+FAILURES = [pytest.param(RuntimeError, id="error"), pytest.param(KeyboardInterrupt, id="interrupt")]
+
+
+@pytest.mark.parametrize("error", FAILURES)
+@pytest.mark.parametrize("units", [False, True], ids=["one_run", "two_runs"])
+def test_a_failed_worker_job_surfaces_at_its_place(monkeypatch, cpus, reference, error, units):
+    # one row per block; job 3 is odd, so the worker runs it: the fourth block of one run, or
+    # the second unit system of the second block of two
+    runs = [(reference, 0.0, 150.0)] + units * [(reference.scaled(0.001), 0.0, 0.15)]
+    block, run = divmod(3, len(runs))
+    started = []
+
+    def failing(cfg, y, z, theta, psi, **kwargs):
+        started.append(theta[0])
+        if theta[0] == GRID5[block] and cfg is runs[run][0]:
+            assert threading.current_thread() is not threading.main_thread()
+            raise error("job 3")
+        return condition_numbers_at(cfg, y, z, theta, psi, **kwargs)
+
+    cpus(2)
+    monkeypatch.setattr(dhj, "GRID_BLOCK_POSES", len(GRID5))
+    monkeypatch.setattr(dhj, "condition_numbers_at", failing)
+    yielded = []
+    with pytest.raises(error, match="job 3"):
+        for theta, _, results in dhj.grid_conditions(runs, GRID5, GRID5):
+            yielded.append(theta[0])
+    # every block ahead of the failing job, and none after it; no job past the one the
+    # caller ran beside it was started
+    assert yielded == GRID5[:block].tolist()
+    assert len(started) == 4
+
+
+@pytest.mark.parametrize("error", FAILURES)
+@pytest.mark.parametrize("cmd", ["sweep", "units"])
+def test_a_failed_worker_job_keeps_the_previous_files(tmp_path, monkeypatch, cpus, error, cmd):
+    out = tmp_path / ("units.json" if cmd == "units" else "sweep.csv")
+    argv = [cmd, "--config", CFG, "--grid", "5", "--out", str(out)]
+    assert main(argv) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def failing(*args, **kwargs):
+        # row 3 is the worker's second job, as the second unit system or as the fourth block
+        if args[3][0] == GRID5[3] and threading.current_thread() is not threading.main_thread():
+            raise error("row 3")
+        return condition_numbers_at(*args, **kwargs)
+
+    cpus(2)
+    monkeypatch.setattr(dhj, "GRID_BLOCK_POSES", 5)  # one theta row per block
+    monkeypatch.setattr(dhj, "condition_numbers_at", failing)
+    with pytest.raises(error, match="row 3"):
+        main(argv)
+    # nothing replaced, no temporary file left
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_worker_jobs_run_in_the_callers_context(monkeypatch, cpus, reference):
+    # numpy's errstate is a context variable, which a new thread does not inherit
+    seen = []
+
+    def spied(*args, **kwargs):
+        seen.append((threading.get_ident(), np.geterr()["divide"]))
+        return condition_numbers_at(*args, **kwargs)
+
+    cpus(2)
+    monkeypatch.setattr(dhj, "condition_numbers_at", spied)
+    with np.errstate(divide="ignore"):
+        list(dhj.grid_conditions([(reference, 0.0, 150.0)], GRID5, GRID5))
+    assert len({ident for ident, _ in seen}) == 2
+    assert {divide for _, divide in seen} == {"ignore"}
+
+
+def test_a_lone_pose_loads_no_thread_machinery():
+    # what perfbench times as set-up: import, load a config, one pose
+    code = ("import sys, threading\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import dhjac\n"
+            "dhjac.dexterity_at(dhjac.load_config(sys.argv[2]), 0.0, 150.0, 0.0, 0.0)\n"
+            "print('concurrent.futures' in sys.modules, threading.active_count())\n")
+    src = str(Path(dhj.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code, src, CFG], capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.split() == ["False", "1"]
+
+
+def test_only_a_grid_of_two_jobs_on_two_cpus_starts_a_thread(monkeypatch, cpus, reference):
+    started = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    threads = threading.active_count()
+    cpus(2)
+    dexterity_at(reference, 0.0, 150.0, 0.1, 0.2)
+    verify.run_validation(reference, seed=0, n_poses=3)
+    list(dhj.grid_conditions([(reference, 0.0, 150.0)], GRID5[:1], GRID5))  # one job
+    cpus(1)
+    list(dhj.grid_conditions([(reference, 0.0, 150.0)], GRID5, GRID5))
+    unit_scaling_experiment(reference, GRID5, GRID5)
+    assert started == []
+    cpus(2)
+    list(dhj.grid_conditions([(reference, 0.0, 150.0)], GRID5, GRID5))
+    assert len(started) == 1
+    assert threading.active_count() == threads  # the worker is joined before the call returns
+
+
+def _grid_statuses(reference, queue):
+    queue.put([status for _, _, [(status, _, _)] in dhj.grid_conditions(
+        [(reference, 0.0, 150.0)], GRID5, GRID5)])
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+def test_a_child_forked_after_a_grid_runs_a_grid(cpus, reference):
+    cpus(2)  # the child inherits this too, so it starts a worker of its own
+    want = [status for _, _, [(status, _, _)] in dhj.grid_conditions(
+        [(reference, 0.0, 150.0)], GRID5, GRID5)]
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    child = ctx.Process(target=_grid_statuses, args=(reference, queue))
+    child.start()
+    try:
+        got = queue.get(timeout=60)
+        child.join(timeout=60)
+        assert not child.is_alive()
+    finally:
+        child.kill()
+    assert child.exitcode == 0
+    assert got == want

@@ -192,15 +192,18 @@ def run_sweep_case(case: str, directory: Path, capsys) -> tuple[bytes, str]:
     return out_path.read_bytes(), capsys.readouterr().out.replace(str(out_path), out_path.name)
 
 
-def test_sweep_output_does_not_depend_on_the_block_size(tmp_path, capsys, monkeypatch):
+def test_sweep_output_does_not_depend_on_the_block_size(tmp_path, capsys, monkeypatch, cpus):
     # the offset grid, whose 11 rows hold ok, unreachable and singular_selection cells,
     # in blocks of one row, of one row and 3 poses (a cap that is not a whole number of
-    # rows), of two rows and 3 poses (a last block of one row) and of the default size
+    # rows), of two rows and 3 poses (a last block of one row) and of the default size,
+    # each with a worker thread and in the serial loop of one CPU
     outputs = []
     for block_poses in (11, 11 + 3, 2 * 11 + 3, dhj.GRID_BLOCK_POSES):
         monkeypatch.setattr(dhj, "GRID_BLOCK_POSES", block_poses)
-        outputs.append(run_sweep_case("sweep_offset", tmp_path, capsys))
-    assert outputs[1:] == outputs[:1] * 3
+        for n in (2, 1):
+            cpus(n)
+            outputs.append(run_sweep_case("sweep_offset", tmp_path, capsys))
+    assert outputs[1:] == outputs[:1] * 7
     csv, stdout = outputs[0]
     statuses = [line.rsplit(b",", 1)[1] for line in csv.splitlines()[1:]]
     assert {s: statuses.count(s) for s in set(statuses)} == {
