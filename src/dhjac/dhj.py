@@ -132,27 +132,10 @@ def condition_numbers_at(
     return status.codes(), np.where(ok, fwd.cond_GT, math.nan), np.where(ok, k, math.nan)
 
 
-#: poses per ``condition_numbers_at`` call when a grid is evaluated; the
-#: chain's working arrays for a block of that many poses peak near 5 MB, and
-#: ``grid_conditions`` keeps two blocks in flight, about 10 MB
+#: the most poses per ``condition_numbers_at`` call when a grid is evaluated (one theta row
+#: where a row is longer); the chain's working arrays peak at 4.7 MiB for a block that full
+#: (tracemalloc), and ``grid_conditions`` keeps two blocks in flight
 GRID_BLOCK_POSES = 2048
-
-
-def grid_blocks(thetas, psis, runs: int = 1):
-    """The (theta, psi) grid, theta outer, in blocks of whole theta rows.
-
-    Yields the ``(theta, psi)`` of every pose of a block as two flat arrays;
-    a block holds at most GRID_BLOCK_POSES poses, or one row if a row is longer.
-    A grid that a single run would evaluate in one block of several rows is
-    split into two, the first holding the odd row, so that it makes two jobs.
-    """
-    thetas, psis = np.asarray(thetas, float), np.asarray(psis, float)
-    step = max(1, GRID_BLOCK_POSES // max(len(psis), 1))
-    if runs == 1 and 1 < len(thetas) <= step:
-        step = (len(thetas) + 1) // 2
-    for start in range(0, len(thetas), step):
-        rows = thetas[start:start + step]
-        yield np.repeat(rows, len(psis)), np.tile(psis, len(rows))
 
 
 def _cpus() -> int:
@@ -165,8 +148,12 @@ def grid_conditions(runs, thetas, psis, plan: SelectionPlan = PRIMARY_PLAN):
     """``condition_numbers_at`` of each run over a grid, one block of whole theta rows at a time.
 
     ``runs`` holds ``(cfg, y, z)`` triples; ``thetas`` and ``psis`` are the
-    radian axes.  Yields ``(theta, psi, results)`` per block of ``grid_blocks``,
-    in order, with one ``(status, cond_G, cond_Jdh)`` per run.  The jobs are
+    radian axes.  The blocks are the fewest of whole theta rows that keep to
+    GRID_BLOCK_POSES poses (one row per block where a row is longer), one more
+    where blocks times runs would be odd and a row is left to give, and the
+    rows are dealt out evenly (``np.array_split``); an empty theta axis makes
+    no block.  Yields ``(theta, psi, results)`` per block, theta outer, in
+    order, with one ``(status, cond_G, cond_Jdh)`` per run.  The jobs are
     the blocks times the runs, row-major: the caller runs the even ones, and
     one worker thread the odd ones, each submitted just before the caller
     starts the job ahead of it and run in the caller's ``contextvars``
@@ -177,7 +164,12 @@ def grid_conditions(runs, thetas, psis, plan: SelectionPlan = PRIMARY_PLAN):
     raises.  On one CPU every job runs in the caller; no thread starts there,
     nor for a grid of one job.
     """
-    blocks = list(grid_blocks(thetas, psis, len(runs)))
+    thetas, psis = np.asarray(thetas, float), np.asarray(psis, float)
+    count = -(-len(thetas) // max(1, GRID_BLOCK_POSES // max(len(psis), 1)))
+    if count * len(runs) % 2 and count < len(thetas):
+        count += 1
+    blocks = [(np.repeat(rows, len(psis)), np.tile(psis, len(rows)))
+              for rows in np.array_split(thetas, count)] if count else []
     jobs = len(blocks) * len(runs)
 
     def job(i):

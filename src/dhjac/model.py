@@ -239,8 +239,9 @@ def collinear(points: np.ndarray) -> bool:
 def load_config(path: str | Path) -> ManipulatorConfig:
     """Load a manipulator description from the documented JSON schema."""
     try:
-        raw = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    # undecodable bytes or text raise a ValueError, nesting past the decoder's stack RecursionError
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return config_from_dict(raw)
 

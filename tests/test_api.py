@@ -33,6 +33,7 @@ DELETED = {
     "dhjac.model": ("_resolve_dependent", "_plane_residual", "_start_residual", "RESOLVE_TOL",
                     "RESOLVE_MAX_ITER", "RESOLVE_DET_RTOL", "RESOLVE_HALVINGS"),
     "dhjac.screws": ("PUS_ROW_VARIANT",),
+    "dhjac.dhj": ("grid_blocks",),
 }
 
 

@@ -125,6 +125,16 @@ def test_malformed_config_exit_3(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_undecodable_config_exit_3(tmp_path, capsys):
+    # JSON is UTF-8: other bytes, and nesting deeper than the decoder recurses, are config errors
+    for name, data in (("utf16.json", b"\xff\xfe{}"),
+                       ("deep.json", b"[" * 200000 + b"]" * 200000)):
+        bad = tmp_path / name
+        bad.write_bytes(data)
+        assert main(["pose", "0", "150", "0", "0", "--config", str(bad)]) == 3, name
+        assert "config error: cannot read config" in capsys.readouterr().err
+
+
 def test_degenerate_plan_exit_2(capsys):
     code = main(["pose", "0", "150", "10", "5", "--config", CFG,
                  "--plan", "opposite"])
@@ -530,9 +540,9 @@ OFFSET_SPEC = SweepSpec(range_deg=85.0, steps=21, y_mm=0.0, z_mm=150.0, plan=PRI
 
 @pytest.mark.parametrize("rows_per_block, blocks", [(4, 6), (21, 1)])
 def test_grid_blocks_equal_row_by_row(monkeypatch, rows_per_block, blocks):
-    # 21 rows in blocks of 4 leave a last block of one row; 21 rows fit the cap whole, which
-    # makes one block of the two unit systems of ``units``, and two blocks of the one ``sweep``
-    # run (11 + 10 rows)
+    # 21 rows under a cap of 4 rows make six blocks, dealt out as 4, 4, 4, 3, 3, 3; 21 rows fit
+    # the cap whole, which makes one block of the two unit systems of ``units``, and two blocks
+    # of the one ``sweep`` run (11 + 10 rows)
     th_deg, ps_deg = OFFSET_SPEC.grids()
     th, ps = np.radians(th_deg), np.radians(ps_deg)
     row_by_row = [condition_numbers_at(OFFSET_WIDE, 0.0, 150.0, t, ps)
@@ -548,8 +558,8 @@ def test_grid_blocks_equal_row_by_row(monkeypatch, rows_per_block, blocks):
         calls.append((theta[0], len(theta)))  # the calls of two threads arrive in any order
         return condition_numbers_at(cfg, y, z, theta, psi, **kwargs)
 
-    def block_calls(step):
-        return [(th[i], len(ps) * min(step, len(th) - i)) for i in range(0, len(th), step)]
+    def block_calls(count):
+        return [(rows[0], len(ps) * len(rows)) for rows in np.array_split(th, count)]
 
     monkeypatch.setattr(dhj, "condition_numbers_at", counted)
 
@@ -558,7 +568,7 @@ def test_grid_blocks_equal_row_by_row(monkeypatch, rows_per_block, blocks):
             for t, (status, k_g, k_dh) in zip(th_deg.tolist(), row_by_row)
             for p, code, kg, kd in zip(ps_deg.tolist(), status, k_g.tolist(), k_dh.tolist())]
     got = list(sweep_rows(OFFSET_WIDE, OFFSET_SPEC))
-    sweep_calls = block_calls(rows_per_block if blocks > 1 else (len(th) + 1) // 2)
+    sweep_calls = block_calls(max(blocks, 2))
     assert sorted(calls) == sweep_calls
     assert len(calls) == max(blocks, 2)
     # each block yields the lines of its whole theta rows as one string, and its conds
@@ -573,7 +583,7 @@ def test_grid_blocks_equal_row_by_row(monkeypatch, rows_per_block, blocks):
 
     calls.clear()
     cells = unit_scaling_experiment(OFFSET_WIDE, th, ps, y=0.0, z=150.0)["cells"]
-    assert sorted(calls) == sorted(2 * block_calls(rows_per_block))
+    assert sorted(calls) == sorted(2 * block_calls(blocks))
     assert len(calls) == 2 * blocks
     want = []
     for t, (st_a, kG_a, kdh_a), (st_b, kG_b, kdh_b) in zip(th.tolist(), row_by_row,
@@ -590,6 +600,49 @@ def test_grid_blocks_equal_row_by_row(monkeypatch, rows_per_block, blocks):
 
 
 GRID5 = np.radians(np.linspace(-50.0, 50.0, 5))
+
+
+@pytest.mark.parametrize("steps, runs", [(21, 1), (15, 2), (51, 1), (51, 2), (101, 1),
+                                         (101, 2), (2, 1), (1, 1), (0, 1)])
+def test_grid_blocks_deal_the_rows_out_evenly(monkeypatch, reference, steps, runs):
+    # the benchmark's grids (sweep 21, units 15), the CLI default 51 and ROADMAP's 101
+    thetas = np.radians(np.linspace(-50.0, 50.0, steps))
+    psis = thetas if steps else GRID5  # 0: an empty theta axis
+    calls = []
+
+    def spied(cfg, y, z, theta, psi, **kwargs):
+        calls.append((cfg, theta, psi))  # the calls of two threads arrive in any order
+
+    monkeypatch.setattr(dhj, "condition_numbers_at", spied)
+    configs = [reference, reference.scaled(0.001)][:runs]
+    list(dhj.grid_conditions([(cfg, 0.0, 150.0) for cfg in configs], thetas, psis))
+    if not steps:
+        assert calls == []
+        return
+    blocks = {id(cfg): [] for cfg in configs}
+    for cfg, theta, psi in calls:
+        rows = theta[::len(psis)]
+        # whole theta rows, theta outer
+        np.testing.assert_array_equal(theta, np.repeat(rows, len(psis)))
+        np.testing.assert_array_equal(psi, np.tile(psis, len(rows)))
+        blocks[id(cfg)].append(rows)
+    for rows in blocks.values():
+        rows.sort(key=lambda r: r[0])
+        np.testing.assert_array_equal(np.concatenate(rows), thetas)
+    # every run gets the same blocks
+    sizes = [len(r) for r in blocks[id(reference)]]
+    assert all([len(r) for r in b] == sizes for b in blocks.values())
+    assert max(sizes) * len(psis) <= dhj.GRID_BLOCK_POSES
+    assert max(sizes) - min(sizes) <= 1
+    assert len(sizes) * runs % 2 == 0 or steps < 2
+    fewest = -(-steps // (dhj.GRID_BLOCK_POSES // len(psis)))
+    assert len(sizes) in (fewest, fewest + 1)
+    if (steps, runs) == (21, 1):
+        assert sizes == [11, 10]
+    if (steps, runs) == (15, 2):
+        assert sizes == [15]
+
+
 # report -> (theta axis, psi axis, experiment on the reference config at those axes,
 # what makes the report a case)
 WRITER_REPORTS = {
