@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -61,38 +61,9 @@ def parse_plan(text: str) -> SelectionPlan:
         return NAMED_PLANS[text]
     try:
         return SelectionPlan.from_pair_strings(json.loads(text))
-    except (json.JSONDecodeError, ValueError, TypeError) as exc:
+    # nesting past the decoder's stack raises RecursionError
+    except (ValueError, TypeError, RecursionError) as exc:
         raise ConfigError(f"cannot parse plan {text!r}: {exc}") from exc
-
-
-@dataclass
-class SweepSpec:
-    """Grid specification for condition-number sweeps."""
-
-    range_deg: float  # half-range of both the theta and the psi axis
-    steps: int
-    y_mm: float
-    z_mm: float
-    plan: SelectionPlan
-    out: str
-
-    def validate(self, cfg: ManipulatorConfig):
-        if self.steps < 2:
-            raise ConfigError("grid steps must be >= 2")
-        if not self.range_deg > 0:  # also refuses NaN
-            raise ConfigError("range half-width must be positive")
-        if not (math.isfinite(self.y_mm) and math.isfinite(self.z_mm)):
-            raise ConfigError(f"--y and --z must be finite, got {self.y_mm!r}, {self.z_mm!r}")
-        if self.range_deg > cfg.envelope_deg + 1e-9:
-            raise ConfigError(
-                f"range exceeds the +/-{cfg.envelope_deg:g} deg envelope "
-                "(raise --envelope-deg to override)")
-        self.plan.require_points(cfg.limb_count)
-
-    def grids(self):
-        """(theta, psi) axes in degrees; both span the same range."""
-        axis = np.linspace(-self.range_deg, self.range_deg, self.steps)
-        return axis, axis
 
 
 def _load(args) -> ManipulatorConfig:
@@ -106,6 +77,28 @@ def _load(args) -> ManipulatorConfig:
 
 def _length_from_mm(value_mm: float, unit: str) -> float:
     return value_mm * UNIT_SCALES[unit]
+
+
+def _grid(args, cfg: ManipulatorConfig):
+    """The checked grid of ``sweep`` and ``units``: ``(axis, y, z, plan)``.
+
+    ``axis`` is the one degree axis that theta and psi both span; ``y`` and
+    ``z`` are in the config's unit.
+    """
+    plan = parse_plan(args.plan)
+    if args.grid < 2:
+        raise ConfigError("grid steps must be >= 2")
+    if not args.range_deg > 0:  # also refuses NaN
+        raise ConfigError("range half-width must be positive")
+    if not (math.isfinite(args.y) and math.isfinite(args.z)):
+        raise ConfigError(f"--y and --z must be finite, got {args.y!r}, {args.z!r}")
+    if args.range_deg > cfg.envelope_deg + 1e-9:
+        raise ConfigError(
+            f"range exceeds the +/-{cfg.envelope_deg:g} deg envelope "
+            "(raise --envelope-deg to override)")
+    plan.require_points(cfg.limb_count)
+    axis = np.linspace(-args.range_deg, args.range_deg, args.grid)
+    return axis, _length_from_mm(args.y, cfg.unit), _length_from_mm(args.z, cfg.unit), plan
 
 
 def cmd_pose(args) -> int:
@@ -157,32 +150,31 @@ def cmd_pose(args) -> int:
     return EXIT_OK
 
 
-def sweep_rows(cfg: ManipulatorConfig, spec: SweepSpec):
+def sweep_rows(cfg: ManipulatorConfig, axis: np.ndarray, y: float, z: float,
+               plan: SelectionPlan):
     """The sweep CSV lines of one grid, row-major (theta outer), block by block.
 
-    The grid is evaluated by ``dhj.grid_conditions`` in blocks of whole theta
-    rows, one ``dhj.condition_numbers_at`` call per block, two blocks in flight
-    where there is a second CPU.  Each block is yielded in order as soon as it
-    and the blocks ahead of it are evaluated, as ``(text, k_g, k_dh)``: its
-    lines in one string, and its cond(G^T) and cond(J_dh), NaN where a cell is
-    not "ok".  Every theta and psi label is formatted once per grid and found
-    by its position in the axis, not by its value: -0.0 == 0.0 prints
-    differently.
+    ``axis`` is the degree axis that theta and psi both span; ``y`` and ``z``
+    are in the config's unit.  The grid is evaluated by ``dhj.grid_conditions``
+    in blocks of whole theta rows, one ``dhj.condition_numbers_at`` call per
+    block, two blocks in flight where there is a second CPU.  Each block is
+    yielded in order as soon as it and the blocks ahead of it are evaluated,
+    as ``(text, k_g, k_dh)``: its lines in one string, and its cond(G^T) and
+    cond(J_dh), NaN where a cell is not "ok".  The axis is converted to
+    radians and labelled once per grid, and a label is found by its position
+    in the axis, not by its value: -0.0 == 0.0 prints differently.
     """
-    y = _length_from_mm(spec.y_mm, cfg.unit)
-    z = _length_from_mm(spec.z_mm, cfg.unit)
-    thetas, psis = spec.grids()
-    th_labels, ps_labels = _labels(thetas), _labels(psis)
+    labels, radians = _labels(axis), np.radians(axis)
     first = 0  # the first theta row of the block
     for th_rad, _, [(status, k_g, k_dh)] in dhj.grid_conditions(
-            [(cfg, y, z)], np.radians(thetas), np.radians(psis), spec.plan):
-        rows = len(th_rad) // len(psis)
-        th = [t for t in th_labels[first:first + rows] for _ in ps_labels]
+            [(cfg, y, z)], radians, radians, plan):
+        rows = len(th_rad) // len(labels)
+        th = [t for t in labels[first:first + rows] for _ in labels]
         first += rows
         yield "".join([
             "%s,%s,%.17g,%.17g,ok\n" % (t, p, kg, kd) if code == "ok"
             else "%s,%s,,,%s\n" % (t, p, code)
-            for t, p, code, kg, kd in zip(th, ps_labels * rows, status, k_g.tolist(),
+            for t, p, code, kg, kd in zip(th, labels * rows, status, k_g.tolist(),
                                           k_dh.tolist())]), k_g, k_dh
 
 
@@ -216,57 +208,34 @@ _UNITS_OK_CELL = ('    {\n      "k_G_base": %r,\n      "k_G_scaled": %r,\n'
 _UNITS_REFUSED_CELL = '    {\n      "psi": %s,\n      "status": "%s",\n      "theta": %s\n    }'
 
 
-def _write_json(report: dict, key: str, records: list[str], fh) -> None:
-    """``json.dumps(report, indent=2, sort_keys=True)`` and a newline in one write, the list
-    ``report[key]`` written as ``records``, the texts that call gives its entries.  No key that
-    sorts before ``key`` may hold its text, whose first match the records replace."""
-    text = json.dumps(dict(report, **{key: []}), indent=2, sort_keys=True)
-    if records:
-        text = text.replace(f'"{key}": []', f'"{key}": [\n' + ",\n".join(records) + "\n  ]", 1)
-    fh.write(text + "\n")
-
-
 def _write_units_json(report: dict, fh, thetas, psis) -> None:
-    """``_write_json`` of the ``units`` report, each cell through one ``%``-template.
+    """``json.dumps(report, indent=2, sort_keys=True)`` and a newline in one write, each
+    cell through one ``%``-template.
 
-    ``thetas`` and ``psis`` are the radian axes of the experiment, whose cells
-    are row-major (theta outer). Each axis value is formatted once (``repr``, as
-    the JSON encoder formats a finite float) and cell ``i`` takes the theta at
+    The rest of the report is encoded with an empty cell list, whose text the
+    cells replace at its first match: ``"cells"`` sorts before every other
+    key, so nothing the encoder writes comes before it.  ``thetas`` and
+    ``psis`` are the radian axes of the experiment, whose cells are row-major
+    (theta outer).  Each axis value is formatted once (``repr``, as the JSON
+    encoder formats a finite float) and cell ``i`` takes the theta at
     ``i // len(psis)`` and the psi at ``i % len(psis)``: by position, not by
-    value, since ``-0.0 == 0.0`` prints differently. The conds of an "ok" cell
-    are finite and a status is a reason code, which JSON prints as it is. The
-    header goes through ``json.dumps``, so a NaN summary prints ``NaN``.
+    value, since ``-0.0 == 0.0`` prints differently.  The conds of an "ok"
+    cell are finite and a status is a reason code, which JSON prints as it
+    is.  The rest goes through ``json.dumps``, so a NaN summary prints ``NaN``.
     """
     cells = report["cells"]
     if len(cells) != len(thetas) * len(psis):
         raise ValueError(f"{len(cells)} cells on a {len(thetas)} x {len(psis)} grid")
-    _write_json(report, "cells", [
-        _UNITS_OK_CELL % (c["k_G_base"], c["k_G_scaled"], c["k_dh_base"],
-                          c["k_dh_scaled"], ps, th) if c["status"] == "ok"
-        else _UNITS_REFUSED_CELL % (ps, c["status"], th)
-        for (th, ps), c in zip(itertools.product([repr(float(t)) for t in thetas],
-                                                 [repr(float(p)) for p in psis]), cells)], fh)
-
-
-#: one ``validate`` check record as ``json.dumps(report, indent=2, sort_keys=True)`` lays it
-#: out, two levels deep; its floats and strings go in encoded as JSON
-_CHECK_RECORD = ('    {\n      "max_abs_err": %s,\n      "max_rel_err": %s,\n      "name": %s,\n'
-                 '      "note": %s,\n      "passed": %s,\n      "poses_tested": %d,\n'
-                 '      "threshold": %s\n    }')
-
-
-def _json_float(v: float) -> str:
-    """``v`` as the JSON encoder writes a float: its ``repr``, or NaN, Infinity, -Infinity."""
-    return repr(v) if math.isfinite(v) else json.dumps(v)
-
-
-def _write_validation_json(report: dict, fh) -> None:
-    """``_write_json`` of the ``validate`` report, each check record (the ``OracleReport``
-    fields: three floats, finite or not, two strings, a bool and an int) through one template."""
-    _write_json(report, "checks", [_CHECK_RECORD % (
-        _json_float(c["max_abs_err"]), _json_float(c["max_rel_err"]), json.dumps(c["name"]),
-        json.dumps(c["note"]), "true" if c["passed"] else "false", c["poses_tested"],
-        _json_float(c["threshold"])) for c in report["checks"]], fh)
+    text = json.dumps(dict(report, cells=[]), indent=2, sort_keys=True)
+    if cells:
+        text = text.replace('"cells": []', '"cells": [\n' + ",\n".join([
+            _UNITS_OK_CELL % (c["k_G_base"], c["k_G_scaled"], c["k_dh_base"],
+                              c["k_dh_scaled"], ps, th) if c["status"] == "ok"
+            else _UNITS_REFUSED_CELL % (ps, c["status"], th)
+            for (th, ps), c in zip(itertools.product([repr(float(t)) for t in thetas],
+                                                     [repr(float(p)) for p in psis]), cells)])
+            + "\n  ]", 1)
+    fh.write(text + "\n")
 
 
 def write_sweep_csv(path: str, blocks) -> tuple[np.ndarray, np.ndarray]:
@@ -285,26 +254,12 @@ def write_sweep_csv(path: str, blocks) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(k_g), np.concatenate(k_dh)
 
 
-def _spec_from_args(args, cfg) -> SweepSpec:
-    spec = SweepSpec(
-        range_deg=args.range_deg,
-        steps=args.grid,
-        y_mm=args.y,
-        z_mm=args.z,
-        plan=parse_plan(args.plan),
-        out=args.out,
-    )
-    spec.validate(cfg)
-    return spec
-
-
 def cmd_sweep(args) -> int:
     cfg = _load(args)
-    spec = _spec_from_args(args, cfg)
-    k_g, k_dh = write_sweep_csv(spec.out, sweep_rows(cfg, spec))
+    k_g, k_dh = write_sweep_csv(args.out, sweep_rows(cfg, *_grid(args, cfg)))
     ok = ~np.isnan(k_dh)  # condition_numbers_at puts NaN exactly at the cells not "ok"
     cells, k_g, k_dh = len(ok), k_g[ok], k_dh[ok]
-    print(f"{spec.out}: {cells} cells ({cells - len(k_dh)} skipped), unit {cfg.unit}")
+    print(f"{args.out}: {cells} cells ({cells - len(k_dh)} skipped), unit {cfg.unit}")
     if len(k_dh):
         med_g, med_dh = np.median(k_g), np.median(k_dh)
         print(f"cond(G^T):  median {med_g:10.2f}   max {k_g.max():10.2f}")
@@ -316,28 +271,20 @@ def cmd_sweep(args) -> int:
 
 def cmd_units(args) -> int:
     cfg = _load(args)
-    spec = _spec_from_args(args, cfg)
-    th_deg, ps_deg = spec.grids()
-    thetas, psis = [math.radians(t) for t in th_deg], [math.radians(p) for p in ps_deg]
-    report = dhj.unit_scaling_experiment(
-        cfg,
-        thetas,
-        psis,
-        y=_length_from_mm(spec.y_mm, cfg.unit),
-        z=_length_from_mm(spec.z_mm, cfg.unit),
-        scale=args.scale,
-        plan=spec.plan,
-    )
-    out_json = spec.out
+    axis, y, z, plan = _grid(args, cfg)
+    radians = np.radians(axis)
+    report = dhj.unit_scaling_experiment(cfg, radians, radians, y=y, z=z, scale=args.scale,
+                                         plan=plan)
+    out_json = args.out
     out_csv = out_json[:-5] + ".csv" if out_json.endswith(".json") else out_json + ".csv"
     # neither file is replaced unless both were written in full
     with _replacing(out_json) as fh_json, _replacing(out_csv, newline="") as fh:
-        _write_units_json(report, fh_json, thetas, psis)
+        _write_units_json(report, fh_json, radians, radians)
         fh.write("theta_deg,psi_deg,cond_G_base,cond_G_scaled,"
                  "cond_Jdh_base,cond_Jdh_scaled,rel_dev_Jdh,status\n")
-        # labelled as the sweep labels them, from the degree axes; the cells are row-major
-        for (th, ps), cell in zip(itertools.product(_labels(th_deg), _labels(ps_deg)),
-                                  report["cells"]):
+        # labelled as the sweep labels them, from the degree axis; the cells are row-major
+        labels = _labels(axis)
+        for (th, ps), cell in zip(itertools.product(labels, labels), report["cells"]):
             fh.write(_units_line(th, ps, cell))
     print(f"k_dh max rel deviation: {report['max_rel_dev_k_dh']:.3e} "
           f"(invariant: {report['k_dh_invariant']})")
@@ -350,7 +297,7 @@ def cmd_validate(args) -> int:
     cfg = _load(args)
     report = verify.run_validation(cfg, seed=args.seed, n_poses=args.poses)
     with _replacing(args.out) as fh:
-        _write_validation_json(report, fh)
+        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     for check in report["checks"]:
         status = "PASS" if check["passed"] else "FAIL"
         print(f"{status}  {check['name']}: max_rel_err={check['max_rel_err']:.3e} "

@@ -34,6 +34,8 @@ DELETED = {
                     "RESOLVE_MAX_ITER", "RESOLVE_DET_RTOL", "RESOLVE_HALVINGS"),
     "dhjac.screws": ("PUS_ROW_VARIANT",),
     "dhjac.dhj": ("grid_blocks",),
+    "dhjac.cli": ("SweepSpec", "_spec_from_args", "_write_json", "_write_validation_json",
+                  "_CHECK_RECORD", "_json_float"),
 }
 
 

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dhjac import cli, dhj, verify
-from dhjac.cli import SWEEP_HEADER, SweepSpec, main, sweep_rows
+from dhjac.cli import SWEEP_HEADER, main, sweep_rows
 from dhjac.dhj import condition_numbers_at, dexterity_at, unit_scaling_experiment
 from dhjac.errors import KinematicsError
 from dhjac.model import load_config
@@ -158,6 +158,18 @@ def test_bad_plan_exit_3(tmp_path, capsys):
                      ["units", "--grid", "3", "--out", str(tmp_path / "u.json")]):
             assert main([*argv, "--config", CFG, "--plan", plan]) == 3, (argv[0], plan)
             assert "config error: bad plan pair" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_nested_plan_exit_3(tmp_path, capsys):
+    # nesting deeper than the JSON decoder recurses is a config error, not a traceback
+    plan = "[" * 20000 + "]" * 20000
+    for argv in (["pose", "0", "150", "0", "0"],
+                 ["sweep", "--grid", "3", "--out", str(tmp_path / "s.csv")],
+                 ["units", "--grid", "3", "--out", str(tmp_path / "u.json")]):
+        assert main([*argv, "--config", CFG, "--plan", plan]) == 3, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot parse plan '[[[") and "recursion" in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -304,6 +316,27 @@ def test_sweep_range_guard(tmp_path):
     for flag in (["--range-deg", "nan"], ["--y", "nan"], ["--z", "inf"]):
         assert main(["sweep", "--config", CFG, "--grid", "5", *flag,
                      "--out", str(out)]) == 3
+
+
+GRID_REFUSALS = {
+    "one_step": (["--grid", "1"], "grid steps must be >= 2"),
+    "zero_range": (["--range-deg", "0"], "range half-width must be positive"),
+    "nan_range": (["--range-deg", "nan"], "range half-width must be positive"),
+    "nan_y": (["--y", "nan"], "--y and --z must be finite, got nan, 150.0"),
+    "inf_z": (["--z", "inf"], "--y and --z must be finite, got 0.0, inf"),
+    "past_envelope": (["--range-deg", "80"],
+                      "range exceeds the +/-50 deg envelope (raise --envelope-deg to override)"),
+}
+
+
+@pytest.mark.parametrize("cmd, out", [("sweep", "s.csv"), ("units", "u.json")])
+@pytest.mark.parametrize("case", GRID_REFUSALS)
+def test_grid_refusals(tmp_path, capsys, cmd, out, case):
+    flags, message = GRID_REFUSALS[case]
+    assert main([cmd, "--config", CFG, "--grid", "5", *flags,
+                 "--out", str(tmp_path / out)]) == 3
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_unwritable_exit_4(tmp_path, capsys, monkeypatch):
@@ -534,8 +567,7 @@ def test_reused_parser_answers_like_a_fresh_one(tmp_path, capsys):
 
 # offset PRS rails over +/-85 deg: ok, unreachable and singular_selection cells
 OFFSET_WIDE = dataclasses.replace(offset_prs_config(), envelope_deg=89.0)
-OFFSET_SPEC = SweepSpec(range_deg=85.0, steps=21, y_mm=0.0, z_mm=150.0, plan=PRIMARY_PLAN,
-                        out="unused.csv")
+OFFSET_AXIS = np.linspace(-85.0, 85.0, 21)
 
 
 @pytest.mark.parametrize("rows_per_block, blocks", [(4, 6), (21, 1)])
@@ -543,7 +575,7 @@ def test_grid_blocks_equal_row_by_row(monkeypatch, rows_per_block, blocks):
     # 21 rows under a cap of 4 rows make six blocks, dealt out as 4, 4, 4, 3, 3, 3; 21 rows fit
     # the cap whole, which makes one block of the two unit systems of ``units``, and two blocks
     # of the one ``sweep`` run (11 + 10 rows)
-    th_deg, ps_deg = OFFSET_SPEC.grids()
+    th_deg, ps_deg = OFFSET_AXIS, OFFSET_AXIS
     th, ps = np.radians(th_deg), np.radians(ps_deg)
     row_by_row = [condition_numbers_at(OFFSET_WIDE, 0.0, 150.0, t, ps)
                   for t in th.tolist()]
@@ -567,7 +599,7 @@ def test_grid_blocks_equal_row_by_row(monkeypatch, rows_per_block, blocks):
             else "%.17g,%.17g,%.17g,%.17g,ok\n" % (t, p, kg, kd)
             for t, (status, k_g, k_dh) in zip(th_deg.tolist(), row_by_row)
             for p, code, kg, kd in zip(ps_deg.tolist(), status, k_g.tolist(), k_dh.tolist())]
-    got = list(sweep_rows(OFFSET_WIDE, OFFSET_SPEC))
+    got = list(sweep_rows(OFFSET_WIDE, OFFSET_AXIS, 0.0, 150.0, PRIMARY_PLAN))
     sweep_calls = block_calls(max(blocks, 2))
     assert sorted(calls) == sweep_calls
     assert len(calls) == max(blocks, 2)
@@ -702,48 +734,6 @@ def units_reports(draw):
               "max_rel_dev_k_G": draw(SUMMARIES), "k_dh_invariant": draw(st.booleans()),
               "k_G_unit_sensitive": draw(st.booleans())}
     return thetas, psis, report
-
-
-#: error figures of a check record: the non-finite values run_validation writes, signed
-#: zeros, a subnormal-adjacent value and any other float
-ERRORS = st.one_of(st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -0.0, 1e-300, 1e-05]),
-                   st.floats())
-#: notes and names with what JSON escapes: quotes, backslashes, newlines, non-ASCII text
-TEXTS = st.one_of(st.sampled_from(["", 'a "quoted" note', "back\\slash", "two\nlines",
-                                   "caf\u00e9 \u03c8 \u2264 1e-5 \U0001f600",
-                                   "no_forward_solution at (0.0, 150.0, 0.1, -0.2)"]),
-                  st.text(max_size=12))
-COORDS = st.floats(min_value=-1e3, max_value=1e3)
-
-
-@st.composite
-def validation_reports(draw):
-    """A report shaped as ``verify.run_validation``'s, with its check records in field order."""
-    checks = [{"name": draw(TEXTS), "max_abs_err": draw(ERRORS), "max_rel_err": draw(ERRORS),
-               "threshold": draw(ERRORS), "passed": draw(st.booleans()),
-               "poses_tested": draw(st.integers(0, 100)), "note": draw(TEXTS)}
-              for _ in range(draw(st.integers(0, 9)))]
-    failures = [{"coords": draw(st.lists(COORDS, min_size=4, max_size=4)),
-                 "code": draw(st.sampled_from(REFUSAL_CODES))}
-                for _ in range(draw(st.integers(0, 10)))]
-    return {"seed": draw(st.integers(0, 2 ** 32)), "unit": draw(st.sampled_from(["mm", "m"])),
-            "poses_requested": draw(st.integers(1, 200)),
-            "poses_feasible": draw(st.integers(0, 200)), "pose_failures": failures,
-            "checks": checks,
-            "variants": {"moment_block": {"adopted": draw(TEXTS),
-                                          "rejected_u_x_a_max_rel_err": draw(ERRORS)},
-                         "opposite_pair_plan": {"pairs": PRIMARY_PLAN.pair_strings(),
-                                                "status": draw(TEXTS)}},
-            "all_passed": draw(st.booleans())}
-
-
-@given(report=validation_reports())
-@settings(max_examples=100, deadline=None)
-def test_validation_writer_equals_json_dumps_on_any_report(report):
-    # no oracle run: the check template against the encoder on reports of every shape
-    got = io.StringIO()
-    cli._write_validation_json(report, got)
-    assert got.getvalue() == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 @given(case=units_reports())
