@@ -22,7 +22,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import dhj, verify
-from .errors import ConfigError, KinematicsError
+from .errors import ConfigError, KinematicsError, quoted
 from .model import UNIT_SCALES, ManipulatorConfig, load_config
 from .model import resolve_pose  # noqa: F401  (bound here for perfbench/test_tracing.py)
 from .selection import ALTERNATE_PLAN, OPPOSITE_PLAN, PRIMARY_PLAN, SelectionPlan
@@ -47,15 +47,6 @@ def _labels(axis: np.ndarray) -> list[str]:
     return ["%.17g" % v for v in axis.tolist()]
 
 
-def _units_line(th: str, ps: str, cell: dict) -> str:
-    """One ``units`` CSV line of a report cell at the labels ``th``, ``ps``, in one operation."""
-    if cell["status"] != "ok":
-        return "%s,%s,,,,,,%s\n" % (th, ps, cell["status"])
-    base, scaled = cell["k_dh_base"], cell["k_dh_scaled"]
-    return "%s,%s,%.17g,%.17g,%.17g,%.17g,%.17g,ok\n" % (
-        th, ps, cell["k_G_base"], cell["k_G_scaled"], base, scaled, abs(base - scaled) / base)
-
-
 def parse_plan(text: str) -> SelectionPlan:
     if text in NAMED_PLANS:
         return NAMED_PLANS[text]
@@ -63,7 +54,7 @@ def parse_plan(text: str) -> SelectionPlan:
         return SelectionPlan.from_pair_strings(json.loads(text))
     # nesting past the decoder's stack raises RecursionError
     except (ValueError, TypeError, RecursionError) as exc:
-        raise ConfigError(f"cannot parse plan {text!r}: {exc}") from exc
+        raise ConfigError(f"cannot parse plan {quoted(text)}: {exc}") from exc
 
 
 def _load(args) -> ManipulatorConfig:
@@ -208,34 +199,40 @@ _UNITS_OK_CELL = ('    {\n      "k_G_base": %r,\n      "k_G_scaled": %r,\n'
 _UNITS_REFUSED_CELL = '    {\n      "psi": %s,\n      "status": "%s",\n      "theta": %s\n    }'
 
 
-def _write_units_json(report: dict, fh, thetas, psis) -> None:
-    """``json.dumps(report, indent=2, sort_keys=True)`` and a newline in one write, each
-    cell through one ``%``-template.
+def _units_text(report: dict, thetas, psis, labels) -> tuple[str, str]:
+    """The ``units`` JSON text and CSV text of ``report``, from one pass over its cells.
 
-    The rest of the report is encoded with an empty cell list, whose text the
-    cells replace at its first match: ``"cells"`` sorts before every other
-    key, so nothing the encoder writes comes before it.  ``thetas`` and
-    ``psis`` are the radian axes of the experiment, whose cells are row-major
-    (theta outer).  Each axis value is formatted once (``repr``, as the JSON
-    encoder formats a finite float) and cell ``i`` takes the theta at
-    ``i // len(psis)`` and the psi at ``i % len(psis)``: by position, not by
-    value, since ``-0.0 == 0.0`` prints differently.  The conds of an "ok"
-    cell are finite and a status is a reason code, which JSON prints as it
-    is.  The rest goes through ``json.dumps``, so a NaN summary prints ``NaN``.
+    The JSON text is ``json.dumps(report, indent=2, sort_keys=True)`` and a newline: each
+    cell is one ``%``-template, spliced into the encoding of the rest at its empty cell list
+    (``"cells"`` sorts before every other key), so a NaN summary prints ``NaN``.  The CSV
+    text is the header and one ``%``-operation per cell: its labels, then ``%.17g`` per
+    number.  ``thetas`` and ``psis`` are the radian axes, whose cells are row-major (theta
+    outer), and ``labels`` the pair of their CSV labels.  Each radian value is formatted
+    once (``repr``, as the encoder formats a finite float) and a cell takes its values and
+    labels by position on the axes, not by value: ``-0.0 == 0.0`` prints differently.  The
+    conds of an "ok" cell are finite, and a status is a reason code that JSON prints as is.
     """
     cells = report["cells"]
     if len(cells) != len(thetas) * len(psis):
         raise ValueError(f"{len(cells)} cells on a {len(thetas)} x {len(psis)} grid")
+    axes = [list(zip([repr(float(v)) for v in radians], names))
+            for radians, names in zip((thetas, psis), labels)]
+    records, lines = [], ["theta_deg,psi_deg,cond_G_base,cond_G_scaled,"
+                          "cond_Jdh_base,cond_Jdh_scaled,rel_dev_Jdh,status\n"]
+    for ((th, th_label), (ps, ps_label)), c in zip(itertools.product(*axes), cells):
+        if c["status"] == "ok":
+            g, g_scaled, dh, dh_scaled = (c["k_G_base"], c["k_G_scaled"], c["k_dh_base"],
+                                          c["k_dh_scaled"])
+            records.append(_UNITS_OK_CELL % (g, g_scaled, dh, dh_scaled, ps, th))
+            lines.append("%s,%s,%.17g,%.17g,%.17g,%.17g,%.17g,ok\n" % (
+                th_label, ps_label, g, g_scaled, dh, dh_scaled, abs(dh - dh_scaled) / dh))
+        else:
+            records.append(_UNITS_REFUSED_CELL % (ps, c["status"], th))
+            lines.append("%s,%s,,,,,,%s\n" % (th_label, ps_label, c["status"]))
     text = json.dumps(dict(report, cells=[]), indent=2, sort_keys=True)
-    if cells:
-        text = text.replace('"cells": []', '"cells": [\n' + ",\n".join([
-            _UNITS_OK_CELL % (c["k_G_base"], c["k_G_scaled"], c["k_dh_base"],
-                              c["k_dh_scaled"], ps, th) if c["status"] == "ok"
-            else _UNITS_REFUSED_CELL % (ps, c["status"], th)
-            for (th, ps), c in zip(itertools.product([repr(float(t)) for t in thetas],
-                                                     [repr(float(p)) for p in psis]), cells)])
-            + "\n  ]", 1)
-    fh.write(text + "\n")
+    if records:
+        text = text.replace('"cells": []', '"cells": [\n' + ",\n".join(records) + "\n  ]", 1)
+    return text + "\n", "".join(lines)
 
 
 def write_sweep_csv(path: str, blocks) -> tuple[np.ndarray, np.ndarray]:
@@ -278,14 +275,11 @@ def cmd_units(args) -> int:
     out_json = args.out
     out_csv = out_json[:-5] + ".csv" if out_json.endswith(".json") else out_json + ".csv"
     # neither file is replaced unless both were written in full
-    with _replacing(out_json) as fh_json, _replacing(out_csv, newline="") as fh:
-        _write_units_json(report, fh_json, radians, radians)
-        fh.write("theta_deg,psi_deg,cond_G_base,cond_G_scaled,"
-                 "cond_Jdh_base,cond_Jdh_scaled,rel_dev_Jdh,status\n")
-        # labelled as the sweep labels them, from the degree axis; the cells are row-major
-        labels = _labels(axis)
-        for (th, ps), cell in zip(itertools.product(labels, labels), report["cells"]):
-            fh.write(_units_line(th, ps, cell))
+    with _replacing(out_json) as fh_json, _replacing(out_csv, newline="") as fh_csv:
+        # labelled as the sweep labels them, from the degree axis
+        json_text, csv_text = _units_text(report, radians, radians, [_labels(axis)] * 2)
+        fh_json.write(json_text)
+        fh_csv.write(csv_text)
     print(f"k_dh max rel deviation: {report['max_rel_dev_k_dh']:.3e} "
           f"(invariant: {report['k_dh_invariant']})")
     print(f"k_G  max rel deviation: {report['max_rel_dev_k_G']:.3e} "

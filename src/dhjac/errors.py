@@ -26,6 +26,16 @@ class ConfigError(KinematicsError):
     code = "config_error"
 
 
+#: the most characters of a refused input that an error message echoes
+ECHO_CHARS = 40
+
+
+def quoted(value) -> str:
+    """``repr(value)``, or its first ECHO_CHARS characters and its length where longer."""
+    text = repr(value)
+    return text if len(text) <= ECHO_CHARS else f"{text[:ECHO_CHARS]}... ({len(text)} characters)"
+
+
 class Unreachable(KinematicsError):
     """Pose outside the rotational envelope or the psi limit of the PRS rail planes, or IK
     discriminant negative."""

@@ -92,8 +92,8 @@ def block_Ja(G: InverseJacobian) -> Stacked:
     """Actuated forward blocks J_a = N (G_a^T N)^-1 (N, 6, f) of a stack of G^T; see module
     docs.
 
-    An actuation map singular on the constraint kernel is BlockSingular: the
-    ``Stacked`` refuses those poses, and is NaN also where G^T is not finite.
+    An actuation map singular on the constraint kernel (cond(G_a^T N) over COND_LIMIT) is
+    BlockSingular: the ``Stacked`` refuses those poses, and is NaN also where G^T is not finite.
     """
     Ga, Gc = np.asarray(G.G_a_T, float), np.asarray(G.G_c_T, float)
     f, m = Ga.shape[-2], Gc.shape[-2]
@@ -103,7 +103,7 @@ def block_Ja(G: InverseJacobian) -> Stacked:
     N = Q[..., m:]
     M = Ga[finite] @ N
     sv = np.linalg.svd(M, compute_uv=False)
-    singular = sv[:, -1] <= 1e-12 * sv[:, 0]
+    singular = ~(cond_from_sigmas(sv) <= COND_LIMIT)
     status = Status(len(Ga))
     status.refuse(np.isin(np.arange(len(Ga)), finite[singular]), BlockSingular,
                   lambda i: "actuation map singular on the constraint kernel")

@@ -19,13 +19,14 @@ map invertible.  The choice is recorded in the validation report.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegeneratePair, Status
+from .errors import ConfigError, DegeneratePair, Status, quoted
 
 #: relative threshold on |a_ix - a_jx| below which a pair is degenerate
 PAIR_THRESHOLD = 1e-9
@@ -68,11 +69,13 @@ class SelectionPlan:
         """Parse the CLI form [["1y", "2z"], ["2y", "3z"], ...]; anything else is ConfigError."""
         parsed = []
         for entry in pairs:
-            if not (isinstance(entry, (list, tuple)) and len(entry) == 2
+            if (isinstance(entry, (list, tuple)) and len(entry) == 2
                     and all(isinstance(s, str) for s in entry)
                     and entry[0].endswith("y") and entry[1].endswith("z")):
-                raise ConfigError(f"bad plan pair {entry!r}; expected like ['1y', '2z']")
-            parsed.append((int(entry[0][:-1]), int(entry[1][:-1])))
+                with contextlib.suppress(ValueError):  # a point number that is not an integer
+                    parsed.append((int(entry[0][:-1]), int(entry[1][:-1])))
+                    continue
+            raise ConfigError(f"bad plan pair {quoted(entry)}; expected like ['1y', '2z']")
         return cls(pairs=tuple(parsed))
 
     @functools.cached_property

@@ -272,17 +272,6 @@ def _brute_force_dhj(cfg: ManipulatorConfig, centers: PlatformPose, sel: Selecti
     return Stacked(BF, status)
 
 
-@dataclass
-class OracleReport:
-    name: str
-    max_abs_err: float
-    max_rel_err: float
-    threshold: float
-    passed: bool
-    poses_tested: int
-    note: str = ""
-
-
 @dataclass(frozen=True)
 class CheckRow:
     """One pose-wise record of the validation report over the N poses of ``check_table``:
@@ -407,10 +396,11 @@ def check_table(cfg: ManipulatorConfig, centers: PlatformPose):
         OPPOSITE_PLAN, centers.a[:1]).status.error(0)) if n else None
 
 
-def summarize(rows, coords) -> dict[str, OracleReport]:
-    """Each ``check_table`` row's ``OracleReport``, by name; ``coords`` are the poses.  A check
-    refused among its first ``count`` poses reports infinite errors and that pose's code and
-    coords; a measurement, and a check with no refusal, the worst errors before the first."""
+def summarize(rows, coords) -> dict[str, dict]:
+    """Each ``check_table`` row's record, by name, as the report writes it under "checks";
+    ``coords`` are the poses.  A check refused among its first ``count`` poses reports
+    infinite errors and that pose's code and coords; a measurement, and a check with no
+    refusal, the worst errors before the first."""
     reports = {}
     for r in rows:
         tested, exc = _first_refusal(r.statuses, r.count)
@@ -424,8 +414,9 @@ def summarize(rows, coords) -> dict[str, OracleReport]:
         else:
             note = "" if tested else "no feasible poses"
             passed = tested > 0 and worst_rel < r.threshold
-        reports[r.name] = OracleReport(r.name, worst_abs, worst_rel, r.threshold, passed,
-                                       tested, note)
+        reports[r.name] = {"name": r.name, "max_abs_err": worst_abs, "max_rel_err": worst_rel,
+                           "threshold": r.threshold, "passed": passed, "poses_tested": tested,
+                           "note": note}
     return reports
 
 
@@ -446,11 +437,11 @@ def run_validation(cfg: ManipulatorConfig, seed: int = DEFAULT_SEED,
             "adopted": "unit link-direction force rows for all limbs (for PRS "
                        "limbs this is also the reciprocal-screw row, the link "
                        "being perpendicular to the revolute axis)",
-            "rejected_pus_normal_rows_max_rel_err": reports.pop("pus_normal_rows").max_rel_err,
+            "rejected_pus_normal_rows_max_rel_err": reports.pop("pus_normal_rows")["max_rel_err"],
         },
         "moment_block": {
             "adopted": "a_i x u_i (power balance with the shifting property)",
-            "rejected_u_x_a_max_rel_err": reports.pop("flipped_moment_block").max_rel_err,
+            "rejected_u_x_a_max_rel_err": reports.pop("flipped_moment_block")["max_rel_err"],
         },
         "selection_normalization": {
             "adopted": "y-pair weights divided by |a_ix - a_jx|; the signed "
@@ -467,16 +458,17 @@ def run_validation(cfg: ManipulatorConfig, seed: int = DEFAULT_SEED,
         },
     }
     mob, f = tsai_mobility(cfg.mobility), cfg.limb_count
-    checks = [*reports.values(), OracleReport(  # the records left once the variants are taken
-        "tsai_mobility_matches_limb_count", float(abs(mob - f)), float(abs(mob - f)), 1.0,
-        mob == f, 0, f"formula gives {mob} for f = {f}")]
+    checks = [*reports.values(), {  # the records left once the variants are taken
+        "name": "tsai_mobility_matches_limb_count", "max_abs_err": float(abs(mob - f)),
+        "max_rel_err": float(abs(mob - f)), "threshold": 1.0, "passed": mob == f,
+        "poses_tested": 0, "note": f"formula gives {mob} for f = {f}"}]
     return {
         "seed": seed,
         "unit": cfg.unit,
         "poses_requested": n_poses,
         "poses_feasible": len(centers.q),
         "pose_failures": [{"coords": list(c), "code": code} for c, code in failures[:10]],
-        "checks": [vars(c).copy() for c in checks],  # the fields, in order, as asdict gives
+        "checks": checks,
         "variants": variants,
-        "all_passed": all(c.passed for c in checks),
+        "all_passed": all(c["passed"] for c in checks),
     }

@@ -24,18 +24,19 @@ from dhjac.verify import run_validation, sample_poses
 #: ``errors.Status`` has no one-pose mode for ``any_true`` to serve.  The dependent
 #: coordinates have a closed form (``model._phi_z``), so no damped Newton, its constants or
 #: its ``NoConvergence`` refusal remain.  The rejected PUS-normal rows have their own builder,
-#: ``screws.pus_normal_rows``, so no row-variant name selects them
+#: ``screws.pus_normal_rows``, so no row-variant name selects them.  A validation record is
+#: built once, as the dict the report writes, and ``cli._units_text`` writes both units texts
 DELETED = {
     "dhjac": ("condition_number", "fd_actuation_jacobian", "fd_constraint_tangent"),
     "dhjac.verify": ("fd_actuation_jacobian", "fd_constraint_tangent", "_fd_oracles",
-                     "_sample_poses"),
+                     "_sample_poses", "OracleReport"),
     "dhjac.errors": ("any_true", "NoConvergence"),
     "dhjac.model": ("_resolve_dependent", "_plane_residual", "_start_residual", "RESOLVE_TOL",
                     "RESOLVE_MAX_ITER", "RESOLVE_DET_RTOL", "RESOLVE_HALVINGS"),
     "dhjac.screws": ("PUS_ROW_VARIANT",),
     "dhjac.dhj": ("grid_blocks",),
     "dhjac.cli": ("SweepSpec", "_spec_from_args", "_write_json", "_write_validation_json",
-                  "_CHECK_RECORD", "_json_float"),
+                  "_CHECK_RECORD", "_json_float", "_units_line", "_write_units_json"),
 }
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import io
 import itertools
@@ -173,6 +174,34 @@ def test_nested_plan_exit_3(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+#: refused plans whose text is far longer than a line: plan -> (how the line starts, a word
+#: it names)
+LONG_PLANS = {
+    "nested_3000": ("[" * 3000 + "]" * 3000, "config error: cannot parse plan '[[[", "recursion"),
+    "nested_20000": ("[" * 20000 + "]" * 20000, "config error: cannot parse plan '[[[",
+                     "recursion"),
+    "word": ("x" * 5000, "config error: cannot parse plan 'xxx", "Expecting value"),
+    "digits": (json.dumps([["1" * 5000 + "y", "2z"]]), "config error: bad plan pair ['111",
+               "expected like"),
+    "long_pair": (json.dumps([["1y", "z" * 5000]]), "config error: bad plan pair ['1y', 'zzz",
+                  "expected like"),
+}
+
+
+@pytest.mark.parametrize("case", LONG_PLANS)
+def test_refused_plan_echo_is_bounded(tmp_path, capsys, case):
+    # a refusal quotes the start of what it refuses and its length, not the whole text
+    plan, start, word = LONG_PLANS[case]
+    for argv in (["pose", "0", "150", "0", "0"],
+                 ["sweep", "--grid", "3", "--out", str(tmp_path / "s.csv")],
+                 ["units", "--grid", "3", "--out", str(tmp_path / "u.json")]):
+        assert main([*argv, "--config", CFG, "--plan", plan]) == 3, argv[0]
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err.encode()) < 200, (argv[0], len(err))
+        assert err.startswith(start) and word in err and "characters)" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_csv_contract(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", CFG, "--grid", "7", "--z", "150",
@@ -264,6 +293,9 @@ REFUSED_AT_LOAD = {
     "actuator_mixed": ({"actuator": "mixed"}, None,
                        'actuator must be "linear" (the chain writes prismatic actuation '
                        "rows), got 'mixed'"),
+    "unit_km": ({"unit": "km"}, None, "unknown unit 'km' (expected mm or m)"),
+    "limb_kind_rrr": ({"limbs": _limbs("RRR", "PRS", "PUS", "PRS")}, None,
+                      "unknown limb kind 'RRR'"),
 }
 
 COMMANDS = {
@@ -383,19 +415,41 @@ def test_interrupted_sweep_keeps_previous_csv(tmp_path, monkeypatch, cpus):
 
 
 def test_interrupted_units_keeps_previous_pair(tmp_path, monkeypatch):
-    import dhjac.cli
-
     out = tmp_path / "units.json"
     assert main(["units", "--config", CFG, "--grid", "3", "--out", str(out)]) == 0
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    argv = ["units", "--config", CFG, "--grid", "3", "--scale", "0.5", "--out", str(out)]
+    replacing, opened, seen = cli._replacing, {}, []
 
-    def interrupted(th, ps, cell):
+    class Interrupted:
+        """The CSV file: its write fails, once the JSON text is complete in its temporary file."""
+
+        def write(self, text):
+            opened[str(out)].flush()
+            seen.append(json.loads(out.with_name(f"{out.name}.{os.getpid()}.tmp").read_text()))
+            raise KeyboardInterrupt
+
+    @contextlib.contextmanager
+    def interrupted(path, newline=None):
+        with replacing(path, newline) as fh:
+            opened[path] = fh
+            yield Interrupted() if path.endswith(".csv") else fh
+
+    monkeypatch.setattr(cli, "_replacing", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(argv)
+    [report] = seen
+    assert report["unit_scaled"] == "mmx0.5" and len(report["cells"]) == 9
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def unformatted(*args):
         raise KeyboardInterrupt
 
-    # fails on the first CSV row, after the JSON report is written
-    monkeypatch.setattr(dhjac.cli, "_units_line", interrupted)
+    # the formatter fails inside both blocks, before either file is written
+    monkeypatch.setattr(cli, "_replacing", replacing)
+    monkeypatch.setattr(cli, "_units_text", unformatted)
     with pytest.raises(KeyboardInterrupt):
-        main(["units", "--config", CFG, "--grid", "3", "--scale", "0.5", "--out", str(out)])
+        main(argv)
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
@@ -675,6 +729,21 @@ def test_grid_blocks_deal_the_rows_out_evenly(monkeypatch, reference, steps, run
         assert sizes == [15]
 
 
+def units_csv(report, theta_labels, psi_labels) -> str:
+    """The ``units`` CSV text of ``report``, a line per cell and a ``%.17g`` format per
+    number, at the labels of its row-major (theta outer) cells."""
+    lines = ["theta_deg,psi_deg,cond_G_base,cond_G_scaled,cond_Jdh_base,cond_Jdh_scaled,"
+             "rel_dev_Jdh,status"]
+    for (th, ps), cell in zip(itertools.product(theta_labels, psi_labels), report["cells"]):
+        values = [""] * 5
+        if cell["status"] == "ok":
+            base, scaled = cell["k_dh_base"], cell["k_dh_scaled"]
+            values = ["%.17g" % v for v in (cell["k_G_base"], cell["k_G_scaled"], base, scaled,
+                                            abs(base - scaled) / base)]
+        lines.append(",".join([th, ps, *values, cell["status"]]))
+    return "".join(line + "\n" for line in lines)
+
+
 # report -> (theta axis, psi axis, experiment on the reference config at those axes,
 # what makes the report a case)
 WRITER_REPORTS = {
@@ -698,9 +767,10 @@ def test_units_writer_equals_json_dump(reference, name):
     assert is_case(report)
     want = io.StringIO()
     json.dump(report, want, indent=2, sort_keys=True)
-    got = io.StringIO()
-    cli._write_units_json(report, got, thetas.tolist(), psis.tolist())
-    assert got.getvalue() == want.getvalue() + "\n"
+    labels = (["t%d" % i for i in range(len(thetas))], ["p%d" % i for i in range(len(psis))])
+    got_json, got_csv = cli._units_text(report, thetas.tolist(), psis.tolist(), labels)
+    assert got_json == want.getvalue() + "\n"
+    assert got_csv == units_csv(report, *labels)
 
 
 #: radian axis values: signed zeros and values whose repr has an exponent among them
@@ -743,16 +813,15 @@ def test_units_writer_equals_json_dump_on_any_report(case):
     thetas, psis, report = case
     want = io.StringIO()
     json.dump(report, want, indent=2, sort_keys=True)
-    got = io.StringIO()
-    cli._write_units_json(report, got, thetas, psis)
-    assert got.getvalue() == want.getvalue() + "\n"
-    # an axis that does not span the cells is refused, before anything is written
+    labels = tuple(["%.17g" % math.degrees(v) for v in axis] for axis in (thetas, psis))
+    got_json, got_csv = cli._units_text(report, thetas, psis, labels)
+    assert got_json == want.getvalue() + "\n"
+    assert got_csv == units_csv(report, *labels)
+    # an axis that does not span the cells is refused
     for th, ps in ((thetas + [0.5], psis), (thetas, psis[1:])):
         if len(th) * len(ps) != len(report["cells"]):
-            got = io.StringIO()
             with pytest.raises(ValueError, match="cells on a"):
-                cli._write_units_json(report, got, th, ps)
-            assert got.getvalue() == ""
+                cli._units_text(report, th, ps, labels)
 
 
 def _on_two_cpus_and_one(monkeypatch, cpus, run):

@@ -799,6 +799,8 @@ def test_unit_round_trip(reference):
     assert metric.link_length == pytest.approx(0.687)
     back = metric.in_unit("mm")
     assert back.link_length == pytest.approx(687.0)
+    with pytest.raises(ConfigError, match=re.escape("unknown unit 'km'")):
+        reference.in_unit("km")
 
 
 def test_config_json_schema_keys():

@@ -36,6 +36,10 @@ def test_pair_string_round_trip():
     assert plan.pair_strings() == [["1y", "2z"], ["2y", "3z"], ["3y", "4z"], ["4y", "1z"]]
     with pytest.raises(ConfigError):
         SelectionPlan.from_pair_strings([["1x", "2z"]] * 4)
+    # a point number that is not an integer is a bad pair too, not int()'s ValueError
+    for pair in (["ay", "2z"], ["1y", "z"], ["1" * 5000 + "y", "2z"]):
+        with pytest.raises(ConfigError, match=r"^bad plan pair \["):
+            SelectionPlan.from_pair_strings([pair, ["2y", "3z"], ["3y", "4z"], ["4y", "1z"]])
     with pytest.raises(ConfigError):
         SelectionPlan(pairs=((1, 1), (2, 3), (3, 4), (4, 1)))
     with pytest.raises(ConfigError):

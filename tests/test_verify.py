@@ -10,14 +10,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dhjac.dhj import dexterity_at, singular_values
-from dhjac.errors import (DegeneratePair, KinematicsError, NoForwardSolution, StepTooLarge,
-                          Unreachable)
+from dhjac.errors import (DegeneratePair, KinematicsError, NoForwardSolution, Status,
+                          StepTooLarge, Unreachable)
 from dhjac.model import load_config, resolve_many, resolve_pose
 from dhjac.screws import build_inverse_jacobian
 from dhjac.selection import OPPOSITE_PLAN, PRIMARY_PLAN
-from dhjac.verify import (BRUTE_FORCE_STEP, REFINE_MAX_ITER, REFINE_TOL, brute_force_dhj,
-                          check_table, fd_oracles, fd_rows, forward_refine, run_validation,
-                          sample_poses, step_sizes, summarize)
+from dhjac.verify import (BRUTE_FORCE_STEP, REFINE_MAX_ITER, REFINE_TOL, _first_refusal,
+                          brute_force_dhj, check_table, fd_oracles, fd_rows, forward_refine,
+                          run_validation, sample_poses, step_sizes, summarize)
 
 from conftest import (REFERENCE_CONFIG, S_at, bf_at, bf_over, checked, fd_at, offset_prs_config,
                       one, random_coords, row, square_config)
@@ -563,6 +563,16 @@ def test_check_table_rows_equal_those_of_each_pose_alone(layout):
                 assert np.isnan(got[i]) != _ok(r, i)
 
 
+def test_a_refusal_past_count_is_none():
+    # a record tests its first ``count`` poses only, so a refusal at or after them is no
+    # refusal of it: all count poses are tested, and no error is named
+    late = Status(5)
+    late.refuse(np.arange(5) >= 3, Unreachable, lambda i: "past the tested poses")
+    assert _first_refusal((Status(5), late), 3) == (3, None)
+    i, exc = _first_refusal((Status(5), late), 4)
+    assert i == 3 and exc.code == "unreachable"
+
+
 def test_moving_a_refusal_moves_poses_tested(reference):
     # an unreachable pose at j, then at j + 1, among poses that pass every record: each record
     # tests the poses before it, a check notes its code and coordinates, a measurement its code
@@ -573,16 +583,16 @@ def test_moving_a_refusal_moves_poses_tested(reference):
         reports = summarize(check_table(reference, centers)[0], coords)
         assert len(reports) == 10
         for report in reports.values():
-            assert report.poses_tested == j
-            if math.isinf(report.threshold):
-                assert report.note == "unreachable" and report.passed
-                assert math.isfinite(report.max_rel_err)
+            assert report["poses_tested"] == j
+            if math.isinf(report["threshold"]):
+                assert report["note"] == "unreachable" and report["passed"]
+                assert math.isfinite(report["max_rel_err"])
             else:
-                assert report.note == f"unreachable at {UNREACHABLE}" and not report.passed
-                assert report.max_abs_err == report.max_rel_err == math.inf
+                assert report["note"] == f"unreachable at {UNREACHABLE}" and not report["passed"]
+                assert report["max_abs_err"] == report["max_rel_err"] == math.inf
     # without it every record passes, over every pose it may test
     reports = summarize(check_table(reference, resolve_many(reference, feasible))[0], feasible)
-    assert all(r.passed and r.poses_tested == 6 and "unreachable" not in r.note
+    assert all(r["passed"] and r["poses_tested"] == 6 and "unreachable" not in r["note"]
                for r in reports.values())
 
 
